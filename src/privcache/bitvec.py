@@ -44,12 +44,25 @@ class Bits:
 
     @classmethod
     def concat(cls, parts: Iterable[Bits]) -> Bits:
-        value = 0
+        """Join strings in order, the first part at bit 0, in linear time.
+
+        Whole bytes go to a little-endian buffer as soon as they are
+        complete, so each part is shifted past the fewer than 8 bits still
+        pending from its predecessors, never past the whole prefix.
+        """
+        out = bytearray()
+        pending = 0  # bits [8 * len(out), length), fewer than 8 between parts
         length = 0
         for part in parts:
-            value |= part.value << length
+            pending |= part.value << (length & 7)
             length += part.length
-        return cls(value, length)
+            whole = (length >> 3) - len(out)
+            if whole:
+                out += pending.to_bytes(whole + 1, "little")
+                pending = out.pop()
+        if length & 7:
+            out.append(pending)
+        return cls(int.from_bytes(out, "little"), length)
 
     def bit(self, j: int) -> int:
         if not 0 <= j < self.length:
@@ -61,6 +74,21 @@ class Bits:
         if width <= 0 or (i + 1) * width > self.length:
             raise IndexError(f"block {i} of width {width} out of range")
         return Bits(self.value >> (i * width) & ((1 << width) - 1), width)
+
+    def block_values(self, width: int) -> tuple[int, ...]:
+        """Every consecutive block of `width` bits, as ints, in one pass.
+
+        Equal to ``block(i, width).value`` for each i, but the string is
+        converted to bytes once and each block is cut from a short slice.
+        """
+        if width <= 0 or self.length % width:
+            raise ValueError(f"length {self.length} does not split into blocks of {width}")
+        raw = self.value.to_bytes((self.length + 7) >> 3, "little")
+        mask = (1 << width) - 1
+        return tuple(
+            int.from_bytes(raw[start >> 3 : (start + width + 7) >> 3], "little") >> (start & 7) & mask
+            for start in range(0, self.length, width)
+        )
 
     def to01(self) -> str:
         return "".join("1" if self.value >> j & 1 else "0" for j in range(self.length))
@@ -81,6 +109,8 @@ class Bits:
     def from_bytes(cls, data: bytes, length: int) -> Bits:
         if len(data) != (length + 7) // 8:
             raise ValueError(f"expected {(length + 7) // 8} bytes for {length} bits")
+        if length & 7 and data[-1] & (0xFF >> (length & 7)):
+            raise ValueError("nonzero pad bits after the last bit")
         value = 0
         for j in range(length):
             if data[j >> 3] & (0x80 >> (j & 7)):

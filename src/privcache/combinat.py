@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 
 def binomial(n: int, k: int) -> int:
@@ -63,13 +64,16 @@ class SubsetIndex:
             raise ValueError(f"{x} already in {self.members}")
         return SubsetIndex(tuple(sorted(self.members + (x,))), self.universe)
 
-    def intersects(self, other) -> bool:
-        return any(m in other for m in self.members)
+
+def colex_rank(members: Sequence[int]) -> int:
+    """Colex rank of a strictly increasing member sequence among the
+    subsets of its size."""
+    return sum(math.comb(c, j + 1) for j, c in enumerate(members))
 
 
 def subset_rank(s: SubsetIndex) -> int:
     """Colex rank of `s` among the size-|s| subsets of its universe."""
-    return sum(binomial(c, j + 1) for j, c in enumerate(s.members))
+    return colex_rank(s.members)
 
 
 def subset_unrank(rank: int, size: int, universe: int) -> SubsetIndex:

@@ -7,13 +7,21 @@ the broadcast itself carries no information about who requested what.
 
 The module is organized around the life of one session:
 
-  * SchemeParams / FileLibrary      -- problem instance and split files
+  * SchemeParams / FileLibrary      -- problem instance; each file split
+                                       once into its C(K', r) subfile ints
   * SessionRandomness               -- key digits and t-index choices
   * place                           -- cache contents (key + signals)
   * aux_demand, build_v             -- auxiliary demand and its selector set
   * x_segment, assemble_delivery    -- broadcast construction
   * recover_segment, decode         -- receiver side
   * memory_rate_of                  -- exact (M, R) accounting
+
+Placement, delivery and decoding run on the rank tables of
+`plan.SchemePlan`, built once per (N, K, r): each signal, segment and
+decoded subfile is an XOR of pre-split subfile ints picked by colex rank.
+The per-element formulas (`FileLibrary.subfile`, `yma.compute_y`,
+`yma.reconstruct_y`, `x_segment`, `recover_segment`) stay as the
+references those tables are tested against.
 """
 
 from __future__ import annotations
@@ -22,16 +30,21 @@ import random
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
-from typing import Mapping, Sequence
+from functools import cached_property, lru_cache
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from . import yma
 from .bitvec import Bits
-from .combinat import SubsetIndex, binomial, enumerate_r_subsets, subset_rank
+from .combinat import SubsetIndex, binomial, subset_rank
 from .tradeoff import RatePoint
+
+if TYPE_CHECKING:
+    from .plan import SchemePlan
 
 _TD_BYTES = 2
 _LEN_BYTES = 4
+# selector masks are pure in (digits, N); verify sweeps ask for each many times
+_SELECTOR_CACHE_SIZE = 4096
 
 
 @dataclass(frozen=True)
@@ -99,6 +112,17 @@ class FileLibrary:
             if w.length != self.params.file_bits:
                 raise ValueError(f"file length {w.length} != {self.params.file_bits}")
 
+    @cached_property
+    def subfiles(self) -> tuple[tuple[int, ...], ...]:
+        """`subfiles[n][rank]` is the subfile of file n at that colex rank,
+        as an int; every file is split once, on first use."""
+        width = self.params.subfile_bits
+        return tuple(w.block_values(width) for w in self.files)
+
+    @property
+    def plan(self) -> SchemePlan:
+        return _plan_of(self.params)
+
     def subfile(self, n: int, index: SubsetIndex) -> Bits:
         if index.universe != self.params.positions or len(index) != self.params.r:
             raise ValueError(f"bad subfile index {index}")
@@ -117,6 +141,14 @@ class FileLibrary:
         total = Bits.from_bytes(data, params.num_files * params.file_bits)
         files = tuple(total.block(n, params.file_bits) for n in range(params.num_files))
         return cls(params, files)
+
+
+def _plan_of(params: SchemeParams) -> SchemePlan:
+    # imported on first use: `import privcache` then does not compile the
+    # plan module for callers that never place, deliver or decode
+    from .plan import scheme_plan
+
+    return scheme_plan(params)
 
 
 class DemandClass(Enum):
@@ -252,7 +284,7 @@ def _single_selector_mask(num_files: int, num_users: int, a: int, k: int) -> int
     return mask
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_SELECTOR_CACHE_SIZE)
 def _selector_mask(digits: tuple[int, ...], num_files: int) -> int:
     k_users = len(digits)
     if not any(digits):
@@ -300,7 +332,7 @@ def x_segment(files: FileLibrary, d: AuxDemand, s: SubsetIndex, n: int) -> Bits:
 def delivered_segment_indices(params: SchemeParams, t_d: int) -> list[tuple[int, SubsetIndex]]:
     """Canonical order of broadcast segments: n ascending, then the
     (r-1)-subsets avoiding t_d in colex order."""
-    subsets = [s for s in enumerate_r_subsets(params.positions, params.r - 1) if t_d not in s]
+    subsets = [s for s in _plan_of(params).segments if t_d not in s]
     return [(n, s) for n in range(params.num_files) for s in subsets]
 
 
@@ -322,7 +354,6 @@ class DeliverySignal:
     t_d: int
     segments: dict[tuple[int, SubsetIndex], Bits]
     params: SchemeParams
-    _recovered: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def payload_bits(self) -> int:
@@ -336,6 +367,8 @@ class DeliverySignal:
     @classmethod
     def from_bytes(cls, params: SchemeParams, data: bytes) -> DeliverySignal:
         k = params.num_users
+        if len(data) < k + _TD_BYTES + _LEN_BYTES:
+            raise ValueError(f"broadcast of {len(data)} bytes is shorter than its header")
         digits = tuple(data[:k])
         t_d = int.from_bytes(data[k : k + _TD_BYTES], "big")
         nbits = int.from_bytes(data[k + _TD_BYTES : k + _TD_BYTES + _LEN_BYTES], "big")
@@ -355,12 +388,24 @@ def build_delivery(files: FileLibrary, d: AuxDemand, t_d: int) -> DeliverySignal
     params = files.params
     if d.num_users != params.num_users or d.num_files != params.num_files:
         raise ValueError("auxiliary demand does not match parameters")
-    if t_d not in build_v(d).set_form:
+    selector = build_v(d).members
+    if t_d not in selector:
         raise ValueError(f"t={t_d} not in the selector set of {d.digits}")
-    segments = {
-        (n, s): x_segment(files, d, s, n)
-        for n, s in delivered_segment_indices(params, t_d)
-    }
+    plan = files.plan
+    width = params.subfile_bits
+    # x_segment for every (r-1)-subset S avoiding t_d: ranks of S plus v
+    wanted = [
+        (s, [up[v] for v in selector if up[v] >= 0])
+        for s, up in zip(plan.segments, plan.segment_up)
+        if up[t_d] >= 0
+    ]
+    segments = {}
+    for n, row in enumerate(files.subfiles):
+        for s, ranks in wanted:
+            acc = 0
+            for j in ranks:
+                acc ^= row[j]
+            segments[(n, s)] = Bits(acc, width)
     return DeliverySignal(d, t_d, segments, params)
 
 
@@ -382,27 +427,17 @@ def recover_segment(x: DeliverySignal, s: SubsetIndex, n: int) -> Bits:
         raise ValueError(f"segment index size {len(s)} != r-1 = {params.r - 1}")
     if x.t_d not in s:
         return x.segments[(n, s)]
-    memo_key = (n, s)
-    cached = x._recovered.get(memo_key)
-    if cached is not None:
-        return cached
     base = s.without(x.t_d)
     acc = Bits.zeros(params.subfile_bits)
     for t in build_v(x.aux).members:
         if t not in s:
             acc = acc ^ x.segments[(n, base.adding(t))]
-    x._recovered[memo_key] = acc
     return acc
 
 
 def stored_signal_indices(params: SchemeParams) -> list[SubsetIndex]:
     """Colex order of the leader-intersecting (r+1)-subsets a cache stores."""
-    leaders = range(params.num_files)
-    return [
-        r_plus
-        for r_plus in enumerate_r_subsets(params.positions, params.r + 1)
-        if r_plus.members[0] in leaders
-    ]
+    return list(_plan_of(params).stored)
 
 
 @dataclass
@@ -413,7 +448,6 @@ class CacheContent:
     key: int
     signals: dict[SubsetIndex, Bits]
     params: SchemeParams
-    _reconstructed: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def payload_bits(self) -> int:
@@ -426,7 +460,11 @@ class CacheContent:
 
     @classmethod
     def from_bytes(cls, params: SchemeParams, user: int, data: bytes) -> CacheContent:
+        if len(data) < 1 + _LEN_BYTES:
+            raise ValueError(f"cache of {len(data)} bytes is shorter than its header")
         key = data[0]
+        if key >= params.num_files:
+            raise ValueError(f"key digit {key} out of range for {params.num_files} files")
         nbits = int.from_bytes(data[1 : 1 + _LEN_BYTES], "big")
         payload = Bits.from_bytes(data[1 + _LEN_BYTES :], nbits)
         indices = stored_signal_indices(params)
@@ -449,14 +487,32 @@ def place(files: FileLibrary, params: SchemeParams, rand: SessionRandomness) -> 
     return caches
 
 
-def _y_signal(cache: CacheContent, u: yma.UVector, index: SubsetIndex) -> Bits:
-    if index.members[0] < cache.params.num_files:
-        return cache.signals[index]
-    cached = cache._reconstructed.get(index)
-    if cached is None:
-        cached = yma.reconstruct_y(cache.signals, u, index)
-        cache._reconstructed[index] = cached
-    return cached
+def _segment_values(plan: SchemePlan, x: DeliverySignal, selector: Sequence[int]) -> list[list[int]]:
+    """recover_segment of every (file, (r-1)-subset), as ints by colex rank.
+
+    A segment containing t_d XORs the delivered segments at S minus t_d
+    plus t, over the selector positions t outside S.
+    """
+    t_d = x.t_d
+    delivered = [(i, s) for i, (s, up) in enumerate(zip(plan.segments, plan.segment_up)) if up[t_d] >= 0]
+    recovered = []
+    for i, down in enumerate(plan.segment_down):
+        base = dict(down).get(t_d)
+        if base is not None:
+            up = plan.base_up[base]
+            recovered.append((i, [up[t] for t in selector if t != t_d and up[t] >= 0]))
+    values = []
+    for n in range(plan.num_files):
+        row = [0] * len(plan.segments)
+        for i, s in delivered:
+            row[i] = x.segments[(n, s)].value
+        for i, ranks in recovered:
+            acc = 0
+            for j in ranks:
+                acc ^= row[j]
+            row[i] = acc
+        values.append(row)
+    return values
 
 
 def decode(cache: CacheContent, x: DeliverySignal, user: int, demand: int) -> Bits:
@@ -466,8 +522,9 @@ def decode(cache: CacheContent, x: DeliverySignal, user: int, demand: int) -> Bi
     {t} union R for selector positions t outside R with the segments at
     R minus {t} for t in R, where the segment's file index is the user's
     digit under the t-th labeled demand, shifted by the cache key.
-    Signals missing from the cache and segments missing from the
-    broadcast are reconstructed, never assumed.
+    Signals missing from the cache (yma.reconstruct_y) and segments
+    missing from the broadcast (recover_segment) are reconstructed, never
+    assumed; the plan lists which stored ones each XORs.
     """
     params = cache.params
     n = params.num_files
@@ -480,21 +537,31 @@ def decode(cache: CacheContent, x: DeliverySignal, user: int, demand: int) -> Bi
         raise ValueError(
             f"demand {demand} inconsistent with key {cache.key} and auxiliary digit {d.digits[user]}"
         )
-    u = yma.build_u_vector(n, params.num_users, user, cache.key)
+    # position t's demand is the user's digit under the t-th labeled demand
+    # (g_map), shifted by the key
+    file_digit = yma.build_u_vector(n, params.num_users, user, cache.key).entries
+    plan = _plan_of(params)
     selector = build_v(d).members
-    file_digit = [
-        (g_map(t, n, params.num_users).digits[user] + cache.key) % n
-        for t in range(params.positions)
-    ]
+    signals = [0] * plan.signal_count
+    for index, rank in zip(plan.stored, plan.stored_ranks):
+        signals[rank] = cache.signals[index].value
+    for rank, sources in plan.reconstruction[user]:
+        acc = 0
+        for j in sources:
+            acc ^= signals[j]
+        signals[rank] = acc
+    segments = _segment_values(plan, x, selector)
+    width = params.subfile_bits
     parts = []
-    for r_set in enumerate_r_subsets(params.positions, params.r):
-        acc = Bits.zeros(params.subfile_bits)
+    for up, down in zip(plan.subfile_up, plan.subfile_down):
+        acc = 0
         for t in selector:
-            if t not in r_set:
-                acc = acc ^ _y_signal(cache, u, r_set.adding(t))
-        for t in r_set:
-            acc = acc ^ recover_segment(x, r_set.without(t), file_digit[t])
-        parts.append(acc)
+            j = up[t]
+            if j >= 0:
+                acc ^= signals[j]
+        for t, j in down:
+            acc ^= segments[file_digit[t]][j]
+        parts.append(Bits(acc, width))
     return Bits.concat(parts)
 
 

@@ -15,7 +15,7 @@ from itertools import combinations
 from typing import TYPE_CHECKING, Mapping
 
 from .bitvec import Bits
-from .combinat import SubsetIndex, binomial, enumerate_r_subsets
+from .combinat import SubsetIndex
 
 if TYPE_CHECKING:
     from .scheme import FileLibrary
@@ -120,23 +120,22 @@ def yma_delivery(files: FileLibrary, u: UVector) -> dict[SubsetIndex, Bits]:
     """All leader-intersecting XOR signals for one virtual demand vector.
 
     This is exactly the portion of the YMA delivery that gets stored as
-    cache content: C(K', r+1) - C(K'-N, r+1) signals.
+    cache content: C(K', r+1) - C(K'-N, r+1) signals.  Each is compute_y's
+    XOR, taken by rank from the library's plan and pre-split subfiles.
     """
     params = files.params
     if len(u) != params.positions:
         raise ValueError(f"vector length {len(u)} != universe {params.positions}")
-    leaders = leader_set(params.num_files)
+    plan = files.plan
+    width = params.subfile_bits
+    rows = [files.subfiles[e] for e in u.entries]
     out: dict[SubsetIndex, Bits] = {}
-    if params.r + 1 > params.positions:
-        return out
-    for r_plus in enumerate_r_subsets(params.positions, params.r + 1):
-        if r_plus.members[0] in leaders:
-            out[r_plus] = compute_y(files, u, r_plus)
+    for index, terms in zip(plan.stored, plan.stored_terms):
+        acc = 0
+        for i, rank in terms:
+            acc ^= rows[i][rank]
+        out[index] = Bits(acc, width)
     return out
-
-
-def stored_signal_count(num_files: int, positions: int, r: int) -> int:
-    return binomial(positions, r + 1) - binomial(positions - num_files, r + 1)
 
 
 def reconstruct_y(

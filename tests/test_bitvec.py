@@ -64,3 +64,32 @@ def test_from_bytes_length_checked():
 
 def test_xor_all_empty_is_zero():
     assert xor_all([], 6) == Bits.zeros(6)
+
+
+def test_concat_equals_shift_or_fold():
+    rng = random.Random(11)
+    for _ in range(500):
+        widths = [rng.choice((0, 0, 1, 3, 7, 8, 9, 13, 64, rng.randrange(200))) for _ in range(rng.randrange(8))]
+        parts = [Bits.random(w, rng) for w in widths]
+        value = length = 0
+        for part in parts:
+            value |= part.value << length
+            length += part.length
+        assert Bits.concat(parts) == Bits(value, length)
+
+
+def test_block_values_equal_blocks():
+    rng = random.Random(12)
+    for width in (1, 3, 8, 13):
+        b = Bits.random(7 * width, rng)
+        assert b.block_values(width) == tuple(b.block(i, width).value for i in range(7))
+    assert Bits.zeros(0).block_values(5) == ()
+    with pytest.raises(ValueError):
+        Bits.zeros(12).block_values(5)
+
+
+def test_from_bytes_rejects_nonzero_pad_bits():
+    assert Bits.from_bytes(b"\xe0", 3) == Bits.from01("111")
+    for data, length in ((b"\xff", 3), (b"\x01", 7), (b"\x00\x40", 9)):
+        with pytest.raises(ValueError):
+            Bits.from_bytes(data, length)

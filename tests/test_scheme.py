@@ -544,3 +544,42 @@ def test_demand_identity_on_random_files():
                     for ld in labeled:
                         acc = acc ^ files.files[(ld.digits[user] + shift) % n]
                     assert acc == files.files[(digits[user] + shift) % n]
+
+
+# ------------------------------------------------------------- wire parsing
+
+
+@pytest.mark.parametrize("r", [0, 2])
+def test_wire_rejects_truncated_blobs(r):
+    params, files = seeded_library(2, 3, r)
+    cache_blob = place(files, params, SessionRandomness(2, (1, 0, 1)))[0].to_bytes()
+    x_blob = build_delivery(files, AuxDemand((0, 0, 0), 2), 0).to_bytes()
+    for cut in range(len(cache_blob)):
+        with pytest.raises(ValueError):
+            CacheContent.from_bytes(params, 0, cache_blob[:cut])
+    for cut in range(len(x_blob)):
+        with pytest.raises(ValueError):
+            DeliverySignal.from_bytes(params, x_blob[:cut])
+
+
+def test_wire_rejects_out_of_range_digits():
+    params, files = seeded_library(2, 3, 2)
+    cache = place(files, params, SessionRandomness(2, (1, 0, 1)))[0]
+    blob = cache.to_bytes()
+    for key in (2, 5, 255):
+        with pytest.raises(ValueError):
+            CacheContent.from_bytes(params, 0, bytes([key]) + blob[1:])
+    blob = build_delivery(files, AuxDemand((0, 0, 0), 2), 0).to_bytes()
+    with pytest.raises(ValueError):
+        DeliverySignal.from_bytes(params, bytes([5]) + blob[1:])
+
+
+def test_decode_rejects_out_of_range_user_and_key():
+    params, files = seeded_library(2, 3, 2)
+    d = aux_demand((1, 0, 0), (0, 0, 0), 2)
+    x = build_delivery(files, d, 0)
+    cache = place(files, params, SessionRandomness(2, (0, 0, 0)))[0]
+    with pytest.raises(ValueError):
+        decode(CacheContent(0, 2, cache.signals, params), x, 0, 1)
+    with pytest.raises(ValueError):
+        decode(CacheContent(-1, 0, cache.signals, params), x, -1, 0)
