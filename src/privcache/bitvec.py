@@ -3,7 +3,13 @@
 from __future__ import annotations
 
 import random
-from typing import Iterable, Sequence
+from typing import Iterable
+
+# byte b with its bit order reversed: turns little-endian int bytes into
+# the MSB-first wire layout and back
+_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+# characters other than "0" and "1" survive translate() with this table
+_NOT_BITS = str.maketrans("", "", "01")
 
 
 class Bits:
@@ -11,7 +17,9 @@ class Bits:
 
     Bit ``j`` of the string (``j`` starting at 0) is stored at integer bit
     position ``j``, so ``value >> j & 1`` reads it.  XOR is only defined
-    between strings of equal length.
+    between strings of equal length.  The byte and text codecs are linear
+    time: one int conversion plus one table pass, byte-identical to
+    packing bit by bit (bit 0 at the MSB of the first byte).
     """
 
     __slots__ = ("value", "length")
@@ -34,13 +42,10 @@ class Bits:
 
     @classmethod
     def from01(cls, text: str) -> Bits:
-        value = 0
-        for j, ch in enumerate(text):
-            if ch == "1":
-                value |= 1 << j
-            elif ch != "0":
-                raise ValueError(f"invalid bit character {ch!r}")
-        return cls(value, len(text))
+        stray = text.translate(_NOT_BITS)
+        if stray:
+            raise ValueError(f"invalid bit character {stray[0]!r}")
+        return cls(int(text[::-1], 2) if text else 0, len(text))
 
     @classmethod
     def concat(cls, parts: Iterable[Bits]) -> Bits:
@@ -91,19 +96,12 @@ class Bits:
         )
 
     def to01(self) -> str:
-        return "".join("1" if self.value >> j & 1 else "0" for j in range(self.length))
+        # zero-padded binary is MSB first; the slice drops format's "0" for length 0
+        return f"{self.value:0{self.length}b}"[::-1][: self.length]
 
     def to_bytes(self) -> bytes:
         """Byte-pack the string, bit 0 at the MSB of the first byte."""
-        out = bytearray((self.length + 7) // 8)
-        v = self.value
-        j = 0
-        while v:
-            if v & 1:
-                out[j >> 3] |= 0x80 >> (j & 7)
-            v >>= 1
-            j += 1
-        return bytes(out)
+        return self.value.to_bytes((self.length + 7) >> 3, "little").translate(_REVERSED)
 
     @classmethod
     def from_bytes(cls, data: bytes, length: int) -> Bits:
@@ -111,11 +109,8 @@ class Bits:
             raise ValueError(f"expected {(length + 7) // 8} bytes for {length} bits")
         if length & 7 and data[-1] & (0xFF >> (length & 7)):
             raise ValueError("nonzero pad bits after the last bit")
-        value = 0
-        for j in range(length):
-            if data[j >> 3] & (0x80 >> (j & 7)):
-                value |= 1 << j
-        return cls(value, length)
+        # bytes() takes any bytes-like input and returns a bytes object as is
+        return cls(int.from_bytes(bytes(data).translate(_REVERSED), "little"), length)
 
     def __xor__(self, other: Bits) -> Bits:
         if self.length != other.length:
@@ -139,11 +134,3 @@ class Bits:
         if self.length <= 64:
             return f"Bits({self.to01()!r})"
         return f"Bits(<{self.length} bits>)"
-
-
-def xor_all(parts: Sequence[Bits], length: int) -> Bits:
-    """XOR a sequence of equal-length strings; empty input gives zeros."""
-    acc = Bits.zeros(length)
-    for part in parts:
-        acc = acc ^ part
-    return acc

@@ -139,8 +139,7 @@ class FileLibrary:
     @classmethod
     def from_bytes(cls, params: SchemeParams, data: bytes) -> FileLibrary:
         total = Bits.from_bytes(data, params.num_files * params.file_bits)
-        files = tuple(total.block(n, params.file_bits) for n in range(params.num_files))
-        return cls(params, files)
+        return cls(params, tuple(Bits(v, params.file_bits) for v in total.block_values(params.file_bits)))
 
 
 def _plan_of(params: SchemeParams) -> SchemePlan:
@@ -336,14 +335,23 @@ def delivered_segment_indices(params: SchemeParams, t_d: int) -> list[tuple[int,
     return [(n, s) for n in range(params.num_files) for s in subsets]
 
 
+def _field(value: int, size: int, name: str) -> bytes:
+    """`value` as a big-endian unsigned field of `size` bytes."""
+    try:
+        return value.to_bytes(size, "big")
+    except OverflowError:
+        raise ValueError(f"{name} {value} does not fit in {size} byte(s)") from None
+
+
 def delivery_header(digits: Sequence[int], t_d: int, payload_bits: int) -> bytes:
     """Wire header of a broadcast: d digits, t_d, payload bit length."""
-    return bytes(digits) + t_d.to_bytes(_TD_BYTES, "big") + payload_bits.to_bytes(_LEN_BYTES, "big")
+    digit_bytes = b"".join(_field(v, 1, "demand digit") for v in digits)
+    return digit_bytes + _field(t_d, _TD_BYTES, "t_d") + _field(payload_bits, _LEN_BYTES, "payload_bits")
 
 
 def cache_header(key: int, payload_bits: int) -> bytes:
     """Wire header of a cache: key digit, payload bit length."""
-    return bytes([key]) + payload_bits.to_bytes(_LEN_BYTES, "big")
+    return _field(key, 1, "key digit") + _field(payload_bits, _LEN_BYTES, "payload_bits")
 
 
 @dataclass
@@ -379,7 +387,8 @@ class DeliverySignal:
         keys = delivered_segment_indices(params, t_d)
         if nbits != len(keys) * params.subfile_bits:
             raise ValueError(f"payload of {nbits} bits does not match {len(keys)} segments")
-        segments = {key: payload.block(i, params.subfile_bits) for i, key in enumerate(keys)}
+        width = params.subfile_bits
+        segments = {key: Bits(v, width) for key, v in zip(keys, payload.block_values(width))}
         return cls(d, t_d, segments, params)
 
 
@@ -470,7 +479,8 @@ class CacheContent:
         indices = stored_signal_indices(params)
         if nbits != len(indices) * params.subfile_bits:
             raise ValueError(f"payload of {nbits} bits does not match {len(indices)} signals")
-        signals = {idx: payload.block(i, params.subfile_bits) for i, idx in enumerate(indices)}
+        width = params.subfile_bits
+        signals = {idx: Bits(v, width) for idx, v in zip(indices, payload.block_values(width))}
         return cls(user, key, signals, params)
 
 

@@ -54,11 +54,6 @@ class UVector:
         raise ValueError(f"no leader demands {value}")
 
 
-def leader_set(num_files: int) -> range:
-    """Leader positions are always the first `num_files` ones."""
-    return range(num_files)
-
-
 def build_u_vector(num_files: int, num_users: int, user: int, key: int) -> UVector:
     """Virtual demand vector for one (user, key digit) pair, closed form.
 
@@ -82,23 +77,6 @@ def build_u_vector(num_files: int, num_users: int, user: int, key: int) -> UVect
             entries.append((key + (i - 1) % (n - 1)) % n)
         else:
             entries.append((key + (i - 1) % (n - 1) + 1) % n)
-    return UVector(tuple(entries), n)
-
-
-def build_u_vector_blockwise(num_files: int, num_users: int, user: int, key: int) -> UVector:
-    """Two-step construction of the same vector, kept as a cross-check.
-
-    First lay out an intermediate length-K vector (key repeated K-user
-    times, then key+1 repeated user times); then expand block 0 to all N
-    values and every later block to its first N-1 successive values.
-    """
-    n = num_files
-    if not 0 <= user < num_users or not 0 <= key < n:
-        raise ValueError("parameter out of range")
-    intermediate = [key] * (num_users - user) + [(key + 1) % n] * user
-    entries = [(intermediate[0] + j) % n for j in range(n)]
-    for i in range(1, num_users):
-        entries.extend((intermediate[i] + j) % n for j in range(n - 1))
     return UVector(tuple(entries), n)
 
 

@@ -1,4 +1,5 @@
-"""Shared test utilities: seeded libraries and symbolic one-hot libraries.
+"""Shared test utilities: seeded libraries, symbolic one-hot libraries,
+and the slow reference implementations the library code is checked against.
 
 A "basis" library gives every subfile a distinct one-hot bit pattern, so
 an XOR of subfiles equals the characteristic vector of the XORed symbol
@@ -9,10 +10,64 @@ checks on real code paths.
 from __future__ import annotations
 
 import random
+from typing import Sequence
 
-from privcache.bitvec import Bits, xor_all
+from privcache.bitvec import Bits
 from privcache.combinat import SubsetIndex, binomial, subset_rank
 from privcache.scheme import FileLibrary, SchemeParams
+from privcache.yma import UVector
+
+
+def xor_all(parts: Sequence[Bits], length: int) -> Bits:
+    """XOR a sequence of equal-length strings; empty input gives zeros."""
+    acc = Bits.zeros(length)
+    for part in parts:
+        acc = acc ^ part
+    return acc
+
+
+def reference_to_bytes(b: Bits) -> bytes:
+    """Bit-by-bit MSB-first packing: bit j sets bit 7 - j%8 of byte j//8."""
+    out = bytearray((b.length + 7) // 8)
+    v = b.value
+    j = 0
+    while v:
+        if v & 1:
+            out[j >> 3] |= 0x80 >> (j & 7)
+        v >>= 1
+        j += 1
+    return bytes(out)
+
+
+def reference_from_bytes(data: bytes, length: int) -> Bits:
+    """Bit-by-bit inverse of reference_to_bytes; pad bits are ignored."""
+    value = 0
+    for j in range(length):
+        if data[j >> 3] & (0x80 >> (j & 7)):
+            value |= 1 << j
+    return Bits(value, length)
+
+
+def leader_set(num_files: int) -> range:
+    """Leader positions are always the first `num_files` ones."""
+    return range(num_files)
+
+
+def build_u_vector_blockwise(num_files: int, num_users: int, user: int, key: int) -> UVector:
+    """Two-step construction of yma.build_u_vector's vector, a cross-check.
+
+    First lay out an intermediate length-K vector (key repeated K-user
+    times, then key+1 repeated user times); then expand block 0 to all N
+    values and every later block to its first N-1 successive values.
+    """
+    n = num_files
+    if not 0 <= user < num_users or not 0 <= key < n:
+        raise ValueError("parameter out of range")
+    intermediate = [key] * (num_users - user) + [(key + 1) % n] * user
+    entries = [(intermediate[0] + j) % n for j in range(n)]
+    for i in range(1, num_users):
+        entries.extend((intermediate[i] + j) % n for j in range(n - 1))
+    return UVector(tuple(entries), n)
 
 
 def seeded_library(n, k, r, seed=0, bits_per_subfile=8):

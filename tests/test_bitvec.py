@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from privcache.bitvec import Bits, xor_all
+from helpers import xor_all
+from privcache.bitvec import Bits
 
 
 def test_roundtrip_01():

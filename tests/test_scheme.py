@@ -19,7 +19,9 @@ from privcache.scheme import (
     aux_demand,
     build_delivery,
     build_v,
+    cache_header,
     decode,
+    delivery_header,
     f_map,
     g_map,
     memory_rate_of,
@@ -572,6 +574,28 @@ def test_wire_rejects_out_of_range_digits():
     blob = build_delivery(files, AuxDemand((0, 0, 0), 2), 0).to_bytes()
     with pytest.raises(ValueError):
         DeliverySignal.from_bytes(params, bytes([5]) + blob[1:])
+
+
+def test_wire_headers_fill_every_field_to_its_limit():
+    assert delivery_header((0, 1, 255), 0xFFFF, 2**32 - 1) == bytes((0, 1, 255)) + b"\xff" * 6
+    assert cache_header(255, 2**32 - 1) == b"\xff" * 5
+    assert cache_header(0, 0) == bytes(5)
+
+
+@pytest.mark.parametrize(
+    "encode, field",
+    [
+        (lambda: delivery_header((0, 256, 1), 0, 8), "demand digit 256"),
+        (lambda: delivery_header((0, -1, 1), 0, 8), "demand digit -1"),
+        (lambda: delivery_header((0, 1), 2**16, 8), "t_d 65536"),
+        (lambda: delivery_header((0, 1), 0, 2**32), "payload_bits 4294967296"),
+        (lambda: cache_header(256, 8), "key digit 256"),
+        (lambda: cache_header(1, 2**32), "payload_bits 4294967296"),
+    ],
+)
+def test_wire_headers_name_fields_that_do_not_fit(encode, field):
+    with pytest.raises(ValueError, match=field):
+        encode()
 
 
 def test_decode_rejects_out_of_range_user_and_key():

@@ -3,16 +3,14 @@ import random
 
 import pytest
 
-from helpers import basis_library, seeded_library, xor_symbols
+from helpers import basis_library, build_u_vector_blockwise, leader_set, seeded_library, xor_symbols
 from privcache.bitvec import Bits
 from privcache.combinat import SubsetIndex, binomial, enumerate_r_subsets
 from privcache.scheme import FileLibrary, SchemeParams, g_map, memory_rate_of
 from privcache.yma import (
     UVector,
     build_u_vector,
-    build_u_vector_blockwise,
     compute_y,
-    leader_set,
     reconstruct_y,
     yma_delivery,
 )
