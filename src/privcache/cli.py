@@ -15,7 +15,6 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import verify as verify_mod
-from .combinat import binomial
 from .scheme import (
     FileLibrary,
     SchemeParams,
@@ -77,15 +76,15 @@ def _load_library(args, params: SchemeParams, parser: argparse.ArgumentParser) -
 def cmd_params(args, parser) -> int:
     params = _params_from(args, parser)
     point = memory_rate_of(params)
-    kp = params.positions
-    stored = binomial(kp, params.r + 1) - binomial(kp - params.num_files, params.r + 1)
-    segments = params.num_files * binomial(kp - 1, params.r - 1)
+    # M and R in units of subfiles; both are exact integers
+    stored = int(point.memory * params.subfile_count)
+    segments = int(point.rate * params.subfile_count)
     info = {
         "N": params.num_files,
         "K": params.num_users,
         "r": params.r,
         "F": params.file_bits,
-        "positions": kp,
+        "positions": params.positions,
         "subfiles_per_file": params.subfile_count,
         "subfile_bits": params.subfile_bits,
         "stored_signals_per_user": stored,

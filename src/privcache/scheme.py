@@ -29,14 +29,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from enum import Enum
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from . import yma
 from .bitvec import Bits
 from .combinat import SubsetIndex, binomial, subset_rank
-from .tradeoff import RatePoint
+from .tradeoff import RatePoint, scheme_point
 
 if TYPE_CHECKING:
     from .plan import SchemePlan
@@ -449,6 +448,11 @@ def stored_signal_indices(params: SchemeParams) -> list[SubsetIndex]:
     return list(_plan_of(params).stored)
 
 
+def _check_user(params: SchemeParams, user: int) -> None:
+    if not 0 <= user < params.num_users:
+        raise ValueError(f"user {user} out of range for {params.num_users} users")
+
+
 @dataclass
 class CacheContent:
     """One user's cache: secret key digit plus the stored XOR signals."""
@@ -469,6 +473,7 @@ class CacheContent:
 
     @classmethod
     def from_bytes(cls, params: SchemeParams, user: int, data: bytes) -> CacheContent:
+        _check_user(params, user)
         if len(data) < 1 + _LEN_BYTES:
             raise ValueError(f"cache of {len(data)} bytes is shorter than its header")
         key = data[0]
@@ -538,6 +543,7 @@ def decode(cache: CacheContent, x: DeliverySignal, user: int, demand: int) -> Bi
     """
     params = cache.params
     n = params.num_files
+    _check_user(params, user)
     if user != cache.user:
         raise ValueError(f"cache belongs to user {cache.user}, not {user}")
     if x.params != params:
@@ -576,14 +582,8 @@ def decode(cache: CacheContent, x: DeliverySignal, user: int, demand: int) -> Bi
 
 
 def memory_rate_of(params: SchemeParams) -> RatePoint:
-    """Exact (M, R) of this parameterization.
-
-    M = (C(K', r+1) - C(K'-N, r+1)) / C(K', r)  and  R = N*r / K'.
-    """
-    kp = params.positions
-    n, r = params.num_files, params.r
-    memory = Fraction(binomial(kp, r + 1) - binomial(kp - n, r + 1), binomial(kp, r))
-    return RatePoint(memory, Fraction(n * r, kp))
+    """Exact (M, R) of this parameterization (tradeoff.scheme_point)."""
+    return scheme_point(params.num_files, params.num_users, params.r)
 
 
 class SessionRandomness:

@@ -57,21 +57,24 @@ class LinearBound:
         return (self.gamma - self.alpha * _frac(memory)) / self.beta
 
 
-def scheme_points(num_files: int, num_users: int) -> list[RatePoint]:
-    """The achievable corner family of the virtual-user scheme.
+def scheme_point(num_files: int, num_users: int, r: int) -> RatePoint:
+    """Exact (M, R) of the virtual-user scheme with split parameter r.
 
-    One exact point per split parameter r in [0, N*K-K+1]:
-    M = (C(K',r+1) - C(K'-N,r+1)) / C(K',r)  and  R = N*r / K'.
+    With K' = N*K-K+1:  M = (C(K',r+1) - C(K'-N,r+1)) / C(K',r)  and
+    R = N*r / K'.
     """
+    n = num_files
+    kp = n * num_users - num_users + 1
+    memory = Fraction(binomial(kp, r + 1) - binomial(kp - n, r + 1), binomial(kp, r))
+    return RatePoint(memory, Fraction(n * r, kp))
+
+
+def scheme_points(num_files: int, num_users: int) -> list[RatePoint]:
+    """The achievable corner family: one scheme_point per r in [0, N*K-K+1]."""
     n, k = num_files, num_users
     if n < 2 or k < 1:
         raise ValueError(f"need N >= 2 and K >= 1, got ({n}, {k})")
-    kp = n * k - k + 1
-    points = []
-    for r in range(kp + 1):
-        memory = Fraction(binomial(kp, r + 1) - binomial(kp - n, r + 1), binomial(kp, r))
-        points.append(RatePoint(memory, Fraction(n * r, kp)))
-    return points
+    return [scheme_point(n, k, r) for r in range(n * k - k + 2)]
 
 
 def companion_points(num_users: int) -> list[RatePoint]:

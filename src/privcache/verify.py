@@ -1,17 +1,22 @@
 """Exhaustive verification engines.
 
-Correctness sweeps every (demand vector, key vector, t-choice, user)
-tuple and checks bit-exact decoding.  Privacy builds the exact rational
-distribution of the serialized observable (broadcast, cache) per user and
-per own-demand value, and requires it to be identical across every
-completion of the other demands; no sampling, no floats.  The oracle
-engines brute-force the file-identity and reconstruction formulas the
-scheme relies on.
+Correctness and privacy read one table of broadcasts, built once per
+call for every (auxiliary demand, t) the scheme can send.  Correctness
+sweeps every (demand vector, key vector, t-choice, user) tuple over it
+and checks bit-exact decoding.  Privacy is one histogram check: per user
+and own-demand value, the exact rational distribution of the serialized
+observable (broadcast and cache, plus the demanded file for Lemma 1)
+must be identical across every completion of the other demands; no
+sampling, no floats.  The observable is serialized directly for one
+concrete library, or by mask parities for every 1-bit-subfile library
+in full-marginal mode.  The oracle engines brute-force the file-identity
+and reconstruction formulas the scheme relies on.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -130,6 +135,24 @@ def _guard_enumeration(params: SchemeParams, label: str) -> None:
         raise ScaleLimitError(f"{label} enumeration of ~{estimate} cases exceeds the cap")
 
 
+def _deliveries(params: SchemeParams, files: FileLibrary) -> dict[tuple[tuple[int, ...], int], DeliverySignal]:
+    """Every broadcast the scheme can send, keyed by (auxiliary digits, t)."""
+    table = {}
+    for digits in _all_digit_vectors(params.num_files, params.num_users):
+        d = AuxDemand(digits, params.num_files)
+        for t in build_v(d).members:
+            table[(digits, t)] = build_delivery(files, d, t)
+    return table
+
+
+def _selectors(table: Iterable[tuple[tuple[int, ...], int]]) -> dict[tuple[int, ...], list[int]]:
+    """Selector set of each auxiliary digit vector, read off a table's keys."""
+    out: dict[tuple[int, ...], list[int]] = {}
+    for digits, t in table:
+        out.setdefault(digits, []).append(t)
+    return out
+
+
 def verify_correctness_exhaustive(
     params: SchemeParams,
     files: FileLibrary,
@@ -145,20 +168,18 @@ def verify_correctness_exhaustive(
     start = time.perf_counter()
     n, k_users = params.num_files, params.num_users
     caches = _caches_by_key(params, files)
-    deliveries: dict[tuple[tuple[int, ...], int], DeliverySignal] = {}
+    deliveries = _deliveries(params, files)
+    if mutate_delivery is not None:
+        deliveries = {key: mutate_delivery(x) for key, x in deliveries.items()}
+    selectors = _selectors(deliveries)
     failures = []
     cases = 0
     vectors = _all_digit_vectors(n, k_users)
     for demands in vectors:
         for keys in vectors:
-            d = aux_demand(demands, keys, n)
-            for t in build_v(d).members:
-                x = deliveries.get((d.digits, t))
-                if x is None:
-                    x = build_delivery(files, d, t)
-                    if mutate_delivery is not None:
-                        x = mutate_delivery(x)
-                    deliveries[(d.digits, t)] = x
+            digits = aux_demand(demands, keys, n).digits
+            for t in selectors[digits]:
+                x = deliveries[(digits, t)]
                 for k in range(k_users):
                     got = decode(caches[(k, keys[k])], x, k, demands[k])
                     cases += 1
@@ -174,53 +195,50 @@ def verify_correctness_exhaustive(
     return VerificationReport(scope, cases, failures, time.perf_counter() - start)
 
 
-def _selector_lcm(num_files: int, num_users: int) -> int:
-    sizes = {
-        len(build_v(AuxDemand(digits, num_files)).members)
-        for digits in _all_digit_vectors(num_files, num_users)
-    }
-    return lcm(*sizes)
-
-
-def _observable_parts(
-    params: SchemeParams, files: FileLibrary
-) -> tuple[dict[tuple[tuple[int, ...], int], bytes], dict[tuple[int, int], bytes]]:
-    """Canonical serializations of every broadcast and every cache."""
-    xd = {}
-    for digits in _all_digit_vectors(params.num_files, params.num_users):
-        d = AuxDemand(digits, params.num_files)
-        for t in build_v(d).members:
-            xd[(digits, t)] = build_delivery(files, d, t).to_bytes()
-    zk = {key: cache.to_bytes() for key, cache in _caches_by_key(params, files).items()}
-    return xd, zk
-
-
-def _masked_aux(demands, keys, num_files, masked):
-    if masked:
-        return aux_demand(demands, keys, num_files)
-    # negative control: broadcast driven by the raw demands
-    return AuxDemand(tuple(demands), num_files)
-
-
-def _completion_demands(completion, k, dk):
-    return completion[:k] + (dk,) + completion[k:]
-
-
-def _compare_histograms(
+def _privacy(
     params: SchemeParams,
-    build_histogram: Callable[[int, int, tuple[int, ...]], OutcomeHistogram],
-) -> tuple[int, list]:
-    """Run the per-(user, own demand) equality check over all completions."""
+    what: str,
+    masked: bool,
+    observables: Callable[[], tuple[dict, dict]],
+) -> VerificationReport:
+    """The one histogram check behind every privacy verdict.
+
+    `observables()` builds two tables holding one serialization per
+    library considered: `broadcasts[(aux digits, t)]` and
+    `held[(k, key digit, own demand)]`, what user k holds besides the
+    broadcast.  For each user k, own demand dk and completion of the other
+    demands, broadcast + held is weighted over every key vector, every t
+    in the selector set (uniformly) and every library; the histogram must
+    be the same for all completions.  The tables are built after the
+    guard, on the report's clock.
+    """
+    _guard_enumeration(params, "privacy")
+    start = time.perf_counter()
+    broadcasts, held = observables()
     n, k_users = params.num_files, params.num_users
+    selectors = _selectors(broadcasts)
+    weight_lcm = lcm(*(len(ts) for ts in selectors.values()))
+    # the unmasked negative control drives the broadcast by the raw demands
+    drive = aux_demand if masked else (lambda demands, keys, num_files: AuxDemand(demands, num_files))
+    key_vectors = _all_digit_vectors(n, k_users)
     completions = _all_digit_vectors(n, k_users - 1)
     cases = 0
     failures = []
     for k in range(k_users):
         for dk in range(n):
-            reference = None
-            ref_completion = None
+            reference = ref_completion = None
             for completion in completions:
-                hist = build_histogram(k, dk, completion)
+                demands = completion[:k] + (dk,) + completion[k:]
+                weights: dict[bytes, int] = {}
+                for keys in key_vectors:
+                    digits = drive(demands, keys, n).digits
+                    ts = selectors[digits]
+                    w = weight_lcm // len(ts)
+                    tail = held[(k, keys[k], dk)]
+                    for t in ts:
+                        for key in map(operator.add, broadcasts[(digits, t)], tail):
+                            weights[key] = weights.get(key, 0) + w
+                hist = OutcomeHistogram.from_weights(weights)
                 cases += 1
                 if reference is None:
                     reference, ref_completion = hist, completion
@@ -232,7 +250,23 @@ def _compare_histograms(
                             f"{len(hist)} outcomes differ",
                         )
                     )
-    return cases, failures
+    scope = (
+        f"privacy[{what}] N={n} K={k_users} r={params.r}"
+        + ("" if masked else " (unmasked negative control)")
+    )
+    return VerificationReport(scope, cases, failures, time.perf_counter() - start)
+
+
+def _serialized(params: SchemeParams, files: FileLibrary, with_demand_file: bool) -> tuple[dict, dict]:
+    """Observable tables of one concrete library, via the real serializers."""
+    broadcasts = {key: [x.to_bytes()] for key, x in _deliveries(params, files).items()}
+    wanted = [f.to_bytes() if with_demand_file else b"" for f in files.files]
+    held = {}
+    for (k, s), cache in _caches_by_key(params, files).items():
+        z = cache.to_bytes()
+        for dk, w in enumerate(wanted):
+            held[(k, s, dk)] = [z + w]
+    return broadcasts, held
 
 
 def verify_privacy(
@@ -254,43 +288,10 @@ def verify_privacy(
     if mode in (CONDITIONAL, "conditional"):
         if files is None:
             raise ValueError("conditional mode needs a file library")
-        return _privacy_conditional(params, files, masked, with_demand_file=False)
+        return _privacy(params, CONDITIONAL, masked, lambda: _serialized(params, files, False))
     if mode == FULL_MARGINAL:
         return _privacy_marginal(params, masked)
     raise ValueError(f"unknown privacy mode {mode!r}")
-
-
-def _privacy_conditional(
-    params: SchemeParams, files: FileLibrary, masked: bool, with_demand_file: bool
-) -> VerificationReport:
-    _guard_enumeration(params, "privacy")
-    start = time.perf_counter()
-    n, k_users = params.num_files, params.num_users
-    xd_bytes, zk_bytes = _observable_parts(params, files)
-    weight_lcm = _selector_lcm(n, k_users)
-    key_vectors = _all_digit_vectors(n, k_users)
-
-    def build_histogram(k: int, dk: int, completion: tuple[int, ...]) -> OutcomeHistogram:
-        demands = _completion_demands(completion, k, dk)
-        suffix = files.files[dk].to_bytes() if with_demand_file else b""
-        weights: dict[bytes, int] = {}
-        for keys in key_vectors:
-            d = _masked_aux(demands, keys, n, masked)
-            members = build_v(d).members
-            w = weight_lcm // len(members)
-            tail = zk_bytes[(k, keys[k])] + suffix
-            for t in members:
-                key = xd_bytes[(d.digits, t)] + tail
-                weights[key] = weights.get(key, 0) + w
-        return OutcomeHistogram.from_weights(weights)
-
-    cases, failures = _compare_histograms(params, build_histogram)
-    what = "joint with demanded file" if with_demand_file else "conditional-on-files"
-    scope = (
-        f"privacy[{what}] N={n} K={k_users} r={params.r}"
-        + ("" if masked else " (unmasked negative control)")
-    )
-    return VerificationReport(scope, cases, failures, time.perf_counter() - start)
 
 
 def _basis_library(params: SchemeParams) -> tuple[SchemeParams, FileLibrary, int]:
@@ -308,10 +309,6 @@ def _basis_library(params: SchemeParams) -> tuple[SchemeParams, FileLibrary, int
         blocks = [Bits(1 << (fi * count + j), total) for j in range(count)]
         files.append(Bits.concat(blocks))
     return wide, FileLibrary(wide, tuple(files)), total
-
-
-def _mask_values(parts: Iterable[Bits]) -> list[int]:
-    return [b.value for b in parts]
 
 
 def _pack_parities(masks: list[int], lib: int) -> Bits:
@@ -332,41 +329,21 @@ def _marginal_serializations(params: SchemeParams):
     """
     from .scheme import cache_header, delivered_segment_indices, delivery_header, stored_signal_indices
 
-    n, k_users = params.num_files, params.num_users
     wide_params, basis, total_bits = _basis_library(params)
     libraries = range(1 << total_bits)
 
     xd_ser: dict[tuple[tuple[int, ...], int], list[bytes]] = {}
-    for digits in _all_digit_vectors(n, k_users):
-        d = AuxDemand(digits, n)
-        for t in build_v(d).members:
-            wide = build_delivery(basis, d, t)
-            masks = _mask_values(
-                wide.segments[key] for key in delivered_segment_indices(wide_params, t)
-            )
-            header = delivery_header(digits, t, len(masks))
-            xd_ser[(digits, t)] = [
-                header + _pack_parities(masks, lib).to_bytes() for lib in libraries
-            ]
+    for (digits, t), wide in _deliveries(wide_params, basis).items():
+        masks = [wide.segments[key].value for key in delivered_segment_indices(wide_params, t)]
+        header = delivery_header(digits, t, len(masks))
+        xd_ser[(digits, t)] = [header + _pack_parities(masks, lib).to_bytes() for lib in libraries]
 
     zk_ser: dict[tuple[int, int], list[bytes]] = {}
     for (k, s), cache in _caches_by_key(wide_params, basis).items():
-        masks = _mask_values(cache.signals[idx] for idx in stored_signal_indices(wide_params))
+        masks = [cache.signals[idx].value for idx in stored_signal_indices(wide_params)]
         header = cache_header(s, len(masks))
         zk_ser[(k, s)] = [header + _pack_parities(masks, lib).to_bytes() for lib in libraries]
     return xd_ser, zk_ser, libraries
-
-
-def library_from_bit_index(params: SchemeParams, lib: int) -> FileLibrary:
-    """The 1-bit-subfile library whose concatenated file bits spell `lib`."""
-    if params.subfile_bits != 1:
-        raise ValueError("bit-indexed libraries need 1-bit subfiles")
-    count = params.subfile_count
-    files = tuple(
-        Bits(lib >> (fi * count) & ((1 << count) - 1), count)
-        for fi in range(params.num_files)
-    )
-    return FileLibrary(params, files)
 
 
 def _privacy_marginal(params: SchemeParams, masked: bool) -> VerificationReport:
@@ -378,35 +355,13 @@ def _privacy_marginal(params: SchemeParams, masked: bool) -> VerificationReport:
             f"full-marginal mode over {total_bits} library bits exceeds the "
             f"{_MARGINAL_BIT_CAP}-bit cap"
         )
-    _guard_enumeration(params, "privacy")
-    start = time.perf_counter()
-    n, k_users = params.num_files, params.num_users
-    xd_ser, zk_ser, libraries = _marginal_serializations(params)
-    weight_lcm = _selector_lcm(n, k_users)
-    key_vectors = _all_digit_vectors(n, k_users)
 
-    def build_histogram(k: int, dk: int, completion: tuple[int, ...]) -> OutcomeHistogram:
-        demands = _completion_demands(completion, k, dk)
-        weights: dict[bytes, int] = {}
-        for keys in key_vectors:
-            d = _masked_aux(demands, keys, n, masked)
-            members = build_v(d).members
-            w = weight_lcm // len(members)
-            zk = zk_ser[(k, keys[k])]
-            for t in members:
-                xd = xd_ser[(d.digits, t)]
-                for lib in libraries:
-                    key = xd[lib] + zk[lib]
-                    weights[key] = weights.get(key, 0) + w
-        return OutcomeHistogram.from_weights(weights)
+    def observables() -> tuple[dict, dict]:
+        xd_ser, zk_ser, _ = _marginal_serializations(params)
+        held = {(k, s, dk): z for (k, s), z in zk_ser.items() for dk in range(params.num_files)}
+        return xd_ser, held
 
-    cases, failures = _compare_histograms(params, build_histogram)
-    scope = (
-        f"privacy[full-marginal over {1 << total_bits} libraries] "
-        f"N={n} K={k_users} r={params.r}"
-        + ("" if masked else " (unmasked negative control)")
-    )
-    return VerificationReport(scope, cases, failures, time.perf_counter() - start)
+    return _privacy(params, f"full-marginal over {1 << total_bits} libraries", masked, observables)
 
 
 def verify_distribution_lemma(
@@ -419,7 +374,7 @@ def verify_distribution_lemma(
     function of the own demand alone, so any inequality points at the
     broadcast or cache leaking the other users' demands.
     """
-    return _privacy_conditional(params, files, masked, with_demand_file=True)
+    return _privacy(params, "joint with demanded file", masked, lambda: _serialized(params, files, True))
 
 
 def oracle_demand_identity(params: SchemeParams, files: FileLibrary) -> VerificationReport:

@@ -75,6 +75,18 @@ def seeded_library(n, k, r, seed=0, bits_per_subfile=8):
     return params, FileLibrary.random(params, random.Random(seed))
 
 
+def library_from_bit_index(params: SchemeParams, lib: int) -> FileLibrary:
+    """The 1-bit-subfile library whose concatenated file bits spell `lib`."""
+    if params.subfile_bits != 1:
+        raise ValueError("bit-indexed libraries need 1-bit subfiles")
+    count = params.subfile_count
+    files = tuple(
+        Bits(lib >> (fi * count) & ((1 << count) - 1), count)
+        for fi in range(params.num_files)
+    )
+    return FileLibrary(params, files)
+
+
 def basis_library(n, k, r):
     positions = n * k - k + 1
     count = binomial(positions, r)

@@ -1,5 +1,6 @@
 import csv
 import io
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -7,7 +8,17 @@ from fractions import Fraction
 import pytest
 
 from privcache.cli import main
-from privcache.scheme import FileLibrary, SchemeParams
+from privcache.scheme import (
+    AuxDemand,
+    FileLibrary,
+    SchemeParams,
+    SessionRandomness,
+    build_delivery,
+    build_v,
+    delivered_segment_indices,
+    place,
+    stored_signal_indices,
+)
 
 
 def run_cli(capsys, *argv):
@@ -29,6 +40,28 @@ def test_params_text(capsys):
     assert "R = 1" in out
     assert "positions (K')          : 4" in out
 
+
+@pytest.mark.parametrize("n, k, width", [(2, 1, 1), (2, 2, 3), (2, 3, 2), (3, 2, 1)])
+def test_params_counts_match_real_caches_and_broadcasts(capsys, n, k, width):
+    # every r from 0 to K': the M/R-derived counts are what the scheme sends
+    for r in range(n * k - k + 2):
+        code, out = run_cli(
+            capsys, "params", "--n", str(n), "--k", str(k), "--r", str(r),
+            "--subfile-bits", str(width), "--format", "json",
+        )
+        assert code == 0
+        info = json.loads(out)
+        params = SchemeParams.minimal(n, k, r, width)
+        files = FileLibrary.random(params, random.Random(r))
+        assert info["stored_signals_per_user"] == len(stored_signal_indices(params))
+        for key in range(n):
+            for cache in place(files, params, SessionRandomness(n, (key,) * k)):
+                assert cache.payload_bits == info["cache_payload_bits"]
+        for digits in itertools.product(range(n), repeat=k):
+            d = AuxDemand(digits, n)
+            for t in build_v(d).members:
+                assert len(delivered_segment_indices(params, t)) == info["broadcast_segments"]
+                assert build_delivery(files, d, t).payload_bits == info["delivery_payload_bits"]
 
 def test_params_json(capsys):
     code, out = run_cli(capsys, "params", "--n", "2", "--k", "3", "--r", "3", "--format", "json")

@@ -607,3 +607,21 @@ def test_decode_rejects_out_of_range_user_and_key():
         decode(CacheContent(0, 2, cache.signals, params), x, 0, 1)
     with pytest.raises(ValueError):
         decode(CacheContent(-1, 0, cache.signals, params), x, -1, 0)
+
+
+def test_cache_from_bytes_rejects_users_outside_k():
+    params, files = seeded_library(2, 3, 2)
+    blob = place(files, params, SessionRandomness(2, (1, 0, 1)))[2].to_bytes()
+    assert CacheContent.from_bytes(params, 2, blob).user == 2
+    for user in (3, 99, -1):
+        with pytest.raises(ValueError, match=f"user {user} out of range for 3 users"):
+            CacheContent.from_bytes(params, user, blob)
+
+
+def test_decode_names_a_user_outside_k():
+    params, files = seeded_library(2, 3, 2)
+    x = build_delivery(files, aux_demand((1, 0, 0), (0, 0, 0), 2), 0)
+    cache = place(files, params, SessionRandomness(2, (0, 0, 0)))[0]
+    stray = CacheContent(99, 0, cache.signals, params)
+    with pytest.raises(ValueError, match="user 99 out of range for 3 users"):
+        decode(stray, x, 99, 1)

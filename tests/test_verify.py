@@ -186,7 +186,8 @@ def test_marginal_serializations_match_real_serializer():
     # the mask/parity fast path must reproduce to_bytes exactly, for every
     # library, every broadcast, and every cache
     from privcache.scheme import build_delivery, place, SessionRandomness
-    from privcache.verify import _marginal_serializations, library_from_bit_index
+    from helpers import library_from_bit_index
+    from privcache.verify import _marginal_serializations
 
     params = SchemeParams.minimal(2, 2, 1)
     xd_ser, zk_ser, libraries = _marginal_serializations(params)
@@ -202,7 +203,7 @@ def test_marginal_serializations_match_real_serializer():
 
 
 def test_library_from_bit_index_layout():
-    from privcache.verify import library_from_bit_index
+    from helpers import library_from_bit_index
 
     params = SchemeParams.minimal(2, 2, 1)  # 3 subfiles per file, 6 bits
     files = library_from_bit_index(params, 0b000101)
