@@ -26,7 +26,6 @@ from .scheme import (
     g_map,
     memory_rate_of,
     place,
-    recover_segment,
     x_segment,
 )
 from .tradeoff import (
@@ -41,7 +40,6 @@ from .tradeoff import (
     tightness_report,
 )
 from .verify import (
-    OutcomeHistogram,
     ScaleLimitError,
     VerificationReport,
     oracle_demand_identity,
@@ -50,6 +48,6 @@ from .verify import (
     verify_distribution_lemma,
     verify_privacy,
 )
-from .yma import UVector, build_u_vector, compute_y, reconstruct_y, yma_delivery
+from .yma import UVector, build_u_vector, compute_y, yma_delivery
 
 __version__ = "0.1.0"

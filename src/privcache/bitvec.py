@@ -49,18 +49,31 @@ class Bits:
 
     @classmethod
     def concat(cls, parts: Iterable[Bits]) -> Bits:
-        """Join strings in order, the first part at bit 0, in linear time.
+        """Join strings in order, the first part at bit 0, in linear time."""
+        return cls._join((part.value, part.length) for part in parts)
+
+    @classmethod
+    def from_blocks(cls, values: Iterable[int], width: int) -> Bits:
+        """Inverse of `block_values`: `width`-bit ints joined in order, the
+        first at bit 0; a value wider than `width` raises ValueError."""
+        return cls._join((value, width) for value in values)
+
+    @classmethod
+    def _join(cls, pieces: Iterable[tuple[int, int]]) -> Bits:
+        """Join (value, bit length) pieces, the first at bit 0.
 
         Whole bytes go to a little-endian buffer as soon as they are
-        complete, so each part is shifted past the fewer than 8 bits still
+        complete, so each piece is shifted past the fewer than 8 bits still
         pending from its predecessors, never past the whole prefix.
         """
         out = bytearray()
-        pending = 0  # bits [8 * len(out), length), fewer than 8 between parts
+        pending = 0  # bits [8 * len(out), length), fewer than 8 between pieces
         length = 0
-        for part in parts:
-            pending |= part.value << (length & 7)
-            length += part.length
+        for value, size in pieces:
+            if value >> size:
+                raise ValueError(f"value does not fit in {size} bits")
+            pending |= value << (length & 7)
+            length += size
             whole = (length >> 3) - len(out)
             if whole:
                 out += pending.to_bytes(whole + 1, "little")

@@ -22,6 +22,11 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
+def position_count(num_files: int, num_users: int) -> int:
+    """K' = N*K - K + 1, the size of the scheme's position universe."""
+    return num_files * num_users - num_users + 1
+
+
 @dataclass(frozen=True)
 class SubsetIndex:
     """A subset of [0, universe) stored as a strictly increasing tuple."""

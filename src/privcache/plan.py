@@ -7,7 +7,9 @@ structure as flat tables of colex ranks, built once per (N, K, r) and kept
 in a small bounded cache.  The hot loops in `yma.yma_delivery`,
 `scheme.build_delivery` and `scheme.decode` then XOR plain ints, picked by
 rank out of the library's pre-split subfiles; no subset object is built
-per signal or segment.
+per signal or segment.  Payloads are tuples of those ints in wire order:
+a cache's stored signals in `stored_ranks` order, a broadcast's segments
+file by file, each in colex order of the (r-1)-subsets avoiding t_d.
 
 Tables are indexed by the colex rank of an l-subset of the K' positions
 ("level l"): an `up` row gives, for each position t, the level-(l+1) rank
@@ -22,7 +24,7 @@ from itertools import combinations
 from math import comb
 from typing import TYPE_CHECKING, NamedTuple
 
-from .combinat import SubsetIndex, colex_rank, enumerate_r_subsets
+from .combinat import colex_rank, enumerate_r_subsets, position_count
 from .yma import build_u_vector
 
 if TYPE_CHECKING:
@@ -38,14 +40,12 @@ class SchemePlan(NamedTuple):
     """Colex-rank tables of one (N, K, r); see the module docstring."""
 
     num_files: int
-    # cache side: the leader-intersecting (r+1)-subsets, colex order, with
-    # their level-(r+1) ranks and their (position, r-subset rank) terms
-    stored: tuple[SubsetIndex, ...]
+    # cache side: level-(r+1) ranks of the leader-intersecting (r+1)-subsets,
+    # colex order, with their (position, r-subset rank) terms
     stored_ranks: tuple[int, ...]
     stored_terms: Down
     signal_count: int
-    # broadcast side: every (r-1)-subset in colex order, and its neighbours
-    segments: tuple[SubsetIndex, ...]
+    # broadcast side: neighbours of every (r-1)-subset, colex order
     segment_up: Up
     segment_down: Down
     # neighbours of the (r-2)-subsets, for segments that contain t_d
@@ -91,7 +91,7 @@ def _up(count: int, positions: int, down_above: Down) -> Up:
 def _flat_reconstruction(
     entries: tuple[int, ...], outside: list[tuple[int, tuple[int, ...]]]
 ) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """`yma.reconstruct_y`'s exchange identity as rank lists for one user.
+    """The exchange identity of the non-stored signals, as rank lists.
 
     A non-stored index B XORs, for every nonempty F within B whose demands
     are pairwise distinct, the stored signal at (B minus F) plus the
@@ -118,9 +118,8 @@ def _flat_reconstruction(
 
 @lru_cache(maxsize=_PLAN_CACHE_SIZE)
 def _plan(num_files: int, num_users: int, r: int) -> SchemePlan:
-    positions = num_files * num_users - num_users + 1
-    subsets = {size: enumerate_r_subsets(positions, size) for size in range(r - 2, r + 2)}
-    level = {size: [s.members for s in found] for size, found in subsets.items()}
+    positions = position_count(num_files, num_users)
+    level = {size: [s.members for s in enumerate_r_subsets(positions, size)] for size in range(r - 2, r + 2)}
     signals_down = _down(level[r + 1])
     stored_ranks = [rank for rank, members in enumerate(level[r + 1]) if members[0] < num_files]
     outside = [
@@ -130,11 +129,9 @@ def _plan(num_files: int, num_users: int, r: int) -> SchemePlan:
     segment_down = _down(level[r - 1])
     return SchemePlan(
         num_files=num_files,
-        stored=tuple(subsets[r + 1][rank] for rank in stored_ranks),
         stored_ranks=tuple(stored_ranks),
         stored_terms=tuple(signals_down[rank] for rank in stored_ranks),
         signal_count=len(level[r + 1]),
-        segments=tuple(subsets[r - 1]),
         segment_up=_up(len(level[r - 1]), positions, subfile_down),
         segment_down=segment_down,
         base_up=_up(len(level[r - 2]), positions, segment_down),

@@ -13,15 +13,18 @@ The module is organized around the life of one session:
   * place                           -- cache contents (key + signals)
   * aux_demand, build_v             -- auxiliary demand and its selector set
   * x_segment, assemble_delivery    -- broadcast construction
-  * recover_segment, decode         -- receiver side
+  * decode                          -- receiver side
   * memory_rate_of                  -- exact (M, R) accounting
 
 Placement, delivery and decoding run on the rank tables of
 `plan.SchemePlan`, built once per (N, K, r): each signal, segment and
 decoded subfile is an XOR of pre-split subfile ints picked by colex rank.
-The per-element formulas (`FileLibrary.subfile`, `yma.compute_y`,
-`yma.reconstruct_y`, `x_segment`, `recover_segment`) stay as the
-references those tables are tested against.
+Caches and broadcasts hold those ints as flat tuples in wire order
+(`stored_signal_indices`, `delivered_segment_indices`).  The receiver
+expands them with the two exchange identities, `_signal_values` and
+`_segment_values`.  The per-element formulas (`FileLibrary.subfile`,
+`yma.compute_y`, `x_segment`) stay as the references those tables are
+tested against.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 from . import yma
 from .bitvec import Bits
-from .combinat import SubsetIndex, binomial, subset_rank
+from .combinat import SubsetIndex, binomial, enumerate_r_subsets, position_count, subset_rank
 from .tradeoff import RatePoint, scheme_point
 
 if TYPE_CHECKING:
@@ -76,7 +79,7 @@ class SchemeParams:
 
     @property
     def positions(self) -> int:
-        return self.num_files * self.num_users - self.num_users + 1
+        return position_count(self.num_files, self.num_users)
 
     @property
     def subfile_count(self) -> int:
@@ -89,8 +92,8 @@ class SchemeParams:
     @classmethod
     def minimal(cls, num_files: int, num_users: int, r: int, bits_per_subfile: int = 1) -> SchemeParams:
         """Smallest admissible file length (one or a few bits per subfile)."""
-        kp = num_files * num_users - num_users + 1
-        return cls(num_files, num_users, r, binomial(kp, r) * bits_per_subfile)
+        count = binomial(position_count(num_files, num_users), r)
+        return cls(num_files, num_users, r, count * bits_per_subfile)
 
 
 @dataclass(frozen=True)
@@ -198,7 +201,7 @@ class AuxDemand:
 
     @property
     def positions(self) -> int:
-        return self.num_files * self.num_users - self.num_users + 1
+        return position_count(self.num_files, self.num_users)
 
 
 def aux_demand(demands: Sequence[int], keys: Sequence[int], num_files: int) -> AuxDemand:
@@ -226,7 +229,7 @@ def f_map(d: AuxDemand) -> int:
 def g_map(label: int, num_files: int, num_users: int) -> AuxDemand:
     """Inverse of f_map: the class-D0 demand carrying the given label."""
     n, k_users = num_files, num_users
-    kp = n * k_users - k_users + 1
+    kp = position_count(n, k_users)
     if not 0 <= label < kp:
         raise ValueError(f"label {label} outside [0, {kp})")
     if label < n:
@@ -327,11 +330,17 @@ def x_segment(files: FileLibrary, d: AuxDemand, s: SubsetIndex, n: int) -> Bits:
     return acc
 
 
+def _delivered_ranks(plan: SchemePlan, t_d: int) -> list[int]:
+    """Colex ranks of the (r-1)-subsets avoiding t_d: the segments sent."""
+    return [i for i, up in enumerate(plan.segment_up) if up[t_d] >= 0]
+
+
 def delivered_segment_indices(params: SchemeParams, t_d: int) -> list[tuple[int, SubsetIndex]]:
-    """Canonical order of broadcast segments: n ascending, then the
+    """Wire order of broadcast segments: n ascending, then the
     (r-1)-subsets avoiding t_d in colex order."""
-    subsets = [s for s in _plan_of(params).segments if t_d not in s]
-    return [(n, s) for n in range(params.num_files) for s in subsets]
+    subsets = enumerate_r_subsets(params.positions, params.r - 1)
+    ranks = _delivered_ranks(_plan_of(params), t_d)
+    return [(n, subsets[i]) for n in range(params.num_files) for i in ranks]
 
 
 def _field(value: int, size: int, name: str) -> bytes:
@@ -355,20 +364,21 @@ def cache_header(key: int, payload_bits: int) -> bytes:
 
 @dataclass
 class DeliverySignal:
-    """One broadcast: auxiliary demand, chosen index t_d, and segments."""
+    """One broadcast: auxiliary demand, chosen index t_d, and segments,
+    `subfile_bits`-wide ints in the order of delivered_segment_indices."""
 
     aux: AuxDemand
     t_d: int
-    segments: dict[tuple[int, SubsetIndex], Bits]
+    segments: tuple[int, ...]
     params: SchemeParams
 
     @property
     def payload_bits(self) -> int:
-        return sum(b.length for b in self.segments.values())
+        return len(self.segments) * self.params.subfile_bits
 
     def to_bytes(self) -> bytes:
         """Canonical wire form: d digits, t_d, bit length, packed segments."""
-        payload = Bits.concat(self.segments[key] for key in delivered_segment_indices(self.params, self.t_d))
+        payload = Bits.from_blocks(self.segments, self.params.subfile_bits)
         return delivery_header(self.aux.digits, self.t_d, payload.length) + payload.to_bytes()
 
     @classmethod
@@ -383,12 +393,10 @@ class DeliverySignal:
         d = AuxDemand(digits, params.num_files)
         if t_d not in build_v(d).set_form:
             raise ValueError(f"t={t_d} not in the selector set of {digits}")
-        keys = delivered_segment_indices(params, t_d)
-        if nbits != len(keys) * params.subfile_bits:
-            raise ValueError(f"payload of {nbits} bits does not match {len(keys)} segments")
-        width = params.subfile_bits
-        segments = {key: Bits(v, width) for key, v in zip(keys, payload.block_values(width))}
-        return cls(d, t_d, segments, params)
+        count = params.num_files * len(_delivered_ranks(_plan_of(params), t_d))
+        if nbits != count * params.subfile_bits:
+            raise ValueError(f"payload of {nbits} bits does not match {count} segments")
+        return cls(d, t_d, payload.block_values(params.subfile_bits), params)
 
 
 def build_delivery(files: FileLibrary, d: AuxDemand, t_d: int) -> DeliverySignal:
@@ -400,21 +408,17 @@ def build_delivery(files: FileLibrary, d: AuxDemand, t_d: int) -> DeliverySignal
     if t_d not in selector:
         raise ValueError(f"t={t_d} not in the selector set of {d.digits}")
     plan = files.plan
-    width = params.subfile_bits
     # x_segment for every (r-1)-subset S avoiding t_d: ranks of S plus v
-    wanted = [
-        (s, [up[v] for v in selector if up[v] >= 0])
-        for s, up in zip(plan.segments, plan.segment_up)
-        if up[t_d] >= 0
-    ]
-    segments = {}
-    for n, row in enumerate(files.subfiles):
-        for s, ranks in wanted:
+    ups = [plan.segment_up[i] for i in _delivered_ranks(plan, t_d)]
+    wanted = [[up[v] for v in selector if up[v] >= 0] for up in ups]
+    segments = []
+    for row in files.subfiles:
+        for ranks in wanted:
             acc = 0
             for j in ranks:
                 acc ^= row[j]
-            segments[(n, s)] = Bits(acc, width)
-    return DeliverySignal(d, t_d, segments, params)
+            segments.append(acc)
+    return DeliverySignal(d, t_d, tuple(segments), params)
 
 
 def assemble_delivery(files: FileLibrary, d: AuxDemand, rand: SessionRandomness) -> DeliverySignal:
@@ -422,30 +426,11 @@ def assemble_delivery(files: FileLibrary, d: AuxDemand, rand: SessionRandomness)
     return build_delivery(files, d, rand.choose_t(d))
 
 
-def recover_segment(x: DeliverySignal, s: SubsetIndex, n: int) -> Bits:
-    """Segment for an arbitrary (r-1)-subset, from the broadcast alone.
-
-    Segments avoiding t_d are read off directly.  A segment containing
-    t_d equals the XOR, over selector positions t outside S, of the
-    delivered segments at (S minus t_d) union {t}; again the empty XOR is
-    the zero string.
-    """
-    params = x.params
-    if len(s) != params.r - 1:
-        raise ValueError(f"segment index size {len(s)} != r-1 = {params.r - 1}")
-    if x.t_d not in s:
-        return x.segments[(n, s)]
-    base = s.without(x.t_d)
-    acc = Bits.zeros(params.subfile_bits)
-    for t in build_v(x.aux).members:
-        if t not in s:
-            acc = acc ^ x.segments[(n, base.adding(t))]
-    return acc
-
-
 def stored_signal_indices(params: SchemeParams) -> list[SubsetIndex]:
-    """Colex order of the leader-intersecting (r+1)-subsets a cache stores."""
-    return list(_plan_of(params).stored)
+    """Wire order of cache signals: the leader-intersecting (r+1)-subsets
+    in colex order."""
+    signals = enumerate_r_subsets(params.positions, params.r + 1)
+    return [signals[rank] for rank in _plan_of(params).stored_ranks]
 
 
 def _check_user(params: SchemeParams, user: int) -> None:
@@ -455,20 +440,21 @@ def _check_user(params: SchemeParams, user: int) -> None:
 
 @dataclass
 class CacheContent:
-    """One user's cache: secret key digit plus the stored XOR signals."""
+    """One user's cache: secret key digit plus the stored XOR signals,
+    `subfile_bits`-wide ints in the order of stored_signal_indices."""
 
     user: int
     key: int
-    signals: dict[SubsetIndex, Bits]
+    signals: tuple[int, ...]
     params: SchemeParams
 
     @property
     def payload_bits(self) -> int:
-        return sum(b.length for b in self.signals.values())
+        return len(self.signals) * self.params.subfile_bits
 
     def to_bytes(self) -> bytes:
         """Canonical wire form: key digit, bit length, signals in colex order."""
-        payload = Bits.concat(self.signals[idx] for idx in stored_signal_indices(self.params))
+        payload = Bits.from_blocks(self.signals, self.params.subfile_bits)
         return cache_header(self.key, payload.length) + payload.to_bytes()
 
     @classmethod
@@ -481,12 +467,10 @@ class CacheContent:
             raise ValueError(f"key digit {key} out of range for {params.num_files} files")
         nbits = int.from_bytes(data[1 : 1 + _LEN_BYTES], "big")
         payload = Bits.from_bytes(data[1 + _LEN_BYTES :], nbits)
-        indices = stored_signal_indices(params)
-        if nbits != len(indices) * params.subfile_bits:
-            raise ValueError(f"payload of {nbits} bits does not match {len(indices)} signals")
-        width = params.subfile_bits
-        signals = {idx: Bits(v, width) for idx, v in zip(indices, payload.block_values(width))}
-        return cls(user, key, signals, params)
+        count = len(_plan_of(params).stored_ranks)
+        if nbits != count * params.subfile_bits:
+            raise ValueError(f"payload of {nbits} bits does not match {count} signals")
+        return cls(user, key, payload.block_values(params.subfile_bits), params)
 
 
 def place(files: FileLibrary, params: SchemeParams, rand: SessionRandomness) -> list[CacheContent]:
@@ -502,14 +486,39 @@ def place(files: FileLibrary, params: SchemeParams, rand: SessionRandomness) -> 
     return caches
 
 
-def _segment_values(plan: SchemePlan, x: DeliverySignal, selector: Sequence[int]) -> list[list[int]]:
-    """recover_segment of every (file, (r-1)-subset), as ints by colex rank.
+def _signal_values(plan: SchemePlan, cache: CacheContent) -> list[int]:
+    """Every (r+1)-subset signal of a cache, as ints by colex rank.
 
-    A segment containing t_d XORs the delivered segments at S minus t_d
-    plus t, over the selector positions t outside S.
+    Stored signals are read off the cache.  A non-stored one XORs the
+    stored signals the plan's exchange identity lists for the cache's user.
+    """
+    stored = plan.stored_ranks
+    if len(cache.signals) != len(stored):
+        raise ValueError(f"cache holds {len(cache.signals)} signals, expected {len(stored)}")
+    values = [0] * plan.signal_count
+    for rank, value in zip(stored, cache.signals):
+        values[rank] = value
+    for rank, sources in plan.reconstruction[cache.user]:
+        acc = 0
+        for j in sources:
+            acc ^= values[j]
+        values[rank] = acc
+    return values
+
+
+def _segment_values(plan: SchemePlan, x: DeliverySignal, selector: Sequence[int]) -> list[list[int]]:
+    """Every segment of a broadcast, as ints by file and colex rank.
+
+    Segments avoiding t_d are read off the broadcast.  A segment S
+    containing t_d XORs the delivered segments at S minus t_d plus t, over
+    the selector positions t outside S; the empty XOR is zero.
     """
     t_d = x.t_d
-    delivered = [(i, s) for i, (s, up) in enumerate(zip(plan.segments, plan.segment_up)) if up[t_d] >= 0]
+    delivered = _delivered_ranks(plan, t_d)
+    count = len(delivered)
+    expected = plan.num_files * count
+    if len(x.segments) != expected:
+        raise ValueError(f"broadcast holds {len(x.segments)} segments, expected {expected}")
     recovered = []
     for i, down in enumerate(plan.segment_down):
         base = dict(down).get(t_d)
@@ -518,9 +527,9 @@ def _segment_values(plan: SchemePlan, x: DeliverySignal, selector: Sequence[int]
             recovered.append((i, [up[t] for t in selector if t != t_d and up[t] >= 0]))
     values = []
     for n in range(plan.num_files):
-        row = [0] * len(plan.segments)
-        for i, s in delivered:
-            row[i] = x.segments[(n, s)].value
+        row = [0] * len(plan.segment_up)
+        for i, value in zip(delivered, x.segments[n * count : (n + 1) * count]):
+            row[i] = value
         for i, ranks in recovered:
             acc = 0
             for j in ranks:
@@ -537,9 +546,10 @@ def decode(cache: CacheContent, x: DeliverySignal, user: int, demand: int) -> Bi
     {t} union R for selector positions t outside R with the segments at
     R minus {t} for t in R, where the segment's file index is the user's
     digit under the t-th labeled demand, shifted by the cache key.
-    Signals missing from the cache (yma.reconstruct_y) and segments
-    missing from the broadcast (recover_segment) are reconstructed, never
-    assumed; the plan lists which stored ones each XORs.
+    Signals missing from the cache (`_signal_values`) and segments missing
+    from the broadcast (`_segment_values`) are reconstructed, never
+    assumed.  A cache or broadcast with the wrong number of entries raises
+    ValueError.
     """
     params = cache.params
     n = params.num_files
@@ -558,16 +568,8 @@ def decode(cache: CacheContent, x: DeliverySignal, user: int, demand: int) -> Bi
     file_digit = yma.build_u_vector(n, params.num_users, user, cache.key).entries
     plan = _plan_of(params)
     selector = build_v(d).members
-    signals = [0] * plan.signal_count
-    for index, rank in zip(plan.stored, plan.stored_ranks):
-        signals[rank] = cache.signals[index].value
-    for rank, sources in plan.reconstruction[user]:
-        acc = 0
-        for j in sources:
-            acc ^= signals[j]
-        signals[rank] = acc
+    signals = _signal_values(plan, cache)
     segments = _segment_values(plan, x, selector)
-    width = params.subfile_bits
     parts = []
     for up, down in zip(plan.subfile_up, plan.subfile_down):
         acc = 0
@@ -577,8 +579,8 @@ def decode(cache: CacheContent, x: DeliverySignal, user: int, demand: int) -> Bi
                 acc ^= signals[j]
         for t, j in down:
             acc ^= segments[file_digit[t]][j]
-        parts.append(Bits(acc, width))
-    return Bits.concat(parts)
+        parts.append(acc)
+    return Bits.from_blocks(parts, params.subfile_bits)
 
 
 def memory_rate_of(params: SchemeParams) -> RatePoint:

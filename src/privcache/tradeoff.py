@@ -12,7 +12,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .combinat import binomial
+from .combinat import binomial, position_count
 
 
 def _frac(x) -> Fraction:
@@ -64,7 +64,7 @@ def scheme_point(num_files: int, num_users: int, r: int) -> RatePoint:
     R = N*r / K'.
     """
     n = num_files
-    kp = n * num_users - num_users + 1
+    kp = position_count(n, num_users)
     memory = Fraction(binomial(kp, r + 1) - binomial(kp - n, r + 1), binomial(kp, r))
     return RatePoint(memory, Fraction(n * r, kp))
 
@@ -74,7 +74,7 @@ def scheme_points(num_files: int, num_users: int) -> list[RatePoint]:
     n, k = num_files, num_users
     if n < 2 or k < 1:
         raise ValueError(f"need N >= 2 and K >= 1, got ({n}, {k})")
-    return [scheme_point(n, k, r) for r in range(n * k - k + 2)]
+    return [scheme_point(n, k, r) for r in range(position_count(n, k) + 1)]
 
 
 def companion_points(num_users: int) -> list[RatePoint]:

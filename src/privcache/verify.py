@@ -4,13 +4,13 @@ Correctness and privacy read one table of broadcasts, built once per
 call for every (auxiliary demand, t) the scheme can send.  Correctness
 sweeps every (demand vector, key vector, t-choice, user) tuple over it
 and checks bit-exact decoding.  Privacy is one histogram check: per user
-and own-demand value, the exact rational distribution of the serialized
+and own-demand value, the exact distribution of the serialized
 observable (broadcast and cache, plus the demanded file for Lemma 1)
 must be identical across every completion of the other demands; no
 sampling, no floats.  The observable is serialized directly for one
 concrete library, or by mask parities for every 1-bit-subfile library
-in full-marginal mode.  The oracle engines brute-force the file-identity
-and reconstruction formulas the scheme relies on.
+in full-marginal mode.  The oracle engines brute-force the file identity
+and check decoding's signal reconstruction against its definition.
 """
 
 from __future__ import annotations
@@ -19,13 +19,12 @@ import itertools
 import operator
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import lcm
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable
 
 from . import yma
 from .bitvec import Bits
-from .combinat import SubsetIndex, enumerate_r_subsets
+from .combinat import enumerate_r_subsets
 from .scheme import (
     AuxDemand,
     CacheContent,
@@ -33,6 +32,7 @@ from .scheme import (
     FileLibrary,
     SchemeParams,
     SessionRandomness,
+    _signal_values,
     aux_demand,
     build_delivery,
     build_v,
@@ -80,38 +80,6 @@ class VerificationReport:
             ],
             "elapsed_seconds": self.elapsed,
         }
-
-
-class OutcomeHistogram:
-    """Exact distribution of a serialized observable.
-
-    Maps each observed byte string to its probability as a Fraction; the
-    probabilities always sum to exactly 1.
-    """
-
-    __slots__ = ("probs",)
-
-    def __init__(self, probs: Mapping[bytes, Fraction]) -> None:
-        total = sum(probs.values())
-        if total != 1:
-            raise ValueError(f"probabilities sum to {total}, not 1")
-        self.probs = {k: v for k, v in probs.items() if v}
-
-    @classmethod
-    def from_weights(cls, weights: Mapping[bytes, int]) -> OutcomeHistogram:
-        total = sum(weights.values())
-        if total <= 0:
-            raise ValueError("no outcomes recorded")
-        return cls({k: Fraction(w, total) for k, w in weights.items()})
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, OutcomeHistogram) and self.probs == other.probs
-
-    def __len__(self) -> int:
-        return len(self.probs)
-
-    def __repr__(self) -> str:
-        return f"OutcomeHistogram({len(self.probs)} outcomes)"
 
 
 def _all_digit_vectors(num_files: int, length: int) -> list[tuple[int, ...]]:
@@ -209,7 +177,9 @@ def _privacy(
     broadcast.  For each user k, own demand dk and completion of the other
     demands, broadcast + held is weighted over every key vector, every t
     in the selector set (uniformly) and every library; the histogram must
-    be the same for all completions.  The tables are built after the
+    be the same for all completions.  Every completion's weights sum to the
+    same total (N^K * lcm * libraries), so the integer weight maps are equal
+    exactly when the distributions are.  The tables are built after the
     guard, on the report's clock.
     """
     _guard_enumeration(params, "privacy")
@@ -238,16 +208,17 @@ def _privacy(
                     for t in ts:
                         for key in map(operator.add, broadcasts[(digits, t)], tail):
                             weights[key] = weights.get(key, 0) + w
-                hist = OutcomeHistogram.from_weights(weights)
                 cases += 1
                 if reference is None:
-                    reference, ref_completion = hist, completion
-                elif hist != reference:
+                    reference, ref_completion = weights, completion
+                elif weights != reference:
+                    outcomes = weights.keys() | reference.keys()
+                    differ = sum(weights.get(o, 0) != reference.get(o, 0) for o in outcomes)
                     failures.append(
                         (
                             (k, dk, completion),
                             f"distribution identical to completion {ref_completion}",
-                            f"{len(hist)} outcomes differ",
+                            f"{differ} outcomes differ",
                         )
                     )
     scope = (
@@ -311,7 +282,7 @@ def _basis_library(params: SchemeParams) -> tuple[SchemeParams, FileLibrary, int
     return wide, FileLibrary(wide, tuple(files)), total
 
 
-def _pack_parities(masks: list[int], lib: int) -> Bits:
+def _pack_parities(masks: tuple[int, ...], lib: int) -> Bits:
     value = 0
     for i, mask in enumerate(masks):
         value |= ((mask & lib).bit_count() & 1) << i
@@ -327,22 +298,20 @@ def _marginal_serializations(params: SchemeParams):
     parities.  The layout is byte-identical to DeliverySignal.to_bytes /
     CacheContent.to_bytes with 1-bit subfiles.
     """
-    from .scheme import cache_header, delivered_segment_indices, delivery_header, stored_signal_indices
+    from .scheme import cache_header, delivery_header
 
     wide_params, basis, total_bits = _basis_library(params)
     libraries = range(1 << total_bits)
 
     xd_ser: dict[tuple[tuple[int, ...], int], list[bytes]] = {}
     for (digits, t), wide in _deliveries(wide_params, basis).items():
-        masks = [wide.segments[key].value for key in delivered_segment_indices(wide_params, t)]
-        header = delivery_header(digits, t, len(masks))
-        xd_ser[(digits, t)] = [header + _pack_parities(masks, lib).to_bytes() for lib in libraries]
+        header = delivery_header(digits, t, len(wide.segments))
+        xd_ser[(digits, t)] = [header + _pack_parities(wide.segments, lib).to_bytes() for lib in libraries]
 
     zk_ser: dict[tuple[int, int], list[bytes]] = {}
     for (k, s), cache in _caches_by_key(wide_params, basis).items():
-        masks = [cache.signals[idx].value for idx in stored_signal_indices(wide_params)]
-        header = cache_header(s, len(masks))
-        zk_ser[(k, s)] = [header + _pack_parities(masks, lib).to_bytes() for lib in libraries]
+        header = cache_header(s, len(cache.signals))
+        zk_ser[(k, s)] = [header + _pack_parities(cache.signals, lib).to_bytes() for lib in libraries]
     return xd_ser, zk_ser, libraries
 
 
@@ -409,27 +378,28 @@ def oracle_demand_identity(params: SchemeParams, files: FileLibrary) -> Verifica
 def oracle_y_reconstruction(params: SchemeParams, files: FileLibrary) -> VerificationReport:
     """Brute-force gate for the non-leader signal reconstruction identity.
 
-    Every signal indexed outside the leader block must be reproducible
-    from the stored leader-intersecting ones; vacuously passes when no
-    such index exists (K' - N < r + 1).
+    For every user and key digit, decoding's signal expansion
+    (`scheme._signal_values` over the placed cache) must equal compute_y
+    at every index outside the leader block; vacuously passes when no such
+    index exists (K' - N < r + 1).
     """
     start = time.perf_counter()
-    n, k_users, kp = params.num_files, params.num_users, params.positions
-    outside = kp - n
-    non_leader = []
-    if outside > 0:
-        non_leader = [
-            SubsetIndex(tuple(m + n for m in s.members), kp)
-            for s in enumerate_r_subsets(outside, params.r + 1)
-        ]
+    n, k_users = params.num_files, params.num_users
+    non_leader = [
+        (rank, index)
+        for rank, index in enumerate(enumerate_r_subsets(params.positions, params.r + 1))
+        if index.members[0] >= n
+    ]
+    plan = files.plan
+    caches = _caches_by_key(params, files)
     cases = 0
     failures = []
     for k in range(k_users):
         for s in range(n):
             u = yma.build_u_vector(n, k_users, k, s)
-            delivered = yma.yma_delivery(files, u)
-            for index in non_leader:
-                got = yma.reconstruct_y(delivered, u, index)
+            signals = _signal_values(plan, caches[(k, s)])
+            for rank, index in non_leader:
+                got = Bits(signals[rank], params.subfile_bits)
                 want = yma.compute_y(files, u, index)
                 cases += 1
                 if got != want:

@@ -4,18 +4,18 @@ Cache contents of the private scheme are delivery signals of the
 uncoded-placement-optimal multicast (YMA) scheme evaluated under carefully
 constructed "virtual" demand vectors.  This module builds those vectors,
 computes the XOR signals Y indexed by (r+1)-subsets of the position
-universe, filters them down to the leader-intersecting ones that are
-actually stored, and reconstructs the non-stored ones.
+universe, and filters them down to the leader-intersecting ones that are
+actually stored.  The non-stored ones are rebuilt at decoding time from
+the plan's exchange-identity tables (`plan.SchemePlan.reconstruction`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING
 
 from .bitvec import Bits
-from .combinat import SubsetIndex
+from .combinat import SubsetIndex, position_count
 
 if TYPE_CHECKING:
     from .scheme import FileLibrary
@@ -46,13 +46,6 @@ class UVector:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def leader_of(self, value: int) -> int:
-        """The unique leader position demanding `value`."""
-        for j in range(self.num_files):
-            if self.entries[j] == value:
-                return j
-        raise ValueError(f"no leader demands {value}")
-
 
 def build_u_vector(num_files: int, num_users: int, user: int, key: int) -> UVector:
     """Virtual demand vector for one (user, key digit) pair, closed form.
@@ -70,7 +63,7 @@ def build_u_vector(num_files: int, num_users: int, user: int, key: int) -> UVect
         raise ValueError(f"key digit {key} out of range for {n} files")
     split = (k_users - user) * (n - 1)
     entries = []
-    for i in range(n * k_users - k_users + 1):
+    for i in range(position_count(n, k_users)):
         if i < n:
             entries.append((key + i) % n)
         elif i <= split:
@@ -94,50 +87,22 @@ def compute_y(files: FileLibrary, u: UVector, r_plus: SubsetIndex) -> Bits:
     return acc
 
 
-def yma_delivery(files: FileLibrary, u: UVector) -> dict[SubsetIndex, Bits]:
+def yma_delivery(files: FileLibrary, u: UVector) -> tuple[int, ...]:
     """All leader-intersecting XOR signals for one virtual demand vector.
 
     This is exactly the portion of the YMA delivery that gets stored as
-    cache content: C(K', r+1) - C(K'-N, r+1) signals.  Each is compute_y's
-    XOR, taken by rank from the library's plan and pre-split subfiles.
+    cache content, as `subfile_bits`-wide ints in the colex order of
+    `scheme.stored_signal_indices`.  Each is compute_y's XOR, taken by rank
+    from the library's plan and pre-split subfiles.
     """
     params = files.params
     if len(u) != params.positions:
         raise ValueError(f"vector length {len(u)} != universe {params.positions}")
-    plan = files.plan
-    width = params.subfile_bits
     rows = [files.subfiles[e] for e in u.entries]
-    out: dict[SubsetIndex, Bits] = {}
-    for index, terms in zip(plan.stored, plan.stored_terms):
+    out = []
+    for terms in files.plan.stored_terms:
         acc = 0
         for i, rank in terms:
             acc ^= rows[i][rank]
-        out[index] = Bits(acc, width)
-    return out
-
-
-def reconstruct_y(
-    delivered: Mapping[SubsetIndex, Bits], u: UVector, r_plus: SubsetIndex
-) -> Bits:
-    """Recover a non-stored signal from the leader-intersecting ones.
-
-    For an index B disjoint from the leader set, the signal equals the XOR
-    over every nonempty subset F of B with pairwise-distinct demands of the
-    stored signal indexed by (B minus F) union the leaders of F's demands.
-    This exchange identity is validated against compute_y by a brute-force
-    oracle in the verification module before anything relies on it.
-    """
-    members = r_plus.members
-    if any(m < u.num_files for m in members):
-        return delivered[r_plus]
-    width = next(iter(delivered.values())).length if delivered else 0
-    acc = Bits.zeros(width)
-    rest = set(members)
-    for size in range(1, len(members) + 1):
-        for f_set in combinations(members, size):
-            values = [u.entries[i] for i in f_set]
-            if len(set(values)) != len(values):
-                continue
-            swapped = (rest - set(f_set)) | {u.leader_of(v) for v in values}
-            acc = acc ^ delivered[SubsetIndex.of(swapped, r_plus.universe)]
-    return acc
+        out.append(acc)
+    return tuple(out)

@@ -14,7 +14,15 @@ from typing import Sequence
 
 from privcache.bitvec import Bits
 from privcache.combinat import SubsetIndex, binomial, subset_rank
-from privcache.scheme import FileLibrary, SchemeParams
+from privcache.plan import scheme_plan
+from privcache.scheme import (
+    CacheContent,
+    FileLibrary,
+    SchemeParams,
+    _segment_values,
+    _signal_values,
+    build_v,
+)
 from privcache.yma import UVector
 
 
@@ -113,3 +121,20 @@ def n_basis_width(params: SchemeParams) -> int:
 def xor_symbols(params: SchemeParams, terms) -> Bits:
     """XOR of expected one-hots for [(file_index, members), ...]."""
     return xor_all([symbol(params, fi, mem) for fi, mem in terms], n_basis_width(params))
+
+
+def payload_entry(payload, index) -> Bits:
+    """The signal or segment at `index`, expanded the way `decode` does it.
+
+    For a cache, `index` is an (r+1)-subset, looked up in
+    `scheme._signal_values`; for a broadcast, it is (file, (r-1)-subset),
+    looked up in `scheme._segment_values`.  Stored entries pass through
+    unchanged; the others come from the exchange identities.
+    """
+    plan = scheme_plan(payload.params)
+    if isinstance(payload, CacheContent):
+        value = _signal_values(plan, payload)[subset_rank(index)]
+    else:
+        n, s = index
+        value = _segment_values(plan, payload, build_v(payload.aux).members)[n][subset_rank(s)]
+    return Bits(value, payload.params.subfile_bits)

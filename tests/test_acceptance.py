@@ -12,7 +12,7 @@ import sys
 import time
 from fractions import Fraction
 
-from helpers import basis_library, seeded_library, xor_symbols
+from helpers import basis_library, payload_entry, seeded_library, xor_symbols
 from privcache.combinat import SubsetIndex, enumerate_r_subsets
 from privcache.scheme import (
     AuxDemand,
@@ -22,7 +22,6 @@ from privcache.scheme import (
     build_v,
     memory_rate_of,
     place,
-    recover_segment,
     x_segment,
 )
 from privcache.tradeoff import (
@@ -92,7 +91,7 @@ def test_criterion_1_golden_example_reproduction():
         for slot, pairs in columns.items():
             for n in range(2):
                 want = xor_symbols(params, [(n, set(p)) for p in pairs])
-                if x.segments[(n, SubsetIndex((slot,), 4))] != want:
+                if payload_entry(x, (n, SubsetIndex((slot,), 4))) != want:
                     problems.append(("segment", digits, slot, n))
     _criterion(1, "golden example reproduction", problems, time.perf_counter() - start, 1.0)
 
@@ -182,7 +181,7 @@ def test_criterion_6_reconstruction_oracles():
                     if t not in s:
                         continue
                     for fi in range(n):
-                        if recover_segment(x, s, fi) != x_segment(files, d, s, fi):
+                        if payload_entry(x, (fi, s)) != x_segment(files, d, s, fi):
                             problems.append(("segment recovery", n, k, r, digits, t, s.members, fi))
     _criterion(6, "decoding-support oracles", problems, time.perf_counter() - start, 60.0)
 

@@ -84,9 +84,13 @@ def test_block_values_equal_blocks():
     for width in (1, 3, 8, 13):
         b = Bits.random(7 * width, rng)
         assert b.block_values(width) == tuple(b.block(i, width).value for i in range(7))
+        assert Bits.from_blocks(b.block_values(width), width) == b
     assert Bits.zeros(0).block_values(5) == ()
+    assert Bits.from_blocks((), 5) == Bits.zeros(0)
     with pytest.raises(ValueError):
         Bits.zeros(12).block_values(5)
+    with pytest.raises(ValueError, match="does not fit in 3 bits"):
+        Bits.from_blocks((1, 8), 3)
 
 
 def test_from_bytes_rejects_nonzero_pad_bits():

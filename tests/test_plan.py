@@ -2,8 +2,7 @@
 
 Placement, delivery and decoding XOR pre-split subfile ints picked by the
 plan's colex-rank tables; every table is checked here against the formula
-it replaces (compute_y, x_segment, recover_segment, FileLibrary blocks),
-on a grid that includes r=0, r=K'-1 and r=K' and subfile widths of 1, 3,
+it replaces (compute_y, x_segment, FileLibrary blocks), on a grid that includes r=0, r=K'-1 and r=K' and subfile widths of 1, 3,
 8 and 13 bits.
 """
 
@@ -12,8 +11,7 @@ import random
 
 import pytest
 
-from privcache.bitvec import Bits
-from privcache.combinat import enumerate_r_subsets, subset_unrank
+from privcache.combinat import enumerate_r_subsets
 from privcache.plan import scheme_plan
 from privcache.scheme import (
     AuxDemand,
@@ -21,10 +19,11 @@ from privcache.scheme import (
     SchemeParams,
     SessionRandomness,
     _segment_values,
+    _signal_values,
     build_delivery,
     build_v,
     place,
-    recover_segment,
+    stored_signal_indices,
     x_segment,
 )
 from privcache.yma import build_u_vector, compute_y
@@ -60,24 +59,21 @@ def test_place_equals_compute_y(n, k, r, width):
     for key in range(n):
         for cache in place(files, params, SessionRandomness(n, (key,) * k)):
             u = build_u_vector(n, k, cache.user, key)
-            assert list(cache.signals) == stored
-            assert cache.signals == {idx: compute_y(files, u, idx) for idx in stored}
+            assert stored_signal_indices(params) == stored
+            assert cache.signals == tuple(compute_y(files, u, idx).value for idx in stored)
 
 
 @pytest.mark.parametrize("n,k,r,width", GRID)
 def test_non_stored_signals_equal_compute_y(n, k, r, width):
     params, files = library(n, k, r, width, seed=2)
     plan = scheme_plan(params)
-    kp = params.positions
+    signals = enumerate_r_subsets(params.positions, r + 1)
     for key in range(n):
         for cache in place(files, params, SessionRandomness(n, (key,) * k)):
             u = build_u_vector(n, k, cache.user, key)
-            by_rank = {rank: cache.signals[idx] for idx, rank in zip(plan.stored, plan.stored_ranks)}
-            for rank, sources in plan.reconstruction[cache.user]:
-                got = Bits.zeros(width)
-                for j in sources:
-                    got = got ^ by_rank[j]
-                assert got == compute_y(files, u, subset_unrank(rank, r + 1, kp))
+            # stored signals pass through; the rest follow plan.reconstruction
+            values = _signal_values(plan, cache)
+            assert values == [compute_y(files, u, idx).value for idx in signals]
 
 
 @pytest.mark.parametrize("n,k,r,width", GRID)
@@ -90,12 +86,12 @@ def test_delivered_and_recovered_segments_equal_reference(n, k, r, width):
         selector = build_v(d).members
         for t_d in selector:
             x = build_delivery(files, d, t_d)
-            assert x.segments == {
-                (fi, s): x_segment(files, d, s, fi)
+            assert x.segments == tuple(
+                x_segment(files, d, s, fi).value
                 for fi in range(n)
                 for s in subsets
                 if t_d not in s
-            }
+            )
             values = _segment_values(plan, x, selector)
             for fi in range(n):
-                assert values[fi] == [recover_segment(x, s, fi).value for s in subsets]
+                assert values[fi] == [x_segment(files, d, s, fi).value for s in subsets]

@@ -20,11 +20,12 @@ from privcache.verify import (
     verify_privacy,
 )
 
-# outcome counts of each failing histogram, in report order; the unmasked
-# control fails on every completion except the first, the reference
-COUNTS_232 = [2, 6, 2, 6, 6, 2, 2, 6, 6, 2, 6, 2, 6, 6, 6, 2, 6, 2]
-COUNTS_321 = [3, 9, 3, 3, 9, 3, 9, 15, 3, 9, 3, 3]
-COUNTS_221 = [64, 64, 192, 64]
+# per failing histogram, in report order, how many outcomes have a weight
+# other than the reference's (over both supports); the unmasked control
+# fails on every completion except the first, the reference
+COUNTS_232 = [4, 8, 4, 12, 12, 8, 4, 8, 8, 8, 12, 8, 8, 8, 8, 4, 8, 4]
+COUNTS_321 = [6, 12, 12, 12, 24, 18, 12, 18, 6, 12, 12, 12]
+COUNTS_221 = [128, 256, 256, 128]
 
 
 def conditional(params, files, masked):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import basis_library, seeded_library, symbol, xor_symbols
+from helpers import basis_library, payload_entry, seeded_library, symbol, xor_symbols
 from privcache.bitvec import Bits
 from privcache.combinat import SubsetIndex, binomial, enumerate_r_subsets
 from privcache.scheme import (
@@ -21,12 +21,12 @@ from privcache.scheme import (
     build_v,
     cache_header,
     decode,
+    delivered_segment_indices,
     delivery_header,
     f_map,
     g_map,
     memory_rate_of,
     place,
-    recover_segment,
     x_segment,
 )
 from privcache.yma import build_u_vector, yma_delivery
@@ -233,11 +233,12 @@ def test_delivery_matches_table_rows():
     for digits, (members, t_d, columns) in TRANSMISSIONS.items():
         x = build_delivery(files, AuxDemand(digits, 2), t_d)
         assert x.t_d == t_d
-        slots = {s.members[0] for (_, s) in x.segments}
-        assert slots == set(range(4)) - {t_d}
+        layout = delivered_segment_indices(params, t_d)
+        assert len(x.segments) == len(layout)
+        assert {s.members[0] for (_, s) in layout} == set(range(4)) - {t_d}
         for slot, pairs in columns.items():
             for n in range(2):
-                got = x.segments[(n, SubsetIndex((slot,), 4))]
+                got = payload_entry(x, (n, SubsetIndex((slot,), 4)))
                 assert got == xor_symbols(params, [(n, set(p)) for p in pairs])
 
 
@@ -250,9 +251,9 @@ def test_delivery_d0_equals_direct_subfile_listing():
         for t in range(kp):
             d = g_map(t, n_files, k_users)
             x = build_delivery(files, d, t)
-            got = sorted((b.value, b.length) for b in x.segments.values())
+            got = sorted(x.segments)
             want = sorted(
-                (files.subfile(n, r_set).value, params.subfile_bits)
+                files.subfile(n, r_set).value
                 for n in range(n_files)
                 for r_set in enumerate_r_subsets(kp, r)
                 if t in r_set
@@ -301,7 +302,7 @@ def test_recover_worked_examples():
     for digits, t_d, pairs in cases:
         x = build_delivery(files, AuxDemand(digits, 2), t_d)
         for n in range(2):
-            got = recover_segment(x, SubsetIndex((t_d,), 4), n)
+            got = payload_entry(x, (n, SubsetIndex((t_d,), 4)))
             assert got == xor_symbols(params, [(n, set(p)) for p in pairs])
 
 
@@ -311,7 +312,7 @@ def test_recover_zero_for_labeled_demand():
         d = g_map(t, 2, 3)
         x = build_delivery(files, d, t)
         for n in range(2):
-            assert recover_segment(x, SubsetIndex((t,), 4), n) == Bits.zeros(params.subfile_bits)
+            assert payload_entry(x, (n, SubsetIndex((t,), 4))) == Bits.zeros(params.subfile_bits)
 
 
 @pytest.mark.parametrize("n,k,r", [(2, 3, 2), (3, 2, 1), (2, 4, 2), (3, 2, 2)])
@@ -324,7 +325,7 @@ def test_recover_equals_segment_everywhere(n, k, r):
             x = build_delivery(files, d, t_d)
             for s in enumerate_r_subsets(kp, r - 1):
                 for fi in range(n):
-                    assert recover_segment(x, s, fi) == x_segment(files, d, s, fi)
+                    assert payload_entry(x, (fi, s)) == x_segment(files, d, s, fi)
 
 
 def test_recover_passthrough_is_identical_object_value():
@@ -332,7 +333,8 @@ def test_recover_passthrough_is_identical_object_value():
     d = AuxDemand((1, 1, 0), 2)
     x = build_delivery(files, d, 0)
     s = SubsetIndex((1,), 4)
-    assert recover_segment(x, s, 0) == x.segments[(0, s)]
+    position = delivered_segment_indices(params, 0).index((0, s))
+    assert payload_entry(x, (0, s)).value == x.segments[position]
 
 
 # ----------------------------------------------------------------- placement
@@ -358,7 +360,7 @@ def test_place_full_cache_at_r_zero():
         assert len(cache.signals) == 3
         for i in range(3):
             idx = SubsetIndex((i,), params.positions)
-            assert cache.signals[idx] == files.subfile((cache.key + i) % 3, empty)
+            assert payload_entry(cache, idx) == files.subfile((cache.key + i) % 3, empty)
     assert memory_rate_of(params).memory == 3
 
 
@@ -366,7 +368,7 @@ def test_place_key_only_at_maximal_split():
     params, files = seeded_library(2, 3, 4, seed=2, bits_per_subfile=5)
     caches = place(files, params, SessionRandomness(2, (1, 0, 1)))
     for cache in caches:
-        assert cache.signals == {}
+        assert cache.signals == ()
         assert cache.payload_bits == 0
     assert memory_rate_of(params).memory == 0
 
@@ -391,8 +393,8 @@ def test_decode_worked_example_constant_aux():
     d = aux_demand(demands, keys, 2)
     assert d.digits == (0, 0, 0)
     x = build_delivery(files, d, 0)
-    y = caches[1].signals[SubsetIndex((0, 1, 2), 4)]
-    piece = y ^ recover_segment(x, SubsetIndex((2,), 4), 1) ^ recover_segment(x, SubsetIndex((1,), 4), 0)
+    y = payload_entry(caches[1], SubsetIndex((0, 1, 2), 4))
+    piece = y ^ payload_entry(x, (1, SubsetIndex((2,), 4))) ^ payload_entry(x, (0, SubsetIndex((1,), 4)))
     assert piece == symbol(params, 0, {1, 2})
     # and the full decode returns the whole demanded file
     assert decode(caches[1], x, 1, demands[1]) == files.files[0]
@@ -410,16 +412,16 @@ def test_decode_worked_example_composite_aux():
     x = build_delivery(files, d, 0)
     # the recovered slot-0 segment equals the two-subfile XOR
     for n in range(2):
-        assert recover_segment(x, SubsetIndex((0,), 4), n) == xor_symbols(
+        assert payload_entry(x, (n, SubsetIndex((0,), 4))) == xor_symbols(
             params, [(n, {0, 2}), (n, {0, 3})]
         )
-    y1 = caches[1].signals[SubsetIndex((0, 1, 2), 4)]
-    y2 = caches[1].signals[SubsetIndex((0, 1, 3), 4)]
+    y1 = payload_entry(caches[1], SubsetIndex((0, 1, 2), 4))
+    y2 = payload_entry(caches[1], SubsetIndex((0, 1, 3), 4))
     piece = (
         y1
         ^ y2
-        ^ recover_segment(x, SubsetIndex((1,), 4), 0)
-        ^ recover_segment(x, SubsetIndex((0,), 4), 1)
+        ^ payload_entry(x, (0, SubsetIndex((1,), 4)))
+        ^ payload_entry(x, (1, SubsetIndex((0,), 4)))
     )
     assert piece == symbol(params, 1, {0, 1})
     assert decode(caches[1], x, 1, demands[1]) == files.files[1]
@@ -607,6 +609,19 @@ def test_decode_rejects_out_of_range_user_and_key():
         decode(CacheContent(0, 2, cache.signals, params), x, 0, 1)
     with pytest.raises(ValueError):
         decode(CacheContent(-1, 0, cache.signals, params), x, -1, 0)
+
+
+def test_decode_rejects_wrong_size_payloads():
+    params, files = seeded_library(2, 3, 2)
+    x = build_delivery(files, aux_demand((1, 0, 0), (0, 0, 0), 2), 0)
+    cache = place(files, params, SessionRandomness(2, (0, 0, 0)))[0]
+    assert decode(cache, x, 0, 1) == files.files[1]
+    for signals in (cache.signals[:-1], cache.signals + (0,)):
+        with pytest.raises(ValueError, match="signals, expected 4"):
+            decode(CacheContent(0, 0, signals, params), x, 0, 1)
+    for segments in (x.segments[:-1], x.segments + (0,)):
+        with pytest.raises(ValueError, match="segments, expected 6"):
+            decode(cache, DeliverySignal(x.aux, x.t_d, segments, params), 0, 1)
 
 
 def test_cache_from_bytes_rejects_users_outside_k():

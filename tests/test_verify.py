@@ -1,5 +1,4 @@
 import itertools
-from fractions import Fraction
 
 import pytest
 
@@ -15,7 +14,6 @@ from privcache.scheme import (
 from privcache.verify import (
     CONDITIONAL,
     FULL_MARGINAL,
-    OutcomeHistogram,
     ScaleLimitError,
     VerificationReport,
     oracle_demand_identity,
@@ -76,11 +74,9 @@ def test_correctness_detects_corrupted_segment():
     def corrupt(x: DeliverySignal) -> DeliverySignal:
         if x.aux.digits != target:
             return x
-        segments = dict(x.segments)
-        key = next(iter(segments))
-        bad = segments[key] ^ Bits(1, segments[key].length)
-        segments[key] = bad
-        return DeliverySignal(x.aux, x.t_d, segments, x.params)
+        segments = list(x.segments)
+        segments[0] ^= 1
+        return DeliverySignal(x.aux, x.t_d, tuple(segments), x.params)
 
     report = verify_correctness_exhaustive(params, files, mutate_delivery=corrupt)
     assert not report.passed
@@ -182,6 +178,24 @@ def test_y_reconstruction_oracle_counts():
     assert report.cases_run == 4 * 9  # C(4,3) non-leader indices x 9 pairs
 
 
+def test_y_reconstruction_oracle_guards_the_plan(monkeypatch):
+    import privcache.scheme as scheme
+
+    params, files = seeded_library(2, 4, 2, seed=15)
+    real = scheme._plan_of
+
+    def corrupted(p):
+        # drop one stored source from user 0's only non-stored signal
+        plan = real(p)
+        (rank, sources), = plan.reconstruction[0]
+        return plan._replace(reconstruction=(((rank, sources[1:]),),) + plan.reconstruction[1:])
+
+    monkeypatch.setattr(scheme, "_plan_of", corrupted)
+    report = oracle_y_reconstruction(params, files)
+    assert report.cases_run == 8
+    assert [config for config, _, _ in report.failures] == [(0, 0, (2, 3, 4)), (0, 1, (2, 3, 4))]
+
+
 def test_marginal_serializations_match_real_serializer():
     # the mask/parity fast path must reproduce to_bytes exactly, for every
     # library, every broadcast, and every cache
@@ -211,24 +225,6 @@ def test_library_from_bit_index_layout():
     assert files.files[1].to01() == "000"
     with pytest.raises(ValueError):
         library_from_bit_index(SchemeParams.minimal(2, 2, 1, 2), 0)
-
-
-def test_histogram_probabilities_sum_to_one():
-    h = OutcomeHistogram.from_weights({b"a": 1, b"b": 3})
-    assert h.probs[b"a"] == Fraction(1, 4)
-    assert h.probs[b"b"] == Fraction(3, 4)
-    with pytest.raises(ValueError):
-        OutcomeHistogram({b"a": Fraction(1, 2)})
-    with pytest.raises(ValueError):
-        OutcomeHistogram.from_weights({})
-
-
-def test_histogram_equality_is_exact():
-    a = OutcomeHistogram.from_weights({b"x": 2, b"y": 2})
-    b = OutcomeHistogram.from_weights({b"x": 1, b"y": 1})
-    c = OutcomeHistogram.from_weights({b"x": 1, b"y": 3})
-    assert a == b
-    assert a != c
 
 
 def test_report_shape():

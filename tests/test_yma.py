@@ -3,15 +3,29 @@ import random
 
 import pytest
 
-from helpers import basis_library, build_u_vector_blockwise, leader_set, seeded_library, xor_symbols
+from helpers import (
+    basis_library,
+    build_u_vector_blockwise,
+    leader_set,
+    payload_entry,
+    seeded_library,
+    xor_symbols,
+)
 from privcache.bitvec import Bits
-from privcache.combinat import SubsetIndex, binomial, enumerate_r_subsets
-from privcache.scheme import FileLibrary, SchemeParams, g_map, memory_rate_of
+from privcache.combinat import SubsetIndex, binomial, colex_rank, enumerate_r_subsets
+from privcache.plan import scheme_plan
+from privcache.scheme import (
+    CacheContent,
+    FileLibrary,
+    SchemeParams,
+    g_map,
+    memory_rate_of,
+    stored_signal_indices,
+)
 from privcache.yma import (
     UVector,
     build_u_vector,
     compute_y,
-    reconstruct_y,
     yma_delivery,
 )
 
@@ -129,7 +143,9 @@ def test_compute_y_size_mismatch():
 def test_delivery_indices_all_leader_intersecting_232():
     params, files = seeded_library(2, 3, 2)
     signals = yma_delivery(files, build_u_vector(2, 3, 1, 0))
-    assert {idx.members for idx in signals} == {
+    indices = stored_signal_indices(params)
+    assert len(signals) == len(indices)
+    assert {idx.members for idx in indices} == {
         (0, 1, 2),
         (0, 1, 3),
         (0, 2, 3),
@@ -150,14 +166,14 @@ def test_delivery_count_formula():
 
 def test_delivery_empty_at_maximal_split():
     params, files = seeded_library(2, 3, 4, bits_per_subfile=2)
-    assert yma_delivery(files, build_u_vector(2, 3, 0, 0)) == {}
+    assert yma_delivery(files, build_u_vector(2, 3, 0, 0)) == ()
 
 
 def test_delivery_size_matches_memory():
     for n, k_users, r in [(2, 3, 2), (2, 4, 2), (3, 2, 1), (3, 3, 2), (2, 3, 0)]:
         params, files = seeded_library(n, k_users, r, bits_per_subfile=2)
         signals = yma_delivery(files, build_u_vector(n, k_users, 0, 0))
-        stored_bits = sum(b.length for b in signals.values())
+        stored_bits = len(signals) * params.subfile_bits
         point = memory_rate_of(params)
         assert stored_bits == point.memory * params.file_bits
 
@@ -167,14 +183,11 @@ def test_reconstruction_expansion_frozen():
     # identity expands into exactly these five stored signals
     u = build_u_vector(2, 4, 2, 0)
     assert u.entries == (0, 1, 0, 1, 1)
-    stored = [s for s in enumerate_r_subsets(5, 3) if s.members[0] < 2]
-    delivered = {idx: Bits(1 << i, len(stored)) for i, idx in enumerate(stored)}
-    got = reconstruct_y(delivered, u, SubsetIndex((2, 3, 4), 5))
+    plan = scheme_plan(SchemeParams.minimal(2, 4, 2))
     expected_terms = [(0, 3, 4), (1, 2, 4), (1, 2, 3), (0, 1, 4), (0, 1, 3)]
-    want = Bits.zeros(len(stored))
-    for members in expected_terms:
-        want = want ^ delivered[SubsetIndex(members, 5)]
-    assert got == want
+    sources = dict(plan.reconstruction[2])[colex_rank((2, 3, 4))]
+    assert sources == tuple(sorted(colex_rank(members) for members in expected_terms))
+    assert set(sources) <= set(plan.stored_ranks)
 
 
 @pytest.mark.parametrize("n,k_users,r", [(2, 4, 2), (3, 3, 2), (2, 4, 1), (3, 2, 1), (4, 2, 1)])
@@ -189,24 +202,22 @@ def test_reconstruction_matches_direct_computation(n, k_users, r):
     for user in range(k_users):
         for key in range(n):
             u = build_u_vector(n, k_users, user, key)
-            delivered = yma_delivery(files, u)
+            cache = CacheContent(user, key, yma_delivery(files, u), params)
             for index in non_leader:
-                assert reconstruct_y(delivered, u, index) == compute_y(files, u, index)
+                assert payload_entry(cache, index) == compute_y(files, u, index)
                 checked += 1
     assert checked == len(non_leader) * k_users * n
 
 
 def test_reconstruction_passthrough_for_stored_indices():
     params, files = seeded_library(2, 3, 2)
-    u = build_u_vector(2, 3, 0, 1)
-    delivered = yma_delivery(files, u)
-    for index in delivered:
-        assert reconstruct_y(delivered, u, index) == delivered[index]
+    cache = CacheContent(0, 1, yma_delivery(files, build_u_vector(2, 3, 0, 1)), params)
+    for index, value in zip(stored_signal_indices(params), cache.signals, strict=True):
+        assert payload_entry(cache, index).value == value
 
 
 def test_reconstruction_zero_files():
     params = SchemeParams.minimal(2, 4, 2)
     files = FileLibrary(params, (Bits.zeros(10), Bits.zeros(10)))
-    u = build_u_vector(2, 4, 2, 0)
-    delivered = yma_delivery(files, u)
-    assert reconstruct_y(delivered, u, SubsetIndex((2, 3, 4), 5)) == Bits.zeros(1)
+    cache = CacheContent(2, 0, yma_delivery(files, build_u_vector(2, 4, 2, 0)), params)
+    assert payload_entry(cache, SubsetIndex((2, 3, 4), 5)) == Bits.zeros(1)
