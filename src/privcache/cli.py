@@ -60,6 +60,8 @@ def _load_library(args, params: SchemeParams, parser: argparse.ArgumentParser) -
         sidecar = path.with_name(path.name + ".json")
         try:
             meta = json.loads(sidecar.read_text())
+            if not isinstance(meta, dict):
+                parser.error(f"library sidecar {sidecar} is not a JSON object")
             if meta["N"] != params.num_files or meta["F"] != params.file_bits:
                 parser.error(
                     f"library sidecar says N={meta['N']} F={meta['F']}, "

@@ -9,7 +9,9 @@ in a small bounded cache.  The hot loops in `yma.yma_delivery`,
 rank out of the library's pre-split subfiles; no subset object is built
 per signal or segment.  Payloads are tuples of those ints in wire order:
 a cache's stored signals in `stored_ranks` order, a broadcast's segments
-file by file, each in colex order of the (r-1)-subsets avoiding t_d.
+file by file, each in colex order of the (r-1)-subsets avoiding t_d.  The
+broadcast side is tabled per position t: `delivered[t]` lists the segments
+sent when t_d = t and `rebuilt[t]` how the receiver rebuilds the others.
 
 Tables are indexed by the colex rank of an l-subset of the K' positions
 ("level l"): an `up` row gives, for each position t, the level-(l+1) rank
@@ -47,9 +49,10 @@ class SchemePlan(NamedTuple):
     signal_count: int
     # broadcast side: neighbours of every (r-1)-subset, colex order
     segment_up: Up
-    segment_down: Down
-    # neighbours of the (r-2)-subsets, for segments that contain t_d
-    base_up: Up
+    # per position t: the ranks of the (r-1)-subsets avoiding t, sent when
+    # t_d = t; and (rank, up row of the subset minus t) of those holding t
+    delivered: tuple[tuple[int, ...], ...]
+    rebuilt: tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]
     # neighbours of the r-subsets, one row per subfile
     subfile_up: Up
     subfile_down: Down
@@ -126,15 +129,20 @@ def _plan(num_files: int, num_users: int, r: int) -> SchemePlan:
         (rank, members) for rank, members in enumerate(level[r + 1]) if members[0] >= num_files
     ]
     subfile_down = _down(level[r])
+    segment_up = _up(len(level[r - 1]), positions, subfile_down)
     segment_down = _down(level[r - 1])
+    base_up = _up(len(level[r - 2]), positions, segment_down)
     return SchemePlan(
         num_files=num_files,
         stored_ranks=tuple(stored_ranks),
         stored_terms=tuple(signals_down[rank] for rank in stored_ranks),
         signal_count=len(level[r + 1]),
-        segment_up=_up(len(level[r - 1]), positions, subfile_down),
-        segment_down=segment_down,
-        base_up=_up(len(level[r - 2]), positions, segment_down),
+        segment_up=segment_up,
+        delivered=tuple(tuple(i for i, up in enumerate(segment_up) if up[t] >= 0) for t in range(positions)),
+        rebuilt=tuple(
+            tuple((i, base_up[b]) for i, row in enumerate(segment_down) for u, b in row if u == t)
+            for t in range(positions)
+        ),
         subfile_up=_up(len(level[r]), positions, signals_down),
         subfile_down=subfile_down,
         reconstruction=tuple(

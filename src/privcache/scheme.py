@@ -19,18 +19,19 @@ The module is organized around the life of one session:
 Placement, delivery and decoding run on the rank tables of
 `plan.SchemePlan`, built once per (N, K, r): each signal, segment and
 decoded subfile is an XOR of pre-split subfile ints picked by colex rank.
-Caches and broadcasts hold those ints as flat tuples in wire order
-(`stored_signal_indices`, `delivered_segment_indices`).  The receiver
-expands them with the two exchange identities, `_signal_values` and
-`_segment_values`.  The per-element formulas (`FileLibrary.subfile`,
-`yma.compute_y`, `x_segment`) stay as the references those tables are
-tested against.
+Caches and broadcasts are frozen and hold those ints as flat tuples in
+wire order (`stored_signal_indices`, `delivered_segment_indices`); their
+constructors reject any other shape, so every entry point, `from_bytes`
+included, gets one set of checks.  The receiver expands them with the two
+exchange identities, `_signal_values` and `_segment_values`.  The
+per-element formulas (`FileLibrary.subfile`, `yma.compute_y`,
+`x_segment`) stay as the references those tables are tested against.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING, Mapping, Sequence
@@ -186,14 +187,16 @@ class AuxDemand:
 
     digits: tuple[int, ...]
     num_files: int
-    demand_class: DemandClass = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.digits:
             raise ValueError("empty demand vector")
         if any(not 0 <= v < self.num_files for v in self.digits):
             raise ValueError(f"digit out of range in {self.digits}")
-        object.__setattr__(self, "demand_class", classify(self.digits, self.num_files))
+
+    @cached_property
+    def demand_class(self) -> DemandClass:
+        return classify(self.digits, self.num_files)
 
     @property
     def num_users(self) -> int:
@@ -330,16 +333,11 @@ def x_segment(files: FileLibrary, d: AuxDemand, s: SubsetIndex, n: int) -> Bits:
     return acc
 
 
-def _delivered_ranks(plan: SchemePlan, t_d: int) -> list[int]:
-    """Colex ranks of the (r-1)-subsets avoiding t_d: the segments sent."""
-    return [i for i, up in enumerate(plan.segment_up) if up[t_d] >= 0]
-
-
 def delivered_segment_indices(params: SchemeParams, t_d: int) -> list[tuple[int, SubsetIndex]]:
     """Wire order of broadcast segments: n ascending, then the
     (r-1)-subsets avoiding t_d in colex order."""
     subsets = enumerate_r_subsets(params.positions, params.r - 1)
-    ranks = _delivered_ranks(_plan_of(params), t_d)
+    ranks = _plan_of(params).delivered[t_d]
     return [(n, subsets[i]) for n in range(params.num_files) for i in ranks]
 
 
@@ -362,15 +360,27 @@ def cache_header(key: int, payload_bits: int) -> bytes:
     return _field(key, 1, "key digit") + _field(payload_bits, _LEN_BYTES, "payload_bits")
 
 
-@dataclass
+@dataclass(frozen=True)
 class DeliverySignal:
     """One broadcast: auxiliary demand, chosen index t_d, and segments,
-    `subfile_bits`-wide ints in the order of delivered_segment_indices."""
+    `subfile_bits`-wide ints in the order of delivered_segment_indices; any
+    other aux demand, t_d or segment count raises ValueError (t_d is checked
+    before it indexes a plan table)."""
 
     aux: AuxDemand
     t_d: int
     segments: tuple[int, ...]
     params: SchemeParams
+
+    def __post_init__(self) -> None:
+        params, d = self.params, self.aux
+        if d.num_users != params.num_users or d.num_files != params.num_files:
+            raise ValueError("auxiliary demand does not match parameters")
+        if self.t_d not in build_v(d).members:
+            raise ValueError(f"t={self.t_d} not in the selector set of {d.digits}")
+        expected = params.num_files * len(_plan_of(params).delivered[self.t_d])
+        if len(self.segments) != expected:
+            raise ValueError(f"broadcast holds {len(self.segments)} segments, expected {expected}")
 
     @property
     def payload_bits(self) -> int:
@@ -386,16 +396,10 @@ class DeliverySignal:
         k = params.num_users
         if len(data) < k + _TD_BYTES + _LEN_BYTES:
             raise ValueError(f"broadcast of {len(data)} bytes is shorter than its header")
-        digits = tuple(data[:k])
+        d = AuxDemand(tuple(data[:k]), params.num_files)
         t_d = int.from_bytes(data[k : k + _TD_BYTES], "big")
         nbits = int.from_bytes(data[k + _TD_BYTES : k + _TD_BYTES + _LEN_BYTES], "big")
         payload = Bits.from_bytes(data[k + _TD_BYTES + _LEN_BYTES :], nbits)
-        d = AuxDemand(digits, params.num_files)
-        if t_d not in build_v(d).set_form:
-            raise ValueError(f"t={t_d} not in the selector set of {digits}")
-        count = params.num_files * len(_delivered_ranks(_plan_of(params), t_d))
-        if nbits != count * params.subfile_bits:
-            raise ValueError(f"payload of {nbits} bits does not match {count} segments")
         return cls(d, t_d, payload.block_values(params.subfile_bits), params)
 
 
@@ -405,11 +409,10 @@ def build_delivery(files: FileLibrary, d: AuxDemand, t_d: int) -> DeliverySignal
     if d.num_users != params.num_users or d.num_files != params.num_files:
         raise ValueError("auxiliary demand does not match parameters")
     selector = build_v(d).members
-    if t_d not in selector:
-        raise ValueError(f"t={t_d} not in the selector set of {d.digits}")
     plan = files.plan
     # x_segment for every (r-1)-subset S avoiding t_d: ranks of S plus v
-    ups = [plan.segment_up[i] for i in _delivered_ranks(plan, t_d)]
+    # (no rows for a t_d outside the selector set, which DeliverySignal names)
+    ups = [plan.segment_up[i] for i in plan.delivered[t_d]] if t_d in selector else []
     wanted = [[up[v] for v in selector if up[v] >= 0] for up in ups]
     segments = []
     for row in files.subfiles:
@@ -433,20 +436,26 @@ def stored_signal_indices(params: SchemeParams) -> list[SubsetIndex]:
     return [signals[rank] for rank in _plan_of(params).stored_ranks]
 
 
-def _check_user(params: SchemeParams, user: int) -> None:
-    if not 0 <= user < params.num_users:
-        raise ValueError(f"user {user} out of range for {params.num_users} users")
-
-
-@dataclass
+@dataclass(frozen=True)
 class CacheContent:
     """One user's cache: secret key digit plus the stored XOR signals,
-    `subfile_bits`-wide ints in the order of stored_signal_indices."""
+    `subfile_bits`-wide ints in the order of stored_signal_indices;
+    any other user, key digit or signal count raises ValueError."""
 
     user: int
     key: int
     signals: tuple[int, ...]
     params: SchemeParams
+
+    def __post_init__(self) -> None:
+        params = self.params
+        if not 0 <= self.user < params.num_users:
+            raise ValueError(f"user {self.user} out of range for {params.num_users} users")
+        if not 0 <= self.key < params.num_files:
+            raise ValueError(f"key digit {self.key} out of range for {params.num_files} files")
+        expected = len(_plan_of(params).stored_ranks)
+        if len(self.signals) != expected:
+            raise ValueError(f"cache holds {len(self.signals)} signals, expected {expected}")
 
     @property
     def payload_bits(self) -> int:
@@ -459,18 +468,11 @@ class CacheContent:
 
     @classmethod
     def from_bytes(cls, params: SchemeParams, user: int, data: bytes) -> CacheContent:
-        _check_user(params, user)
         if len(data) < 1 + _LEN_BYTES:
             raise ValueError(f"cache of {len(data)} bytes is shorter than its header")
-        key = data[0]
-        if key >= params.num_files:
-            raise ValueError(f"key digit {key} out of range for {params.num_files} files")
         nbits = int.from_bytes(data[1 : 1 + _LEN_BYTES], "big")
         payload = Bits.from_bytes(data[1 + _LEN_BYTES :], nbits)
-        count = len(_plan_of(params).stored_ranks)
-        if nbits != count * params.subfile_bits:
-            raise ValueError(f"payload of {nbits} bits does not match {count} signals")
-        return cls(user, key, payload.block_values(params.subfile_bits), params)
+        return cls(user, data[0], payload.block_values(params.subfile_bits), params)
 
 
 def place(files: FileLibrary, params: SchemeParams, rand: SessionRandomness) -> list[CacheContent]:
@@ -492,11 +494,8 @@ def _signal_values(plan: SchemePlan, cache: CacheContent) -> list[int]:
     Stored signals are read off the cache.  A non-stored one XORs the
     stored signals the plan's exchange identity lists for the cache's user.
     """
-    stored = plan.stored_ranks
-    if len(cache.signals) != len(stored):
-        raise ValueError(f"cache holds {len(cache.signals)} signals, expected {len(stored)}")
     values = [0] * plan.signal_count
-    for rank, value in zip(stored, cache.signals):
+    for rank, value in zip(plan.stored_ranks, cache.signals):
         values[rank] = value
     for rank, sources in plan.reconstruction[cache.user]:
         acc = 0
@@ -514,17 +513,9 @@ def _segment_values(plan: SchemePlan, x: DeliverySignal, selector: Sequence[int]
     the selector positions t outside S; the empty XOR is zero.
     """
     t_d = x.t_d
-    delivered = _delivered_ranks(plan, t_d)
+    delivered = plan.delivered[t_d]
     count = len(delivered)
-    expected = plan.num_files * count
-    if len(x.segments) != expected:
-        raise ValueError(f"broadcast holds {len(x.segments)} segments, expected {expected}")
-    recovered = []
-    for i, down in enumerate(plan.segment_down):
-        base = dict(down).get(t_d)
-        if base is not None:
-            up = plan.base_up[base]
-            recovered.append((i, [up[t] for t in selector if t != t_d and up[t] >= 0]))
+    recovered = [(i, [up[t] for t in selector if t != t_d and up[t] >= 0]) for i, up in plan.rebuilt[t_d]]
     values = []
     for n in range(plan.num_files):
         row = [0] * len(plan.segment_up)
@@ -548,12 +539,10 @@ def decode(cache: CacheContent, x: DeliverySignal, user: int, demand: int) -> Bi
     digit under the t-th labeled demand, shifted by the cache key.
     Signals missing from the cache (`_signal_values`) and segments missing
     from the broadcast (`_segment_values`) are reconstructed, never
-    assumed.  A cache or broadcast with the wrong number of entries raises
-    ValueError.
+    assumed; both payloads checked their own shape when they were built.
     """
     params = cache.params
     n = params.num_files
-    _check_user(params, user)
     if user != cache.user:
         raise ValueError(f"cache belongs to user {cache.user}, not {user}")
     if x.params != params:

@@ -140,6 +140,11 @@ def verify_correctness_exhaustive(
     if mutate_delivery is not None:
         deliveries = {key: mutate_delivery(x) for key, x in deliveries.items()}
     selectors = _selectors(deliveries)
+    # a decode depends on (broadcast, user, key digit) alone, the demand being (d_k + key) mod N
+    decoded = {
+        ((digits, t), k, s): decode(caches[(k, s)], x, k, (digits[k] + s) % n)
+        for (digits, t), x in deliveries.items() for k in range(k_users) for s in range(n)
+    }
     failures = []
     cases = 0
     vectors = _all_digit_vectors(n, k_users)
@@ -147,18 +152,12 @@ def verify_correctness_exhaustive(
         for keys in vectors:
             digits = aux_demand(demands, keys, n).digits
             for t in selectors[digits]:
-                x = deliveries[(digits, t)]
                 for k in range(k_users):
-                    got = decode(caches[(k, keys[k])], x, k, demands[k])
+                    got = decoded[((digits, t), k, keys[k])]
+                    want = files.files[demands[k]]
                     cases += 1
-                    if got != files.files[demands[k]]:
-                        failures.append(
-                            (
-                                (demands, keys, t, k),
-                                files.files[demands[k]].to01(),
-                                got.to01(),
-                            )
-                        )
+                    if got != want:
+                        failures.append(((demands, keys, t, k), want.to01(), got.to01()))
     scope = f"correctness N={n} K={k_users} r={params.r} F={params.file_bits}"
     return VerificationReport(scope, cases, failures, time.perf_counter() - start)
 

@@ -23,6 +23,7 @@ from privcache.scheme import (
     _signal_values,
     build_v,
 )
+from privcache.verify import _basis_library
 from privcache.yma import UVector
 
 
@@ -96,15 +97,9 @@ def library_from_bit_index(params: SchemeParams, lib: int) -> FileLibrary:
 
 
 def basis_library(n, k, r):
-    positions = n * k - k + 1
-    count = binomial(positions, r)
-    width = n * count
-    params = SchemeParams(n, k, r, count * width)
-    files = tuple(
-        Bits.concat(Bits(1 << (fi * count + j), width) for j in range(count))
-        for fi in range(n)
-    )
-    return params, FileLibrary(params, files)
+    """`verify._basis_library` of (N, K, r): its wide params and library."""
+    params, files, _ = _basis_library(SchemeParams.minimal(n, k, r))
+    return params, files
 
 
 def symbol(params: SchemeParams, file_index: int, members) -> Bits:

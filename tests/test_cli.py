@@ -140,6 +140,18 @@ def test_simulate_library_sidecar_mismatch(tmp_path):
     )
 
 
+@pytest.mark.parametrize("sidecar", ["[1]", "null", '"x"', "3"])
+def test_simulate_rejects_a_sidecar_that_is_not_an_object(tmp_path, capsys, sidecar):
+    params = SchemeParams(2, 3, 2, 12)
+    lib = tmp_path / "library.bin"
+    lib.write_bytes(FileLibrary.random(params, random.Random(3)).to_bytes())
+    (tmp_path / "library.bin.json").write_text(sidecar)
+    run_cli_expect_usage_error(
+        "simulate", "--n", "2", "--k", "3", "--r", "2", "--f", "12", "--library", str(lib)
+    )
+    assert f"library sidecar {tmp_path / 'library.bin.json'} is not a JSON object" in capsys.readouterr().err
+
+
 def test_verify_all_passes(capsys):
     code, out = run_cli(capsys, "verify", "--suite", "all", "--n", "2", "--k", "3", "--r", "2")
     assert code == 0

@@ -637,6 +637,6 @@ def test_decode_names_a_user_outside_k():
     params, files = seeded_library(2, 3, 2)
     x = build_delivery(files, aux_demand((1, 0, 0), (0, 0, 0), 2), 0)
     cache = place(files, params, SessionRandomness(2, (0, 0, 0)))[0]
-    stray = CacheContent(99, 0, cache.signals, params)
     with pytest.raises(ValueError, match="user 99 out of range for 3 users"):
+        stray = CacheContent(99, 0, cache.signals, params)
         decode(stray, x, 99, 1)
