@@ -37,7 +37,9 @@ from .tradeoff import (
     converse_eval,
     lower_convex_envelope,
     scheme_points,
+    tight_intervals,
     tightness_report,
+    upper_envelope,
 )
 from .verify import (
     ScaleLimitError,

@@ -198,6 +198,11 @@ class AuxDemand:
     def demand_class(self) -> DemandClass:
         return classify(self.digits, self.num_files)
 
+    @cached_property
+    def selector(self) -> tuple[int, ...]:
+        """Members of build_v(self), ascending; built once per demand."""
+        return build_v(self).members
+
     @property
     def num_users(self) -> int:
         return len(self.digits)
@@ -336,6 +341,8 @@ def x_segment(files: FileLibrary, d: AuxDemand, s: SubsetIndex, n: int) -> Bits:
 def delivered_segment_indices(params: SchemeParams, t_d: int) -> list[tuple[int, SubsetIndex]]:
     """Wire order of broadcast segments: n ascending, then the
     (r-1)-subsets avoiding t_d in colex order."""
+    if not 0 <= t_d < params.positions:
+        raise ValueError(f"t={t_d} outside the {params.positions} positions")
     subsets = enumerate_r_subsets(params.positions, params.r - 1)
     ranks = _plan_of(params).delivered[t_d]
     return [(n, subsets[i]) for n in range(params.num_files) for i in ranks]
@@ -376,7 +383,7 @@ class DeliverySignal:
         params, d = self.params, self.aux
         if d.num_users != params.num_users or d.num_files != params.num_files:
             raise ValueError("auxiliary demand does not match parameters")
-        if self.t_d not in build_v(d).members:
+        if self.t_d not in d.selector:
             raise ValueError(f"t={self.t_d} not in the selector set of {d.digits}")
         expected = params.num_files * len(_plan_of(params).delivered[self.t_d])
         if len(self.segments) != expected:
@@ -408,7 +415,7 @@ def build_delivery(files: FileLibrary, d: AuxDemand, t_d: int) -> DeliverySignal
     params = files.params
     if d.num_users != params.num_users or d.num_files != params.num_files:
         raise ValueError("auxiliary demand does not match parameters")
-    selector = build_v(d).members
+    selector = d.selector
     plan = files.plan
     # x_segment for every (r-1)-subset S avoiding t_d: ranks of S plus v
     # (no rows for a t_d outside the selector set, which DeliverySignal names)
@@ -556,7 +563,7 @@ def decode(cache: CacheContent, x: DeliverySignal, user: int, demand: int) -> Bi
     # (g_map), shifted by the key
     file_digit = yma.build_u_vector(n, params.num_users, user, cache.key).entries
     plan = _plan_of(params)
-    selector = build_v(d).members
+    selector = d.selector
     signals = _signal_values(plan, cache)
     segments = _segment_values(plan, x, selector)
     parts = []
@@ -608,7 +615,7 @@ class SessionRandomness:
         return cls(params.num_files, keys, seed=seed)
 
     def choose_t(self, d: AuxDemand) -> int:
-        members = build_v(d).members
+        members = d.selector
         pinned = self.t_choices.get(d.digits)
         if pinned is not None:
             if pinned not in members:

@@ -3,14 +3,25 @@
 Achievable corner points, lower convex envelopes (memory-sharing), and the
 two-file converse region: the entropy-based half-planes plus the two
 cut-set lines.  All arithmetic is done in fractions.Fraction; floats only
-ever appear in rendered output.
+ever appear in rendered output, and as the infinite ends of
+`upper_envelope`'s hull stack, which are compared but never computed with.
+
+Both two-file curves are piecewise linear on [0, 2]: the achievable one is
+the lower convex envelope of its corners, the converse one the upper
+envelope of the 2K lines (`upper_envelope`, built once per K by a hull
+stack).  `tightness_report` compares them on a grid in one merge pass over
+both piece lists; `tight_intervals` compares them at the union of their
+breakpoints, which settles every M in [0, 2] exactly, not just grid points.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from typing import Iterable, Iterator, Sequence
 
 from .combinat import binomial, position_count
 
@@ -55,6 +66,10 @@ class LinearBound:
         if self.beta == 0:
             raise ValueError("vertical bound has no rate value")
         return (self.gamma - self.alpha * _frac(memory)) / self.beta
+
+
+EnvelopePieces = tuple[tuple[Fraction, LinearBound], ...]
+"""(start memory, bound) pieces of a piecewise-linear curve on [0, 2]."""
 
 
 def scheme_point(num_files: int, num_users: int, r: int) -> RatePoint:
@@ -116,12 +131,15 @@ class TradeoffCurve:
         lo, hi = self.memory_span
         if not lo <= m <= hi:
             raise ValueError(f"memory {m} outside curve span [{lo}, {hi}]")
-        mems = [c.memory for c in self.corners]
-        i = bisect_right(mems, m) - 1
+        i = bisect_right(self.corners, m, key=lambda c: c.memory) - 1
         if i == len(self.corners) - 1:
             return self.corners[-1].rate
-        a, b = self.corners[i], self.corners[i + 1]
-        return a.rate + (m - a.memory) * (b.rate - a.rate) / (b.memory - a.memory)
+        return _interpolate(self.corners[i], self.corners[i + 1], m)
+
+
+def _interpolate(a: RatePoint, b: RatePoint, m: Fraction) -> Fraction:
+    """Rate at memory m on the segment from corner a to corner b."""
+    return a.rate + (m - a.memory) * (b.rate - a.rate) / (b.memory - a.memory)
 
 
 def lower_convex_envelope(points) -> TradeoffCurve:
@@ -167,12 +185,58 @@ def converse_bounds(num_users: int) -> list[LinearBound]:
     return bounds
 
 
+def upper_envelope(bounds: Sequence[LinearBound]) -> EnvelopePieces:
+    """Pointwise largest of the given bounds on [0, 2], as (start memory,
+    bound) pieces: pieces[i][1] is the largest bound from pieces[i][0] up to
+    the next start (or 2).  The first piece starts at 0.
+
+    Lines are taken by increasing slope -alpha/beta (the larger intercept
+    wins among parallel ones); a hull stack drops each line the next one
+    overtakes no later than that line's own start, and pieces outside
+    [0, 2] are clipped away.
+    """
+    if not bounds or any(b.beta == 0 for b in bounds):
+        raise ValueError("upper envelope needs at least one bound, none vertical")
+    lines = sorted(
+        ((-b.alpha / b.beta, b.gamma / b.beta, b) for b in bounds),
+        key=lambda line: line[:2],
+    )
+    hull: list[tuple[Fraction | float, Fraction, Fraction, LinearBound]] = []
+    for slope, intercept, bound in lines:
+        if hull and hull[-1][1] == slope:
+            hull.pop()  # parallel, with an intercept no larger
+        start = -math.inf
+        while hull:
+            top_start, top_slope, top_intercept, _ = hull[-1]
+            start = (top_intercept - intercept) / (slope - top_slope)
+            if start > top_start:
+                break
+            hull.pop()
+            start = -math.inf
+        hull.append((start, slope, intercept, bound))
+    ends = [piece[0] for piece in hull[1:]] + [math.inf]
+    return tuple(
+        (max(start, Fraction(0)), bound)
+        for (start, _, _, bound), end in zip(hull, ends)
+        if start < 2 and end > 0
+    )
+
+
 def converse_eval(num_users: int, memory) -> Fraction:
-    """Best (largest) converse rate bound at the given cache size."""
+    """Best (largest) converse rate bound at the given cache size.
+
+    Takes the max over every line; the reference the envelope walk in
+    tightness_report and tight_intervals is tested against."""
     m = _frac(memory)
     if not 0 <= m <= 2:
         raise ValueError(f"memory {m} outside [0, 2]")
-    return max(b.rate_at(m) for b in converse_bounds(num_users))
+    return max(b.rate_at(m) for b in _converse_lines(num_users))
+
+
+@lru_cache(maxsize=128)
+def _converse_lines(num_users: int) -> tuple[LinearBound, ...]:
+    # frozen bounds, so one tuple per K is shared by every converse_eval call
+    return tuple(converse_bounds(num_users))
 
 
 @dataclass(frozen=True)
@@ -183,21 +247,62 @@ class TightnessRow:
     tight: bool
 
 
+def _two_file_curves(num_users: int) -> tuple[TradeoffCurve, EnvelopePieces]:
+    """The achievable envelope (corners from 0 to 2) and converse pieces for K users."""
+    envelope = lower_convex_envelope(
+        scheme_points(2, num_users) + companion_points(num_users)
+    )
+    return envelope, upper_envelope(converse_bounds(num_users))
+
+
+def _compare(
+    envelope: TradeoffCurve, pieces: EnvelopePieces, memories: Iterable[Fraction]
+) -> Iterator[TightnessRow]:
+    """One merge pass: a row per memory, which must ascend within [0, 2].
+
+    One pointer walks the achievable corners and one the converse pieces,
+    so each row costs one interpolation and one rate_at.
+    """
+    corners = envelope.corners
+    i = j = 0
+    for m in memories:
+        while i + 2 < len(corners) and corners[i + 1].memory <= m:
+            i += 1
+        while j + 1 < len(pieces) and pieces[j + 1][0] <= m:
+            j += 1
+        ach = _interpolate(corners[i], corners[i + 1], m)
+        conv = pieces[j][1].rate_at(m)
+        yield TightnessRow(m, ach, conv, ach == conv)
+
+
 def tightness_report(num_users: int, grid_step) -> list[TightnessRow]:
     """Achievable-vs-converse comparison over a rational grid on [0, 2]."""
     step = _frac(grid_step)
     if step <= 0:
         raise ValueError(f"grid step must be positive, got {step}")
-    envelope = lower_convex_envelope(
-        scheme_points(2, num_users) + companion_points(num_users)
-    )
-    bounds = converse_bounds(num_users)
-    rows = []
+    envelope, pieces = _two_file_curves(num_users)
     grid = [i * step for i in range(int(2 / step) + 1)]
     if grid[-1] != 2:
         grid.append(Fraction(2))
-    for m in grid:
-        ach = envelope.value_at(m)
-        conv = max(b.rate_at(m) for b in bounds)
-        rows.append(TightnessRow(m, ach, conv, ach == conv))
-    return rows
+    return list(_compare(envelope, pieces, grid))
+
+
+def tight_intervals(num_users: int) -> list[tuple[Fraction, Fraction]]:
+    """The exact set of M in [0, 2] where achievable equals converse, as
+    ascending, disjoint closed intervals (lo, hi); lo == hi marks a point.
+
+    Both curves are linear between consecutive points of the union of
+    their breakpoints, so such a piece is tight exactly when both of its
+    ends are.
+    """
+    envelope, pieces = _two_file_curves(num_users)
+    breaks = sorted({c.memory for c in envelope.corners} | {start for start, _ in pieces})
+    intervals: list[tuple[Fraction, Fraction]] = []
+    previous_tight = False
+    for row in _compare(envelope, pieces, breaks):
+        if row.tight and previous_tight:
+            intervals[-1] = (intervals[-1][0], row.memory)
+        elif row.tight:
+            intervals.append((row.memory, row.memory))
+        previous_tight = row.tight
+    return intervals

@@ -35,7 +35,6 @@ from .scheme import (
     _signal_values,
     aux_demand,
     build_delivery,
-    build_v,
     g_map,
     place,
     decode,
@@ -108,7 +107,7 @@ def _deliveries(params: SchemeParams, files: FileLibrary) -> dict[tuple[tuple[in
     table = {}
     for digits in _all_digit_vectors(params.num_files, params.num_users):
         d = AuxDemand(digits, params.num_files)
-        for t in build_v(d).members:
+        for t in d.selector:
             table[(digits, t)] = build_delivery(files, d, t)
     return table
 
@@ -359,7 +358,7 @@ def oracle_demand_identity(params: SchemeParams, files: FileLibrary) -> Verifica
     failures = []
     for digits in _all_digit_vectors(n, k_users):
         d = AuxDemand(digits, n)
-        members = build_v(d).members
+        members = d.selector
         labeled = [g_map(t, n, k_users).digits for t in members]
         for k in range(k_users):
             for shift in range(n):

@@ -30,6 +30,7 @@ from privcache.tradeoff import (
     converse_eval,
     lower_convex_envelope,
     scheme_points,
+    tight_intervals,
 )
 from privcache.verify import (
     CONDITIONAL,
@@ -222,6 +223,18 @@ def test_criterion_8_two_file_tight_ranges():
             if (m <= low or m >= high) and ach != conv:
                 problems.append(("gap inside certified range", k, m))
     _criterion(8, "two-file certified tight ranges", problems, time.perf_counter() - start, 30.0)
+
+
+def test_criterion_8_tight_set_on_whole_intervals():
+    # the exact tight set, compared at every breakpoint of both curves
+    start = time.perf_counter()
+    problems = []
+    for k in range(2, 65):
+        want = [(F(0), F(2))] if k <= 3 else [(F(0), F(2, k)), (F(2 * (k - 1), k + 1), F(2))]
+        got = tight_intervals(k)
+        if got != want:
+            problems.append((k, got))
+    _criterion(8, "two-file tight set, exact on [0, 2]", problems, time.perf_counter() - start, 30.0)
 
 
 def test_criterion_9_deterministic_transcripts():

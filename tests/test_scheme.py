@@ -190,7 +190,9 @@ def test_selector_d0_is_label_indicator():
 def test_selector_nonempty_always():
     for n, k in itertools.product((2, 3), (1, 2, 3)):
         for digits in all_demand_vectors(n, k):
-            assert build_v(AuxDemand(digits, n)).members
+            d = AuxDemand(digits, n)
+            assert build_v(d).members
+            assert d.selector == build_v(d).members
 
 
 # ------------------------------------------------------------------ segments
@@ -240,6 +242,13 @@ def test_delivery_matches_table_rows():
             for n in range(2):
                 got = payload_entry(x, (n, SubsetIndex((slot,), 4)))
                 assert got == xor_symbols(params, [(n, set(p)) for p in pairs])
+
+
+def test_delivered_segment_indices_rejects_t_outside_positions():
+    params = SchemeParams.minimal(2, 3, 2)
+    for t_d in (-1, params.positions, params.positions + 1):
+        with pytest.raises(ValueError, match=f"t={t_d} outside the 4 positions"):
+            delivered_segment_indices(params, t_d)
 
 
 def test_delivery_d0_equals_direct_subfile_listing():

@@ -5,13 +5,16 @@ import pytest
 from privcache.tradeoff import (
     LinearBound,
     RatePoint,
+    TightnessRow,
     TradeoffCurve,
     companion_points,
     converse_bounds,
     converse_eval,
     lower_convex_envelope,
     scheme_points,
+    tight_intervals,
     tightness_report,
+    upper_envelope,
 )
 
 F = Fraction
@@ -172,3 +175,41 @@ def test_tightness_step_validation():
 def test_rate_point_validation():
     with pytest.raises(ValueError):
         RatePoint(F(-1), F(0))
+
+
+def test_upper_envelope_pops_dominated_and_clips_to_zero_two():
+    s1 = LinearBound(F(2), F(1), F(2))  # R = 2 - 2M
+    s2 = LinearBound(F(1), F(2), F(2))  # R = 1 - M/2, overtakes s1 at M = 2/3
+    below = LinearBound(F(1), F(1), F(1, 2))  # never on top: popped
+    parallel = LinearBound(F(2), F(1), F(1))  # parallel to s1, lower
+    left = LinearBound(F(10), F(1), F(19, 10))  # on top only for M < -1/80
+    right = LinearBound(F(0), F(1), F(-1))  # on top only for M > 4
+    pieces = upper_envelope([right, below, s2, parallel, left, s1])
+    assert pieces == ((F(0), s1), (F(2, 3), s2))
+    assert upper_envelope([s2]) == ((F(0), s2),)
+    with pytest.raises(ValueError):
+        upper_envelope([])
+    with pytest.raises(ValueError):
+        upper_envelope([s1, LinearBound(F(1), F(0), F(1))])
+
+
+ORACLE_STEPS = [F(1, 200), F(3, 7), F(5, 3), F(2)]
+
+
+@pytest.mark.parametrize("k", range(2, 65))
+def test_tightness_rows_match_pointwise_oracle(k):
+    # the envelope walk against value_at and the max over all 2K lines;
+    # a row is tight exactly when its memory lies in a tight interval
+    envelope = lower_convex_envelope(scheme_points(2, k) + companion_points(k))
+    intervals = tight_intervals(k)
+    steps = ORACLE_STEPS + ([F(1, 1000)] if k in (2, 3, 32, 64) else [])
+    for step in steps:
+        for row in tightness_report(k, step):
+            ach, conv = envelope.value_at(row.memory), converse_eval(k, row.memory)
+            assert row == TightnessRow(row.memory, ach, conv, ach == conv), (k, step)
+            assert row.tight == any(lo <= row.memory <= hi for lo, hi in intervals), (k, row)
+
+
+def test_tight_intervals_validation():
+    with pytest.raises(ValueError):
+        tight_intervals(1)
