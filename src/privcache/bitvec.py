@@ -118,6 +118,8 @@ class Bits:
 
     @classmethod
     def from_bytes(cls, data: bytes, length: int) -> Bits:
+        if length < 0:
+            raise ValueError(f"negative bit length {length}")
         if len(data) != (length + 7) // 8:
             raise ValueError(f"expected {(length + 7) // 8} bytes for {length} bits")
         if length & 7 and data[-1] & (0xFF >> (length & 7)):

@@ -3,15 +3,17 @@
 Every payload bit of the scheme is a fixed XOR of library subfiles.  Which
 subfiles it takes depends only on (N, K, r), the key digit and the
 auxiliary demand, never on the library bits.  A SchemePlan holds that
-structure as flat tables of colex ranks, built once per (N, K, r) and kept
-in a small bounded cache.  The hot loops in `yma.yma_delivery`,
-`scheme.build_delivery` and `scheme.decode` then XOR plain ints, picked by
-rank out of the library's pre-split subfiles; no subset object is built
-per signal or segment.  Payloads are tuples of those ints in wire order:
-a cache's stored signals in `stored_ranks` order, a broadcast's segments
-file by file, each in colex order of the (r-1)-subsets avoiding t_d.  The
-broadcast side is tabled per position t: `delivered[t]` lists the segments
-sent when t_d = t and `rebuilt[t]` how the receiver rebuilds the others.
+structure as flat tables of colex ranks, built once per (N, K, r), kept in
+a small bounded cache and read as `SchemeParams.plan`.  The hot loops in
+`yma.yma_delivery`, `scheme.build_delivery` and `scheme.decode` then XOR
+plain ints, picked by rank out of the library's pre-split subfiles; no
+subset object is built per signal or segment.  Payloads are tuples of
+those ints in wire order: a cache's stored signals in `stored_ranks`
+order, a broadcast's segments file by file, each in colex order of the
+(r-1)-subsets avoiding t_d.  `delivered[t]` lists the segments sent when
+t_d = t and `rebuilt[t]` how `DeliverySignal.segment_values` rebuilds the
+others; `reconstruction` rebuilds a cache's other signals for
+`CacheContent.signal_values`, and `virtual` is each user's key-0 vector.
 
 Tables are indexed by the colex rank of an l-subset of the K' positions
 ("level l"): an `up` row gives, for each position t, the level-(l+1) rank
@@ -24,13 +26,10 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations
 from math import comb
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .combinat import colex_rank, enumerate_r_subsets, position_count
 from .yma import build_u_vector
-
-if TYPE_CHECKING:
-    from .scheme import SchemeParams
 
 Up = tuple[tuple[int, ...], ...]
 Down = tuple[tuple[tuple[int, int], ...], ...]
@@ -41,7 +40,6 @@ _PLAN_CACHE_SIZE = 8
 class SchemePlan(NamedTuple):
     """Colex-rank tables of one (N, K, r); see the module docstring."""
 
-    num_files: int
     # cache side: level-(r+1) ranks of the leader-intersecting (r+1)-subsets,
     # colex order, with their (position, r-subset rank) terms
     stored_ranks: tuple[int, ...]
@@ -56,14 +54,11 @@ class SchemePlan(NamedTuple):
     # neighbours of the r-subsets, one row per subfile
     subfile_up: Up
     subfile_down: Down
+    # virtual[user]: the user's virtual demand vector for key digit 0
+    virtual: tuple[tuple[int, ...], ...]
     # reconstruction[user]: (rank of a non-stored signal, level-(r+1) ranks
     # of the stored signals it XORs, each listed once by parity)
     reconstruction: tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]
-
-
-def scheme_plan(params: SchemeParams) -> SchemePlan:
-    """The plan of `params`; it does not depend on the file length."""
-    return _plan(params.num_files, params.num_users, params.r)
 
 
 def _down(subsets: list[tuple[int, ...]]) -> Down:
@@ -120,7 +115,8 @@ def _flat_reconstruction(
 
 
 @lru_cache(maxsize=_PLAN_CACHE_SIZE)
-def _plan(num_files: int, num_users: int, r: int) -> SchemePlan:
+def scheme_plan(num_files: int, num_users: int, r: int) -> SchemePlan:
+    """The plan of (N, K, r); it does not depend on the file length."""
     positions = position_count(num_files, num_users)
     level = {size: [s.members for s in enumerate_r_subsets(positions, size)] for size in range(r - 2, r + 2)}
     signals_down = _down(level[r + 1])
@@ -132,8 +128,8 @@ def _plan(num_files: int, num_users: int, r: int) -> SchemePlan:
     segment_up = _up(len(level[r - 1]), positions, subfile_down)
     segment_down = _down(level[r - 1])
     base_up = _up(len(level[r - 2]), positions, segment_down)
+    virtual = tuple(build_u_vector(num_files, num_users, user, 0).entries for user in range(num_users))
     return SchemePlan(
-        num_files=num_files,
         stored_ranks=tuple(stored_ranks),
         stored_terms=tuple(signals_down[rank] for rank in stored_ranks),
         signal_count=len(level[r + 1]),
@@ -145,8 +141,6 @@ def _plan(num_files: int, num_users: int, r: int) -> SchemePlan:
         ),
         subfile_up=_up(len(level[r]), positions, signals_down),
         subfile_down=subfile_down,
-        reconstruction=tuple(
-            _flat_reconstruction(build_u_vector(num_files, num_users, user, 0).entries, outside)
-            for user in range(num_users)
-        ),
+        virtual=virtual,
+        reconstruction=tuple(_flat_reconstruction(entries, outside) for entries in virtual),
     )

@@ -17,14 +17,15 @@ The module is organized around the life of one session:
   * memory_rate_of                  -- exact (M, R) accounting
 
 Placement, delivery and decoding run on the rank tables of
-`plan.SchemePlan`, built once per (N, K, r): each signal, segment and
+`SchemeParams.plan`, built once per (N, K, r): each signal, segment and
 decoded subfile is an XOR of pre-split subfile ints picked by colex rank.
 Caches and broadcasts are frozen and hold those ints as flat tuples in
 wire order (`stored_signal_indices`, `delivered_segment_indices`); their
 constructors reject any other shape, so every entry point, `from_bytes`
-included, gets one set of checks.  The receiver expands them with the two
-exchange identities, `_signal_values` and `_segment_values`.  The
-per-element formulas (`FileLibrary.subfile`, `yma.compute_y`,
+included, gets one set of checks.  Each expands itself once, however
+many decodes read it (`CacheContent.signal_values`,
+`DeliverySignal.segment_values`); `decode` shifts `plan.virtual` by the
+key.  The per-element formulas (`FileLibrary.subfile`, `yma.compute_y`,
 `x_segment`) stay as the references those tables are tested against.
 """
 
@@ -33,7 +34,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from . import yma
@@ -46,8 +47,6 @@ if TYPE_CHECKING:
 
 _TD_BYTES = 2
 _LEN_BYTES = 4
-# selector masks are pure in (digits, N); verify sweeps ask for each many times
-_SELECTOR_CACHE_SIZE = 4096
 
 
 @dataclass(frozen=True)
@@ -90,6 +89,14 @@ class SchemeParams:
     def subfile_bits(self) -> int:
         return self.file_bits // self.subfile_count
 
+    @cached_property
+    def plan(self) -> SchemePlan:
+        """The rank tables of (N, K, r), shared by every file length."""
+        # imported on first use, so `import privcache` alone never compiles it
+        from .plan import scheme_plan
+
+        return scheme_plan(self.num_files, self.num_users, self.r)
+
     @classmethod
     def minimal(cls, num_files: int, num_users: int, r: int, bits_per_subfile: int = 1) -> SchemeParams:
         """Smallest admissible file length (one or a few bits per subfile)."""
@@ -122,10 +129,6 @@ class FileLibrary:
         width = self.params.subfile_bits
         return tuple(w.block_values(width) for w in self.files)
 
-    @property
-    def plan(self) -> SchemePlan:
-        return _plan_of(self.params)
-
     def subfile(self, n: int, index: SubsetIndex) -> Bits:
         if index.universe != self.params.positions or len(index) != self.params.r:
             raise ValueError(f"bad subfile index {index}")
@@ -143,14 +146,6 @@ class FileLibrary:
     def from_bytes(cls, params: SchemeParams, data: bytes) -> FileLibrary:
         total = Bits.from_bytes(data, params.num_files * params.file_bits)
         return cls(params, tuple(Bits(v, params.file_bits) for v in total.block_values(params.file_bits)))
-
-
-def _plan_of(params: SchemeParams) -> SchemePlan:
-    # imported on first use: `import privcache` then does not compile the
-    # plan module for callers that never place, deliver or decode
-    from .plan import scheme_plan
-
-    return scheme_plan(params)
 
 
 class DemandClass(Enum):
@@ -293,7 +288,6 @@ def _single_selector_mask(num_files: int, num_users: int, a: int, k: int) -> int
     return mask
 
 
-@lru_cache(maxsize=_SELECTOR_CACHE_SIZE)
 def _selector_mask(digits: tuple[int, ...], num_files: int) -> int:
     k_users = len(digits)
     if not any(digits):
@@ -344,7 +338,7 @@ def delivered_segment_indices(params: SchemeParams, t_d: int) -> list[tuple[int,
     if not 0 <= t_d < params.positions:
         raise ValueError(f"t={t_d} outside the {params.positions} positions")
     subsets = enumerate_r_subsets(params.positions, params.r - 1)
-    ranks = _plan_of(params).delivered[t_d]
+    ranks = params.plan.delivered[t_d]
     return [(n, subsets[i]) for n in range(params.num_files) for i in ranks]
 
 
@@ -385,13 +379,39 @@ class DeliverySignal:
             raise ValueError("auxiliary demand does not match parameters")
         if self.t_d not in d.selector:
             raise ValueError(f"t={self.t_d} not in the selector set of {d.digits}")
-        expected = params.num_files * len(_plan_of(params).delivered[self.t_d])
+        expected = params.num_files * len(params.plan.delivered[self.t_d])
         if len(self.segments) != expected:
             raise ValueError(f"broadcast holds {len(self.segments)} segments, expected {expected}")
 
     @property
     def payload_bits(self) -> int:
         return len(self.segments) * self.params.subfile_bits
+
+    @cached_property
+    def segment_values(self) -> list[list[int]]:
+        """Every segment as ints by file and colex rank; built once, read-only.
+
+        Segments avoiding t_d are read off the broadcast.  A segment S
+        containing t_d XORs the delivered segments at S minus t_d plus t, over
+        the selector positions t outside S; the empty XOR is zero.
+        """
+        plan, t_d = self.params.plan, self.t_d
+        delivered = plan.delivered[t_d]
+        count = len(delivered)
+        selector = self.aux.selector
+        recovered = [(i, [up[t] for t in selector if t != t_d and up[t] >= 0]) for i, up in plan.rebuilt[t_d]]
+        values = []
+        for n in range(self.params.num_files):
+            row = [0] * len(plan.segment_up)
+            for i, value in zip(delivered, self.segments[n * count : (n + 1) * count]):
+                row[i] = value
+            for i, ranks in recovered:
+                acc = 0
+                for j in ranks:
+                    acc ^= row[j]
+                row[i] = acc
+            values.append(row)
+        return values
 
     def to_bytes(self) -> bytes:
         """Canonical wire form: d digits, t_d, bit length, packed segments."""
@@ -416,7 +436,7 @@ def build_delivery(files: FileLibrary, d: AuxDemand, t_d: int) -> DeliverySignal
     if d.num_users != params.num_users or d.num_files != params.num_files:
         raise ValueError("auxiliary demand does not match parameters")
     selector = d.selector
-    plan = files.plan
+    plan = params.plan
     # x_segment for every (r-1)-subset S avoiding t_d: ranks of S plus v
     # (no rows for a t_d outside the selector set, which DeliverySignal names)
     ups = [plan.segment_up[i] for i in plan.delivered[t_d]] if t_d in selector else []
@@ -440,7 +460,7 @@ def stored_signal_indices(params: SchemeParams) -> list[SubsetIndex]:
     """Wire order of cache signals: the leader-intersecting (r+1)-subsets
     in colex order."""
     signals = enumerate_r_subsets(params.positions, params.r + 1)
-    return [signals[rank] for rank in _plan_of(params).stored_ranks]
+    return [signals[rank] for rank in params.plan.stored_ranks]
 
 
 @dataclass(frozen=True)
@@ -460,13 +480,31 @@ class CacheContent:
             raise ValueError(f"user {self.user} out of range for {params.num_users} users")
         if not 0 <= self.key < params.num_files:
             raise ValueError(f"key digit {self.key} out of range for {params.num_files} files")
-        expected = len(_plan_of(params).stored_ranks)
+        expected = len(params.plan.stored_ranks)
         if len(self.signals) != expected:
             raise ValueError(f"cache holds {len(self.signals)} signals, expected {expected}")
 
     @property
     def payload_bits(self) -> int:
         return len(self.signals) * self.params.subfile_bits
+
+    @cached_property
+    def signal_values(self) -> list[int]:
+        """Every (r+1)-subset signal as ints by colex rank; built once, read-only.
+
+        Stored signals are read off the cache.  A non-stored one XORs the
+        stored signals the plan's exchange identity lists for this user.
+        """
+        plan = self.params.plan
+        values = [0] * plan.signal_count
+        for rank, value in zip(plan.stored_ranks, self.signals):
+            values[rank] = value
+        for rank, sources in plan.reconstruction[self.user]:
+            acc = 0
+            for j in sources:
+                acc ^= values[j]
+            values[rank] = acc
+        return values
 
     def to_bytes(self) -> bytes:
         """Canonical wire form: key digit, bit length, signals in colex order."""
@@ -495,58 +533,16 @@ def place(files: FileLibrary, params: SchemeParams, rand: SessionRandomness) -> 
     return caches
 
 
-def _signal_values(plan: SchemePlan, cache: CacheContent) -> list[int]:
-    """Every (r+1)-subset signal of a cache, as ints by colex rank.
-
-    Stored signals are read off the cache.  A non-stored one XORs the
-    stored signals the plan's exchange identity lists for the cache's user.
-    """
-    values = [0] * plan.signal_count
-    for rank, value in zip(plan.stored_ranks, cache.signals):
-        values[rank] = value
-    for rank, sources in plan.reconstruction[cache.user]:
-        acc = 0
-        for j in sources:
-            acc ^= values[j]
-        values[rank] = acc
-    return values
-
-
-def _segment_values(plan: SchemePlan, x: DeliverySignal, selector: Sequence[int]) -> list[list[int]]:
-    """Every segment of a broadcast, as ints by file and colex rank.
-
-    Segments avoiding t_d are read off the broadcast.  A segment S
-    containing t_d XORs the delivered segments at S minus t_d plus t, over
-    the selector positions t outside S; the empty XOR is zero.
-    """
-    t_d = x.t_d
-    delivered = plan.delivered[t_d]
-    count = len(delivered)
-    recovered = [(i, [up[t] for t in selector if t != t_d and up[t] >= 0]) for i, up in plan.rebuilt[t_d]]
-    values = []
-    for n in range(plan.num_files):
-        row = [0] * len(plan.segment_up)
-        for i, value in zip(delivered, x.segments[n * count : (n + 1) * count]):
-            row[i] = value
-        for i, ranks in recovered:
-            acc = 0
-            for j in ranks:
-                acc ^= row[j]
-            row[i] = acc
-        values.append(row)
-    return values
-
-
 def decode(cache: CacheContent, x: DeliverySignal, user: int, demand: int) -> Bits:
     """Recover the demanded file from one cache and one broadcast.
 
     Subfile by subfile (r-subsets R in colex order): XOR the signals at
     {t} union R for selector positions t outside R with the segments at
     R minus {t} for t in R, where the segment's file index is the user's
-    digit under the t-th labeled demand, shifted by the cache key.
-    Signals missing from the cache (`_signal_values`) and segments missing
-    from the broadcast (`_segment_values`) are reconstructed, never
-    assumed; both payloads checked their own shape when they were built.
+    digit under the t-th labeled demand (`SchemeParams.plan.virtual`),
+    shifted by the cache key.  Signals missing from the cache (`signal_values`) and
+    segments missing from the broadcast (`segment_values`) are rebuilt once
+    per payload, never assumed; both payloads checked their shape when built.
     """
     params = cache.params
     n = params.num_files
@@ -559,13 +555,12 @@ def decode(cache: CacheContent, x: DeliverySignal, user: int, demand: int) -> Bi
         raise ValueError(
             f"demand {demand} inconsistent with key {cache.key} and auxiliary digit {d.digits[user]}"
         )
-    # position t's demand is the user's digit under the t-th labeled demand
-    # (g_map), shifted by the key
-    file_digit = yma.build_u_vector(n, params.num_users, user, cache.key).entries
-    plan = _plan_of(params)
+    plan = params.plan
     selector = d.selector
-    signals = _signal_values(plan, cache)
-    segments = _segment_values(plan, x, selector)
+    signals = cache.signal_values
+    # position t's segments are those of the user's digit under the t-th
+    # labeled demand (g_map), shifted by the key
+    segments = [x.segment_values[(v + cache.key) % n] for v in plan.virtual[user]]
     parts = []
     for up, down in zip(plan.subfile_up, plan.subfile_down):
         acc = 0
@@ -574,7 +569,7 @@ def decode(cache: CacheContent, x: DeliverySignal, user: int, demand: int) -> Bi
             if j >= 0:
                 acc ^= signals[j]
         for t, j in down:
-            acc ^= segments[file_digit[t]][j]
+            acc ^= segments[t][j]
         parts.append(acc)
     return Bits.from_blocks(parts, params.subfile_bits)
 

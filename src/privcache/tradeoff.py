@@ -25,6 +25,8 @@ from typing import Iterable, Iterator, Sequence
 
 from .combinat import binomial, position_count
 
+_GRID_ROW_CAP = 100_001  # a grid step of 1/50000; finer steps are refused
+
 
 def _frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
@@ -280,6 +282,8 @@ def tightness_report(num_users: int, grid_step) -> list[TightnessRow]:
     step = _frac(grid_step)
     if step <= 0:
         raise ValueError(f"grid step must be positive, got {step}")
+    if 2 / step > _GRID_ROW_CAP - 1:
+        raise ValueError(f"grid step {step} gives more than {_GRID_ROW_CAP} rows on [0, 2]")
     envelope, pieces = _two_file_curves(num_users)
     grid = [i * step for i in range(int(2 / step) + 1)]
     if grid[-1] != 2:

@@ -3,14 +3,17 @@
 Correctness and privacy read one table of broadcasts, built once per
 call for every (auxiliary demand, t) the scheme can send.  Correctness
 sweeps every (demand vector, key vector, t-choice, user) tuple over it
-and checks bit-exact decoding.  Privacy is one histogram check: per user
-and own-demand value, the exact distribution of the serialized
-observable (broadcast and cache, plus the demanded file for Lemma 1)
-must be identical across every completion of the other demands; no
-sampling, no floats.  The observable is serialized directly for one
-concrete library, or by mask parities for every 1-bit-subfile library
-in full-marginal mode.  The oracle engines brute-force the file identity
-and check decoding's signal reconstruction against its definition.
+and checks bit-exact decoding; each cache and broadcast expands itself
+once (`CacheContent.signal_values`, `DeliverySignal.segment_values`) on
+the tables of `SchemeParams.plan`, and `decode` shifts `plan.virtual` by
+the key.  Privacy is one histogram check: per user and own-demand value,
+the exact distribution of the serialized observable (broadcast and
+cache, plus the demanded file for Lemma 1) must be identical across
+every completion of the other demands; no sampling, no floats.  The
+observable is serialized directly for one concrete library, or by mask
+parities for every 1-bit-subfile library in full-marginal mode.  The
+oracle engines brute-force the file identity and check decoding's signal
+reconstruction against its definition.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ from .scheme import (
     FileLibrary,
     SchemeParams,
     SessionRandomness,
-    _signal_values,
     aux_demand,
     build_delivery,
     g_map,
@@ -42,6 +44,7 @@ from .scheme import (
 
 _CASE_CAP = 20_000_000
 _MARGINAL_BIT_CAP = 14
+_WIRE_DIGIT_CAP = 256  # demand and key digits are one-byte wire fields
 
 CONDITIONAL = "conditional-on-files"
 FULL_MARGINAL = "full-marginal"
@@ -181,9 +184,11 @@ def _privacy(
     guard, on the report's clock.
     """
     _guard_enumeration(params, "privacy")
+    n, k_users = params.num_files, params.num_users
+    if n > _WIRE_DIGIT_CAP:
+        raise ScaleLimitError(f"privacy puts each demand digit in a one-byte field: N={n} > {_WIRE_DIGIT_CAP}")
     start = time.perf_counter()
     broadcasts, held = observables()
-    n, k_users = params.num_files, params.num_users
     selectors = _selectors(broadcasts)
     weight_lcm = lcm(*(len(ts) for ts in selectors.values()))
     # the unmasked negative control drives the broadcast by the raw demands
@@ -377,7 +382,7 @@ def oracle_y_reconstruction(params: SchemeParams, files: FileLibrary) -> Verific
     """Brute-force gate for the non-leader signal reconstruction identity.
 
     For every user and key digit, decoding's signal expansion
-    (`scheme._signal_values` over the placed cache) must equal compute_y
+    (`CacheContent.signal_values` of the placed cache) must equal compute_y
     at every index outside the leader block; vacuously passes when no such
     index exists (K' - N < r + 1).
     """
@@ -388,14 +393,13 @@ def oracle_y_reconstruction(params: SchemeParams, files: FileLibrary) -> Verific
         for rank, index in enumerate(enumerate_r_subsets(params.positions, params.r + 1))
         if index.members[0] >= n
     ]
-    plan = files.plan
     caches = _caches_by_key(params, files)
     cases = 0
     failures = []
     for k in range(k_users):
         for s in range(n):
             u = yma.build_u_vector(n, k_users, k, s)
-            signals = _signal_values(plan, caches[(k, s)])
+            signals = caches[(k, s)].signal_values
             for rank, index in non_leader:
                 got = Bits(signals[rank], params.subfile_bits)
                 want = yma.compute_y(files, u, index)

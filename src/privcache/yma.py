@@ -100,7 +100,7 @@ def yma_delivery(files: FileLibrary, u: UVector) -> tuple[int, ...]:
         raise ValueError(f"vector length {len(u)} != universe {params.positions}")
     rows = [files.subfiles[e] for e in u.entries]
     out = []
-    for terms in files.plan.stored_terms:
+    for terms in params.plan.stored_terms:
         acc = 0
         for i, rank in terms:
             acc ^= rows[i][rank]

@@ -14,15 +14,7 @@ from typing import Sequence
 
 from privcache.bitvec import Bits
 from privcache.combinat import SubsetIndex, binomial, subset_rank
-from privcache.plan import scheme_plan
-from privcache.scheme import (
-    CacheContent,
-    FileLibrary,
-    SchemeParams,
-    _segment_values,
-    _signal_values,
-    build_v,
-)
+from privcache.scheme import CacheContent, FileLibrary, SchemeParams
 from privcache.verify import _basis_library
 from privcache.yma import UVector
 
@@ -122,14 +114,13 @@ def payload_entry(payload, index) -> Bits:
     """The signal or segment at `index`, expanded the way `decode` does it.
 
     For a cache, `index` is an (r+1)-subset, looked up in
-    `scheme._signal_values`; for a broadcast, it is (file, (r-1)-subset),
-    looked up in `scheme._segment_values`.  Stored entries pass through
+    `CacheContent.signal_values`; for a broadcast, it is (file, (r-1)-subset),
+    looked up in `DeliverySignal.segment_values`.  Stored entries pass through
     unchanged; the others come from the exchange identities.
     """
-    plan = scheme_plan(payload.params)
     if isinstance(payload, CacheContent):
-        value = _signal_values(plan, payload)[subset_rank(index)]
+        value = payload.signal_values[subset_rank(index)]
     else:
         n, s = index
-        value = _segment_values(plan, payload, build_v(payload.aux).members)[n][subset_rank(s)]
+        value = payload.segment_values[n][subset_rank(s)]
     return Bits(value, payload.params.subfile_bits)

@@ -63,6 +63,13 @@ def test_from_bytes_length_checked():
         Bits.from_bytes(b"\x00\x00", 3)
 
 
+@pytest.mark.parametrize("length", [-1, -8])
+def test_from_bytes_rejects_a_negative_length(length):
+    # checked before the byte count and the pad bits, like the constructor
+    with pytest.raises(ValueError, match=f"negative bit length {length}"):
+        Bits.from_bytes(b"", length)
+
+
 def test_xor_all_empty_is_zero():
     assert xor_all([], 6) == Bits.zeros(6)
 

@@ -185,6 +185,21 @@ def test_verify_scale_guard_maps_to_usage_error():
     run_cli_expect_usage_error("verify", "--suite", "correctness", "--n", "2", "--k", "13", "--r", "2")
 
 
+@pytest.mark.parametrize("suite", ["privacy", "lemma1"])
+def test_verify_refuses_demand_digits_wider_than_a_byte(capsys, suite):
+    # the privacy engines serialize each demand digit in one byte: N = 257
+    # is a usage error (exit 2), not a traceback (exit 1)
+    run_cli_expect_usage_error("verify", "--suite", suite, "--n", "257", "--k", "1", "--r", "0")
+    assert "one-byte field: N=257 > 256" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("suite", ["identities", "reconstruction"])
+def test_verify_suites_that_do_not_serialize_accept_n_257(capsys, suite):
+    code, out = run_cli(capsys, "verify", "--suite", suite, "--n", "257", "--k", "1", "--r", "0")
+    assert code == 0
+    assert out.startswith("PASS")
+
+
 def test_verify_failure_exits_one(monkeypatch, capsys):
     from privcache import cli as cli_mod
     from privcache.verify import VerificationReport
@@ -243,6 +258,18 @@ def test_tradeoff_usage_errors():
     run_cli_expect_usage_error("tradeoff", "--k", "1")
     run_cli_expect_usage_error("tradeoff", "--k", "3", "--grid", "zero")
     run_cli_expect_usage_error("tradeoff", "--k", "3", "--grid", "0")
+
+
+@pytest.mark.parametrize("grid", ["1/50001", "1e-9"])
+def test_tradeoff_grid_over_100001_rows_is_a_usage_error(monkeypatch, capsys, grid):
+    import privcache.tradeoff as tradeoff
+
+    def refuse(num_users):
+        raise AssertionError("rows built for a refused grid")
+
+    monkeypatch.setattr(tradeoff, "_two_file_curves", refuse)
+    run_cli_expect_usage_error("tradeoff", "--k", "3", "--grid", grid)
+    assert "more than 100001 rows" in capsys.readouterr().err
 
 
 def test_unknown_command_is_usage_error():

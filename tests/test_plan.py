@@ -12,16 +12,14 @@ import random
 import pytest
 
 from privcache.combinat import enumerate_r_subsets
-from privcache.plan import scheme_plan
 from privcache.scheme import (
     AuxDemand,
     FileLibrary,
     SchemeParams,
     SessionRandomness,
-    _segment_values,
-    _signal_values,
     build_delivery,
     build_v,
+    decode,
     place,
     stored_signal_indices,
     x_segment,
@@ -66,20 +64,18 @@ def test_place_equals_compute_y(n, k, r, width):
 @pytest.mark.parametrize("n,k,r,width", GRID)
 def test_non_stored_signals_equal_compute_y(n, k, r, width):
     params, files = library(n, k, r, width, seed=2)
-    plan = scheme_plan(params)
     signals = enumerate_r_subsets(params.positions, r + 1)
     for key in range(n):
         for cache in place(files, params, SessionRandomness(n, (key,) * k)):
             u = build_u_vector(n, k, cache.user, key)
             # stored signals pass through; the rest follow plan.reconstruction
-            values = _signal_values(plan, cache)
+            values = cache.signal_values
             assert values == [compute_y(files, u, idx).value for idx in signals]
 
 
 @pytest.mark.parametrize("n,k,r,width", GRID)
 def test_delivered_and_recovered_segments_equal_reference(n, k, r, width):
     params, files = library(n, k, r, width, seed=3)
-    plan = scheme_plan(params)
     subsets = enumerate_r_subsets(params.positions, r - 1)
     for digits in itertools.product(range(n), repeat=k):
         d = AuxDemand(digits, n)
@@ -92,6 +88,36 @@ def test_delivered_and_recovered_segments_equal_reference(n, k, r, width):
                 for s in subsets
                 if t_d not in s
             )
-            values = _segment_values(plan, x, selector)
+            values = x.segment_values
             for fi in range(n):
                 assert values[fi] == [x_segment(files, d, s, fi).value for s in subsets]
+
+
+@pytest.mark.parametrize("n,k", [(n, k) for n in range(2, 5) for k in range(1, 5)])
+def test_virtual_rows_shift_by_the_key(n, k):
+    # decode reads position t's file as (virtual[user][t] + key) mod N
+    plan = SchemeParams.minimal(n, k, 1).plan
+    for user in range(k):
+        for key in range(n):
+            shifted = tuple((v + key) % n for v in plan.virtual[user])
+            assert shifted == build_u_vector(n, k, user, key).entries
+
+
+def test_payload_expansions_are_built_once():
+    params, files = library(2, 3, 2, 1)
+    caches = place(files, params, SessionRandomness(2, (1, 0, 1)))
+    broadcasts = [
+        build_delivery(files, AuxDemand(digits, 2), t)
+        for digits in itertools.product(range(2), repeat=3)
+        for t in AuxDemand(digits, 2).selector
+    ]
+    cache = caches[0]
+    signals = cache.signal_values
+    segments = [x.segment_values for x in broadcasts]
+    assert cache.signal_values is signals
+    for x, first in zip(broadcasts, segments):
+        demand = (x.aux.digits[0] + cache.key) % 2
+        assert decode(cache, x, 0, demand) == files.files[demand]
+        assert x.segment_values is first
+    assert cache.signal_values is signals
+    assert all(x.segment_values is first for x, first in zip(broadcasts, segments))

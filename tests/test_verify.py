@@ -179,18 +179,18 @@ def test_y_reconstruction_oracle_counts():
 
 
 def test_y_reconstruction_oracle_guards_the_plan(monkeypatch):
-    import privcache.scheme as scheme
+    import privcache.plan as plan_module
 
     params, files = seeded_library(2, 4, 2, seed=15)
-    real = scheme._plan_of
+    real = plan_module.scheme_plan
 
-    def corrupted(p):
+    def corrupted(n, k, r):
         # drop one stored source from user 0's only non-stored signal
-        plan = real(p)
+        plan = real(n, k, r)
         (rank, sources), = plan.reconstruction[0]
         return plan._replace(reconstruction=(((rank, sources[1:]),),) + plan.reconstruction[1:])
 
-    monkeypatch.setattr(scheme, "_plan_of", corrupted)
+    monkeypatch.setattr(plan_module, "scheme_plan", corrupted)
     report = oracle_y_reconstruction(params, files)
     assert report.cases_run == 8
     assert [config for config, _, _ in report.failures] == [(0, 0, (2, 3, 4)), (0, 1, (2, 3, 4))]

@@ -13,7 +13,6 @@ from helpers import (
 )
 from privcache.bitvec import Bits
 from privcache.combinat import SubsetIndex, binomial, colex_rank, enumerate_r_subsets
-from privcache.plan import scheme_plan
 from privcache.scheme import (
     CacheContent,
     FileLibrary,
@@ -183,7 +182,7 @@ def test_reconstruction_expansion_frozen():
     # identity expands into exactly these five stored signals
     u = build_u_vector(2, 4, 2, 0)
     assert u.entries == (0, 1, 0, 1, 1)
-    plan = scheme_plan(SchemeParams.minimal(2, 4, 2))
+    plan = SchemeParams.minimal(2, 4, 2).plan
     expected_terms = [(0, 3, 4), (1, 2, 4), (1, 2, 3), (0, 1, 4), (0, 1, 3)]
     sources = dict(plan.reconstruction[2])[colex_rank((2, 3, 4))]
     assert sources == tuple(sorted(colex_rank(members) for members in expected_terms))
