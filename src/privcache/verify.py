@@ -3,17 +3,16 @@
 Correctness and privacy read one table of broadcasts, built once per
 call for every (auxiliary demand, t) the scheme can send.  Correctness
 sweeps every (demand vector, key vector, t-choice, user) tuple over it
-and checks bit-exact decoding; each cache and broadcast expands itself
-once (`CacheContent.signal_values`, `DeliverySignal.segment_values`) on
-the tables of `SchemeParams.plan`, and `decode` shifts `plan.virtual` by
-the key.  Privacy is one histogram check: per user and own-demand value,
-the exact distribution of the serialized observable (broadcast and
-cache, plus the demanded file for Lemma 1) must be identical across
-every completion of the other demands; no sampling, no floats.  The
-observable is serialized directly for one concrete library, or by mask
-parities for every 1-bit-subfile library in full-marginal mode.  The
-oracle engines brute-force the file identity and check decoding's signal
-reconstruction against its definition.
+and checks bit-exact decoding, each cache and broadcast expanded once
+over `SchemeParams.plan` (`signal_values`, `segment_values`, `virtual`).
+Privacy is one histogram check: per user and own-demand value, the exact
+distribution of the serialized observable (broadcast and cache, plus the
+demanded file for Lemma 1) must be identical across every completion of
+the other demands; no sampling, no floats.  The observable is serialized
+directly for one concrete library, or by mask parities for every
+1-bit-subfile library in full-marginal mode.  The oracle engines
+brute-force the file identity and check decoding's signal reconstruction
+against its definition.
 """
 
 from __future__ import annotations
@@ -37,6 +36,8 @@ from .scheme import (
     SessionRandomness,
     aux_demand,
     build_delivery,
+    cache_header,
+    delivery_header,
     g_map,
     place,
     decode,
@@ -44,7 +45,6 @@ from .scheme import (
 
 _CASE_CAP = 20_000_000
 _MARGINAL_BIT_CAP = 14
-_WIRE_DIGIT_CAP = 256  # demand and key digits are one-byte wire fields
 
 CONDITIONAL = "conditional-on-files"
 FULL_MARGINAL = "full-marginal"
@@ -185,8 +185,10 @@ def _privacy(
     """
     _guard_enumeration(params, "privacy")
     n, k_users = params.num_files, params.num_users
-    if n > _WIRE_DIGIT_CAP:
-        raise ScaleLimitError(f"privacy puts each demand digit in a one-byte field: N={n} > {_WIRE_DIGIT_CAP}")
+    try:  # the observables carry digits up to N-1 in the wire headers
+        delivery_header((n - 1,), 0, 0)
+    except ValueError as exc:
+        raise ScaleLimitError(f"privacy serializes every observable: {exc}") from None
     start = time.perf_counter()
     broadcasts, held = observables()
     selectors = _selectors(broadcasts)
@@ -301,8 +303,6 @@ def _marginal_serializations(params: SchemeParams):
     parities.  The layout is byte-identical to DeliverySignal.to_bytes /
     CacheContent.to_bytes with 1-bit subfiles.
     """
-    from .scheme import cache_header, delivery_header
-
     wide_params, basis, total_bits = _basis_library(params)
     libraries = range(1 << total_bits)
 

@@ -124,3 +124,17 @@ def payload_entry(payload, index) -> Bits:
         n, s = index
         value = payload.segment_values[n][subset_rank(s)]
     return Bits(value, payload.params.subfile_bits)
+
+
+class RowsBuilt(Exception):
+    """Raised in place of building the tradeoff curves, before any grid row."""
+
+
+def refuse_tradeoff_rows(monkeypatch) -> None:
+    """Make `tightness_report` raise RowsBuilt once past its step checks."""
+    import privcache.tradeoff as tradeoff
+
+    def refuse(num_users):
+        raise RowsBuilt(num_users)
+
+    monkeypatch.setattr(tradeoff, "_two_file_curves", refuse)

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import refuse_tradeoff_rows
 from privcache.cli import main
 from privcache.scheme import (
     AuxDemand,
@@ -190,7 +191,7 @@ def test_verify_refuses_demand_digits_wider_than_a_byte(capsys, suite):
     # the privacy engines serialize each demand digit in one byte: N = 257
     # is a usage error (exit 2), not a traceback (exit 1)
     run_cli_expect_usage_error("verify", "--suite", suite, "--n", "257", "--k", "1", "--r", "0")
-    assert "one-byte field: N=257 > 256" in capsys.readouterr().err
+    assert "demand digit 256 does not fit in 1 byte(s)" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("suite", ["identities", "reconstruction"])
@@ -262,12 +263,7 @@ def test_tradeoff_usage_errors():
 
 @pytest.mark.parametrize("grid", ["1/50001", "1e-9"])
 def test_tradeoff_grid_over_100001_rows_is_a_usage_error(monkeypatch, capsys, grid):
-    import privcache.tradeoff as tradeoff
-
-    def refuse(num_users):
-        raise AssertionError("rows built for a refused grid")
-
-    monkeypatch.setattr(tradeoff, "_two_file_curves", refuse)
+    refuse_tradeoff_rows(monkeypatch)
     run_cli_expect_usage_error("tradeoff", "--k", "3", "--grid", grid)
     assert "more than 100001 rows" in capsys.readouterr().err
 

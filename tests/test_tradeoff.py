@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import RowsBuilt, refuse_tradeoff_rows
 from privcache.tradeoff import (
     LinearBound,
     RatePoint,
@@ -172,29 +173,16 @@ def test_tightness_step_validation():
         tightness_report(3, 0)
 
 
-class RowsBuilt(Exception):
-    """Raised in place of building the curves, so no grid row is ever made."""
-
-
-def _no_rows(monkeypatch):
-    import privcache.tradeoff as tradeoff
-
-    def refuse(num_users):
-        raise RowsBuilt(num_users)
-
-    monkeypatch.setattr(tradeoff, "_two_file_curves", refuse)
-
-
 @pytest.mark.parametrize("step", [F(1, 50001), F(2, 100001), F("1e-9")])
 def test_grid_over_100001_rows_is_refused_before_any_row(monkeypatch, step):
-    _no_rows(monkeypatch)
+    refuse_tradeoff_rows(monkeypatch)
     with pytest.raises(ValueError, match="more than 100001 rows"):
         tightness_report(3, step)
 
 
 def test_grid_of_exactly_100001_rows_is_admitted(monkeypatch):
     # a step of 1/50000 passes the cap and goes on to build its rows
-    _no_rows(monkeypatch)
+    refuse_tradeoff_rows(monkeypatch)
     with pytest.raises(RowsBuilt):
         tightness_report(3, F(1, 50000))
 
