@@ -195,9 +195,12 @@ def cmd_tradeoff(args, parser) -> int:
         parser.error("tradeoff needs --k >= 2 (two-file converse machinery)")
     try:
         step = Fraction(args.grid)
-        rows = tightness_report(args.k, step)
     except (ValueError, ZeroDivisionError) as exc:
         parser.error(f"bad --grid {args.grid!r}: {exc}")
+    try:
+        rows = tightness_report(args.k, step)
+    except ValueError as exc:
+        parser.error(str(exc))
     lines: list[str]
     if args.format == "csv":
         lines = ["M,R_ach,R_conv,tight"]
@@ -272,7 +275,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("tradeoff", help="emit achievable vs converse rows over [0, 2]")
-    p.add_argument("--k", type=int, required=True, help="number of users (K >= 2)")
+    p.add_argument("--k", type=int, required=True, help="number of users (2 <= K <= 1000)")
     p.add_argument("--grid", default="1/100", help="grid step as a fraction (default 1/100)")
     p.add_argument("--format", choices=("csv", "json", "text"), default="csv")
     p.add_argument("--out", default=None, help="write to a file instead of stdout")

@@ -26,6 +26,7 @@ from typing import Iterable, Iterator, Sequence
 from .combinat import binomial, position_count
 
 _GRID_ROW_CAP = 100_001  # a grid step of 1/50000; finer steps are refused
+_USER_CAP = 1000  # the curves cost about K^2.3: ~0.24 s at K = 1000, hours at K = 100000
 
 
 def _frac(x) -> Fraction:
@@ -277,8 +278,15 @@ def _compare(
         yield TightnessRow(m, ach, conv, ach == conv)
 
 
+def _check_user_count(num_users: int) -> None:
+    """Refuse a user count the two-file curves cannot be built for in time."""
+    if num_users > _USER_CAP:
+        raise ValueError(f"K={num_users} users exceeds the cap of {_USER_CAP} for the tradeoff curves")
+
+
 def tightness_report(num_users: int, grid_step) -> list[TightnessRow]:
     """Achievable-vs-converse comparison over a rational grid on [0, 2]."""
+    _check_user_count(num_users)
     step = _frac(grid_step)
     if step <= 0:
         raise ValueError(f"grid step must be positive, got {step}")
@@ -299,6 +307,7 @@ def tight_intervals(num_users: int) -> list[tuple[Fraction, Fraction]]:
     their breakpoints, so such a piece is tight exactly when both of its
     ends are.
     """
+    _check_user_count(num_users)
     envelope, pieces = _two_file_curves(num_users)
     breaks = sorted({c.memory for c in envelope.corners} | {start for start, _ in pieces})
     intervals: list[tuple[Fraction, Fraction]] = []

@@ -9,10 +9,13 @@ Privacy is one histogram check: per user and own-demand value, the exact
 distribution of the serialized observable (broadcast and cache, plus the
 demanded file for Lemma 1) must be identical across every completion of
 the other demands; no sampling, no floats.  The observable is serialized
-directly for one concrete library, or by mask parities for every
-1-bit-subfile library in full-marginal mode.  The oracle engines
-brute-force the file identity and check decoding's signal reconstruction
-against its definition.
+directly for one concrete library.  Full-marginal mode covers every
+1-bit-subfile library at once without enumerating them: an outcome is the
+pair of wire headers, and its payload is uniform over the image of the
+basis library's GF(2) masks, so header weights decide the verdict and
+mask ranks count the differing outcomes.  The oracle engines brute-force
+the file identity and check decoding's signal reconstruction against its
+definition.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import itertools
 import operator
 import time
 from dataclasses import dataclass, field
+from functools import cache
 from math import lcm
 from typing import Callable, Iterable
 
@@ -44,7 +48,6 @@ from .scheme import (
 )
 
 _CASE_CAP = 20_000_000
-_MARGINAL_BIT_CAP = 14
 
 CONDITIONAL = "conditional-on-files"
 FULL_MARGINAL = "full-marginal"
@@ -168,20 +171,24 @@ def _privacy(
     params: SchemeParams,
     what: str,
     masked: bool,
-    observables: Callable[[], tuple[dict, dict]],
+    observables: Callable[[], tuple[dict, dict, Callable[[int, bytes], int] | None]],
 ) -> VerificationReport:
     """The one histogram check behind every privacy verdict.
 
-    `observables()` builds two tables holding one serialization per
-    library considered: `broadcasts[(aux digits, t)]` and
-    `held[(k, key digit, own demand)]`, what user k holds besides the
-    broadcast.  For each user k, own demand dk and completion of the other
-    demands, broadcast + held is weighted over every key vector, every t
-    in the selector set (uniformly) and every library; the histogram must
-    be the same for all completions.  Every completion's weights sum to the
-    same total (N^K * lcm * libraries), so the integer weight maps are equal
-    exactly when the distributions are.  The tables are built after the
-    guard, on the report's clock.
+    `observables()` builds two tables of outcome lists,
+    `broadcasts[(aux digits, t)]` and `held[(k, key digit, own demand)]`,
+    what user k holds besides the broadcast.  The engines here put one
+    outcome in each list; a reference that enumerates libraries puts one per
+    library, and entry i of a broadcast list pairs with entry i of a held list.
+    For each user k, own demand dk and completion of the other demands,
+    broadcast + held is weighted over every key vector, every t in the
+    selector set (uniformly) and every entry; the histogram must be the same
+    for all completions.  Every completion's weights sum to the same total,
+    so the integer weight maps are equal exactly when the distributions
+    are.  The third value, `spread(k, outcome)`, says how many observable
+    outcomes one table outcome of user k stands for (one each if None); a
+    failure reports their sum over the outcomes whose weights differ.  The
+    tables are built after the guard, on the report's clock.
     """
     _guard_enumeration(params, "privacy")
     n, k_users = params.num_files, params.num_users
@@ -190,40 +197,48 @@ def _privacy(
     except ValueError as exc:
         raise ScaleLimitError(f"privacy serializes every observable: {exc}") from None
     start = time.perf_counter()
-    broadcasts, held = observables()
+    broadcasts, held, spread = observables()
     selectors = _selectors(broadcasts)
     weight_lcm = lcm(*(len(ts) for ts in selectors.values()))
     # the unmasked negative control drives the broadcast by the raw demands
     drive = aux_demand if masked else (lambda demands, keys, num_files: AuxDemand(demands, num_files))
-    key_vectors = _all_digit_vectors(n, k_users)
+    vectors = _all_digit_vectors(n, k_users)
+    # per demand vector, what each key vector puts on the air: the
+    # broadcasts of its selector set, each weighted 1/|V|; shared by every user
+    sent = {}
+    for demands in vectors:
+        sent[demands] = rows = []
+        for keys in vectors:
+            digits = drive(demands, keys, n).digits
+            ts = selectors[digits]
+            rows.append((keys, [broadcasts[(digits, t)] for t in ts], weight_lcm // len(ts)))
     completions = _all_digit_vectors(n, k_users - 1)
     cases = 0
     failures = []
     for k in range(k_users):
         for dk in range(n):
+            tails = [held[(k, s, dk)] for s in range(n)]
             reference = ref_completion = None
             for completion in completions:
                 demands = completion[:k] + (dk,) + completion[k:]
                 weights: dict[bytes, int] = {}
-                for keys in key_vectors:
-                    digits = drive(demands, keys, n).digits
-                    ts = selectors[digits]
-                    w = weight_lcm // len(ts)
-                    tail = held[(k, keys[k], dk)]
-                    for t in ts:
-                        for key in map(operator.add, broadcasts[(digits, t)], tail):
+                for keys, xs, w in sent[demands]:
+                    tail = tails[keys[k]]
+                    for x in xs:
+                        for key in map(operator.add, x, tail):
                             weights[key] = weights.get(key, 0) + w
                 cases += 1
                 if reference is None:
                     reference, ref_completion = weights, completion
                 elif weights != reference:
                     outcomes = weights.keys() | reference.keys()
-                    differ = sum(weights.get(o, 0) != reference.get(o, 0) for o in outcomes)
+                    differ = [o for o in outcomes if weights.get(o, 0) != reference.get(o, 0)]
+                    count = len(differ) if spread is None else sum(spread(k, o) for o in differ)
                     failures.append(
                         (
                             (k, dk, completion),
                             f"distribution identical to completion {ref_completion}",
-                            f"{differ} outcomes differ",
+                            f"{count} outcomes differ",
                         )
                     )
     scope = (
@@ -233,7 +248,7 @@ def _privacy(
     return VerificationReport(scope, cases, failures, time.perf_counter() - start)
 
 
-def _serialized(params: SchemeParams, files: FileLibrary, with_demand_file: bool) -> tuple[dict, dict]:
+def _serialized(params: SchemeParams, files: FileLibrary, with_demand_file: bool) -> tuple[dict, dict, None]:
     """Observable tables of one concrete library, via the real serializers."""
     broadcasts = {key: [x.to_bytes()] for key, x in _deliveries(params, files).items()}
     wanted = [f.to_bytes() if with_demand_file else b"" for f in files.files]
@@ -242,7 +257,7 @@ def _serialized(params: SchemeParams, files: FileLibrary, with_demand_file: bool
         z = cache.to_bytes()
         for dk, w in enumerate(wanted):
             held[(k, s, dk)] = [z + w]
-    return broadcasts, held
+    return broadcasts, held, None
 
 
 def verify_privacy(
@@ -254,9 +269,11 @@ def verify_privacy(
     """Exact distribution-equality test of the observable (X_D, Z_k).
 
     Conditional mode fixes the library and enumerates keys and t-choices;
-    full-marginal mode additionally enumerates every 1-bit-subfile library.
-    For every user k and own demand value, the histogram must be identical
-    across all completions of the other demands -- exactly, as rationals.
+    full-marginal mode marginalizes over every 1-bit-subfile library as
+    well, exactly and without enumerating them (`_privacy_marginal`), for
+    any number of library bits.  For every user k and own demand value, the
+    histogram must be identical across all completions of the other
+    demands -- exactly, as rationals.
     With masked=False the broadcast is driven by the raw demands instead
     of the key-masked ones; that variant must fail and serves as the
     negative control for the test machinery itself.
@@ -274,8 +291,9 @@ def _basis_library(params: SchemeParams) -> tuple[SchemeParams, FileLibrary, int
     """Library whose subfile (n, R) is the matching one-hot bit mask.
 
     Running the real placement and delivery code over it yields, for every
-    payload bit, the mask of true library bits that XOR into it; each
-    concrete library is then evaluated by bit parities against the masks.
+    payload bit, the mask of true library bits that XOR into it: payload
+    bits are GF(2)-linear in the library bits, so the masks stand for every
+    1-bit-subfile library at once.
     """
     count = params.subfile_count
     total = params.num_files * count
@@ -287,52 +305,58 @@ def _basis_library(params: SchemeParams) -> tuple[SchemeParams, FileLibrary, int
     return wide, FileLibrary(wide, tuple(files)), total
 
 
-def _pack_parities(masks: tuple[int, ...], lib: int) -> Bits:
-    value = 0
-    for i, mask in enumerate(masks):
-        value |= ((mask & lib).bit_count() & 1) << i
-    return Bits(value, len(masks))
-
-
-def _marginal_serializations(params: SchemeParams):
-    """Serialized broadcast and cache per (…, library index).
-
-    Payload bits are GF(2)-linear in the library bits, so one placement
-    and delivery pass over the one-hot basis library yields a bit mask per
-    payload position; each concrete library is then serialized by mask
-    parities.  The layout is byte-identical to DeliverySignal.to_bytes /
-    CacheContent.to_bytes with 1-bit subfiles.
-    """
-    wide_params, basis, total_bits = _basis_library(params)
-    libraries = range(1 << total_bits)
-
-    xd_ser: dict[tuple[tuple[int, ...], int], list[bytes]] = {}
-    for (digits, t), wide in _deliveries(wide_params, basis).items():
-        header = delivery_header(digits, t, len(wide.segments))
-        xd_ser[(digits, t)] = [header + _pack_parities(wide.segments, lib).to_bytes() for lib in libraries]
-
-    zk_ser: dict[tuple[int, int], list[bytes]] = {}
-    for (k, s), cache in _caches_by_key(wide_params, basis).items():
-        header = cache_header(s, len(cache.signals))
-        zk_ser[(k, s)] = [header + _pack_parities(cache.signals, lib).to_bytes() for lib in libraries]
-    return xd_ser, zk_ser, libraries
+def _gf2_rank(vectors: Iterable[int]) -> int:
+    """Rank over GF(2) of bit-mask rows, by elimination on leading bits."""
+    pivots: dict[int, int] = {}
+    for v in vectors:
+        while v:
+            top = v.bit_length()
+            pivot = pivots.get(top)
+            if pivot is None:
+                pivots[top] = v
+                break
+            v ^= pivot
+    return len(pivots)
 
 
 def _privacy_marginal(params: SchemeParams, masked: bool) -> VerificationReport:
+    """Full-marginal privacy over every 1-bit-subfile library, exactly.
+
+    Given the demands, an observable's header (d, t, key digit s_k) fixes
+    the payload map: the broadcast and cache masks of the basis library.
+    Over a uniform library the payload is uniform on the image of those
+    masks, 2^rank outcomes each with the same weight.  So each table entry
+    holds one outcome, the real wire headers, and two completions'
+    distributions are equal exactly when their header weights are; a
+    differing header stands for 2^rank differing outcomes.  Ranks are
+    computed on failures only, once per (d, t, k, s).
+    """
     if params.subfile_bits != 1:
         raise ScaleLimitError("full-marginal mode needs 1-bit subfiles")
-    total_bits = params.num_files * params.subfile_count
-    if total_bits > _MARGINAL_BIT_CAP:
-        raise ScaleLimitError(
-            f"full-marginal mode over {total_bits} library bits exceeds the "
-            f"{_MARGINAL_BIT_CAP}-bit cap"
-        )
+    n = params.num_files
 
-    def observables() -> tuple[dict, dict]:
-        xd_ser, zk_ser, _ = _marginal_serializations(params)
-        held = {(k, s, dk): z for (k, s), z in zk_ser.items() for dk in range(params.num_files)}
-        return xd_ser, held
+    def observables() -> tuple[dict, dict, Callable[[int, bytes], int]]:
+        wide_params, basis, _ = _basis_library(params)
+        deliveries = _deliveries(wide_params, basis)
+        caches = _caches_by_key(wide_params, basis)
+        broadcasts = {
+            (digits, t): [delivery_header(digits, t, len(x.segments))] for (digits, t), x in deliveries.items()
+        }
+        tails = [cache_header(s, len(caches[(0, s)].signals)) for s in range(n)]
+        held = {(k, s, dk): [tails[s]] for k, s in caches for dk in range(n)}
+        origin = {x[0] + tail: (key, s) for key, x in broadcasts.items() for s, tail in enumerate(tails)}
 
+        @cache
+        def rank(key: tuple[tuple[int, ...], int], k: int, s: int) -> int:
+            return _gf2_rank(deliveries[key].segments + caches[(k, s)].signals)
+
+        def spread(k: int, outcome: bytes) -> int:
+            key, s = origin[outcome]
+            return 1 << rank(key, k, s)
+
+        return broadcasts, held, spread
+
+    total_bits = n * params.subfile_count
     return _privacy(params, f"full-marginal over {1 << total_bits} libraries", masked, observables)
 
 

@@ -14,8 +14,8 @@ from typing import Sequence
 
 from privcache.bitvec import Bits
 from privcache.combinat import SubsetIndex, binomial, subset_rank
-from privcache.scheme import CacheContent, FileLibrary, SchemeParams
-from privcache.verify import _basis_library
+from privcache.scheme import CacheContent, FileLibrary, SchemeParams, cache_header, delivery_header
+from privcache.verify import VerificationReport, _basis_library, _caches_by_key, _deliveries, _privacy
 from privcache.yma import UVector
 
 
@@ -94,6 +94,51 @@ def basis_library(n, k, r):
     return params, files
 
 
+def pack_parities(masks: tuple[int, ...], lib: int) -> Bits:
+    """Payload bits of library `lib`: bit i is the parity of `lib & masks[i]`."""
+    value = 0
+    for i, mask in enumerate(masks):
+        value |= ((mask & lib).bit_count() & 1) << i
+    return Bits(value, len(masks))
+
+
+def marginal_serializations(params: SchemeParams):
+    """Serialized broadcast and cache per (…, library index).
+
+    Payload bits are GF(2)-linear in the library bits, so one placement
+    and delivery pass over the one-hot basis library yields a bit mask per
+    payload position; each concrete library is then serialized by mask
+    parities.  The layout is byte-identical to DeliverySignal.to_bytes /
+    CacheContent.to_bytes with 1-bit subfiles.
+    """
+    wide_params, basis, total_bits = _basis_library(params)
+    libraries = range(1 << total_bits)
+
+    xd_ser: dict[tuple[tuple[int, ...], int], list[bytes]] = {}
+    for (digits, t), wide in _deliveries(wide_params, basis).items():
+        header = delivery_header(digits, t, len(wide.segments))
+        xd_ser[(digits, t)] = [header + pack_parities(wide.segments, lib).to_bytes() for lib in libraries]
+
+    zk_ser: dict[tuple[int, int], list[bytes]] = {}
+    for (k, s), cache in _caches_by_key(wide_params, basis).items():
+        header = cache_header(s, len(cache.signals))
+        zk_ser[(k, s)] = [header + pack_parities(cache.signals, lib).to_bytes() for lib in libraries]
+    return xd_ser, zk_ser, libraries
+
+
+def enumerated_marginal_privacy(params: SchemeParams, masked: bool = True) -> VerificationReport:
+    """Full-marginal privacy by enumeration, the oracle of the exact engine:
+    `verify._privacy` over every library's byte serializations."""
+
+    def observables():
+        xd_ser, zk_ser, _ = marginal_serializations(params)
+        held = {(k, s, dk): z for (k, s), z in zk_ser.items() for dk in range(params.num_files)}
+        return xd_ser, held, None
+
+    total_bits = params.num_files * params.subfile_count
+    return _privacy(params, f"full-marginal over {1 << total_bits} libraries", masked, observables)
+
+
 def symbol(params: SchemeParams, file_index: int, members) -> Bits:
     """Expected one-hot pattern of subfile (file_index, set(members))."""
     count = binomial(params.positions, params.r)
@@ -131,7 +176,8 @@ class RowsBuilt(Exception):
 
 
 def refuse_tradeoff_rows(monkeypatch) -> None:
-    """Make `tightness_report` raise RowsBuilt once past its step checks."""
+    """Make `tightness_report` and `tight_intervals` raise RowsBuilt once
+    past their user-count and step checks, before any curve is built."""
     import privcache.tradeoff as tradeoff
 
     def refuse(num_users):

@@ -268,5 +268,12 @@ def test_tradeoff_grid_over_100001_rows_is_a_usage_error(monkeypatch, capsys, gr
     assert "more than 100001 rows" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("k", ["1001", "100000"])
+def test_tradeoff_over_1000_users_is_a_usage_error(monkeypatch, capsys, k):
+    refuse_tradeoff_rows(monkeypatch)
+    run_cli_expect_usage_error("tradeoff", "--k", k, "--grid", "1")
+    assert "exceeds the cap of 1000" in capsys.readouterr().err
+
+
 def test_unknown_command_is_usage_error():
     run_cli_expect_usage_error("frobnicate")

@@ -187,6 +187,22 @@ def test_grid_of_exactly_100001_rows_is_admitted(monkeypatch):
         tightness_report(3, F(1, 50000))
 
 
+@pytest.mark.parametrize("build", [lambda k: tightness_report(k, F(1)), tight_intervals])
+def test_user_count_over_1000_is_refused_before_any_curve(monkeypatch, build):
+    refuse_tradeoff_rows(monkeypatch)
+    for k in (1001, 100_000):
+        with pytest.raises(ValueError, match="exceeds the cap of 1000"):
+            build(k)
+
+
+@pytest.mark.parametrize("build", [lambda k: tightness_report(k, F(1)), tight_intervals])
+def test_user_count_of_exactly_1000_is_admitted(monkeypatch, build):
+    # K = 1000 passes the cap and goes on to build its curves
+    refuse_tradeoff_rows(monkeypatch)
+    with pytest.raises(RowsBuilt):
+        build(1000)
+
+
 def test_rate_point_validation():
     with pytest.raises(ValueError):
         RatePoint(F(-1), F(0))

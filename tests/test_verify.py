@@ -1,8 +1,11 @@
 import itertools
+import random
 
 import pytest
 
-from helpers import seeded_library
+from helpers import enumerated_marginal_privacy, seeded_library
+from privcache import verify
+from privcache.combinat import binomial, position_count
 from privcache.bitvec import Bits
 from privcache.scheme import (
     AuxDemand,
@@ -136,8 +139,89 @@ def test_privacy_full_marginal_small_instance():
 def test_privacy_full_marginal_guards():
     with pytest.raises(ScaleLimitError):
         verify_privacy(SchemeParams.minimal(2, 2, 1, bits_per_subfile=2), FULL_MARGINAL)
-    with pytest.raises(ScaleLimitError):
-        verify_privacy(SchemeParams.minimal(2, 4, 2), FULL_MARGINAL)  # 20 bits
+
+
+# every minimal-F instance with N <= 3, K <= 4 and at most 14 library bits,
+# the most the enumerating oracle visits in reasonable time
+ORACLE_INSTANCES = [
+    (n, k, r)
+    for n in (2, 3)
+    for k in range(1, 5)
+    for r in range(position_count(n, k) + 1)
+    if n * binomial(position_count(n, k), r) <= 14
+]
+
+
+@pytest.mark.parametrize("masked", [True, False], ids=["masked", "unmasked"])
+@pytest.mark.parametrize("n, k, r", ORACLE_INSTANCES)
+def test_full_marginal_matches_enumerating_oracle(n, k, r, masked):
+    params = SchemeParams.minimal(n, k, r)
+    exact = verify_privacy(params, FULL_MARGINAL, masked=masked)
+    oracle = enumerated_marginal_privacy(params, masked)
+    assert exact.scope == oracle.scope
+    assert exact.cases_run == oracle.cases_run
+    assert exact.failures == oracle.failures
+
+
+def unmasked_configurations(n, k):
+    """Every (user, own demand, completion) but the reference completion."""
+    completions = list(itertools.product(range(n), repeat=k - 1))
+    return [(user, dk, c) for user in range(k) for dk in range(n) for c in completions[1:]]
+
+
+@pytest.mark.parametrize(
+    "n, k, r, libraries",
+    [(2, 4, 2, 1 << 20), (3, 2, 1, 1 << 15)],
+    ids=["242-20-bits", "321-15-bits"],
+)
+def test_full_marginal_certifies_past_fourteen_bits(n, k, r, libraries):
+    params = SchemeParams.minimal(n, k, r)
+    report = verify_privacy(params, FULL_MARGINAL)
+    assert report.passed
+    assert report.scope == f"privacy[full-marginal over {libraries} libraries] N={n} K={k} r={r}"
+    assert report.cases_run == k * n**k
+    negative = verify_privacy(params, FULL_MARGINAL, masked=False)
+    assert [config for config, _, _ in negative.failures] == unmasked_configurations(n, k)
+    assert negative.cases_run == k * n**k
+
+
+def test_full_marginal_321_counts_equal_the_oracle():
+    # the enumerating oracle over all 2^15 libraries (about 5 s) reports these
+    # counts, 4096 times the conditional ones of COUNTS_321
+    counts = [6, 12, 12, 12, 24, 18, 12, 18, 6, 12, 12, 12]
+    negative = verify_privacy(SchemeParams.minimal(3, 2, 1), FULL_MARGINAL, masked=False)
+    assert [actual for _, _, actual in negative.failures] == [f"{4096 * c} outcomes differ" for c in counts]
+
+
+def test_full_marginal_ranks_each_header_once(monkeypatch):
+    calls = []
+    real = verify._gf2_rank
+
+    def counted(vectors):
+        calls.append(vectors)
+        return real(vectors)
+
+    monkeypatch.setattr(verify, "_gf2_rank", counted)
+    params = SchemeParams.minimal(2, 3, 2)
+    assert verify_privacy(params, FULL_MARGINAL).passed
+    assert calls == []  # ranks are for failure counts only
+    negative = verify_privacy(params, FULL_MARGINAL, masked=False)
+    assert len(negative.failures) == 18
+    headers = sum(len(build_v(AuxDemand(d, 2)).members) for d in itertools.product(range(2), repeat=3))
+    assert 0 < len(calls) <= headers * 3 * 2  # at most once per (d, t, user, key digit)
+
+
+def test_gf2_rank_equals_span_size():
+    rng = random.Random(3)
+    assert verify._gf2_rank([]) == 0
+    assert verify._gf2_rank([0, 0]) == 0
+    assert verify._gf2_rank([0b011, 0b101, 0b110]) == 2
+    for _ in range(200):
+        rows = [rng.randrange(64) for _ in range(rng.randrange(7))]
+        span = {0}
+        for row in rows:
+            span |= {v ^ row for v in span}
+        assert len(span) == 1 << verify._gf2_rank(rows)
 
 
 def test_distribution_lemma_passes():
@@ -201,7 +285,7 @@ def test_marginal_serializations_match_real_serializer():
     # library, every broadcast, and every cache
     from privcache.scheme import build_delivery, place, SessionRandomness
     from helpers import library_from_bit_index
-    from privcache.verify import _marginal_serializations
+    from helpers import marginal_serializations as _marginal_serializations
 
     params = SchemeParams.minimal(2, 2, 1)
     xd_ser, zk_ser, libraries = _marginal_serializations(params)
