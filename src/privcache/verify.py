@@ -10,10 +10,10 @@ distribution of the serialized observable (broadcast and cache, plus the
 demanded file for Lemma 1) must be identical across every completion of
 the other demands; no sampling, no floats.  The observable is serialized
 directly for one concrete library.  Full-marginal mode covers every
-1-bit-subfile library at once without enumerating them: an outcome is the
-pair of wire headers, and its payload is uniform over the image of the
-basis library's GF(2) masks, so header weights decide the verdict and
-mask ranks count the differing outcomes.  The oracle engines brute-force
+1-bit-subfile library of up to 512 bits at once without enumerating them:
+an outcome is the pair of wire headers, and its payload is uniform over
+the image of the basis library's GF(2) masks, so header weights decide
+the verdict and mask ranks count the differing outcomes.  The oracle engines brute-force
 the file identity and check decoding's signal reconstruction against its
 definition.
 """
@@ -48,6 +48,10 @@ from .scheme import (
 )
 
 _CASE_CAP = 20_000_000
+# the symbolic full-marginal tables are payload-count x library-bits wide
+# (the basis library alone is library-bits^2); under 512 bits the slowest
+# instance the case cap admits is unmasked (16,2,1), ~11 s on a 2-vCPU VM
+_MARGINAL_BIT_CAP = 512
 
 CONDITIONAL = "conditional-on-files"
 FULL_MARGINAL = "full-marginal"
@@ -203,15 +207,14 @@ def _privacy(
     # the unmasked negative control drives the broadcast by the raw demands
     drive = aux_demand if masked else (lambda demands, keys, num_files: AuxDemand(demands, num_files))
     vectors = _all_digit_vectors(n, k_users)
-    # per demand vector, what each key vector puts on the air: the
-    # broadcasts of its selector set, each weighted 1/|V|; shared by every user
-    sent = {}
-    for demands in vectors:
-        sent[demands] = rows = []
-        for keys in vectors:
-            digits = drive(demands, keys, n).digits
-            ts = selectors[digits]
-            rows.append((keys, [broadcasts[(digits, t)] for t in ts], weight_lcm // len(ts)))
+    # per aux digit vector, the broadcasts of its selector set, each weighted 1/|V|
+    on_air = {
+        digits: ([broadcasts[(digits, t)] for t in ts], weight_lcm // len(ts))
+        for digits, ts in selectors.items()
+    }
+    # per demand vector, what each key vector (in `vectors` order) puts on
+    # the air; shared by every user and holding only references into on_air
+    sent = {demands: [on_air[drive(demands, keys, n).digits] for keys in vectors] for demands in vectors}
     completions = _all_digit_vectors(n, k_users - 1)
     cases = 0
     failures = []
@@ -222,7 +225,7 @@ def _privacy(
             for completion in completions:
                 demands = completion[:k] + (dk,) + completion[k:]
                 weights: dict[bytes, int] = {}
-                for keys, xs, w in sent[demands]:
+                for keys, (xs, w) in zip(vectors, sent[demands]):
                     tail = tails[keys[k]]
                     for x in xs:
                         for key in map(operator.add, x, tail):
@@ -270,8 +273,8 @@ def verify_privacy(
 
     Conditional mode fixes the library and enumerates keys and t-choices;
     full-marginal mode marginalizes over every 1-bit-subfile library as
-    well, exactly and without enumerating them (`_privacy_marginal`), for
-    any number of library bits.  For every user k and own demand value, the
+    well, exactly and without enumerating them (`_privacy_marginal`), up
+    to 512 library bits.  For every user k and own demand value, the
     histogram must be identical across all completions of the other
     demands -- exactly, as rationals.
     With masked=False the broadcast is driven by the raw demands instead
@@ -329,11 +332,18 @@ def _privacy_marginal(params: SchemeParams, masked: bool) -> VerificationReport:
     holds one outcome, the real wire headers, and two completions'
     distributions are equal exactly when their header weights are; a
     differing header stands for 2^rank differing outcomes.  Ranks are
-    computed on failures only, once per (d, t, k, s).
+    computed on failures only, once per (d, t, k, s).  The tables are as
+    wide as the library has bits, so those are capped at 512.
     """
     if params.subfile_bits != 1:
         raise ScaleLimitError("full-marginal mode needs 1-bit subfiles")
     n = params.num_files
+    total_bits = n * params.subfile_count
+    if total_bits > _MARGINAL_BIT_CAP:
+        raise ScaleLimitError(
+            f"full-marginal mode over {total_bits} library bits exceeds the "
+            f"{_MARGINAL_BIT_CAP}-bit cap"
+        )
 
     def observables() -> tuple[dict, dict, Callable[[int, bytes], int]]:
         wide_params, basis, _ = _basis_library(params)
@@ -356,7 +366,6 @@ def _privacy_marginal(params: SchemeParams, masked: bool) -> VerificationReport:
 
         return broadcasts, held, spread
 
-    total_bits = n * params.subfile_count
     return _privacy(params, f"full-marginal over {1 << total_bits} libraries", masked, observables)
 
 

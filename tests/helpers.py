@@ -10,6 +10,7 @@ checks on real code paths.
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 from typing import Sequence
 
 from privcache.bitvec import Bits
@@ -102,8 +103,9 @@ def pack_parities(masks: tuple[int, ...], lib: int) -> Bits:
     return Bits(value, len(masks))
 
 
+@lru_cache(maxsize=1)  # the masked and unmasked oracle runs of one instance share it
 def marginal_serializations(params: SchemeParams):
-    """Serialized broadcast and cache per (…, library index).
+    """Serialized broadcast and cache per (…, library index), read-only.
 
     Payload bits are GF(2)-linear in the library bits, so one placement
     and delivery pass over the one-hot basis library yields a bit mask per

@@ -186,6 +186,14 @@ def test_verify_scale_guard_maps_to_usage_error():
     run_cli_expect_usage_error("verify", "--suite", "correctness", "--n", "2", "--k", "13", "--r", "2")
 
 
+def test_verify_full_marginal_over_512_library_bits_is_a_usage_error(capsys):
+    # 126,219,600 library bits: the symbolic tables could never fit in memory
+    run_cli_expect_usage_error(
+        "verify", "--suite", "privacy", "--mode", "full-marginal", "--n", "16", "--k", "2", "--r", "8"
+    )
+    assert "exceeds the 512-bit cap" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("suite", ["privacy", "lemma1"])
 def test_verify_refuses_demand_digits_wider_than_a_byte(capsys, suite):
     # the privacy engines serialize each demand digit in one byte: N = 257

@@ -141,6 +141,21 @@ def test_privacy_full_marginal_guards():
         verify_privacy(SchemeParams.minimal(2, 2, 1, bits_per_subfile=2), FULL_MARGINAL)
 
 
+def test_full_marginal_library_bits_are_capped_at_512(monkeypatch):
+    # (22,1,1) has 484 library bits, (23,1,1) 529; (16,2,8) has 126,219,600,
+    # whose basis library alone would be bits^2 wide, and is refused before
+    # any is built
+    assert verify_privacy(SchemeParams.minimal(22, 1, 1), FULL_MARGINAL).passed
+
+    def unbuilt(params):
+        raise AssertionError("basis library built past the cap")
+
+    monkeypatch.setattr(verify, "_basis_library", unbuilt)
+    for n, k, r, bits in [(23, 1, 1, 529), (16, 2, 8, 126_219_600)]:
+        with pytest.raises(ScaleLimitError, match=f"over {bits} library bits exceeds the 512-bit cap"):
+            verify_privacy(SchemeParams.minimal(n, k, r), FULL_MARGINAL)
+
+
 # every minimal-F instance with N <= 3, K <= 4 and at most 14 library bits,
 # the most the enumerating oracle visits in reasonable time
 ORACLE_INSTANCES = [
