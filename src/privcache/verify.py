@@ -1,31 +1,30 @@
 """Exhaustive verification engines.
 
-Correctness and privacy read one table of broadcasts, built once per
-call for every (auxiliary demand, t) the scheme can send.  Correctness
-sweeps every (demand vector, key vector, t-choice, user) tuple over it
-and checks bit-exact decoding, each cache and broadcast expanded once
-over `SchemeParams.plan` (`signal_values`, `segment_values`, `virtual`).
-Privacy is one histogram check: per user and own-demand value, the exact
-distribution of the serialized observable (broadcast and cache, plus the
-demanded file for Lemma 1) must be identical across every completion of
-the other demands; no sampling, no floats.  The observable is serialized
-directly for one concrete library.  Full-marginal mode covers every
-1-bit-subfile library of up to 512 bits at once without enumerating them:
-an outcome is the pair of wire headers, and its payload is uniform over
-the image of the basis library's GF(2) masks, so header weights decide
-the verdict and mask ranks count the differing outcomes.  The oracle engines brute-force
-the file identity and check decoding's signal reconstruction against its
-definition.
+Correctness reads one table of broadcasts, built once per call for every
+(auxiliary demand, t) the scheme can send, and sweeps every (demand
+vector, key vector, t-choice, user) tuple over it, checking bit-exact
+decoding, each cache and broadcast expanded once over `SchemeParams.plan`
+(`signal_values`, `segment_values`, `virtual`).  Privacy is one histogram
+check: per user and own-demand value, the exact distribution of the
+observable must be identical across every completion of the other
+demands; no sampling, no floats.  An outcome is the pair of wire headers
+(broadcast and cache), read off the plan with no library built: given a
+library, each payload is a function of its header, so the conditional
+and Lemma 1 verdicts hold for every library of that shape.  Full-marginal
+mode covers every 1-bit-subfile library of up to 512 bits at once: a
+header's payload is uniform over the image of the basis library's GF(2)
+masks, so header weights decide the verdict and mask ranks count the
+differing outcomes.  The oracle engines brute-force the file identity and
+check decoding's signal reconstruction against its definition.
 """
 
 from __future__ import annotations
 
 import itertools
-import operator
 import time
 from dataclasses import dataclass, field
 from functools import cache
-from math import lcm
+from math import comb, lcm
 from typing import Callable, Iterable
 
 from . import yma
@@ -105,11 +104,14 @@ def _caches_by_key(params: SchemeParams, files: FileLibrary) -> dict[tuple[int, 
     return out
 
 
+def _guard_cases(label: str, cases: int) -> None:
+    if cases > _CASE_CAP:
+        raise ScaleLimitError(f"{label} enumeration of ~{cases} cases exceeds the cap")
+
+
 def _guard_enumeration(params: SchemeParams, label: str) -> None:
     n, k = params.num_files, params.num_users
-    estimate = n ** (2 * k) * params.positions * k
-    if estimate > _CASE_CAP:
-        raise ScaleLimitError(f"{label} enumeration of ~{estimate} cases exceeds the cap")
+    _guard_cases(label, n ** (2 * k) * params.positions * k)
 
 
 def _deliveries(params: SchemeParams, files: FileLibrary) -> dict[tuple[tuple[int, ...], int], DeliverySignal]:
@@ -122,12 +124,23 @@ def _deliveries(params: SchemeParams, files: FileLibrary) -> dict[tuple[tuple[in
     return table
 
 
-def _selectors(table: Iterable[tuple[tuple[int, ...], int]]) -> dict[tuple[int, ...], list[int]]:
-    """Selector set of each auxiliary digit vector, read off a table's keys."""
-    out: dict[tuple[int, ...], list[int]] = {}
-    for digits, t in table:
-        out.setdefault(digits, []).append(t)
-    return out
+def _headers(params: SchemeParams) -> tuple[dict[tuple[int, ...], dict[int, bytes]], list[bytes]]:
+    """Wire headers, read off `params.plan` with no library built.
+
+    `broadcasts[d][t]` heads `DeliverySignal.to_bytes` for auxiliary digits
+    d and t in d's selector set; `caches[s]` heads `CacheContent.to_bytes`
+    for key digit s.
+    """
+    n, width, plan = params.num_files, params.subfile_bits, params.plan
+    broadcasts = {
+        digits: {
+            t: delivery_header(digits, t, n * len(plan.delivered[t]) * width)
+            for t in AuxDemand(digits, n).selector
+        }
+        for digits in _all_digit_vectors(n, params.num_users)
+    }
+    caches = [cache_header(s, len(plan.stored_ranks) * width) for s in range(n)]
+    return broadcasts, caches
 
 
 def verify_correctness_exhaustive(
@@ -146,9 +159,9 @@ def verify_correctness_exhaustive(
     n, k_users = params.num_files, params.num_users
     caches = _caches_by_key(params, files)
     deliveries = _deliveries(params, files)
+    selectors = {x.aux.digits: x.aux.selector for x in deliveries.values()}  # built by _deliveries
     if mutate_delivery is not None:
         deliveries = {key: mutate_delivery(x) for key, x in deliveries.items()}
-    selectors = _selectors(deliveries)
     # a decode depends on (broadcast, user, key digit) alone, the demand being (d_k + key) mod N
     decoded = {
         ((digits, t), k, s): decode(caches[(k, s)], x, k, (digits[k] + s) % n)
@@ -175,42 +188,40 @@ def _privacy(
     params: SchemeParams,
     what: str,
     masked: bool,
-    observables: Callable[[], tuple[dict, dict, Callable[[int, bytes], int] | None]],
+    spread: Callable[[int, bytes], int] | None = None,
 ) -> VerificationReport:
     """The one histogram check behind every privacy verdict.
 
-    `observables()` builds two tables of outcome lists,
-    `broadcasts[(aux digits, t)]` and `held[(k, key digit, own demand)]`,
-    what user k holds besides the broadcast.  The engines here put one
-    outcome in each list; a reference that enumerates libraries puts one per
-    library, and entry i of a broadcast list pairs with entry i of a held list.
-    For each user k, own demand dk and completion of the other demands,
-    broadcast + held is weighted over every key vector, every t in the
-    selector set (uniformly) and every entry; the histogram must be the same
-    for all completions.  Every completion's weights sum to the same total,
-    so the integer weight maps are equal exactly when the distributions
-    are.  The third value, `spread(k, outcome)`, says how many observable
-    outcomes one table outcome of user k stands for (one each if None); a
-    failure reports their sum over the outcomes whose weights differ.  The
-    tables are built after the guard, on the report's clock.
+    An outcome of user k is the pair of wire headers it sees, broadcast
+    (d, t, length) and cache (key digit, length), from `_headers`.  For each
+    user k, own demand dk and completion of the other demands, outcomes are
+    weighted over every key vector and every t in the selector set
+    (uniformly); the histogram must be the same for all completions.  All
+    completions' weights sum to the same total, so equal integer weight
+    maps mean equal distributions.  With the library fixed, each payload is
+    a function of its header, the blob's prefix, so the byte histogram of
+    (X_D, Z_k) is an injective image of the header histogram, and W_{D_k}
+    is a constant of each (k, dk) group, so appending it for Lemma 1
+    changes neither equality nor counts: the verdict holds for every
+    library of the shape.  `spread(k, outcome)` says how many observable
+    outcomes one header pair stands for (one if None); a failure reports
+    their sum over the outcomes whose weights differ.
     """
     _guard_enumeration(params, "privacy")
     n, k_users = params.num_files, params.num_users
-    try:  # the observables carry digits up to N-1 in the wire headers
-        delivery_header((n - 1,), 0, 0)
-    except ValueError as exc:
-        raise ScaleLimitError(f"privacy serializes every observable: {exc}") from None
     start = time.perf_counter()
-    broadcasts, held, spread = observables()
-    selectors = _selectors(broadcasts)
-    weight_lcm = lcm(*(len(ts) for ts in selectors.values()))
+    try:  # the headers carry digits up to N-1, one byte each
+        broadcasts, caches = _headers(params)
+    except ValueError as exc:
+        raise ScaleLimitError(f"privacy weighs every wire header: {exc}") from None
+    weight_lcm = lcm(*(len(ts) for ts in broadcasts.values()))
     # the unmasked negative control drives the broadcast by the raw demands
     drive = aux_demand if masked else (lambda demands, keys, num_files: AuxDemand(demands, num_files))
     vectors = _all_digit_vectors(n, k_users)
-    # per aux digit vector, the broadcasts of its selector set, each weighted 1/|V|
+    # per aux digit vector and key digit s: its selector set's outcomes, each weighted 1/|V|
     on_air = {
-        digits: ([broadcasts[(digits, t)] for t in ts], weight_lcm // len(ts))
-        for digits, ts in selectors.items()
+        digits: ([[x + z for x in ts.values()] for z in caches], weight_lcm // len(ts))
+        for digits, ts in broadcasts.items()
     }
     # per demand vector, what each key vector (in `vectors` order) puts on
     # the air; shared by every user and holding only references into on_air
@@ -220,16 +231,13 @@ def _privacy(
     failures = []
     for k in range(k_users):
         for dk in range(n):
-            tails = [held[(k, s, dk)] for s in range(n)]
             reference = ref_completion = None
             for completion in completions:
                 demands = completion[:k] + (dk,) + completion[k:]
                 weights: dict[bytes, int] = {}
-                for keys, (xs, w) in zip(vectors, sent[demands]):
-                    tail = tails[keys[k]]
-                    for x in xs:
-                        for key in map(operator.add, x, tail):
-                            weights[key] = weights.get(key, 0) + w
+                for keys, (outcomes, w) in zip(vectors, sent[demands]):
+                    for outcome in outcomes[keys[k]]:
+                        weights[outcome] = weights.get(outcome, 0) + w
                 cases += 1
                 if reference is None:
                     reference, ref_completion = weights, completion
@@ -244,23 +252,17 @@ def _privacy(
                             f"{count} outcomes differ",
                         )
                     )
-    scope = (
-        f"privacy[{what}] N={n} K={k_users} r={params.r}"
-        + ("" if masked else " (unmasked negative control)")
-    )
+    control = "" if masked else " (unmasked negative control)"
+    scope = f"privacy[{what}] N={n} K={k_users} r={params.r}{control}"
     return VerificationReport(scope, cases, failures, time.perf_counter() - start)
 
 
-def _serialized(params: SchemeParams, files: FileLibrary, with_demand_file: bool) -> tuple[dict, dict, None]:
-    """Observable tables of one concrete library, via the real serializers."""
-    broadcasts = {key: [x.to_bytes()] for key, x in _deliveries(params, files).items()}
-    wanted = [f.to_bytes() if with_demand_file else b"" for f in files.files]
-    held = {}
-    for (k, s), cache in _caches_by_key(params, files).items():
-        z = cache.to_bytes()
-        for dk, w in enumerate(wanted):
-            held[(k, s, dk)] = [z + w]
-    return broadcasts, held, None
+def _given_library(params: SchemeParams, files: FileLibrary | None) -> None:
+    """The conditional engines read no library bits, but still take one."""
+    if files is None:
+        raise ValueError("conditional mode needs a file library")
+    if files.params != params:
+        raise ValueError("library was split under different parameters")
 
 
 def verify_privacy(
@@ -272,19 +274,19 @@ def verify_privacy(
     """Exact distribution-equality test of the observable (X_D, Z_k).
 
     Conditional mode fixes the library and enumerates keys and t-choices;
-    full-marginal mode marginalizes over every 1-bit-subfile library as
-    well, exactly and without enumerating them (`_privacy_marginal`), up
-    to 512 library bits.  For every user k and own demand value, the
-    histogram must be identical across all completions of the other
-    demands -- exactly, as rationals.
+    it weighs wire headers alone, so its verdict holds for every library
+    of that shape, not only `files`.  Full-marginal mode marginalizes over
+    every 1-bit-subfile library as well, exactly and without enumerating
+    them (`_privacy_marginal`), up to 512 library bits.  For every user k
+    and own demand value, the histogram must be identical across all
+    completions of the other demands -- exactly, as rationals.
     With masked=False the broadcast is driven by the raw demands instead
     of the key-masked ones; that variant must fail and serves as the
     negative control for the test machinery itself.
     """
     if mode in (CONDITIONAL, "conditional"):
-        if files is None:
-            raise ValueError("conditional mode needs a file library")
-        return _privacy(params, CONDITIONAL, masked, lambda: _serialized(params, files, False))
+        _given_library(params, files)
+        return _privacy(params, CONDITIONAL, masked)
     if mode == FULL_MARGINAL:
         return _privacy_marginal(params, masked)
     raise ValueError(f"unknown privacy mode {mode!r}")
@@ -328,45 +330,37 @@ def _privacy_marginal(params: SchemeParams, masked: bool) -> VerificationReport:
     Given the demands, an observable's header (d, t, key digit s_k) fixes
     the payload map: the broadcast and cache masks of the basis library.
     Over a uniform library the payload is uniform on the image of those
-    masks, 2^rank outcomes each with the same weight.  So each table entry
-    holds one outcome, the real wire headers, and two completions'
-    distributions are equal exactly when their header weights are; a
-    differing header stands for 2^rank differing outcomes.  Ranks are
-    computed on failures only, once per (d, t, k, s).  The tables are as
-    wide as the library has bits, so those are capped at 512.
+    masks, 2^rank outcomes each with the same weight.  So two completions'
+    distributions are equal exactly when their header weights are, and a
+    differing header pair stands for 2^rank differing outcomes.  The basis
+    library's tables, as wide as the library has bits (capped at 512), are
+    built on the first failure only, and each rank once per (d, t, k, s).
     """
     if params.subfile_bits != 1:
         raise ScaleLimitError("full-marginal mode needs 1-bit subfiles")
-    n = params.num_files
-    total_bits = n * params.subfile_count
+    total_bits = params.num_files * params.subfile_count
     if total_bits > _MARGINAL_BIT_CAP:
         raise ScaleLimitError(
             f"full-marginal mode over {total_bits} library bits exceeds the "
             f"{_MARGINAL_BIT_CAP}-bit cap"
         )
 
-    def observables() -> tuple[dict, dict, Callable[[int, bytes], int]]:
+    @cache
+    def tables() -> tuple[dict, dict, dict]:
+        """Header pair -> ((d, t), s), and the basis library's broadcasts and caches."""
+        broadcasts, caches = _headers(params)
+        sent = [((digits, t), x) for digits, ts in broadcasts.items() for t, x in ts.items()]
+        origin = {x + z: (key, s) for key, x in sent for s, z in enumerate(caches)}
         wide_params, basis, _ = _basis_library(params)
-        deliveries = _deliveries(wide_params, basis)
-        caches = _caches_by_key(wide_params, basis)
-        broadcasts = {
-            (digits, t): [delivery_header(digits, t, len(x.segments))] for (digits, t), x in deliveries.items()
-        }
-        tails = [cache_header(s, len(caches[(0, s)].signals)) for s in range(n)]
-        held = {(k, s, dk): [tails[s]] for k, s in caches for dk in range(n)}
-        origin = {x[0] + tail: (key, s) for key, x in broadcasts.items() for s, tail in enumerate(tails)}
+        return origin, _deliveries(wide_params, basis), _caches_by_key(wide_params, basis)
 
-        @cache
-        def rank(key: tuple[tuple[int, ...], int], k: int, s: int) -> int:
-            return _gf2_rank(deliveries[key].segments + caches[(k, s)].signals)
+    @cache
+    def spread(k: int, outcome: bytes) -> int:
+        origin, deliveries, caches = tables()
+        key, s = origin[outcome]
+        return 1 << _gf2_rank(deliveries[key].segments + caches[(k, s)].signals)
 
-        def spread(k: int, outcome: bytes) -> int:
-            key, s = origin[outcome]
-            return 1 << rank(key, k, s)
-
-        return broadcasts, held, spread
-
-    return _privacy(params, f"full-marginal over {1 << total_bits} libraries", masked, observables)
+    return _privacy(params, f"full-marginal over {1 << total_bits} libraries", masked, spread)
 
 
 def verify_distribution_lemma(
@@ -374,12 +368,13 @@ def verify_distribution_lemma(
 ) -> VerificationReport:
     """Equality of the joint (X_D, Z_k, W_{D_k}) histogram across D_{-k}.
 
-    Same enumeration as conditional privacy with the demanded file's bits
-    appended to the observable; given the library, the demanded file is a
-    function of the own demand alone, so any inequality points at the
-    broadcast or cache leaking the other users' demands.
+    Same check as conditional privacy: given the library, the demanded file
+    is a function of the own demand alone, a constant of each histogram, so
+    the verdict holds for every library of that shape, and any inequality
+    points at the broadcast or cache leaking the other users' demands.
     """
-    return _privacy(params, "joint with demanded file", masked, lambda: _serialized(params, files, True))
+    _given_library(params, files)
+    return _privacy(params, "joint with demanded file", masked)
 
 
 def oracle_demand_identity(params: SchemeParams, files: FileLibrary) -> VerificationReport:
@@ -390,8 +385,9 @@ def oracle_demand_identity(params: SchemeParams, files: FileLibrary) -> Verifica
     set equals the file demanded under d (shifted), bit for bit.  Whole
     files are compared, which covers every subfile index at once.
     """
-    start = time.perf_counter()
     n, k_users = params.num_files, params.num_users
+    _guard_cases("demand-identity", n**k_users * k_users * n)
+    start = time.perf_counter()
     cases = 0
     failures = []
     for digits in _all_digit_vectors(n, k_users):
@@ -419,8 +415,9 @@ def oracle_y_reconstruction(params: SchemeParams, files: FileLibrary) -> Verific
     at every index outside the leader block; vacuously passes when no such
     index exists (K' - N < r + 1).
     """
-    start = time.perf_counter()
     n, k_users = params.num_files, params.num_users
+    _guard_cases("signal-reconstruction", k_users * n * comb(params.positions, params.r + 1))
+    start = time.perf_counter()
     non_leader = [
         (rank, index)
         for rank, index in enumerate(enumerate_r_subsets(params.positions, params.r + 1))

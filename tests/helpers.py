@@ -9,14 +9,23 @@ checks on real code paths.
 
 from __future__ import annotations
 
+import itertools
+import math
 import random
 from functools import lru_cache
 from typing import Sequence
 
 from privcache.bitvec import Bits
 from privcache.combinat import SubsetIndex, binomial, subset_rank
-from privcache.scheme import CacheContent, FileLibrary, SchemeParams, cache_header, delivery_header
-from privcache.verify import VerificationReport, _basis_library, _caches_by_key, _deliveries, _privacy
+from privcache.scheme import (
+    CacheContent,
+    FileLibrary,
+    SchemeParams,
+    aux_demand,
+    cache_header,
+    delivery_header,
+)
+from privcache.verify import VerificationReport, _basis_library, _caches_by_key, _deliveries
 from privcache.yma import UVector
 
 
@@ -129,16 +138,53 @@ def marginal_serializations(params: SchemeParams):
 
 
 def enumerated_marginal_privacy(params: SchemeParams, masked: bool = True) -> VerificationReport:
-    """Full-marginal privacy by enumeration, the oracle of the exact engine:
-    `verify._privacy` over every library's byte serializations."""
+    """Full-marginal privacy by enumeration, the oracle of the exact engine.
 
-    def observables():
-        xd_ser, zk_ser, _ = marginal_serializations(params)
-        held = {(k, s, dk): z for (k, s), z in zk_ser.items() for dk in range(params.num_files)}
-        return xd_ser, held, None
-
-    total_bits = params.num_files * params.subfile_count
-    return _privacy(params, f"full-marginal over {1 << total_bits} libraries", masked, observables)
+    Its own histogram loop over every library's byte serializations: for
+    each user k, own demand and completion of the other demands, the
+    weight of each (broadcast bytes, cache bytes) pair over every key
+    vector, t in the selector set and library must equal the first
+    completion's; a failure counts the pairs whose weights differ.
+    """
+    xd_ser, zk_ser, libraries = marginal_serializations(params)
+    n, k_users = params.num_files, params.num_users
+    selectors: dict[tuple[int, ...], list[int]] = {}
+    for digits, t in xd_ser:
+        selectors.setdefault(digits, []).append(t)
+    scale = math.lcm(*map(len, selectors.values()))  # t is uniform over the selector set
+    vectors = list(itertools.product(range(n), repeat=k_users))
+    cases, failures = 0, []
+    for k in range(k_users):
+        # per (broadcast digits, key digit): every byte pair over t and libraries
+        pairs = {
+            (digits, s): [x + y for t in ts for x, y in zip(xd_ser[(digits, t)], zk_ser[(k, s)])]
+            for digits, ts in selectors.items()
+            for s in range(n)
+        }
+        for dk in range(n):
+            reference = ref_completion = None
+            for completion in itertools.product(range(n), repeat=k_users - 1):
+                demands = completion[:k] + (dk,) + completion[k:]
+                counts: dict[bytes, int] = {}
+                for keys in vectors:
+                    sent = aux_demand(demands, keys, n).digits if masked else demands
+                    share = scale // len(selectors[sent])
+                    for pair in pairs[(sent, keys[k])]:
+                        counts[pair] = counts.get(pair, 0) + share
+                cases += 1
+                if reference is None:
+                    reference, ref_completion = counts, completion
+                elif counts != reference:
+                    differ = sum(counts.get(o) != reference.get(o) for o in counts.keys() | reference.keys())
+                    failures.append(
+                        (
+                            (k, dk, completion),
+                            f"distribution identical to completion {ref_completion}",
+                            f"{differ} outcomes differ",
+                        )
+                    )
+    scope = f"privacy[full-marginal over {len(libraries)} libraries] N={n} K={k_users} r={params.r}"
+    return VerificationReport(scope + ("" if masked else " (unmasked negative control)"), cases, failures)
 
 
 def symbol(params: SchemeParams, file_index: int, members) -> Bits:

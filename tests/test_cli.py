@@ -196,10 +196,18 @@ def test_verify_full_marginal_over_512_library_bits_is_a_usage_error(capsys):
 
 @pytest.mark.parametrize("suite", ["privacy", "lemma1"])
 def test_verify_refuses_demand_digits_wider_than_a_byte(capsys, suite):
-    # the privacy engines serialize each demand digit in one byte: N = 257
+    # the privacy engines weigh wire headers, one byte per demand digit: N = 257
     # is a usage error (exit 2), not a traceback (exit 1)
     run_cli_expect_usage_error("verify", "--suite", suite, "--n", "257", "--k", "1", "--r", "0")
     assert "demand digit 256 does not fit in 1 byte(s)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "suite, n, k, r", [("identities", "2", "30", "0"), ("reconstruction", "2", "30", "5")]
+)
+def test_verify_oracles_over_the_case_cap_are_usage_errors(capsys, suite, n, k, r):
+    run_cli_expect_usage_error("verify", "--suite", suite, "--n", n, "--k", k, "--r", r)
+    assert "exceeds the cap" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("suite", ["identities", "reconstruction"])

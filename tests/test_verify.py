@@ -109,6 +109,54 @@ def test_privacy_conditional_needs_files():
         verify_privacy(params, CONDITIONAL, None)
 
 
+@pytest.mark.parametrize("engine", ["conditional", "lemma1"])
+def test_conditional_engines_refuse_a_library_of_other_params(engine):
+    params = SchemeParams.minimal(2, 3, 2)
+    for _, files in [seeded_library(2, 3, 2, bits_per_subfile=2), seeded_library(3, 2, 1)]:
+        with pytest.raises(ValueError, match="different parameters"):
+            if engine == "conditional":
+                verify_privacy(params, CONDITIONAL, files)
+            else:
+                verify_distribution_lemma(params, files)
+
+
+@pytest.mark.parametrize("masked", [True, False], ids=["masked", "unmasked"])
+@pytest.mark.parametrize("n, k, r", [(2, 3, 2), (3, 2, 1)])
+def test_conditional_reports_are_library_independent(monkeypatch, n, k, r, masked):
+    # the engines weigh wire headers alone: no library is placed or
+    # delivered, and every library of a shape gets the same report
+    def unbuilt(*args):
+        raise AssertionError("a library payload was built")
+
+    monkeypatch.setattr(verify, "place", unbuilt)
+    monkeypatch.setattr(verify, "build_delivery", unbuilt)
+    for engine in (lambda p, f, m: verify_privacy(p, CONDITIONAL, f, m), verify_distribution_lemma):
+        reports = set()
+        for seed in (1, 2, 3):
+            for width in (1, 8, 64):
+                params, files = seeded_library(n, k, r, seed=seed, bits_per_subfile=width)
+                fields = engine(params, files, masked).to_dict()
+                del fields["elapsed_seconds"]
+                reports.add(repr(fields))
+        assert len(reports) == 1
+
+
+@pytest.mark.parametrize("n, k, r, width", [(2, 3, 2, 8), (3, 2, 1, 3), (4, 2, 1, 2)])
+def test_privacy_headers_are_the_wire_prefixes(n, k, r, width):
+    # the privacy engines never serialize a payload; the headers they weigh
+    # must still be the first bytes of the real wire blobs, the rest of
+    # which is the packed payload
+    params, files = seeded_library(n, k, r, seed=5, bits_per_subfile=width)
+    broadcasts, caches = verify._headers(params)
+    deliveries = verify._deliveries(params, files)
+    assert {(digits, t) for digits, ts in broadcasts.items() for t in ts} == deliveries.keys()
+    for (digits, t), x in deliveries.items():
+        header = broadcasts[digits][t]
+        assert x.to_bytes() == header + Bits.from_blocks(x.segments, width).to_bytes()
+    for (_, s), cache in verify._caches_by_key(params, files).items():
+        assert cache.to_bytes() == caches[s] + Bits.from_blocks(cache.signals, width).to_bytes()
+
+
 def test_privacy_unknown_mode():
     params, files = seeded_library(2, 3, 2)
     with pytest.raises(ValueError):
@@ -275,6 +323,21 @@ def test_y_reconstruction_oracle_counts():
     report = oracle_y_reconstruction(params, files)
     assert report.passed
     assert report.cases_run == 4 * 9  # C(4,3) non-leader indices x 9 pairs
+
+
+def test_oracles_refuse_oversized_instances_before_building_tables(monkeypatch):
+    def unbuilt(*args):
+        raise AssertionError("table built before the case cap was checked")
+
+    monkeypatch.setattr(verify, "enumerate_r_subsets", unbuilt)
+    monkeypatch.setattr(verify, "_caches_by_key", unbuilt)
+    monkeypatch.setattr(verify, "_all_digit_vectors", unbuilt)
+    # 2^30 * 30 * 2 identity cases; 30 * 2 * C(31, 6) = 44,176,860 reconstruction cases
+    for oracle, (n, k, r) in [(oracle_demand_identity, (2, 30, 0)), (oracle_y_reconstruction, (2, 30, 5))]:
+        params = SchemeParams.minimal(n, k, r)
+        files = FileLibrary(params, tuple(Bits.zeros(params.file_bits) for _ in range(n)))
+        with pytest.raises(ScaleLimitError, match="exceeds the cap"):
+            oracle(params, files)
 
 
 def test_y_reconstruction_oracle_guards_the_plan(monkeypatch):
