@@ -78,9 +78,8 @@ def _load_library(args, params: SchemeParams, parser: argparse.ArgumentParser) -
 def cmd_params(args, parser) -> int:
     params = _params_from(args, parser)
     point = memory_rate_of(params)
-    # M and R in units of subfiles; both are exact integers
-    stored = int(point.memory * params.subfile_count)
-    segments = int(point.rate * params.subfile_count)
+    _, stored, _, per_file = params.counts
+    segments = params.num_files * per_file
     info = {
         "N": params.num_files,
         "K": params.num_users,
@@ -132,7 +131,10 @@ def cmd_simulate(args, parser) -> int:
         demands = tuple(rng.randrange(n) for _ in range(k_users))
 
     rand = SessionRandomness.from_seed(params, args.seed)
-    caches = place(files, params, rand)
+    try:  # placement builds the plan, whose size guard may refuse the instance
+        caches = place(files, params, rand)
+    except verify_mod.ScaleLimitError as exc:
+        parser.error(str(exc))
     point = memory_rate_of(params)
 
     print(f"simulate N={n} K={k_users} r={params.r} F={params.file_bits} seed={args.seed}")

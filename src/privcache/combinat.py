@@ -1,4 +1,8 @@
-"""Exact binomials and colexicographic ranking of fixed-size subsets.
+"""Exact binomials, the scheme's closed-form sizes, and colexicographic
+ranking of fixed-size subsets.
+
+`scheme_counts` is the one place a payload size is computed, so nothing
+builds a plan table just to count.
 
 Colex order compares subsets by their largest element first, which gives
 O(size) rank/unrank without lookup tables and keeps the order of small
@@ -25,6 +29,36 @@ def binomial(n: int, k: int) -> int:
 def position_count(num_files: int, num_users: int) -> int:
     """K' = N*K - K + 1, the size of the scheme's position universe."""
     return num_files * num_users - num_users + 1
+
+
+class ScaleLimitError(ValueError):
+    """The requested enumeration is too large to run exhaustively."""
+
+
+def scheme_counts(num_files: int, num_users: int, r: int) -> tuple[int, int, int, int]:
+    """Every payload size of (N, K, r), in closed form, with K' = N*K - K + 1.
+
+    Returns (subfiles per file, signals per cache, signals each cache
+    rebuilds, segments per broadcast file): C(K', r) r-subsets;
+    C(K', r+1) - C(K'-N, r+1) leader-intersecting (r+1)-subsets, the stored
+    ones; the C(K'-N, r+1) others; and C(K'-1, r-1) (r-1)-subsets avoiding
+    t_d.  An instance with N < 2, K < 1 or r outside [0, K'] raises
+    ValueError.
+    """
+    if num_files < 2:
+        raise ValueError(f"need at least 2 files, got {num_files}")
+    if num_users < 1:
+        raise ValueError(f"need at least 1 user, got {num_users}")
+    positions = position_count(num_files, num_users)
+    if not 0 <= r <= positions:
+        raise ValueError(f"r={r} outside [0, {positions}]")
+    rebuilt = binomial(positions - num_files, r + 1)
+    return (
+        binomial(positions, r),
+        binomial(positions, r + 1) - rebuilt,
+        rebuilt,
+        binomial(positions - 1, r - 1),
+    )
 
 
 @dataclass(frozen=True)

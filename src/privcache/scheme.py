@@ -22,8 +22,9 @@ decoded subfile is an XOR of pre-split subfile ints picked by colex rank.
 Caches and broadcasts are frozen and hold those ints as flat tuples in
 wire order (`stored_signal_indices`, `delivered_segment_indices`); their
 constructors reject any other shape, so every entry point, `from_bytes`
-included, gets one set of checks.  Each expands itself once, however
-many decodes read it (`CacheContent.signal_values`,
+included, gets one set of checks, sized by the closed-form
+`SchemeParams.counts` rather than the plan.  Each expands itself once,
+however many decodes read it (`CacheContent.signal_values`,
 `DeliverySignal.segment_values`); `decode` shifts `plan.virtual` by the
 key.  The per-element formulas (`FileLibrary.subfile`, `yma.compute_y`,
 `x_segment`) stay as the references those tables are tested against.
@@ -39,7 +40,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 from . import yma
 from .bitvec import Bits
-from .combinat import SubsetIndex, binomial, enumerate_r_subsets, position_count, subset_rank
+from .combinat import SubsetIndex, enumerate_r_subsets, position_count, scheme_counts, subset_rank
 from .tradeoff import RatePoint, scheme_point
 
 if TYPE_CHECKING:
@@ -63,27 +64,25 @@ class SchemeParams:
     file_bits: int
 
     def __post_init__(self) -> None:
-        if self.num_files < 2:
-            raise ValueError(f"need at least 2 files, got {self.num_files}")
-        if self.num_users < 1:
-            raise ValueError(f"need at least 1 user, got {self.num_users}")
-        if not 0 <= self.r <= self.positions:
-            raise ValueError(f"r={self.r} outside [0, {self.positions}]")
+        subfiles = self.subfile_count  # checks N, K and r
         if self.file_bits < 1:
             raise ValueError(f"file length must be positive, got {self.file_bits}")
-        if self.file_bits % self.subfile_count:
-            raise ValueError(
-                f"file length {self.file_bits} not divisible by "
-                f"{self.subfile_count} subfiles"
-            )
+        if self.file_bits % subfiles:
+            raise ValueError(f"file length {self.file_bits} not divisible by {subfiles} subfiles")
 
     @property
     def positions(self) -> int:
         return position_count(self.num_files, self.num_users)
 
+    @cached_property
+    def counts(self) -> tuple[int, int, int, int]:
+        """(subfiles per file, signals per cache, signals each cache
+        rebuilds, segments per broadcast file), from `scheme_counts`."""
+        return scheme_counts(self.num_files, self.num_users, self.r)
+
     @property
     def subfile_count(self) -> int:
-        return binomial(self.positions, self.r)
+        return self.counts[0]
 
     @property
     def subfile_bits(self) -> int:
@@ -100,7 +99,7 @@ class SchemeParams:
     @classmethod
     def minimal(cls, num_files: int, num_users: int, r: int, bits_per_subfile: int = 1) -> SchemeParams:
         """Smallest admissible file length (one or a few bits per subfile)."""
-        count = binomial(position_count(num_files, num_users), r)
+        count = scheme_counts(num_files, num_users, r)[0]
         return cls(num_files, num_users, r, count * bits_per_subfile)
 
 
@@ -365,8 +364,9 @@ def cache_header(key: int, payload_bits: int) -> bytes:
 class DeliverySignal:
     """One broadcast: auxiliary demand, chosen index t_d, and segments,
     `subfile_bits`-wide ints in the order of delivered_segment_indices; any
-    other aux demand, t_d or segment count raises ValueError (t_d is checked
-    before it indexes a plan table)."""
+    other aux demand, t_d or segment count raises ValueError.  The count,
+    N * C(K'-1, r-1) whatever t_d is, comes from `SchemeParams.counts`, so
+    building or parsing a broadcast never builds the plan."""
 
     aux: AuxDemand
     t_d: int
@@ -379,7 +379,8 @@ class DeliverySignal:
             raise ValueError("auxiliary demand does not match parameters")
         if self.t_d not in d.selector:
             raise ValueError(f"t={self.t_d} not in the selector set of {d.digits}")
-        expected = params.num_files * len(params.plan.delivered[self.t_d])
+        _, _, _, per_file = params.counts
+        expected = params.num_files * per_file
         if len(self.segments) != expected:
             raise ValueError(f"broadcast holds {len(self.segments)} segments, expected {expected}")
 
@@ -467,7 +468,8 @@ def stored_signal_indices(params: SchemeParams) -> list[SubsetIndex]:
 class CacheContent:
     """One user's cache: secret key digit plus the stored XOR signals,
     `subfile_bits`-wide ints in the order of stored_signal_indices;
-    any other user, key digit or signal count raises ValueError."""
+    any other user, key digit or signal count (`SchemeParams.counts`)
+    raises ValueError."""
 
     user: int
     key: int
@@ -480,7 +482,7 @@ class CacheContent:
             raise ValueError(f"user {self.user} out of range for {params.num_users} users")
         if not 0 <= self.key < params.num_files:
             raise ValueError(f"key digit {self.key} out of range for {params.num_files} files")
-        expected = len(params.plan.stored_ranks)
+        _, expected, _, _ = params.counts
         if len(self.signals) != expected:
             raise ValueError(f"cache holds {len(self.signals)} signals, expected {expected}")
 

@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
-from .combinat import binomial, position_count
+from .combinat import position_count, scheme_counts
 
 _GRID_ROW_CAP = 100_001  # a grid step of 1/50000; finer steps are refused
 _USER_CAP = 1000  # the curves cost about K^2.3: ~0.24 s at K = 1000, hours at K = 100000
@@ -78,13 +78,13 @@ EnvelopePieces = tuple[tuple[Fraction, LinearBound], ...]
 def scheme_point(num_files: int, num_users: int, r: int) -> RatePoint:
     """Exact (M, R) of the virtual-user scheme with split parameter r.
 
-    With K' = N*K-K+1:  M = (C(K',r+1) - C(K'-N,r+1)) / C(K',r)  and
-    R = N*r / K'.
+    With K' = N*K-K+1:  M = (C(K',r+1) - C(K'-N,r+1)) / C(K',r), the
+    signals per cache over the subfiles per file (`scheme_counts`), and
+    R = N*C(K'-1,r-1) / C(K',r) = N*r / K'.
     """
-    n = num_files
-    kp = position_count(n, num_users)
-    memory = Fraction(binomial(kp, r + 1) - binomial(kp - n, r + 1), binomial(kp, r))
-    return RatePoint(memory, Fraction(n * r, kp))
+    subfiles, stored, _, _ = scheme_counts(num_files, num_users, r)
+    rate = Fraction(num_files * r, position_count(num_files, num_users))
+    return RatePoint(Fraction(stored, subfiles), rate)
 
 
 def scheme_points(num_files: int, num_users: int) -> list[RatePoint]:

@@ -8,14 +8,18 @@ decoding, each cache and broadcast expanded once over `SchemeParams.plan`
 check: per user and own-demand value, the exact distribution of the
 observable must be identical across every completion of the other
 demands; no sampling, no floats.  An outcome is the pair of wire headers
-(broadcast and cache), read off the plan with no library built: given a
-library, each payload is a function of its header, so the conditional
-and Lemma 1 verdicts hold for every library of that shape.  Full-marginal
-mode covers every 1-bit-subfile library of up to 512 bits at once: a
-header's payload is uniform over the image of the basis library's GF(2)
-masks, so header weights decide the verdict and mask ranks count the
-differing outcomes.  The oracle engines brute-force the file identity and
-check decoding's signal reconstruction against its definition.
+(broadcast and cache), sized by the closed-form `SchemeParams.counts`
+with no library or plan built, so privacy also runs on instances whose
+plan the size guard refuses: given a library, each payload is a function
+of its header, so the conditional and Lemma 1 verdicts hold for every
+library of that shape.  Full-marginal mode covers every 1-bit-subfile
+library of up to 512 bits at once: a header's payload is uniform over
+the image of the basis library's GF(2) masks, so header weights decide
+the verdict and mask ranks count the differing outcomes.  The oracle
+engines brute-force the file identity and check decoding's signal
+reconstruction against its definition, each under its own case cap.
+`ScaleLimitError` lives in `combinat`, next to the counts the guards
+read, and is re-exported here.
 """
 
 from __future__ import annotations
@@ -24,12 +28,12 @@ import itertools
 import time
 from dataclasses import dataclass, field
 from functools import cache
-from math import comb, lcm
+from math import lcm
 from typing import Callable, Iterable
 
 from . import yma
 from .bitvec import Bits
-from .combinat import enumerate_r_subsets
+from .combinat import ScaleLimitError, enumerate_r_subsets
 from .scheme import (
     AuxDemand,
     CacheContent,
@@ -47,6 +51,11 @@ from .scheme import (
 )
 
 _CASE_CAP = 20_000_000
+# the oracles' own caps, each about a minute at its slowest per-case cost
+# measured on a 2-vCPU VM: signal reconstruction 15-62 us per case (it grows
+# with r and the subfile width), the demand identity 9-15 us (it grows with N)
+_RECONSTRUCTION_CASE_CAP = 1_000_000
+_IDENTITY_CASE_CAP = 4_000_000
 # the symbolic full-marginal tables are payload-count x library-bits wide
 # (the basis library alone is library-bits^2); under 512 bits the slowest
 # instance the case cap admits is unmasked (16,2,1), ~11 s on a 2-vCPU VM
@@ -54,10 +63,6 @@ _MARGINAL_BIT_CAP = 512
 
 CONDITIONAL = "conditional-on-files"
 FULL_MARGINAL = "full-marginal"
-
-
-class ScaleLimitError(ValueError):
-    """The requested enumeration is too large to run exhaustively."""
 
 
 @dataclass
@@ -104,8 +109,8 @@ def _caches_by_key(params: SchemeParams, files: FileLibrary) -> dict[tuple[int, 
     return out
 
 
-def _guard_cases(label: str, cases: int) -> None:
-    if cases > _CASE_CAP:
+def _guard_cases(label: str, cases: int, cap: int = _CASE_CAP) -> None:
+    if cases > cap:
         raise ScaleLimitError(f"{label} enumeration of ~{cases} cases exceeds the cap")
 
 
@@ -125,21 +130,19 @@ def _deliveries(params: SchemeParams, files: FileLibrary) -> dict[tuple[tuple[in
 
 
 def _headers(params: SchemeParams) -> tuple[dict[tuple[int, ...], dict[int, bytes]], list[bytes]]:
-    """Wire headers, read off `params.plan` with no library built.
+    """Wire headers, sized by `SchemeParams.counts`, with no library or plan built.
 
     `broadcasts[d][t]` heads `DeliverySignal.to_bytes` for auxiliary digits
     d and t in d's selector set; `caches[s]` heads `CacheContent.to_bytes`
     for key digit s.
     """
-    n, width, plan = params.num_files, params.subfile_bits, params.plan
+    n, width = params.num_files, params.subfile_bits
+    _, stored, _, per_file = params.counts
     broadcasts = {
-        digits: {
-            t: delivery_header(digits, t, n * len(plan.delivered[t]) * width)
-            for t in AuxDemand(digits, n).selector
-        }
+        digits: {t: delivery_header(digits, t, n * per_file * width) for t in AuxDemand(digits, n).selector}
         for digits in _all_digit_vectors(n, params.num_users)
     }
-    caches = [cache_header(s, len(plan.stored_ranks) * width) for s in range(n)]
+    caches = [cache_header(s, stored * width) for s in range(n)]
     return broadcasts, caches
 
 
@@ -386,7 +389,7 @@ def oracle_demand_identity(params: SchemeParams, files: FileLibrary) -> Verifica
     files are compared, which covers every subfile index at once.
     """
     n, k_users = params.num_files, params.num_users
-    _guard_cases("demand-identity", n**k_users * k_users * n)
+    _guard_cases("demand-identity", n**k_users * k_users * n, _IDENTITY_CASE_CAP)
     start = time.perf_counter()
     cases = 0
     failures = []
@@ -416,7 +419,8 @@ def oracle_y_reconstruction(params: SchemeParams, files: FileLibrary) -> Verific
     index exists (K' - N < r + 1).
     """
     n, k_users = params.num_files, params.num_users
-    _guard_cases("signal-reconstruction", k_users * n * comb(params.positions, params.r + 1))
+    _, _, rebuilt, _ = params.counts
+    _guard_cases("signal-reconstruction", k_users * n * rebuilt, _RECONSTRUCTION_CASE_CAP)
     start = time.perf_counter()
     non_leader = [
         (rank, index)

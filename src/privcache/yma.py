@@ -98,9 +98,10 @@ def yma_delivery(files: FileLibrary, u: UVector) -> tuple[int, ...]:
     params = files.params
     if len(u) != params.positions:
         raise ValueError(f"vector length {len(u)} != universe {params.positions}")
+    stored_terms = params.plan.stored_terms  # the plan's size guard runs before any file is split
     rows = [files.subfiles[e] for e in u.entries]
     out = []
-    for terms in params.plan.stored_terms:
+    for terms in stored_terms:
         acc = 0
         for i, rank in terms:
             acc ^= rows[i][rank]

@@ -210,6 +210,28 @@ def test_verify_oracles_over_the_case_cap_are_usage_errors(capsys, suite, n, k, 
     assert "exceeds the cap" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("simulate", "--n", "16", "--k", "2", "--r", "6"),
+        ("verify", "--suite", "correctness", "--n", "16", "--k", "2", "--r", "6"),
+        ("simulate", "--n", "2", "--k", "30", "--r", "4"),
+    ],
+)
+def test_runs_whose_plan_exceeds_the_cap_are_usage_errors(capsys, argv):
+    run_cli_expect_usage_error(*argv)
+    captured = capsys.readouterr()
+    assert "exceeds the cap" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("suite", ["privacy", "lemma1"])
+def test_verify_privacy_runs_where_the_plan_is_refused(capsys, suite):
+    code, out = run_cli(capsys, "verify", "--suite", suite, "--n", "16", "--k", "2", "--r", "6")
+    assert code == 0
+    assert out.startswith("PASS ") and "[cases=512," in out
+
+
 @pytest.mark.parametrize("suite", ["identities", "reconstruction"])
 def test_verify_suites_that_do_not_serialize_accept_n_257(capsys, suite):
     code, out = run_cli(capsys, "verify", "--suite", suite, "--n", "257", "--k", "1", "--r", "0")

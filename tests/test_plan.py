@@ -11,7 +11,9 @@ import random
 
 import pytest
 
-from privcache.combinat import enumerate_r_subsets
+import privcache.plan as plan_module
+from privcache import verify
+from privcache.combinat import ScaleLimitError, enumerate_r_subsets, scheme_counts
 from privcache.scheme import (
     AuxDemand,
     FileLibrary,
@@ -121,3 +123,27 @@ def test_payload_expansions_are_built_once():
         assert x.segment_values is first
     assert cache.signal_values is signals
     assert all(x.segment_values is first for x, first in zip(broadcasts, segments))
+
+
+@pytest.mark.parametrize("n,k,r", INSTANCES)
+def test_scheme_counts_are_the_plan_table_lengths(n, k, r):
+    plan = SchemeParams.minimal(n, k, r).plan
+    subfiles, stored, rebuilt, per_file = scheme_counts(n, k, r)
+    assert subfiles == len(plan.subfile_up)
+    assert stored == len(plan.stored_ranks)
+    assert [len(ranks) for ranks in plan.delivered] == [per_file] * len(plan.delivered)
+    assert [len(rows) for rows in plan.reconstruction] == [rebuilt] * k
+
+
+@pytest.mark.parametrize("n,k,r", [(16, 2, 6), (2, 30, 4)])
+def test_plan_guard_refuses_before_any_table_is_built(monkeypatch, n, k, r):
+    # (16,2,6) needs more than 3 GB; (2,30,4) takes minutes in its reconstruction rows
+    def unbuilt(*args):
+        raise AssertionError("table built before the plan size was checked")
+
+    monkeypatch.setattr(plan_module, "_down", unbuilt)
+    monkeypatch.setattr(plan_module, "enumerate_r_subsets", unbuilt)
+    with pytest.raises(ScaleLimitError, match="exceeds the cap"):
+        plan_module.scheme_plan(n, k, r)
+    with pytest.raises(verify.ScaleLimitError, match="exceeds the cap"):
+        SchemeParams.minimal(n, k, r).plan

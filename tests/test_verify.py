@@ -9,10 +9,14 @@ from privcache.combinat import binomial, position_count
 from privcache.bitvec import Bits
 from privcache.scheme import (
     AuxDemand,
+    CacheContent,
     DeliverySignal,
     FileLibrary,
     SchemeParams,
+    SessionRandomness,
+    build_delivery,
     build_v,
+    place,
 )
 from privcache.verify import (
     CONDITIONAL,
@@ -338,6 +342,65 @@ def test_oracles_refuse_oversized_instances_before_building_tables(monkeypatch):
         files = FileLibrary(params, tuple(Bits.zeros(params.file_bits) for _ in range(n)))
         with pytest.raises(ScaleLimitError, match="exceeds the cap"):
             oracle(params, files)
+
+
+def test_each_oracle_has_its_own_case_cap(monkeypatch):
+    def unbuilt(*args):
+        raise AssertionError("table built before the case cap was checked")
+
+    monkeypatch.setattr(verify, "enumerate_r_subsets", unbuilt)
+    monkeypatch.setattr(verify, "_caches_by_key", unbuilt)
+    monkeypatch.setattr(verify, "_all_digit_vectors", unbuilt)
+    # both under the shared correctness/privacy cap of 20,000,000 cases:
+    # 2^18 * 18 * 2 = 9,437,184 identity cases; 30 * 2 * C(29, 5) = 7,125,300
+    # reconstruction cases, counted exactly (the upper bound 30 * 2 * C(31, 5) is 10,194,660)
+    for oracle, (n, k, r) in [(oracle_demand_identity, (2, 18, 0)), (oracle_y_reconstruction, (2, 30, 4))]:
+        params = SchemeParams.minimal(n, k, r)
+        files = FileLibrary(params, tuple(Bits.zeros(params.file_bits) for _ in range(n)))
+        with pytest.raises(ScaleLimitError, match="exceeds the cap"):
+            oracle(params, files)
+
+
+def test_y_reconstruction_cases_are_counted_exactly(monkeypatch):
+    # (3,3,2): 3 users * 3 keys * C(4, 3) non-leader indices = 36 cases; C(7, 3) would give 315
+    params, files = seeded_library(3, 3, 2, seed=15)
+    monkeypatch.setattr(verify, "_RECONSTRUCTION_CASE_CAP", 36)
+    assert oracle_y_reconstruction(params, files).cases_run == 36
+    monkeypatch.setattr(verify, "_RECONSTRUCTION_CASE_CAP", 35)
+    with pytest.raises(ScaleLimitError, match="exceeds the cap"):
+        oracle_y_reconstruction(params, files)
+
+
+def test_privacy_and_wire_parsing_never_build_the_plan(monkeypatch):
+    import privcache.plan as plan_module
+
+    params, files = seeded_library(2, 3, 2, seed=8, bits_per_subfile=1)
+    cache_blob = place(files, params, SessionRandomness(2, (1, 0, 1)))[2].to_bytes()
+    broadcast_blob = build_delivery(files, AuxDemand((1, 0, 1), 2), 1).to_bytes()
+
+    def unbuilt(*args):
+        raise AssertionError("plan built")
+
+    monkeypatch.setattr(plan_module, "scheme_plan", unbuilt)
+    fresh = SchemeParams(2, 3, 2, params.file_bits)  # no plan cached on it
+    library = FileLibrary(fresh, files.files)
+    for masked in (True, False):
+        assert verify_privacy(fresh, CONDITIONAL, library, masked).passed is masked
+        assert verify_distribution_lemma(fresh, library, masked).passed is masked
+    assert verify_privacy(fresh, FULL_MARGINAL).passed
+    assert CacheContent.from_bytes(fresh, 2, cache_blob).to_bytes() == cache_blob
+    assert DeliverySignal.from_bytes(fresh, broadcast_blob).to_bytes() == broadcast_blob
+
+
+def test_conditional_and_lemma1_pass_where_the_plan_is_refused():
+    # (16,2,6): 736,281 subfiles per file; its plan would need more than 3 GB
+    params = SchemeParams.minimal(16, 2, 6)
+    files = FileLibrary(params, tuple(Bits.zeros(params.file_bits) for _ in range(16)))
+    with pytest.raises(ScaleLimitError, match="exceeds the cap"):
+        params.plan
+    for report in (verify_privacy(params, CONDITIONAL, files), verify_distribution_lemma(params, files)):
+        assert report.passed
+        assert report.cases_run == 512
 
 
 def test_y_reconstruction_oracle_guards_the_plan(monkeypatch):
