@@ -52,13 +52,10 @@ def scheme_counts(num_files: int, num_users: int, r: int) -> tuple[int, int, int
     positions = position_count(num_files, num_users)
     if not 0 <= r <= positions:
         raise ValueError(f"r={r} outside [0, {positions}]")
+    subfiles = binomial(positions, r)
     rebuilt = binomial(positions - num_files, r + 1)
-    return (
-        binomial(positions, r),
-        binomial(positions, r + 1) - rebuilt,
-        rebuilt,
-        binomial(positions - 1, r - 1),
-    )
+    # C(K'-1, r-1) = C(K', r) * r / K' exactly, one binomial fewer.
+    return subfiles, binomial(positions, r + 1) - rebuilt, rebuilt, subfiles * r // positions
 
 
 @dataclass(frozen=True)

@@ -422,12 +422,14 @@ def oracle_y_reconstruction(params: SchemeParams, files: FileLibrary) -> Verific
     _, _, rebuilt, _ = params.counts
     _guard_cases("signal-reconstruction", k_users * n * rebuilt, _RECONSTRUCTION_CASE_CAP)
     start = time.perf_counter()
+    # Placement runs the plan guard, whose up-row cost C(K', r)*K' bounds
+    # the C(K', r+1) subsets enumerated next, so it must come first.
+    caches = _caches_by_key(params, files)
     non_leader = [
         (rank, index)
         for rank, index in enumerate(enumerate_r_subsets(params.positions, params.r + 1))
         if index.members[0] >= n
     ]
-    caches = _caches_by_key(params, files)
     cases = 0
     failures = []
     for k in range(k_users):

@@ -210,6 +210,18 @@ def test_verify_oracles_over_the_case_cap_are_usage_errors(capsys, suite, n, k, 
     assert "exceeds the cap" in capsys.readouterr().err
 
 
+def test_reconstruction_oracle_is_refused_before_it_enumerates_subsets(monkeypatch, capsys):
+    # K = 1 rebuilds no signal, so only the plan guard can refuse this run;
+    # it must do so before the oracle lists all C(26, 13) (r+1)-subsets
+    def refuse(*_):
+        raise AssertionError("subsets enumerated before the plan guard")
+
+    monkeypatch.setattr("privcache.verify.enumerate_r_subsets", refuse)
+    monkeypatch.setattr("privcache.plan.enumerate_r_subsets", refuse)
+    run_cli_expect_usage_error("verify", "--suite", "reconstruction", "--n", "26", "--k", "1", "--r", "12")
+    assert "exceeds the cap" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "argv",
     [
