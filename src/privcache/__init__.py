@@ -4,52 +4,87 @@ A library and CLI for the virtual-user demand-private caching scheme:
 placement, delivery, decoding, exhaustive correctness and exact privacy
 verification, and the exact-rational memory-rate tradeoff machinery for
 the two-file case.
+
+The namespace is lazy (PEP 562): `import privcache` loads no submodule,
+and each exported name imports its home module on first access, then
+sits in the package globals like an eager import.  So a session that
+only places, delivers and decodes never loads `verify`, `tradeoff` or
+`fractions`.
 """
 
-from .bitvec import Bits
-from .combinat import SubsetIndex, binomial, enumerate_r_subsets, subset_rank, subset_unrank
-from .scheme import (
-    AuxDemand,
-    CacheContent,
-    DeliverySignal,
-    DemandClass,
-    FileLibrary,
-    SchemeParams,
-    SessionRandomness,
-    VVector,
-    assemble_delivery,
-    aux_demand,
-    build_delivery,
-    build_v,
-    decode,
-    f_map,
-    g_map,
-    memory_rate_of,
-    place,
-    x_segment,
-)
-from .tradeoff import (
-    LinearBound,
-    RatePoint,
-    TradeoffCurve,
-    companion_points,
-    converse_bounds,
-    converse_eval,
-    lower_convex_envelope,
-    scheme_points,
-    tight_intervals,
-    tightness_report,
-    upper_envelope,
-)
-from .verify import (
-    ScaleLimitError,
-    VerificationReport,
-    oracle_demand_identity,
-    oracle_y_reconstruction,
-    verify_correctness_exhaustive,
-    verify_distribution_lemma,
-    verify_privacy,
-)
-from .yma import UVector, build_u_vector, compute_y, yma_delivery
+import importlib
 
 __version__ = "0.1.0"
+
+_EXPORTS = {
+    "bitvec": ("Bits",),
+    "combinat": (
+        "ScaleLimitError",
+        "SubsetIndex",
+        "binomial",
+        "enumerate_r_subsets",
+        "subset_rank",
+        "subset_unrank",
+    ),
+    "scheme": (
+        "AuxDemand",
+        "CacheContent",
+        "DeliverySignal",
+        "DemandClass",
+        "FileLibrary",
+        "SchemeParams",
+        "SessionRandomness",
+        "VVector",
+        "assemble_delivery",
+        "aux_demand",
+        "build_delivery",
+        "build_v",
+        "decode",
+        "f_map",
+        "g_map",
+        "memory_rate_of",
+        "place",
+        "x_segment",
+    ),
+    "tradeoff": (
+        "LinearBound",
+        "RatePoint",
+        "TradeoffCurve",
+        "companion_points",
+        "converse_bounds",
+        "converse_eval",
+        "lower_convex_envelope",
+        "scheme_points",
+        "tight_intervals",
+        "tightness_report",
+        "upper_envelope",
+    ),
+    "verify": (
+        "VerificationReport",
+        "oracle_demand_identity",
+        "oracle_y_reconstruction",
+        "verify_correctness_exhaustive",
+        "verify_distribution_lemma",
+        "verify_privacy",
+    ),
+    "yma": ("UVector", "build_u_vector", "compute_y", "yma_delivery"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+_SUBMODULES = frozenset({*_EXPORTS, "cli", "plan"})
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    module = _HOME.get(name)
+    if module is not None:
+        value = getattr(importlib.import_module(f".{module}", __name__), name)
+        globals()[name] = value  # later lookups never reach this hook
+        return value
+    if name in _SUBMODULES:
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_SUBMODULES})

@@ -28,6 +28,10 @@ however many decodes read it (`CacheContent.signal_values`,
 `DeliverySignal.segment_values`); `decode` shifts `plan.virtual` by the
 key.  The per-element formulas (`FileLibrary.subfile`, `yma.compute_y`,
 `x_segment`) stay as the references those tables are tested against.
+
+Loading this module loads neither `plan` nor `tradeoff`: `SchemeParams.plan`
+and `memory_rate_of` import them on first use, so a session that places,
+delivers and decodes never compiles the tradeoff layer or `fractions`.
 """
 
 from __future__ import annotations
@@ -41,10 +45,10 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 from . import yma
 from .bitvec import Bits
 from .combinat import SubsetIndex, enumerate_r_subsets, position_count, scheme_counts, subset_rank
-from .tradeoff import RatePoint, scheme_point
 
 if TYPE_CHECKING:
     from .plan import SchemePlan
+    from .tradeoff import RatePoint
 
 _TD_BYTES = 2
 _LEN_BYTES = 4
@@ -91,7 +95,8 @@ class SchemeParams:
     @cached_property
     def plan(self) -> SchemePlan:
         """The rank tables of (N, K, r), shared by every file length."""
-        # imported on first use, so `import privcache` alone never compiles it
+        # imported on first use, so loading this module (or reaching a session
+        # name through the lazy `privcache` namespace) never compiles it
         from .plan import scheme_plan
 
         return scheme_plan(self.num_files, self.num_users, self.r)
@@ -578,6 +583,8 @@ def decode(cache: CacheContent, x: DeliverySignal, user: int, demand: int) -> Bi
 
 def memory_rate_of(params: SchemeParams) -> RatePoint:
     """Exact (M, R) of this parameterization (tradeoff.scheme_point)."""
+    from .tradeoff import scheme_point  # on use, see the module docstring
+
     return scheme_point(params.num_files, params.num_users, params.r)
 
 

@@ -51,6 +51,11 @@ from .scheme import (
 )
 
 _CASE_CAP = 20_000_000
+# correctness decodes each (aux digits, t, user, key) once, each decode
+# rebuilding all C(K', r) subfiles; over at most N^K * K' * K * N decodes, this
+# many subfiles is about a minute at the slowest cost per subfile measured on
+# a 2-vCPU VM (550-880 ns; it grows with r and with |V| / K')
+_DECODE_WORK_CAP = 60_000_000
 # the oracles' own caps, each about a minute at its slowest per-case cost
 # measured on a 2-vCPU VM: signal reconstruction 15-62 us per case (it grows
 # with r and the subfile width), the demand identity 9-15 us (it grows with N)
@@ -160,6 +165,9 @@ def verify_correctness_exhaustive(
     _guard_enumeration(params, "correctness")
     start = time.perf_counter()
     n, k_users = params.num_files, params.num_users
+    work = n ** (k_users + 1) * params.positions * k_users * params.subfile_count
+    if work > _DECODE_WORK_CAP:
+        raise ScaleLimitError(f"correctness decoding of ~{work} subfiles exceeds the cap")
     caches = _caches_by_key(params, files)
     deliveries = _deliveries(params, files)
     selectors = {x.aux.digits: x.aux.selector for x in deliveries.values()}  # built by _deliveries

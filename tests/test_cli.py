@@ -237,6 +237,14 @@ def test_runs_whose_plan_exceeds_the_cap_are_usage_errors(capsys, argv):
     assert captured.out == ""
 
 
+def test_correctness_over_the_decode_work_cap_is_a_usage_error(capsys):
+    # (16,2,4) passes the case and plan caps; its decodes would take most of an hour
+    run_cli_expect_usage_error("verify", "--suite", "correctness", "--n", "16", "--k", "2", "--r", "4")
+    captured = capsys.readouterr()
+    assert "correctness decoding of ~7990599680 subfiles exceeds the cap" in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("suite", ["privacy", "lemma1"])
 def test_verify_privacy_runs_where_the_plan_is_refused(capsys, suite):
     code, out = run_cli(capsys, "verify", "--suite", suite, "--n", "16", "--k", "2", "--r", "6")

@@ -1,0 +1,145 @@
+"""The lazy `privcache` namespace: what a bare import and a session load.
+
+Each check that looks at `sys.modules` runs in a fresh interpreter, since
+this test process has long since imported every submodule.
+"""
+
+import importlib
+import json
+import subprocess
+import sys
+
+import pytest
+
+import privcache
+from privcache.combinat import ScaleLimitError
+
+SESSION_NAMES = (
+    "Bits",
+    "SchemeParams",
+    "FileLibrary",
+    "SessionRandomness",
+    "place",
+    "aux_demand",
+    "assemble_delivery",
+    "decode",
+    "CacheContent",
+    "DeliverySignal",
+    "AuxDemand",
+    "build_v",
+)
+
+HOMES = {
+    "bitvec": ("Bits",),
+    "combinat": (
+        "ScaleLimitError", "SubsetIndex", "binomial", "enumerate_r_subsets", "subset_rank",
+        "subset_unrank",
+    ),
+    "scheme": (
+        "AuxDemand", "CacheContent", "DeliverySignal", "DemandClass", "FileLibrary",
+        "SchemeParams", "SessionRandomness", "VVector", "assemble_delivery", "aux_demand",
+        "build_delivery", "build_v", "decode", "f_map", "g_map", "memory_rate_of", "place",
+        "x_segment",
+    ),
+    "tradeoff": (
+        "LinearBound", "RatePoint", "TradeoffCurve", "companion_points", "converse_bounds",
+        "converse_eval", "lower_convex_envelope", "scheme_points", "tight_intervals",
+        "tightness_report", "upper_envelope",
+    ),
+    "verify": (
+        "VerificationReport", "oracle_demand_identity", "oracle_y_reconstruction",
+        "verify_correctness_exhaustive", "verify_distribution_lemma", "verify_privacy",
+    ),
+    "yma": ("UVector", "build_u_vector", "compute_y", "yma_delivery"),
+}
+"""Each exported name's home submodule, as the package exported them eagerly."""
+EXPORTED = sorted(name for names in HOMES.values() for name in names)
+
+
+def fresh(code: str):
+    """Run `code` in a new interpreter and return the JSON it prints last."""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def test_session_names_leave_the_verifiers_and_the_tradeoff_layer_unloaded():
+    loaded = fresh(
+        "import json, sys\n"
+        "import privcache\n"
+        f"for name in {SESSION_NAMES!r}: getattr(privcache, name)\n"
+        "print(json.dumps(sorted(sys.modules)))\n"
+    )
+    for module in ("privcache.verify", "privcache.tradeoff", "privcache.plan", "fractions"):
+        assert module not in loaded
+    assert "privcache.scheme" in loaded
+
+
+def test_bare_import_loads_no_submodule():
+    loaded = fresh("import json, sys\nimport privcache\nprint(json.dumps(sorted(sys.modules)))\n")
+    assert not [m for m in loaded if m.startswith("privcache.")]
+
+
+def test_exported_names_are_pinned():
+    assert len(EXPORTED) == 46
+    assert sorted(privcache.__all__) == EXPORTED
+
+
+@pytest.mark.parametrize("module, name", [(m, n) for m, names in HOMES.items() for n in names])
+def test_every_name_is_its_home_module_object(module, name):
+    assert getattr(privcache, name) is getattr(importlib.import_module(f"privcache.{module}"), name)
+
+
+def test_scale_limit_error_is_one_class():
+    from privcache import verify
+
+    assert privcache.ScaleLimitError is ScaleLimitError is verify.ScaleLimitError
+
+
+def test_submodules_resolve_after_a_bare_import():
+    got = fresh(
+        "import json, sys\n"
+        "import privcache\n"
+        "loaded_first = 'privcache.verify' in sys.modules\n"
+        "mod = privcache.verify\n"
+        "print(json.dumps([loaded_first, mod.__name__, mod is sys.modules['privcache.verify'],\n"
+        "                  privcache.cli.__name__, privcache.plan.__name__]))\n"
+    )
+    assert got == [False, "privcache.verify", True, "privcache.cli", "privcache.plan"]
+
+
+def test_unknown_names_raise_attribute_error():
+    assert not hasattr(privcache, "nope")
+    with pytest.raises(AttributeError, match="has no attribute 'nope'"):
+        privcache.nope  # noqa: B018
+
+
+def test_star_import_binds_every_name():
+    bound = fresh(
+        "import json\n"
+        "from privcache import *\n"
+        "print(json.dumps(sorted(n for n in dir() if not n.startswith('_') and n != 'json')))\n"
+    )
+    assert bound == EXPORTED
+
+
+def test_dir_lists_names_and_submodules():
+    listed = dir(privcache)
+    assert set(EXPORTED) <= set(listed)
+    assert {"verify", "tradeoff", "scheme", "cli", "plan"} <= set(listed)
+
+
+def test_memory_rate_of_imports_the_tradeoff_layer_on_use():
+    got = fresh(
+        "import json, sys\n"
+        "from privcache import SchemeParams, memory_rate_of\n"
+        "before = 'privcache.tradeoff' in sys.modules\n"
+        "instances = [(2, 3, 2), (2, 3, 0), (3, 2, 1), (4, 4, 3), (2, 4, 5)]\n"
+        "points = [memory_rate_of(SchemeParams.minimal(*i)) for i in instances]\n"
+        "from privcache.tradeoff import scheme_point\n"
+        "same = [p == scheme_point(*i) for p, i in zip(points, instances)]\n"
+        "print(json.dumps([before, same, [str(p.memory) + ' ' + str(p.rate) for p in points]]))\n"
+    )
+    before, same, points = got
+    assert before is False
+    assert same == [True] * 5
+    assert points[0] == "2/3 1"

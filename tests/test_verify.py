@@ -462,3 +462,34 @@ def test_report_shape():
     assert not bad.passed
     assert "FAIL" in bad.describe()
     assert bad.to_dict()["failures"][0]["expected"] == "'want'"
+
+
+def test_correctness_decode_work_guard_fires_before_anything_is_built(monkeypatch):
+    # (16,2,4) passes the case cap (16^4 * 31 * 2 = 4,063,232 cases) and the
+    # plan cap, but its sweep would rebuild up to 16^3 * 31 * 2 * 16 * C(31, 4)
+    # subfiles: most of an hour of decoding
+    def unbuilt(*args):
+        raise AssertionError("built before the decode-work guard")
+
+    import privcache.plan as plan_module
+
+    monkeypatch.setattr(verify, "_caches_by_key", unbuilt)
+    monkeypatch.setattr(verify, "_deliveries", unbuilt)
+    monkeypatch.setattr(verify, "build_delivery", unbuilt)
+    monkeypatch.setattr(verify, "place", unbuilt)
+    monkeypatch.setattr(plan_module, "scheme_plan", unbuilt)
+    params = SchemeParams.minimal(16, 2, 4)
+    files = FileLibrary(params, tuple(Bits.zeros(params.file_bits) for _ in range(16)))
+    with pytest.raises(ScaleLimitError, match=r"decoding of ~7990599680 subfiles exceeds the cap"):
+        verify_correctness_exhaustive(params, files)
+
+
+def test_correctness_decode_work_is_bounded_in_closed_form(monkeypatch):
+    # (2,3,2): N^K aux vectors * K' t-choices * K users * N keys * C(K', r)
+    # subfiles = 8 * 4 * 3 * 2 * 6 = 1152 (the sweep makes 384 of those 1152/6 decodes)
+    params, files = seeded_library(2, 3, 2, seed=6)
+    monkeypatch.setattr(verify, "_DECODE_WORK_CAP", 1152)
+    assert verify_correctness_exhaustive(params, files).passed
+    monkeypatch.setattr(verify, "_DECODE_WORK_CAP", 1151)
+    with pytest.raises(ScaleLimitError, match="exceeds the cap"):
+        verify_correctness_exhaustive(params, files)
