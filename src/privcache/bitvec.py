@@ -1,4 +1,13 @@
-"""Fixed-length bit strings over GF(2), backed by Python integers."""
+"""Fixed-length bit strings over GF(2), backed by Python integers.
+
+`pack_blocks` / `split_blocks` are the wire form of a run of equal-width
+ints (the payload of a cache or broadcast): the same bytes and errors as
+`Bits.from_blocks(values, width).to_bytes()` and
+`Bits.from_bytes(data, length).block_values(width)`.  When the width is a
+whole number of bytes, each block is its own little-endian slice of the
+string's bytes, so both directions work slice by slice and never build
+the joined int; other widths take the joined-int path.
+"""
 
 from __future__ import annotations
 
@@ -19,7 +28,9 @@ class Bits:
     position ``j``, so ``value >> j & 1`` reads it.  XOR is only defined
     between strings of equal length.  The byte and text codecs are linear
     time: one int conversion plus one table pass, byte-identical to
-    packing bit by bit (bit 0 at the MSB of the first byte).
+    packing bit by bit (bit 0 at the MSB of the first byte).  Blocks of
+    a width divisible by 8 are joined and split as whole-byte slices
+    (`from_blocks`, `block_values`), with no shift and no mask.
     """
 
     __slots__ = ("value", "length")
@@ -56,6 +67,9 @@ class Bits:
     def from_blocks(cls, values: Iterable[int], width: int) -> Bits:
         """Inverse of `block_values`: `width`-bit ints joined in order, the
         first at bit 0; a value wider than `width` raises ValueError."""
+        if _aligned(width):
+            raw = _little_endian(values, width)
+            return cls(int.from_bytes(raw, "little"), len(raw) << 3)
         return cls._join((value, width) for value in values)
 
     @classmethod
@@ -89,7 +103,7 @@ class Bits:
 
     def block(self, i: int, width: int) -> Bits:
         """The i-th consecutive block of `width` bits."""
-        if width <= 0 or (i + 1) * width > self.length:
+        if width <= 0 or i < 0 or (i + 1) * width > self.length:
             raise IndexError(f"block {i} of width {width} out of range")
         return Bits(self.value >> (i * width) & ((1 << width) - 1), width)
 
@@ -99,9 +113,10 @@ class Bits:
         Equal to ``block(i, width).value`` for each i, but the string is
         converted to bytes once and each block is cut from a short slice.
         """
-        if width <= 0 or self.length % width:
-            raise ValueError(f"length {self.length} does not split into blocks of {width}")
+        _check_split(self.length, width)
         raw = self.value.to_bytes((self.length + 7) >> 3, "little")
+        if _aligned(width):
+            return _split(raw, width)
         mask = (1 << width) - 1
         return tuple(
             int.from_bytes(raw[start >> 3 : (start + width + 7) >> 3], "little") >> (start & 7) & mask
@@ -118,12 +133,7 @@ class Bits:
 
     @classmethod
     def from_bytes(cls, data: bytes, length: int) -> Bits:
-        if length < 0:
-            raise ValueError(f"negative bit length {length}")
-        if len(data) != (length + 7) // 8:
-            raise ValueError(f"expected {(length + 7) // 8} bytes for {length} bits")
-        if length & 7 and data[-1] & (0xFF >> (length & 7)):
-            raise ValueError("nonzero pad bits after the last bit")
+        _check_packed(data, length)
         # bytes() takes any bytes-like input and returns a bytes object as is
         return cls(int.from_bytes(bytes(data).translate(_REVERSED), "little"), length)
 
@@ -149,3 +159,51 @@ class Bits:
         if self.length <= 64:
             return f"Bits({self.to01()!r})"
         return f"Bits(<{self.length} bits>)"
+
+
+def pack_blocks(values: Iterable[int], width: int) -> bytes:
+    """`Bits.from_blocks(values, width).to_bytes()`, with the same errors."""
+    if _aligned(width):
+        return _little_endian(values, width).translate(_REVERSED)
+    return Bits.from_blocks(values, width).to_bytes()
+
+
+def split_blocks(data: bytes, length: int, width: int) -> tuple[int, ...]:
+    """`Bits.from_bytes(data, length).block_values(width)`, with the same errors."""
+    if _aligned(width):
+        _check_packed(data, length)
+        _check_split(length, width)
+        return _split(bytes(data).translate(_REVERSED), width)
+    return Bits.from_bytes(data, length).block_values(width)
+
+
+def _aligned(width: int) -> bool:
+    return width > 0 and not width & 7
+
+
+def _little_endian(values: Iterable[int], width: int) -> bytes:
+    """Byte-aligned `width`-bit ints joined little-endian, the first in byte 0."""
+    try:
+        return b"".join([value.to_bytes(width >> 3, "little") for value in values])
+    except OverflowError:  # negative, or wider than width
+        raise ValueError(f"value does not fit in {width} bits") from None
+
+
+def _split(raw: bytes, width: int) -> tuple[int, ...]:
+    """Inverse of `_little_endian`."""
+    size = width >> 3
+    return tuple([int.from_bytes(raw[i : i + size], "little") for i in range(0, len(raw), size)])
+
+
+def _check_packed(data: bytes, length: int) -> None:
+    if length < 0:
+        raise ValueError(f"negative bit length {length}")
+    if len(data) != (length + 7) // 8:
+        raise ValueError(f"expected {(length + 7) // 8} bytes for {length} bits")
+    if length & 7 and data[-1] & (0xFF >> (length & 7)):
+        raise ValueError("nonzero pad bits after the last bit")
+
+
+def _check_split(length: int, width: int) -> None:
+    if width <= 0 or length % width:
+        raise ValueError(f"length {length} does not split into blocks of {width}")

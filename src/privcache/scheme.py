@@ -43,7 +43,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from . import yma
-from .bitvec import Bits
+from .bitvec import Bits, pack_blocks, split_blocks
 from .combinat import SubsetIndex, enumerate_r_subsets, position_count, scheme_counts, subset_rank
 
 if TYPE_CHECKING:
@@ -148,8 +148,8 @@ class FileLibrary:
 
     @classmethod
     def from_bytes(cls, params: SchemeParams, data: bytes) -> FileLibrary:
-        total = Bits.from_bytes(data, params.num_files * params.file_bits)
-        return cls(params, tuple(Bits(v, params.file_bits) for v in total.block_values(params.file_bits)))
+        width = params.file_bits
+        return cls(params, tuple(Bits(v, width) for v in split_blocks(data, params.num_files * width, width)))
 
 
 class DemandClass(Enum):
@@ -421,8 +421,8 @@ class DeliverySignal:
 
     def to_bytes(self) -> bytes:
         """Canonical wire form: d digits, t_d, bit length, packed segments."""
-        payload = Bits.from_blocks(self.segments, self.params.subfile_bits)
-        return delivery_header(self.aux.digits, self.t_d, payload.length) + payload.to_bytes()
+        payload = pack_blocks(self.segments, self.params.subfile_bits)
+        return delivery_header(self.aux.digits, self.t_d, self.payload_bits) + payload
 
     @classmethod
     def from_bytes(cls, params: SchemeParams, data: bytes) -> DeliverySignal:
@@ -432,8 +432,8 @@ class DeliverySignal:
         d = AuxDemand(tuple(data[:k]), params.num_files)
         t_d = int.from_bytes(data[k : k + _TD_BYTES], "big")
         nbits = int.from_bytes(data[k + _TD_BYTES : k + _TD_BYTES + _LEN_BYTES], "big")
-        payload = Bits.from_bytes(data[k + _TD_BYTES + _LEN_BYTES :], nbits)
-        return cls(d, t_d, payload.block_values(params.subfile_bits), params)
+        segments = split_blocks(data[k + _TD_BYTES + _LEN_BYTES :], nbits, params.subfile_bits)
+        return cls(d, t_d, segments, params)
 
 
 def build_delivery(files: FileLibrary, d: AuxDemand, t_d: int) -> DeliverySignal:
@@ -515,16 +515,16 @@ class CacheContent:
 
     def to_bytes(self) -> bytes:
         """Canonical wire form: key digit, bit length, signals in colex order."""
-        payload = Bits.from_blocks(self.signals, self.params.subfile_bits)
-        return cache_header(self.key, payload.length) + payload.to_bytes()
+        payload = pack_blocks(self.signals, self.params.subfile_bits)
+        return cache_header(self.key, self.payload_bits) + payload
 
     @classmethod
     def from_bytes(cls, params: SchemeParams, user: int, data: bytes) -> CacheContent:
         if len(data) < 1 + _LEN_BYTES:
             raise ValueError(f"cache of {len(data)} bytes is shorter than its header")
         nbits = int.from_bytes(data[1 : 1 + _LEN_BYTES], "big")
-        payload = Bits.from_bytes(data[1 + _LEN_BYTES :], nbits)
-        return cls(user, data[0], payload.block_values(params.subfile_bits), params)
+        signals = split_blocks(data[1 + _LEN_BYTES :], nbits, params.subfile_bits)
+        return cls(user, data[0], signals, params)
 
 
 def place(files: FileLibrary, params: SchemeParams, rand: SessionRandomness) -> list[CacheContent]:

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from helpers import xor_all
-from privcache.bitvec import Bits
+from privcache.bitvec import Bits, pack_blocks, split_blocks
 
 
 def test_roundtrip_01():
@@ -42,6 +42,12 @@ def test_concat_and_blocks():
     assert [whole.block(i, 2) for i in range(3)] == parts
     with pytest.raises(IndexError):
         whole.block(3, 2)
+
+
+@pytest.mark.parametrize("i", [-1, -2, -5])
+def test_block_rejects_a_negative_index(i):
+    with pytest.raises(IndexError, match=f"block {i} of width 4 out of range"):
+        Bits(0b10110110, 8).block(i, 4)
 
 
 def test_bytes_roundtrip():
@@ -105,3 +111,29 @@ def test_from_bytes_rejects_nonzero_pad_bits():
     for data, length in ((b"\xff", 3), (b"\x01", 7), (b"\x00\x40", 9)):
         with pytest.raises(ValueError):
             Bits.from_bytes(data, length)
+
+
+@pytest.mark.parametrize("width", [8, 16, 128])
+@pytest.mark.parametrize("value", [-1, -256, "wide"])
+def test_byte_aligned_blocks_reject_values_outside_the_width(width, value):
+    # int.to_bytes raises OverflowError; every caller sees the ValueError
+    # the shift-based join raises
+    value = 1 << width if value == "wide" else value
+    with pytest.raises(ValueError, match=f"value does not fit in {width} bits"):
+        pack_blocks([0, value], width)
+    with pytest.raises(ValueError, match=f"value does not fit in {width} bits"):
+        Bits.from_blocks([value], width)
+
+
+def test_split_blocks_keeps_the_byte_checks_and_order():
+    # byte count, then pad bits, then the block split, as Bits.from_bytes
+    # followed by block_values checks them
+    with pytest.raises(ValueError, match="expected 2 bytes for 16 bits"):
+        split_blocks(b"\x00", 16, 8)
+    with pytest.raises(ValueError, match="nonzero pad bits"):
+        split_blocks(b"\x00\x01", 12, 8)
+    with pytest.raises(ValueError, match="length 12 does not split into blocks of 8"):
+        split_blocks(b"\x00\x00", 12, 8)
+    with pytest.raises(ValueError, match="negative bit length -8"):
+        split_blocks(b"", -8, 8)
+    assert split_blocks(b"\x80\x01", 16, 8) == (1, 128)

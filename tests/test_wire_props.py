@@ -1,8 +1,9 @@
 """Property tests of the wire codec against the bit-by-bit reference.
 
-`Bits.to_bytes`/`from_bytes` must equal the MSB-first reference codec in
-`helpers` for every length and value, reject every nonzero pad pattern,
-and the cache and broadcast blobs must re-encode byte-identically.
+`Bits.to_bytes`/`from_bytes` and the payload pair `pack_blocks`/
+`split_blocks` must equal the MSB-first reference codec in `helpers` for
+every length and value, reject every nonzero pad pattern, and the cache
+and broadcast blobs must re-encode byte-identically.
 """
 
 import random
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import reference_from_bytes, reference_to_bytes
-from privcache.bitvec import Bits
+from privcache.bitvec import Bits, pack_blocks, split_blocks
 from privcache.scheme import (
     AuxDemand,
     CacheContent,
@@ -47,6 +48,85 @@ def test_every_nonzero_pad_pattern_is_rejected(b):
     for pattern in range(1, 1 << pad):
         with pytest.raises(ValueError, match="nonzero pad bits"):
             Bits.from_bytes(blob[:-1] + bytes([blob[-1] | pattern]), b.length)
+
+
+def blocks_of(width):
+    return st.lists(st.integers(0, (1 << width) - 1), max_size=40)
+
+
+byte_inputs = st.sampled_from([bytes, bytearray, memoryview])
+
+
+@pytest.mark.parametrize("width", range(1, 131))
+@settings(max_examples=4, deadline=None)
+@given(st.data())
+def test_pack_and_split_blocks_equal_the_reference(width, data):
+    values = data.draw(blocks_of(width))
+    length = len(values) * width
+    joined = Bits(sum(v << (i * width) for i, v in enumerate(values)), length)
+    blob = pack_blocks(values, width)
+    assert blob == reference_to_bytes(joined)
+    whole = reference_from_bytes(blob, length).value
+    expected = tuple(whole >> start & ((1 << width) - 1) for start in range(0, length, width))
+    assert split_blocks(data.draw(byte_inputs)(blob), length, width) == expected == tuple(values)
+
+
+def outcome(call):
+    """("ok", result) or ("ValueError", message)."""
+    try:
+        return "ok", call()
+    except ValueError as exc:
+        return "ValueError", str(exc)
+
+
+def joined_int_split(data, length, width):
+    """The joined-int chain: Bits.from_bytes, then a shift-and-mask cut
+    of the whole int at every width."""
+    whole = Bits.from_bytes(data, length)
+    if width <= 0 or length % width:
+        raise ValueError(f"length {length} does not split into blocks of {width}")
+    return tuple(whole.value >> start & ((1 << width) - 1) for start in range(0, length, width))
+
+
+widths = st.one_of(st.integers(1, 130), st.sampled_from(range(8, 131, 8)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(widths, st.data())
+def test_pack_blocks_raises_where_the_joined_int_chain_does(width, data):
+    outside = st.sampled_from([-1, -(1 << width), 1 << width, (1 << width) + 5])
+    values = data.draw(st.lists(st.one_of(st.integers(0, (1 << width) - 1), outside), max_size=40))
+    got = outcome(lambda: pack_blocks(values, width))
+    assert got == outcome(lambda: Bits._join((v, width) for v in values).to_bytes())
+    assert (got[0] == "ValueError") == any(not 0 <= v >> width < 1 for v in values)
+
+
+@settings(max_examples=400, deadline=None)
+@given(widths, st.data())
+def test_split_blocks_raises_where_the_joined_int_chain_does(width, data):
+    values = data.draw(blocks_of(width))
+    blob, length = pack_blocks(values, width), len(values) * width
+    fault = data.draw(st.sampled_from(["none", "extra byte", "missing byte", "pad bits", "length", "width"]))
+    if fault == "extra byte":
+        blob += bytes([data.draw(st.integers(0, 255))])
+    elif fault == "missing byte" and blob:
+        blob = blob[:-1]
+    elif fault == "pad bits" and length % 8:
+        blob = blob[:-1] + bytes([blob[-1] | data.draw(st.integers(1, (1 << (8 - length % 8)) - 1))])
+    elif fault == "length":
+        length += data.draw(st.integers(-9, 9))
+    elif fault == "width":
+        width = data.draw(widths)
+    data_in = data.draw(byte_inputs)(blob)
+    got = outcome(lambda: split_blocks(data_in, length, width))
+    assert got == outcome(lambda: joined_int_split(blob, length, width))
+    invalid = (
+        length < 0
+        or len(blob) != (length + 7) // 8
+        or length % 8 and blob[-1] & (0xFF >> length % 8)
+        or length % width
+    )
+    assert (got[0] == "ValueError") == bool(invalid)
 
 
 @settings(max_examples=300, deadline=None)
