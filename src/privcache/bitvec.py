@@ -49,6 +49,8 @@ class Bits:
 
     @classmethod
     def random(cls, length: int, rng: random.Random) -> Bits:
+        if length >= 1 << 31:  # getrandbits takes a C int
+            raise ValueError(f"cannot draw {length} random bits, the limit is 2^31 - 1")
         return cls(rng.getrandbits(length) if length else 0, length)
 
     @classmethod

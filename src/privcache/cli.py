@@ -71,8 +71,14 @@ def _load_library(args, params: SchemeParams, parser: argparse.ArgumentParser) -
         except (OSError, ValueError, KeyError) as exc:
             parser.error(f"cannot load library {path}: {exc}")
         return files, f"file {path}"
-    rng = random.Random(f"{args.seed}:library")
-    return FileLibrary.random(params, rng), f"seeded ({args.seed})"
+    return _random_library(params, args.seed, parser), f"seeded ({args.seed})"
+
+
+def _random_library(params: SchemeParams, seed: str, parser: argparse.ArgumentParser) -> FileLibrary:
+    try:
+        return FileLibrary.random(params, random.Random(f"{seed}:library"))
+    except ValueError as exc:
+        parser.error(f"cannot generate the library: {exc}")
 
 
 def cmd_params(args, parser) -> int:
@@ -165,8 +171,7 @@ def cmd_simulate(args, parser) -> int:
 
 def cmd_verify(args, parser) -> int:
     params = _params_from(args, parser)
-    rng = random.Random(f"{args.seed}:library")
-    files = FileLibrary.random(params, rng)
+    files = _random_library(params, args.seed, parser)
     suites = SUITES[:-1] if args.suite == "all" else (args.suite,)
     reports = []
     try:
@@ -238,7 +243,10 @@ def cmd_tradeoff(args, parser) -> int:
         ]
     text = "\n".join(lines) + "\n"
     if args.out:
-        Path(args.out).write_text(text)
+        try:
+            Path(args.out).write_text(text)
+        except OSError as exc:
+            parser.error(f"cannot write --out {args.out}: {exc}")
     else:
         sys.stdout.write(text)
     return 0

@@ -11,7 +11,8 @@ The module is organized around the life of one session:
                                        once into its C(K', r) subfile ints
   * SessionRandomness               -- key digits and t-index choices
   * place                           -- cache contents (key + signals)
-  * aux_demand, build_v             -- auxiliary demand and its selector set
+  * aux_demand, build_v             -- auxiliary demand and its selector set,
+                                       built on `yma`'s label layout
   * x_segment, assemble_delivery    -- broadcast construction
   * decode                          -- receiver side
   * memory_rate_of                  -- exact (M, R) accounting
@@ -144,7 +145,7 @@ class FileLibrary:
 
     def to_bytes(self) -> bytes:
         """Raw concatenation of all N files, padded to a byte boundary."""
-        return Bits.concat(self.files).to_bytes()
+        return pack_blocks([w.value for w in self.files], self.params.file_bits)
 
     @classmethod
     def from_bytes(cls, params: SchemeParams, data: bytes) -> FileLibrary:
@@ -158,6 +159,16 @@ class DemandClass(Enum):
     D2 = "D2"
 
 
+def _two_run(digits: tuple[int, ...], num_files: int) -> tuple[int, int] | None:
+    """(a, j) when the digits are (a, ..., a, a+1, ..., a+1) ending in j >= 0
+    digits a+1 with a+1 < N, else None."""
+    a = digits[0]
+    j = len(digits) - next((i for i, v in enumerate(digits) if v != a), len(digits))
+    if j and (a + 1 >= num_files or any(v != a + 1 for v in digits[-j:])):
+        return None
+    return a, j
+
+
 def classify(digits: tuple[int, ...], num_files: int) -> DemandClass:
     """Partition class of an auxiliary demand vector.
 
@@ -167,14 +178,8 @@ def classify(digits: tuple[int, ...], num_files: int) -> DemandClass:
     patterns (0,...,0,1) goes to D0; its selector set is a singleton
     either way, so delivery is unaffected.
     """
-    n = num_files
-    first = digits[0]
-    if all(v == first for v in digits):
+    if _two_run(digits, num_files) is not None:
         return DemandClass.D0
-    if first <= n - 2:
-        i0 = next(i for i, v in enumerate(digits) if v != first)
-        if digits[i0] == first + 1 and all(v == digits[i0] for v in digits[i0:]):
-            return DemandClass.D0
     if sum(1 for v in digits if v) == 1:
         return DemandClass.D1
     return DemandClass.D2
@@ -222,28 +227,21 @@ def aux_demand(demands: Sequence[int], keys: Sequence[int], num_files: int) -> A
 
 
 def f_map(d: AuxDemand) -> int:
-    """Label of a class-D0 demand in [0, K'): a for the constant vector
-    a*1, and (N-1)*k + a + 1 for the two-run vector ending in k digits."""
-    if d.demand_class is not DemandClass.D0:
+    """Label in [0, K') of a class-D0 demand, the two-run vector (a, ...,
+    a, a+1, ..., a+1) ending in j digits a+1: `yma._label(a, j)`."""
+    run = _two_run(d.digits, d.num_files)
+    if run is None:
         raise ValueError(f"{d.digits} is not a class-D0 demand")
-    first = d.digits[0]
-    if all(v == first for v in d.digits):
-        return first
-    i0 = next(i for i, v in enumerate(d.digits) if v != first)
-    return (d.num_files - 1) * (d.num_users - i0) + first + 1
+    return yma._label(*run, d.num_files, d.num_users)
 
 
 def g_map(label: int, num_files: int, num_users: int) -> AuxDemand:
-    """Inverse of f_map: the class-D0 demand carrying the given label."""
-    n, k_users = num_files, num_users
-    kp = position_count(n, k_users)
+    """Inverse of f_map (`yma._unlabel`): the class-D0 demand at a label."""
+    kp = position_count(num_files, num_users)
     if not 0 <= label < kp:
         raise ValueError(f"label {label} outside [0, {kp})")
-    if label < n:
-        return AuxDemand((label,) * k_users, n)
-    k = (label - 1) // (n - 1)
-    a = (label - 1) % (n - 1)
-    return AuxDemand((a,) * (k_users - k) + ((a + 1) % n,) * k, n)
+    a, j = yma._unlabel(label, num_files)
+    return AuxDemand((a,) * (num_users - j) + (a + 1,) * j, num_files)
 
 
 @dataclass(frozen=True)
@@ -276,47 +274,25 @@ class VVector:
         return frozenset(self.members)
 
 
-def _single_selector_mask(num_files: int, num_users: int, a: int, k: int) -> int:
-    """Selector mask for a demand with a single nonzero digit a at user k."""
-    n, k_users = num_files, num_users
-    mask = 1
-    if k == 0:
-        for b in range(1, a + 1):
-            mask ^= (1 << b) ^ (1 << ((n - 1) * (k_users - 1) + b))
-    elif k <= k_users - 2:
-        for b in range(1, a + 1):
-            mask ^= (1 << ((n - 1) * (k_users - k) + b)) ^ (1 << ((n - 1) * (k_users - k - 1) + b))
-    else:
-        for b in range(1, a + 1):
-            mask ^= (1 << ((n - 1) + b)) ^ (1 << (b - 1))
-    return mask
-
-
 def _selector_mask(digits: tuple[int, ...], num_files: int) -> int:
+    """Selector bit mask: bit 0 (the zero demand's label), then for each
+    step a -> a+1 of user k's digit, the labels of the two two-run demands
+    that differ only at user k (ending in K-k and K-k-1 digits a+1), so
+    each user's labelled digits are odd in number only at its own digit."""
     k_users = len(digits)
-    if not any(digits):
-        return 1
-    if k_users == 1:
-        # Single-user demands are all class D0; the selector is the label bit.
-        return 1 << digits[0]
-    nonzero = [(i, v) for i, v in enumerate(digits) if v]
-    if len(nonzero) == 1:
-        (i, v), = nonzero
-        return _single_selector_mask(num_files, k_users, v, i)
     mask = 1
-    for i, v in nonzero:
-        mask ^= _single_selector_mask(num_files, k_users, v, i) ^ 1
+    for k, digit in enumerate(digits):
+        for a in range(digit):
+            mask ^= 1 << yma._label(a, k_users - k, num_files, k_users)
+            mask ^= 1 << yma._label(a, k_users - k - 1, num_files, k_users)
     return mask
 
 
 def build_v(d: AuxDemand) -> VVector:
-    """Selector vector for an auxiliary demand.
-
-    The zero demand selects position 0; single-nonzero demands use the
-    per-user exchange rule; everything else XOR-composes the single-digit
-    selectors.  For class-D0 demands the result is always the single
-    indicator of f_map(d).
-    """
+    """Selector vector for an auxiliary demand, composed digit by digit
+    from the label layout (`_selector_mask`) for every demand alike: the
+    labelled demands it selects XOR to d user by user, and for a class-D0
+    demand it is the single indicator of f_map(d)."""
     return VVector.from_mask(_selector_mask(d.digits, d.num_files), d.positions)
 
 

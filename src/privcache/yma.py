@@ -1,12 +1,14 @@
 """Virtual-demand vectors and the YMA-style XOR signal layer.
 
 Cache contents of the private scheme are delivery signals of the
-uncoded-placement-optimal multicast (YMA) scheme evaluated under carefully
-constructed "virtual" demand vectors.  This module builds those vectors,
-computes the XOR signals Y indexed by (r+1)-subsets of the position
-universe, and filters them down to the leader-intersecting ones that are
-actually stored.  The non-stored ones are rebuilt at decoding time from
-the plan's exchange-identity tables (`plan.SchemePlan.reconstruction`).
+uncoded-placement-optimal multicast (YMA) scheme evaluated under "virtual"
+demand vectors, read off the label layout of the K' positions (`_label`,
+`_unlabel`; `scheme` builds its labels and selectors on the same pair).
+This module builds those vectors, computes the XOR signals Y indexed by
+(r+1)-subsets of the position universe, and filters them down to the
+leader-intersecting ones that are actually stored.  The non-stored ones
+are rebuilt at decoding time from the plan's exchange-identity tables
+(`plan.SchemePlan.reconstruction`).
 """
 
 from __future__ import annotations
@@ -47,13 +49,29 @@ class UVector:
         return len(self.entries)
 
 
-def build_u_vector(num_files: int, num_users: int, user: int, key: int) -> UVector:
-    """Virtual demand vector for one (user, key digit) pair, closed form.
+def _label(a: int, j: int, num_files: int, num_users: int) -> int:
+    """Position of the class-D0 demand (a, ..., a, a+1, ..., a+1) ending in
+    j digits a+1: a for j = 0 and a+1 for j = K (the constant vectors, on
+    the leaders), (N-1)*j + a + 1 otherwise."""
+    if j == 0:
+        return a
+    if j == num_users:
+        return a + 1
+    return (num_files - 1) * j + a + 1
 
-    Position i demands, modulo N: key + i on the leader block i < N, then
-    key + ((i-1) mod (N-1)) up to position (K-user)(N-1), and
-    key + ((i-1) mod (N-1)) + 1 beyond it.
-    """
+
+def _unlabel(t: int, num_files: int) -> tuple[int, int]:
+    """Inverse of `_label`: the (a, j) of position t, j = 0 on the leaders."""
+    if t < num_files:
+        return t, 0
+    j, a = divmod(t - 1, num_files - 1)
+    return a, j
+
+
+def build_u_vector(num_files: int, num_users: int, user: int, key: int) -> UVector:
+    """Virtual demand vector for one (user, key digit) pair: entry t is the
+    user's digit under the class-D0 demand labelled t (`scheme.g_map`) plus
+    the key, modulo N."""
     n, k_users = num_files, num_users
     if n < 2:
         raise ValueError(f"need at least 2 files, got {n}")
@@ -61,16 +79,8 @@ def build_u_vector(num_files: int, num_users: int, user: int, key: int) -> UVect
         raise ValueError(f"user {user} out of range for {k_users} users")
     if not 0 <= key < n:
         raise ValueError(f"key digit {key} out of range for {n} files")
-    split = (k_users - user) * (n - 1)
-    entries = []
-    for i in range(position_count(n, k_users)):
-        if i < n:
-            entries.append((key + i) % n)
-        elif i <= split:
-            entries.append((key + (i - 1) % (n - 1)) % n)
-        else:
-            entries.append((key + (i - 1) % (n - 1) + 1) % n)
-    return UVector(tuple(entries), n)
+    runs = [_unlabel(t, n) for t in range(position_count(n, k_users))]
+    return UVector(tuple((key + a + (user >= k_users - j)) % n for a, j in runs), n)
 
 
 def compute_y(files: FileLibrary, u: UVector, r_plus: SubsetIndex) -> Bits:

@@ -125,6 +125,16 @@ def test_byte_aligned_blocks_reject_values_outside_the_width(width, value):
         Bits.from_blocks([value], width)
 
 
+def test_random_refuses_lengths_past_the_generator_limit():
+    # getrandbits takes a C int; the refusal comes before any bit is drawn
+    rng = random.Random(3)
+    state = rng.getstate()
+    for length in (1 << 31, 3 << 31):
+        with pytest.raises(ValueError, match=f"cannot draw {length} random bits, the limit is 2\\^31 - 1"):
+            Bits.random(length, rng)
+    assert rng.getstate() == state
+
+
 def test_split_blocks_keeps_the_byte_checks_and_order():
     # byte count, then pad bits, then the block split, as Bits.from_bytes
     # followed by block_values checks them

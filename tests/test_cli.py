@@ -313,6 +313,40 @@ def test_tradeoff_out_file(tmp_path, capsys):
     assert content.startswith("M,R_ach,R_conv,tight\n")
 
 
+def test_tradeoff_out_to_a_missing_directory_is_a_usage_error(tmp_path, capsys):
+    out_path = tmp_path / "missing" / "rows.csv"
+    run_cli_expect_usage_error("tradeoff", "--k", "3", "--grid", "1/4", "--out", str(out_path))
+    captured = capsys.readouterr()
+    assert f"cannot write --out {out_path}" in captured.err
+    assert captured.out == ""
+    assert not out_path.parent.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("simulate",)]
+    + [("verify", "--suite", suite) for suite in ("correctness", "privacy", "lemma1", "identities",
+                                                  "reconstruction", "all")]
+    + [("verify", "--suite", "privacy", "--mode", "full-marginal")],
+)
+def test_a_library_too_long_to_generate_is_a_usage_error(monkeypatch, capsys, argv):
+    # 6 * 2^31-bit files: refused before a single random bit is drawn
+    def no_draws(self, k):
+        raise AssertionError("bits drawn")
+
+    monkeypatch.setattr(random.Random, "getrandbits", no_draws)
+    run_cli_expect_usage_error(*argv, "--n", "2", "--k", "3", "--r", "2", "--subfile-bits", "2147483648")
+    captured = capsys.readouterr()
+    assert "cannot draw 12884901888 random bits, the limit is 2^31 - 1" in captured.err
+    assert captured.out == ""
+
+
+def test_params_of_a_library_too_long_to_generate_still_print(capsys):
+    code, out = run_cli(capsys, "params", "--n", "2", "--k", "3", "--r", "2", "--subfile-bits", "2147483648")
+    assert code == 0
+    assert "F=12884901888" in out
+
+
 def test_tradeoff_usage_errors():
     run_cli_expect_usage_error("tradeoff", "--k", "1")
     run_cli_expect_usage_error("tradeoff", "--k", "3", "--grid", "zero")

@@ -93,6 +93,15 @@ def test_library_bytes_roundtrip():
     assert FileLibrary.from_bytes(params, files.to_bytes()) == files
 
 
+@pytest.mark.parametrize("width", [1, 3, 8, 128])
+def test_library_bytes_are_the_joined_files(width):
+    # packed file by file with pack_blocks, the codec from_bytes splits with
+    params = SchemeParams.minimal(3, 2, 2, width)
+    files = FileLibrary.random(params, random.Random(width))
+    assert files.to_bytes() == Bits.concat(files.files).to_bytes()
+    assert FileLibrary.from_bytes(params, files.to_bytes()) == files
+
+
 # ------------------------------------------------------------ aux demand map
 
 
