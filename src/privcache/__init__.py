@@ -10,6 +10,12 @@ and each exported name imports its home module on first access, then
 sits in the package globals like an eager import.  So a session that
 only places, delivers and decodes never loads `verify`, `tradeoff` or
 `fractions`.
+
+The value classes (`SchemeParams`, `AuxDemand`, the payloads, the
+tradeoff points and bounds, `VerificationReport`, ...) write explicit
+constructors on the small bases of `_record`, so no class is generated
+from source at import time and neither a session nor the CLI loads
+`inspect`.
 """
 
 import importlib

@@ -13,8 +13,9 @@ used for subfile layout and signal serialization throughout the package.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
+
+from ._record import FrozenRecord
 
 
 def binomial(n: int, k: int) -> int:
@@ -58,23 +59,26 @@ def scheme_counts(num_files: int, num_users: int, r: int) -> tuple[int, int, int
     return subfiles, binomial(positions, r + 1) - rebuilt, rebuilt, subfiles * r // positions
 
 
-@dataclass(frozen=True)
-class SubsetIndex:
+class SubsetIndex(FrozenRecord):
     """A subset of [0, universe) stored as a strictly increasing tuple."""
 
     members: tuple[int, ...]
     universe: int
 
-    def __post_init__(self) -> None:
-        if self.universe <= 0:
-            raise ValueError(f"universe must be positive, got {self.universe}")
+    def __init__(self, members: tuple[int, ...], universe: int) -> None:
+        fields = self.__dict__
+        fields["members"] = members
+        fields["universe"] = universe
+        fields["_values"] = (members, universe)
+        if universe <= 0:
+            raise ValueError(f"universe must be positive, got {universe}")
         prev = -1
-        for m in self.members:
+        for m in members:
             if m <= prev:
-                raise ValueError(f"members not strictly increasing: {self.members}")
+                raise ValueError(f"members not strictly increasing: {members}")
             prev = m
-        if prev >= self.universe:
-            raise ValueError(f"member {prev} outside universe {self.universe}")
+        if prev >= universe:
+            raise ValueError(f"member {prev} outside universe {universe}")
 
     @classmethod
     def of(cls, members, universe: int) -> SubsetIndex:

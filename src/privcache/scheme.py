@@ -30,6 +30,11 @@ however many decodes read it (`CacheContent.signal_values`,
 key.  The per-element formulas (`FileLibrary.subfile`, `yma.compute_y`,
 `x_segment`) stay as the references those tables are tested against.
 
+Every value class here is a `_record.FrozenRecord` with an explicit
+constructor: it stores its fields, then runs its checks, so an instance
+that exists has passed them; equality, hash and repr come from the
+declared fields, and `cached_property` values stay outside them.
+
 Loading this module loads neither `plan` nor `tradeoff`: `SchemeParams.plan`
 and `memory_rate_of` import them on first use, so a session that places,
 delivers and decodes never compiles the tradeoff layer or `fractions`.
@@ -38,12 +43,12 @@ delivers and decodes never compiles the tradeoff layer or `fractions`.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from . import yma
+from ._record import FrozenRecord
 from .bitvec import Bits, pack_blocks, split_blocks
 from .combinat import SubsetIndex, enumerate_r_subsets, position_count, scheme_counts, subset_rank
 
@@ -55,8 +60,7 @@ _TD_BYTES = 2
 _LEN_BYTES = 4
 
 
-@dataclass(frozen=True)
-class SchemeParams:
+class SchemeParams(FrozenRecord):
     """Problem instance: N files, K users, split parameter r, file length F.
 
     The position universe has K' = N*K - K + 1 elements; each file splits
@@ -68,12 +72,18 @@ class SchemeParams:
     r: int
     file_bits: int
 
-    def __post_init__(self) -> None:
+    def __init__(self, num_files: int, num_users: int, r: int, file_bits: int) -> None:
+        fields = self.__dict__
+        fields["num_files"] = num_files
+        fields["num_users"] = num_users
+        fields["r"] = r
+        fields["file_bits"] = file_bits
+        fields["_values"] = (num_files, num_users, r, file_bits)
         subfiles = self.subfile_count  # checks N, K and r
-        if self.file_bits < 1:
-            raise ValueError(f"file length must be positive, got {self.file_bits}")
-        if self.file_bits % subfiles:
-            raise ValueError(f"file length {self.file_bits} not divisible by {subfiles} subfiles")
+        if file_bits < 1:
+            raise ValueError(f"file length must be positive, got {file_bits}")
+        if file_bits % subfiles:
+            raise ValueError(f"file length {file_bits} not divisible by {subfiles} subfiles")
 
     @property
     def positions(self) -> int:
@@ -109,8 +119,7 @@ class SchemeParams:
         return cls(num_files, num_users, r, count * bits_per_subfile)
 
 
-@dataclass(frozen=True)
-class FileLibrary:
+class FileLibrary(FrozenRecord):
     """N equal-length files with subfile addressing by r-subset index.
 
     Subfile (n, R) is the subset_rank(R)-th block of file n, so the colex
@@ -120,12 +129,16 @@ class FileLibrary:
     params: SchemeParams
     files: tuple[Bits, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.files) != self.params.num_files:
-            raise ValueError(f"expected {self.params.num_files} files, got {len(self.files)}")
-        for w in self.files:
-            if w.length != self.params.file_bits:
-                raise ValueError(f"file length {w.length} != {self.params.file_bits}")
+    def __init__(self, params: SchemeParams, files: tuple[Bits, ...]) -> None:
+        fields = self.__dict__
+        fields["params"] = params
+        fields["files"] = files
+        fields["_values"] = (params, files)
+        if len(files) != params.num_files:
+            raise ValueError(f"expected {params.num_files} files, got {len(files)}")
+        for w in files:
+            if w.length != params.file_bits:
+                raise ValueError(f"file length {w.length} != {params.file_bits}")
 
     @cached_property
     def subfiles(self) -> tuple[tuple[int, ...], ...]:
@@ -185,18 +198,21 @@ def classify(digits: tuple[int, ...], num_files: int) -> DemandClass:
     return DemandClass.D2
 
 
-@dataclass(frozen=True)
-class AuxDemand:
+class AuxDemand(FrozenRecord):
     """Key-masked demand vector, the only demand-dependent delivery input."""
 
     digits: tuple[int, ...]
     num_files: int
 
-    def __post_init__(self) -> None:
-        if not self.digits:
+    def __init__(self, digits: tuple[int, ...], num_files: int) -> None:
+        fields = self.__dict__
+        fields["digits"] = digits
+        fields["num_files"] = num_files
+        fields["_values"] = (digits, num_files)
+        if not digits:
             raise ValueError("empty demand vector")
-        if any(not 0 <= v < self.num_files for v in self.digits):
-            raise ValueError(f"digit out of range in {self.digits}")
+        if any(not 0 <= v < num_files for v in digits):
+            raise ValueError(f"digit out of range in {digits}")
 
     @cached_property
     def demand_class(self) -> DemandClass:
@@ -244,8 +260,7 @@ def g_map(label: int, num_files: int, num_users: int) -> AuxDemand:
     return AuxDemand((a,) * (num_users - j) + (a + 1,) * j, num_files)
 
 
-@dataclass(frozen=True)
-class VVector:
+class VVector(FrozenRecord):
     """Binary selector over the position universe, as bits and as a set.
 
     The selected positions label exactly the class-D0 demands whose
@@ -255,10 +270,13 @@ class VVector:
 
     bits: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if any(b not in (0, 1) for b in self.bits):
-            raise ValueError(f"non-binary selector {self.bits}")
-        if not any(self.bits):
+    def __init__(self, bits: tuple[int, ...]) -> None:
+        fields = self.__dict__
+        fields["bits"] = bits
+        fields["_values"] = (bits,)
+        if any(b not in (0, 1) for b in bits):
+            raise ValueError(f"non-binary selector {bits}")
+        if not any(bits):
             raise ValueError("empty selector set")
 
     @classmethod
@@ -341,8 +359,7 @@ def cache_header(key: int, payload_bits: int) -> bytes:
     return _field(key, 1, "key digit") + _field(payload_bits, _LEN_BYTES, "payload_bits")
 
 
-@dataclass(frozen=True)
-class DeliverySignal:
+class DeliverySignal(FrozenRecord):
     """One broadcast: auxiliary demand, chosen index t_d, and segments,
     `subfile_bits`-wide ints in the order of delivered_segment_indices; any
     other aux demand, t_d or segment count raises ValueError.  The count,
@@ -354,16 +371,21 @@ class DeliverySignal:
     segments: tuple[int, ...]
     params: SchemeParams
 
-    def __post_init__(self) -> None:
-        params, d = self.params, self.aux
-        if d.num_users != params.num_users or d.num_files != params.num_files:
+    def __init__(self, aux: AuxDemand, t_d: int, segments: tuple[int, ...], params: SchemeParams) -> None:
+        fields = self.__dict__
+        fields["aux"] = aux
+        fields["t_d"] = t_d
+        fields["segments"] = segments
+        fields["params"] = params
+        fields["_values"] = (aux, t_d, segments, params)
+        if aux.num_users != params.num_users or aux.num_files != params.num_files:
             raise ValueError("auxiliary demand does not match parameters")
-        if self.t_d not in d.selector:
-            raise ValueError(f"t={self.t_d} not in the selector set of {d.digits}")
+        if t_d not in aux.selector:
+            raise ValueError(f"t={t_d} not in the selector set of {aux.digits}")
         _, _, _, per_file = params.counts
         expected = params.num_files * per_file
-        if len(self.segments) != expected:
-            raise ValueError(f"broadcast holds {len(self.segments)} segments, expected {expected}")
+        if len(segments) != expected:
+            raise ValueError(f"broadcast holds {len(segments)} segments, expected {expected}")
 
     @property
     def payload_bits(self) -> int:
@@ -445,8 +467,7 @@ def stored_signal_indices(params: SchemeParams) -> list[SubsetIndex]:
     return [signals[rank] for rank in params.plan.stored_ranks]
 
 
-@dataclass(frozen=True)
-class CacheContent:
+class CacheContent(FrozenRecord):
     """One user's cache: secret key digit plus the stored XOR signals,
     `subfile_bits`-wide ints in the order of stored_signal_indices;
     any other user, key digit or signal count (`SchemeParams.counts`)
@@ -457,15 +478,20 @@ class CacheContent:
     signals: tuple[int, ...]
     params: SchemeParams
 
-    def __post_init__(self) -> None:
-        params = self.params
-        if not 0 <= self.user < params.num_users:
-            raise ValueError(f"user {self.user} out of range for {params.num_users} users")
-        if not 0 <= self.key < params.num_files:
-            raise ValueError(f"key digit {self.key} out of range for {params.num_files} files")
+    def __init__(self, user: int, key: int, signals: tuple[int, ...], params: SchemeParams) -> None:
+        fields = self.__dict__
+        fields["user"] = user
+        fields["key"] = key
+        fields["signals"] = signals
+        fields["params"] = params
+        fields["_values"] = (user, key, signals, params)
+        if not 0 <= user < params.num_users:
+            raise ValueError(f"user {user} out of range for {params.num_users} users")
+        if not 0 <= key < params.num_files:
+            raise ValueError(f"key digit {key} out of range for {params.num_files} files")
         _, expected, _, _ = params.counts
-        if len(self.signals) != expected:
-            raise ValueError(f"cache holds {len(self.signals)} signals, expected {expected}")
+        if len(signals) != expected:
+            raise ValueError(f"cache holds {len(signals)} signals, expected {expected}")
 
     @property
     def payload_bits(self) -> int:

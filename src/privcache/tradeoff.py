@@ -12,17 +12,21 @@ envelope of the 2K lines (`upper_envelope`, built once per K by a hull
 stack).  `tightness_report` compares them on a grid in one merge pass over
 both piece lists; `tight_intervals` compares them at the union of their
 breakpoints, which settles every M in [0, 2] exactly, not just grid points.
+
+`RatePoint`, `LinearBound`, `TradeoffCurve` and `TightnessRow` are frozen
+records (`_record.FrozenRecord`) with explicit constructors; the first two
+store their coordinates as `Fraction`s whatever number they are given.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
+from ._record import FrozenRecord
 from .combinat import position_count, scheme_counts
 
 _GRID_ROW_CAP = 100_001  # a grid step of 1/50000; finer steps are refused
@@ -33,37 +37,43 @@ def _frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-@dataclass(frozen=True)
-class RatePoint:
+class RatePoint(FrozenRecord):
     """An exact (memory, rate) pair, both in units of files."""
 
     memory: Fraction
     rate: Fraction
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "memory", _frac(self.memory))
-        object.__setattr__(self, "rate", _frac(self.rate))
-        if self.memory < 0 or self.rate < 0:
-            raise ValueError(f"negative coordinate in ({self.memory}, {self.rate})")
+    def __init__(self, memory: Fraction, rate: Fraction) -> None:
+        memory, rate = _frac(memory), _frac(rate)
+        fields = self.__dict__
+        fields["memory"] = memory
+        fields["rate"] = rate
+        fields["_values"] = (memory, rate)
+        if memory < 0 or rate < 0:
+            raise ValueError(f"negative coordinate in ({memory}, {rate})")
 
     def swapped(self) -> RatePoint:
         return RatePoint(self.rate, self.memory)
 
 
-@dataclass(frozen=True)
-class LinearBound:
+class LinearBound(FrozenRecord):
     """A half-plane alpha*M + beta*R >= gamma with beta > 0."""
 
     alpha: Fraction
     beta: Fraction
     gamma: Fraction
-    label: str = ""
+    label: str
 
-    def __post_init__(self) -> None:
-        for name in ("alpha", "beta", "gamma"):
-            object.__setattr__(self, name, _frac(getattr(self, name)))
-        if self.beta < 0 or (self.alpha == 0 and self.beta == 0):
-            raise ValueError(f"invalid bound coefficients ({self.alpha}, {self.beta})")
+    def __init__(self, alpha: Fraction, beta: Fraction, gamma: Fraction, label: str = "") -> None:
+        alpha, beta, gamma = _frac(alpha), _frac(beta), _frac(gamma)
+        fields = self.__dict__
+        fields["alpha"] = alpha
+        fields["beta"] = beta
+        fields["gamma"] = gamma
+        fields["label"] = label
+        fields["_values"] = (alpha, beta, gamma, label)
+        if beta < 0 or (alpha == 0 and beta == 0):
+            raise ValueError(f"invalid bound coefficients ({alpha}, {beta})")
 
     def rate_at(self, memory) -> Fraction:
         if self.beta == 0:
@@ -105,17 +115,19 @@ def companion_points(num_users: int) -> list[RatePoint]:
     return [p.swapped() for p in scheme_points(2, num_users)]
 
 
-@dataclass(frozen=True)
-class TradeoffCurve:
+class TradeoffCurve(FrozenRecord):
     """A convex, non-increasing piecewise-linear map memory -> rate."""
 
     corners: tuple[RatePoint, ...]
 
-    def __post_init__(self) -> None:
-        if not self.corners:
+    def __init__(self, corners: tuple[RatePoint, ...]) -> None:
+        fields = self.__dict__
+        fields["corners"] = corners
+        fields["_values"] = (corners,)
+        if not corners:
             raise ValueError("curve needs at least one corner")
         prev_slope = None
-        for a, b in zip(self.corners, self.corners[1:]):
+        for a, b in zip(corners, corners[1:]):
             if b.memory <= a.memory:
                 raise ValueError("corner memories must strictly increase")
             slope = (b.rate - a.rate) / (b.memory - a.memory)
@@ -242,12 +254,19 @@ def _converse_lines(num_users: int) -> tuple[LinearBound, ...]:
     return tuple(converse_bounds(num_users))
 
 
-@dataclass(frozen=True)
-class TightnessRow:
+class TightnessRow(FrozenRecord):
     memory: Fraction
     achievable: Fraction
     converse: Fraction
     tight: bool
+
+    def __init__(self, memory: Fraction, achievable: Fraction, converse: Fraction, tight: bool) -> None:
+        fields = self.__dict__
+        fields["memory"] = memory
+        fields["achievable"] = achievable
+        fields["converse"] = converse
+        fields["tight"] = tight
+        fields["_values"] = (memory, achievable, converse, tight)
 
 
 def _two_file_curves(num_users: int) -> tuple[TradeoffCurve, EnvelopePieces]:

@@ -19,19 +19,21 @@ the verdict and mask ranks count the differing outcomes.  The oracle
 engines brute-force the file identity and check decoding's signal
 reconstruction against its definition, each under its own case cap.
 `ScaleLimitError` lives in `combinat`, next to the counts the guards
-read, and is re-exported here.
+read, and is re-exported here.  A run's outcome is a `VerificationReport`,
+a mutable `_record.Record`: field-wise equality and repr, unhashable, with
+a fresh failure list per report.
 """
 
 from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field
 from functools import cache
 from math import lcm
 from typing import Callable, Iterable
 
 from . import yma
+from ._record import Record
 from .bitvec import Bits
 from .combinat import ScaleLimitError, enumerate_r_subsets
 from .scheme import (
@@ -52,9 +54,9 @@ from .scheme import (
 
 _CASE_CAP = 20_000_000
 # correctness decodes each (aux digits, t, user, key) once, each decode
-# rebuilding all C(K', r) subfiles; over at most N^K * K' * K * N decodes, this
-# many subfiles is about a minute at the slowest cost per subfile measured on
-# a 2-vCPU VM (550-880 ns; it grows with r and with |V| / K')
+# rebuilding all C(K', r) subfiles (`_correctness_work`); this many subfiles
+# is about a minute at the slowest cost per subfile measured on a 2-vCPU VM
+# (550-880 ns; it grows with r and with |V| / K')
 _DECODE_WORK_CAP = 60_000_000
 # the oracles' own caps, each about a minute at its slowest per-case cost
 # measured on a 2-vCPU VM: signal reconstruction 15-62 us per case (it grows
@@ -70,14 +72,19 @@ CONDITIONAL = "conditional-on-files"
 FULL_MARGINAL = "full-marginal"
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(Record):
     """Outcome of one verification run; empty failures means pass."""
 
     scope: str
     cases_run: int
-    failures: list = field(default_factory=list)
-    elapsed: float = 0.0
+    failures: list
+    elapsed: float
+
+    def __init__(self, scope: str, cases_run: int, failures: list | None = None, elapsed: float = 0.0) -> None:
+        self.scope = scope
+        self.cases_run = cases_run
+        self.failures = [] if failures is None else failures
+        self.elapsed = elapsed
 
     @property
     def passed(self) -> bool:
@@ -151,6 +158,16 @@ def _headers(params: SchemeParams) -> tuple[dict[tuple[int, ...], dict[int, byte
     return broadcasts, caches
 
 
+def _correctness_work(params: SchemeParams) -> int:
+    """Subfiles the correctness sweep rebuilds, at most: one decode per
+    (auxiliary digits, t, user, key), each rebuilding all C(K', r) subfiles.
+    A selector holds at most K' positions, and exactly one when K = 1 (every
+    one-user demand is constant), so K = 1 is priced exactly."""
+    n, k_users = params.num_files, params.num_users
+    t_choices = 1 if k_users == 1 else params.positions
+    return n**k_users * t_choices * k_users * n * params.subfile_count
+
+
 def verify_correctness_exhaustive(
     params: SchemeParams,
     files: FileLibrary,
@@ -165,7 +182,7 @@ def verify_correctness_exhaustive(
     _guard_enumeration(params, "correctness")
     start = time.perf_counter()
     n, k_users = params.num_files, params.num_users
-    work = n ** (k_users + 1) * params.positions * k_users * params.subfile_count
+    work = _correctness_work(params)
     if work > _DECODE_WORK_CAP:
         raise ScaleLimitError(f"correctness decoding of ~{work} subfiles exceeds the cap")
     caches = _caches_by_key(params, files)

@@ -13,9 +13,9 @@ are rebuilt at decoding time from the plan's exchange-identity tables
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from ._record import FrozenRecord
 from .bitvec import Bits
 from .combinat import SubsetIndex, position_count
 
@@ -23,8 +23,7 @@ if TYPE_CHECKING:
     from .scheme import FileLibrary
 
 
-@dataclass(frozen=True)
-class UVector:
+class UVector(FrozenRecord):
     """A virtual demand vector of length N*K - K + 1 over file indices.
 
     The first N positions always carry the N distinct file indices (the
@@ -34,16 +33,20 @@ class UVector:
     entries: tuple[int, ...]
     num_files: int
 
-    def __post_init__(self) -> None:
-        n = self.num_files
+    def __init__(self, entries: tuple[int, ...], num_files: int) -> None:
+        fields = self.__dict__
+        fields["entries"] = entries
+        fields["num_files"] = num_files
+        fields["_values"] = (entries, num_files)
+        n = num_files
         if n < 2:
             raise ValueError(f"need at least 2 files, got {n}")
-        if len(self.entries) < n:
+        if len(entries) < n:
             raise ValueError("vector shorter than the file count")
-        if sorted(self.entries[:n]) != list(range(n)):
-            raise ValueError(f"first {n} entries must cover all files: {self.entries}")
-        if any(not 0 <= e < n for e in self.entries):
-            raise ValueError(f"entry out of range in {self.entries}")
+        if sorted(entries[:n]) != list(range(n)):
+            raise ValueError(f"first {n} entries must cover all files: {entries}")
+        if any(not 0 <= e < n for e in entries):
+            raise ValueError(f"entry out of range in {entries}")
 
     def __len__(self) -> int:
         return len(self.entries)

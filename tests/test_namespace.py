@@ -74,6 +74,25 @@ def test_session_names_leave_the_verifiers_and_the_tradeoff_layer_unloaded():
     assert "privcache.scheme" in loaded
 
 
+def test_sessions_and_the_cli_leave_the_class_generator_unloaded():
+    # the record classes write their own constructors, so neither a session's
+    # names nor the CLI (which loads every record class) import `dataclasses`
+    # and the `inspect` it pulls in
+    loaded = fresh(
+        "import json, sys\n"
+        "import privcache\n"
+        f"for name in {SESSION_NAMES!r}: getattr(privcache, name)\n"
+        "session = sorted(sys.modules)\n"
+        "import privcache.cli\n"
+        "print(json.dumps([session, sorted(sys.modules)]))\n"
+    )
+    session, cli = loaded
+    for module in ("dataclasses", "inspect"):
+        assert module not in session
+        assert module not in cli
+    assert {"privcache.verify", "privcache.tradeoff", "privcache.yma"} <= set(cli)
+
+
 def test_bare_import_loads_no_submodule():
     loaded = fresh("import json, sys\nimport privcache\nprint(json.dumps(sorted(sys.modules)))\n")
     assert not [m for m in loaded if m.startswith("privcache.")]

@@ -493,3 +493,38 @@ def test_correctness_decode_work_is_bounded_in_closed_form(monkeypatch):
     monkeypatch.setattr(verify, "_DECODE_WORK_CAP", 1151)
     with pytest.raises(ScaleLimitError, match="exceeds the cap"):
         verify_correctness_exhaustive(params, files)
+
+
+def _decode_work(params):
+    """Subfiles the correctness sweep rebuilds: |V(d)| decodes per
+    auxiliary vector d, user and key, each of C(K', r) subfiles."""
+    n, k = params.num_files, params.num_users
+    t_choices = sum(len(AuxDemand(d, n).selector) for d in itertools.product(range(n), repeat=k))
+    return t_choices * k * n * params.subfile_count
+
+
+@pytest.mark.parametrize("n, k, r", [(2, 1, 1), (3, 1, 2), (5, 1, 3), (2, 2, 1), (2, 3, 2), (3, 2, 2), (3, 3, 1)])
+def test_correctness_work_bounds_the_sweep_and_is_exact_for_one_user(n, k, r):
+    params = SchemeParams.minimal(n, k, r)
+    priced = verify._correctness_work(params)
+    assert priced >= _decode_work(params)
+    assert (priced == _decode_work(params)) == (k == 1)
+
+
+def test_one_user_sweeps_are_priced_one_t_choice_per_demand():
+    # every K = 1 selector holds one position, so (18,1,6) rebuilds
+    # 18 * 1 * 1 * 18 * C(18, 6) subfiles, not K' = 18 times as many
+    params = SchemeParams.minimal(18, 1, 6)
+    assert verify._correctness_work(params) == 18 * 18 * 18_564 == 6_014_736
+    assert verify._correctness_work(params) <= verify._DECODE_WORK_CAP
+    assert verify._correctness_work(SchemeParams.minimal(16, 2, 4)) == 7_990_599_680
+
+
+def test_one_user_decode_work_cap_edge(monkeypatch):
+    # (3,1,2): 3 aux vectors * 1 t-choice * 1 user * 3 keys * C(3, 2) subfiles = 27
+    params, files = seeded_library(3, 1, 2, seed=5)
+    monkeypatch.setattr(verify, "_DECODE_WORK_CAP", 27)
+    assert verify_correctness_exhaustive(params, files).passed
+    monkeypatch.setattr(verify, "_DECODE_WORK_CAP", 26)
+    with pytest.raises(ScaleLimitError, match=r"decoding of ~27 subfiles exceeds the cap"):
+        verify_correctness_exhaustive(params, files)
