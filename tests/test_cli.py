@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import itertools
 import json
@@ -20,6 +21,7 @@ from privcache.scheme import (
     place,
     stored_signal_indices,
 )
+from privcache.tradeoff import tightness_report
 
 
 def run_cli(capsys, *argv):
@@ -302,6 +304,27 @@ def test_tradeoff_json_roundtrip(capsys):
         assert row["R_ach_float"] == float(Fraction(row["R_ach"]))
         assert row["R_conv_float"] == float(Fraction(row["R_conv"]))
         assert isinstance(row["tight"], bool)
+
+
+@pytest.mark.parametrize(
+    "flags, digest",
+    [
+        ("--k 32 --grid 1/200 --format csv", "12628147764fe7fad9f7b8a2e57ad0f4fb653f4fd1e742e1c15a1479431dd380"),
+        ("--k 64 --grid 1/1000 --format csv", "350330d16d79da9ee4ee55288deab046c6a9ae91b11f7a0b7aa47eff15b42a11"),
+        ("--k 4 --grid 1/100 --format json", "c65a7f2a44b2bea159f9dbeca2d9f57ad2de502f83519bb6b396b77d904f3569"),
+        ("--k 5 --grid 3/7", "342d2e84e63589115af21de4e4244b2b307dc94c0eb08c967dc913a60ffb8f03"),
+        ("--k 5 --grid 3/7 --format text", "0882afbcfb0db84c46cefc962b0931723a5ec861a135fac580bbcc6678b70c5f"),
+    ],
+)
+def test_tradeoff_output_bytes_are_pinned(capsys, flags, digest):
+    # digests recorded from the Fraction-arithmetic rows; the rows behind them hold Fractions
+    argv = flags.split()
+    code, out = run_cli(capsys, "tradeoff", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    for row in tightness_report(int(argv[1]), Fraction(argv[3])):
+        assert all(type(x) is Fraction for x in (row.memory, row.achievable, row.converse)), row
+        assert type(row.tight) is bool
 
 
 def test_tradeoff_out_file(tmp_path, capsys):
