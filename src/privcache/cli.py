@@ -171,16 +171,16 @@ def cmd_simulate(args, parser) -> int:
 
 def cmd_verify(args, parser) -> int:
     params = _params_from(args, parser)
-    files = _random_library(params, args.seed, parser)
     suites = SUITES[:-1] if args.suite == "all" else (args.suite,)
+    marginal = args.mode == verify_mod.FULL_MARGINAL  # full-marginal privacy reads no library
+    files = None if suites == ("privacy",) and marginal else _random_library(params, args.seed, parser)
     reports = []
     try:
         for suite in suites:
             if suite == "correctness":
                 reports.append(verify_mod.verify_correctness_exhaustive(params, files))
             elif suite == "privacy":
-                fl = None if args.mode == verify_mod.FULL_MARGINAL else files
-                reports.append(verify_mod.verify_privacy(params, args.mode, fl))
+                reports.append(verify_mod.verify_privacy(params, args.mode, None if marginal else files))
             elif suite == "lemma1":
                 reports.append(verify_mod.verify_distribution_lemma(params, files))
             elif suite == "identities":

@@ -2,16 +2,14 @@
 
 Achievable corner points, lower convex envelopes (memory-sharing), and the
 two-file converse region: the entropy-based half-planes plus the two
-cut-set lines.  All arithmetic is done in fractions.Fraction; floats only
-ever appear in rendered output, and as the infinite ends of
-`upper_envelope`'s hull stack, which are compared but never computed with.
-
-Both two-file curves are piecewise linear on [0, 2]: the achievable one is
-the lower convex envelope of its corners, the converse one the upper
-envelope of the 2K lines (`upper_envelope`, built once per K by a hull
-stack).  `tightness_report` compares them on a grid in one merge pass over
-both piece lists; `tight_intervals` compares them at the union of their
-breakpoints, which settles every M in [0, 2] exactly, not just grid points.
+cut-set lines.  Values enter and leave as fractions.Fraction (floats only
+appear in rendered output); inside, a point set is put over one common
+denominator and hulled with integer cross products (`_lower_hull`), and
+lines are integer (alpha, beta, gamma) whose envelope pieces start at
+integer (numerator, denominator) pairs (`_upper_hull`).  Both two-file
+curves are piecewise linear on [0, 2]: `tightness_report` compares them on
+a grid in one integer merge pass (`_compare`), `tight_intervals` at the
+union of their breakpoints, which settles every M in [0, 2] exactly.
 
 `RatePoint`, `LinearBound`, `TradeoffCurve` and `TightnessRow` are frozen
 records (`_record.FrozenRecord`) with explicit constructors; the first two
@@ -23,14 +21,14 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from fractions import Fraction
-from functools import lru_cache
+from functools import cmp_to_key, lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from ._record import FrozenRecord
 from .combinat import position_count, scheme_counts
 
 _GRID_ROW_CAP = 100_001  # a grid step of 1/50000; finer steps are refused
-_USER_CAP = 1000  # the curves cost about K^2.3: ~0.24 s at K = 1000, hours at K = 100000
+_USER_CAP = 1000  # curves cost ~K^2.3; K = 1000: tight_intervals 0.28 s, 100,001 rows 1.4 s; K = 100000: hours
 
 
 def _frac(x) -> Fraction:
@@ -79,10 +77,6 @@ class LinearBound(FrozenRecord):
         if self.beta == 0:
             raise ValueError("vertical bound has no rate value")
         return (self.gamma - self.alpha * _frac(memory)) / self.beta
-
-
-EnvelopePieces = tuple[tuple[Fraction, LinearBound], ...]
-"""(start memory, bound) pieces of a piecewise-linear curve on [0, 2]."""
 
 
 def scheme_point(num_files: int, num_users: int, r: int) -> RatePoint:
@@ -149,35 +143,47 @@ class TradeoffCurve(FrozenRecord):
         i = bisect_right(self.corners, m, key=lambda c: c.memory) - 1
         if i == len(self.corners) - 1:
             return self.corners[-1].rate
-        return _interpolate(self.corners[i], self.corners[i + 1], m)
+        a, b = self.corners[i], self.corners[i + 1]
+        return a.rate + (m - a.memory) * (b.rate - a.rate) / (b.memory - a.memory)
 
 
-def _interpolate(a: RatePoint, b: RatePoint, m: Fraction) -> Fraction:
-    """Rate at memory m on the segment from corner a to corner b."""
-    return a.rate + (m - a.memory) * (b.rate - a.rate) / (b.memory - a.memory)
+def _lower_hull(points) -> tuple[int, list[tuple[int, int]]]:
+    """(den, corners): the corners of `lower_convex_envelope` as integer
+    (memory, rate) pairs over den, the lcm of the points' denominators."""
+    pairs = [(p.memory, p.rate) for p in points]
+    if not pairs:
+        raise ValueError("no points given")
+    den = math.lcm(*(x.denominator for pair in pairs for x in pair))
+    scaled = {(m.numerator * den // m.denominator, r.numerator * den // r.denominator) for m, r in pairs}
+    hull: list[tuple[int, int]] = []
+    for p in sorted(scaled):
+        while len(hull) >= 2:
+            (ox, oy), (ax, ay) = hull[-2], hull[-1]
+            if (ax - ox) * (p[1] - oy) - (ay - oy) * (p[0] - ox) > 0:
+                break
+            hull.pop()
+        hull.append(p)
+    best = min(range(len(hull)), key=lambda i: (hull[i][1], hull[i][0]))
+    return den, hull[: best + 1]
 
 
 def lower_convex_envelope(points) -> TradeoffCurve:
-    """Lower boundary of the convex hull of the given points.
+    """Lower boundary of the convex hull of the given points.  Collinear and
+    dominated points are discarded; corners past the minimum-rate vertex
+    are memory-dominated and dropped as well."""
+    den, hull = _lower_hull(points)
+    return TradeoffCurve(tuple(RatePoint(Fraction(m, den), Fraction(r, den)) for m, r in hull))
 
-    Collinear and dominated points are discarded; corners past the
-    minimum-rate vertex are memory-dominated and dropped as well.
-    """
-    pts = sorted({(p.memory, p.rate) for p in points})
-    if not pts:
-        raise ValueError("no points given")
-    hull: list[tuple[Fraction, Fraction]] = []
-    for p in pts:
-        while len(hull) >= 2:
-            o, a = hull[-2], hull[-1]
-            cross = (a[0] - o[0]) * (p[1] - o[1]) - (a[1] - o[1]) * (p[0] - o[0])
-            if cross <= 0:
-                hull.pop()
-            else:
-                break
-        hull.append(p)
-    best = min(range(len(hull)), key=lambda i: (hull[i][1], hull[i][0]))
-    return TradeoffCurve(tuple(RatePoint(m, r) for m, r in hull[: best + 1]))
+
+def _converse_coefficients(num_users: int) -> list[tuple[int, int, int, str]]:
+    """(alpha, beta, gamma, label) of each line of `converse_bounds`."""
+    if num_users < 2:
+        raise ValueError(f"need at least 2 users, got {num_users}")
+    lines = []
+    for k in range(2, num_users + 1):
+        a, b, g = (k + 1) * (k + 2), 2 * k * (k + 1), 2 * k * (k + 3)
+        lines += [(a, b, g, f"entropy-k{k}-a"), (b, a, g, f"entropy-k{k}-b")]
+    return lines + [(2, 1, 2, "cutset-s1"), (1, 2, 2, "cutset-s2")]
 
 
 def converse_bounds(num_users: int) -> list[LinearBound]:
@@ -187,54 +193,49 @@ def converse_bounds(num_users: int) -> list[LinearBound]:
     (k+1)(k+2) M + 2k(k+1) R >= 2k(k+3) and its coefficient mirror,
     plus the two cut-set lines 2M + R >= 2 and M + 2R >= 2.
     """
-    k_users = num_users
-    if k_users < 2:
-        raise ValueError(f"need at least 2 users, got {k_users}")
-    bounds = []
-    for k in range(2, k_users + 1):
-        a, b, g = (k + 1) * (k + 2), 2 * k * (k + 1), 2 * k * (k + 3)
-        bounds.append(LinearBound(Fraction(a), Fraction(b), Fraction(g), f"entropy-k{k}-a"))
-        bounds.append(LinearBound(Fraction(b), Fraction(a), Fraction(g), f"entropy-k{k}-b"))
-    bounds.append(LinearBound(Fraction(2), Fraction(1), Fraction(2), "cutset-s1"))
-    bounds.append(LinearBound(Fraction(1), Fraction(2), Fraction(2), "cutset-s2"))
-    return bounds
+    return [LinearBound(*line) for line in _converse_coefficients(num_users)]
 
 
-def upper_envelope(bounds: Sequence[LinearBound]) -> EnvelopePieces:
-    """Pointwise largest of the given bounds on [0, 2], as (start memory,
-    bound) pieces: pieces[i][1] is the largest bound from pieces[i][0] up to
-    the next start (or 2).  The first piece starts at 0.
-
-    Lines are taken by increasing slope -alpha/beta (the larger intercept
-    wins among parallel ones); a hull stack drops each line the next one
-    overtakes no later than that line's own start, and pieces outside
-    [0, 2] are clipped away.
-    """
-    if not bounds or any(b.beta == 0 for b in bounds):
-        raise ValueError("upper envelope needs at least one bound, none vertical")
-    lines = sorted(
-        ((-b.alpha / b.beta, b.gamma / b.beta, b) for b in bounds),
-        key=lambda line: line[:2],
-    )
-    hull: list[tuple[Fraction | float, Fraction, Fraction, LinearBound]] = []
-    for slope, intercept, bound in lines:
-        if hull and hull[-1][1] == slope:
+def _upper_hull(lines: list[tuple]) -> list[tuple]:
+    """`upper_envelope` of integer (alpha, beta, gamma, tag) lines, beta > 0: its
+    pieces as (start numerator, start denominator, alpha, beta, gamma, tag)."""
+    hull: list[tuple] = []
+    # by slope -alpha/beta, then by intercept gamma/beta
+    for a, b, g, tag in sorted(lines, key=cmp_to_key(
+            lambda u, v: (v[0] * u[1] - u[0] * v[1]) or (u[2] * v[1] - v[2] * u[1]))):
+        if hull and hull[-1][2] * b == a * hull[-1][3]:
             hull.pop()  # parallel, with an intercept no larger
-        start = -math.inf
+        start = (None, 1)  # minus infinity
         while hull:
-            top_start, top_slope, top_intercept, _ = hull[-1]
-            start = (top_intercept - intercept) / (slope - top_slope)
-            if start > top_start:
+            top_num, top_den, top_a, top_b, top_g, _ = hull[-1]
+            num, den = b * top_g - top_b * g, b * top_a - top_b * a
+            if top_num is None or num * top_den > top_num * den:
+                start = (num, den)
                 break
             hull.pop()
-            start = -math.inf
-        hull.append((start, slope, intercept, bound))
-    ends = [piece[0] for piece in hull[1:]] + [math.inf]
-    return tuple(
-        (max(start, Fraction(0)), bound)
-        for (start, _, _, bound), end in zip(hull, ends)
-        if start < 2 and end > 0
-    )
+        hull.append((*start, a, b, g, tag))
+    ends = [piece[0] for piece in hull[1:]] + [None]
+    return [
+        (0, 1, *piece[2:]) if piece[0] is None or piece[0] < 0 else piece
+        for piece, end in zip(hull, ends)
+        if (piece[0] is None or piece[0] < 2 * piece[1]) and (end is None or end > 0)
+    ]
+
+
+def upper_envelope(bounds: Sequence[LinearBound]) -> tuple[tuple[Fraction, LinearBound], ...]:
+    """Pointwise largest of the given bounds on [0, 2], as (start memory,
+    bound) pieces: pieces[i][1] is the largest bound from pieces[i][0] up to
+    the next start (or 2).  The first piece starts at 0.  Lines are taken
+    by increasing slope (the larger intercept wins among parallel ones); a
+    hull stack drops each line the next one overtakes no later than that
+    line's own start; pieces outside [0, 2] are clipped."""
+    if not bounds or any(b.beta == 0 for b in bounds):
+        raise ValueError("upper envelope needs at least one bound, none vertical")
+    lines = []
+    for b in bounds:  # each scaled to integer coefficients
+        scale = math.lcm(b.alpha.denominator, b.beta.denominator, b.gamma.denominator)
+        lines.append((*(c.numerator * scale // c.denominator for c in (b.alpha, b.beta, b.gamma)), b))
+    return tuple((Fraction(num, den), bound) for num, den, *_, bound in _upper_hull(lines))
 
 
 def converse_eval(num_users: int, memory) -> Fraction:
@@ -269,32 +270,32 @@ class TightnessRow(FrozenRecord):
         fields["_values"] = (memory, achievable, converse, tight)
 
 
-def _two_file_curves(num_users: int) -> tuple[TradeoffCurve, EnvelopePieces]:
-    """The achievable envelope (corners from 0 to 2) and converse pieces for K users."""
-    envelope = lower_convex_envelope(
-        scheme_points(2, num_users) + companion_points(num_users)
-    )
-    return envelope, upper_envelope(converse_bounds(num_users))
+def _two_file_curves(num_users: int) -> tuple:
+    """(den, corners, pieces) for K users: the achievable envelope's corners
+    from 0 to 2 over den (`_lower_hull`) and the converse `_upper_hull`."""
+    den, corners = _lower_hull(scheme_points(2, num_users) + companion_points(num_users))
+    return den, corners, _upper_hull(_converse_coefficients(num_users))
 
 
-def _compare(
-    envelope: TradeoffCurve, pieces: EnvelopePieces, memories: Iterable[Fraction]
-) -> Iterator[TightnessRow]:
-    """One merge pass: a row per memory, which must ascend within [0, 2].
-
-    One pointer walks the achievable corners and one the converse pieces,
-    so each row costs one interpolation and one rate_at.
-    """
-    corners = envelope.corners
+def _compare(curves: tuple, memories: Iterable[tuple[int, int]]) -> Iterator[TightnessRow]:
+    """One merge pass: a row per memory a/q, given as (a, q) with q > 0 and
+    ascending within [0, 2]; one pointer walks the achievable segments and
+    one the converse pieces."""
+    den, corners, pieces = curves
     i = j = 0
-    for m in memories:
-        while i + 2 < len(corners) and corners[i + 1].memory <= m:
+    for a, q in memories:
+        a_den = a * den
+        while i + 2 < len(corners) and corners[i + 1][0] * q <= a_den:
             i += 1
-        while j + 1 < len(pieces) and pieces[j + 1][0] <= m:
+        while j + 1 < len(pieces) and pieces[j + 1][0] * q <= a * pieces[j + 1][1]:
             j += 1
-        ach = _interpolate(corners[i], corners[i + 1], m)
-        conv = pieces[j][1].rate_at(m)
-        yield TightnessRow(m, ach, conv, ach == conv)
+        (x0, y0), (x1, y1) = corners[i], corners[i + 1]
+        ach_num, ach_den = q * (y0 * (x1 - x0) - x0 * (y1 - y0)) + a_den * (y1 - y0), q * den * (x1 - x0)
+        _, _, alpha, beta, gamma, _ = pieces[j]
+        conv_num, conv_den = gamma * q - alpha * a, beta * q
+        tight = ach_num * conv_den == conv_num * ach_den
+        ach = Fraction(ach_num, ach_den)
+        yield TightnessRow(Fraction(a, q), ach, ach if tight else Fraction(conv_num, conv_den), tight)
 
 
 def _check_user_count(num_users: int) -> None:
@@ -311,11 +312,10 @@ def tightness_report(num_users: int, grid_step) -> list[TightnessRow]:
         raise ValueError(f"grid step must be positive, got {step}")
     if 2 / step > _GRID_ROW_CAP - 1:
         raise ValueError(f"grid step {step} gives more than {_GRID_ROW_CAP} rows on [0, 2]")
-    envelope, pieces = _two_file_curves(num_users)
-    grid = [i * step for i in range(int(2 / step) + 1)]
-    if grid[-1] != 2:
-        grid.append(Fraction(2))
-    return list(_compare(envelope, pieces, grid))
+    curves = _two_file_curves(num_users)
+    p, q = step.numerator, step.denominator  # the grid is i * p / q, and 2 if p does not divide 2q
+    grid = [(i * p, q) for i in range(2 * q // p + 1)] + [(2 * q, q)] * (2 * q % p != 0)
+    return list(_compare(curves, grid))
 
 
 def tight_intervals(num_users: int) -> list[tuple[Fraction, Fraction]]:
@@ -327,11 +327,11 @@ def tight_intervals(num_users: int) -> list[tuple[Fraction, Fraction]]:
     ends are.
     """
     _check_user_count(num_users)
-    envelope, pieces = _two_file_curves(num_users)
-    breaks = sorted({c.memory for c in envelope.corners} | {start for start, _ in pieces})
+    den, corners, pieces = curves = _two_file_curves(num_users)
+    breaks = sorted({Fraction(m, den) for m, _ in corners} | {Fraction(num, d) for num, d, *_ in pieces})
     intervals: list[tuple[Fraction, Fraction]] = []
     previous_tight = False
-    for row in _compare(envelope, pieces, breaks):
+    for row in _compare(curves, ((b.numerator, b.denominator) for b in breaks)):
         if row.tight and previous_tight:
             intervals[-1] = (intervals[-1][0], row.memory)
         elif row.tight:

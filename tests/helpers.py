@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
@@ -217,6 +218,51 @@ def payload_entry(payload, index) -> Bits:
         n, s = index
         value = payload.segment_values[n][subset_rank(s)]
     return Bits(value, payload.params.subfile_bits)
+
+
+def hull_corners_by_pairs(points) -> list[tuple[Fraction, Fraction]]:
+    """Brute-force corners of `lower_convex_envelope`, as (memory, rate).
+
+    Of the distinct points up to the minimum-rate vertex (least rate, then
+    least memory), a point is a corner exactly when no pair of other points
+    lies on or below it: no a, b with a.memory <= p.memory <= b.memory whose
+    segment, or for a == b at p's memory whose own rate, is at most p's
+    rate at p's memory.
+    """
+    pts = {(p.memory, p.rate) for p in points}
+    vertex = min(pts, key=lambda p: (p[1], p[0]))
+
+    def covered(m, r):
+        for (am, ar), (bm, br) in itertools.product(pts - {(m, r)}, repeat=2):
+            if am == bm == m and ar == br <= r:
+                return True
+            if am <= m <= bm and am < bm and ar + (m - am) * (br - ar) / (bm - am) <= r:
+                return True
+        return False
+
+    return sorted(p for p in pts if p[0] <= vertex[0] and not covered(*p))
+
+
+def envelope_by_pairwise_max(bounds) -> list[tuple[Fraction, Fraction, Fraction]]:
+    """Brute-force pieces of `upper_envelope`, as (start, slope, intercept).
+
+    Between consecutive points of {0, 2} and the pairwise intersections
+    inside (0, 2), one line is the pointwise max: take it at each interval's
+    midpoint, and merge neighbouring intervals on the same line.
+    """
+    lines = {(-b.alpha / b.beta, b.gamma / b.beta) for b in bounds}
+    cuts = {Fraction(0), Fraction(2)}
+    for (s1, c1), (s2, c2) in itertools.combinations(lines, 2):
+        if s1 != s2 and 0 < (c2 - c1) / (s1 - s2) < 2:
+            cuts.add((c2 - c1) / (s1 - s2))
+    cuts = sorted(cuts)
+    pieces: list[tuple[Fraction, Fraction, Fraction]] = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        mid = (lo + hi) / 2
+        top = max(lines, key=lambda line: line[0] * mid + line[1])
+        if not pieces or pieces[-1][1:] != top:
+            pieces.append((lo, *top))
+    return pieces
 
 
 class RowsBuilt(Exception):

@@ -349,8 +349,7 @@ def test_tradeoff_out_to_a_missing_directory_is_a_usage_error(tmp_path, capsys):
     "argv",
     [("simulate",)]
     + [("verify", "--suite", suite) for suite in ("correctness", "privacy", "lemma1", "identities",
-                                                  "reconstruction", "all")]
-    + [("verify", "--suite", "privacy", "--mode", "full-marginal")],
+                                                  "reconstruction", "all")],
 )
 def test_a_library_too_long_to_generate_is_a_usage_error(monkeypatch, capsys, argv):
     # 6 * 2^31-bit files: refused before a single random bit is drawn
@@ -362,6 +361,29 @@ def test_a_library_too_long_to_generate_is_a_usage_error(monkeypatch, capsys, ar
     captured = capsys.readouterr()
     assert "cannot draw 12884901888 random bits, the limit is 2^31 - 1" in captured.err
     assert captured.out == ""
+
+
+def test_full_marginal_privacy_draws_no_library(monkeypatch, capsys):
+    # full-marginal privacy reads no library, so no random bit is drawn: with
+    # 2^31-bit subfiles its own 1-bit guard refuses the run, and a passing run
+    # prints what it printed when the library was drawn
+    def no_draws(self, k):
+        raise AssertionError("bits drawn")
+
+    monkeypatch.setattr(random.Random, "getrandbits", no_draws)
+    marginal = ("verify", "--suite", "privacy", "--mode", "full-marginal", "--n", "2", "--k", "3")
+    run_cli_expect_usage_error(*marginal, "--r", "2", "--subfile-bits", "2147483648")
+    captured = capsys.readouterr()
+    assert "full-marginal mode needs 1-bit subfiles" in captured.err
+    assert "cannot draw" not in captured.err
+    assert captured.out == ""
+    code, out = run_cli(capsys, *marginal, "--r", "1", "--format", "json")
+    assert code == 0
+    reports = json.loads(out)
+    assert isinstance(reports[0].pop("elapsed_seconds"), float)
+    assert reports == [
+        {"scope": "privacy[full-marginal over 256 libraries] N=2 K=3 r=1", "passed": True, "cases_run": 24, "failures": []}
+    ]
 
 
 def test_params_of_a_library_too_long_to_generate_still_print(capsys):

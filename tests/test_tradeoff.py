@@ -1,8 +1,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from helpers import RowsBuilt, refuse_tradeoff_rows
+from helpers import RowsBuilt, envelope_by_pairwise_max, hull_corners_by_pairs, refuse_tradeoff_rows
 from privcache.tradeoff import (
     LinearBound,
     RatePoint,
@@ -222,6 +224,47 @@ def test_upper_envelope_pops_dominated_and_clips_to_zero_two():
         upper_envelope([])
     with pytest.raises(ValueError):
         upper_envelope([s1, LinearBound(F(1), F(0), F(1))])
+
+
+@st.composite
+def point_sets(draw):
+    coord = st.builds(Fraction, st.integers(0, 12), st.integers(1, 4))
+    points = draw(st.lists(st.builds(RatePoint, coord, coord), min_size=1, max_size=8))
+    # duplicates and collinear points: midpoints of drawn pairs, a point with itself included
+    pairs = draw(st.lists(st.tuples(st.sampled_from(points), st.sampled_from(points)), max_size=4))
+    points += [RatePoint((a.memory + b.memory) / 2, (a.rate + b.rate) / 2) for a, b in pairs]
+    return draw(st.permutations(points))
+
+
+@st.composite
+def bound_sets(draw):
+    coeff = st.builds(Fraction, st.integers(-18, 18), st.integers(1, 3))
+    beta = st.builds(Fraction, st.integers(1, 9), st.integers(1, 3))
+    bounds = draw(st.lists(st.builds(LinearBound, coeff, beta, coeff), min_size=1, max_size=7))
+    # parallel lines and duplicates: scaled copies of drawn lines, shifted or not
+    copies = draw(st.lists(st.tuples(st.sampled_from(bounds), coeff, st.integers(1, 3)), max_size=3))
+    bounds += [LinearBound(b.alpha * k, b.beta * k, (b.gamma + shift) * k) for b, shift, k in copies]
+    # concurrent lines: a pencil R = r + s * (M - m) through one point (m, r)
+    m, r = draw(coeff) / 6, draw(coeff)
+    bounds += [LinearBound(-s, 1, r - s * m) for s in draw(st.lists(coeff, max_size=4))]
+    return draw(st.permutations(bounds))
+
+
+@settings(max_examples=300, deadline=None)
+@given(point_sets())
+def test_lower_convex_envelope_matches_the_pairwise_oracle(points):
+    corners = lower_convex_envelope(points).corners
+    assert [(c.memory, c.rate) for c in corners] == hull_corners_by_pairs(points)
+    assert all(type(c.memory) is Fraction and type(c.rate) is Fraction for c in corners)
+
+
+@settings(max_examples=300, deadline=None)
+@given(bound_sets())
+@example([LinearBound(0, 1, 1), LinearBound(1, 1, 2), LinearBound(2, 1, 3)])  # the middle one tops only M = 1
+def test_upper_envelope_matches_the_pairwise_max_oracle(bounds):
+    pieces = upper_envelope(bounds)
+    assert [(start, -b.alpha / b.beta, b.gamma / b.beta) for start, b in pieces] == envelope_by_pairwise_max(bounds)
+    assert all(type(start) is Fraction and any(b is x for x in bounds) for start, b in pieces)
 
 
 ORACLE_STEPS = [F(1, 200), F(3, 7), F(5, 3), F(2)]
