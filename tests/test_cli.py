@@ -381,9 +381,8 @@ def test_full_marginal_privacy_draws_no_library(monkeypatch, capsys):
     assert code == 0
     reports = json.loads(out)
     assert isinstance(reports[0].pop("elapsed_seconds"), float)
-    assert reports == [
-        {"scope": "privacy[full-marginal over 256 libraries] N=2 K=3 r=1", "passed": True, "cases_run": 24, "failures": []}
-    ]
+    scope = "privacy[full-marginal over 256 libraries] N=2 K=3 r=1"
+    assert reports == [{"scope": scope, "passed": True, "cases_run": 24, "failures": []}]
 
 
 def test_params_of_a_library_too_long_to_generate_still_print(capsys):

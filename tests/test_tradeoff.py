@@ -263,7 +263,8 @@ def test_lower_convex_envelope_matches_the_pairwise_oracle(points):
 @example([LinearBound(0, 1, 1), LinearBound(1, 1, 2), LinearBound(2, 1, 3)])  # the middle one tops only M = 1
 def test_upper_envelope_matches_the_pairwise_max_oracle(bounds):
     pieces = upper_envelope(bounds)
-    assert [(start, -b.alpha / b.beta, b.gamma / b.beta) for start, b in pieces] == envelope_by_pairwise_max(bounds)
+    lines = [(start, -b.alpha / b.beta, b.gamma / b.beta) for start, b in pieces]
+    assert lines == envelope_by_pairwise_max(bounds)
     assert all(type(start) is Fraction and any(b is x for x in bounds) for start, b in pieces)
 
 
