@@ -2,12 +2,15 @@
 
 Exit codes are a stable contract: 0 on success, 1 on a verification or
 decode failure, 2 on usage errors.  All randomness derives from --seed,
-so identical invocations produce byte-identical output.
+so identical invocations produce byte-identical output.  `tradeoff` prints
+the reduced integer pairs of `tradeoff.tightness_pairs` as `str(Fraction)`
+would (`n` or `n/d`), and `n / d` as each JSON float.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -25,13 +28,14 @@ from .scheme import (
     memory_rate_of,
     place,
 )
-from .tradeoff import tightness_report
+from .tradeoff import tightness_pairs
 
 SUITES = ("correctness", "privacy", "lemma1", "identities", "reconstruction", "all")
 
 
-def _fmt(fr: Fraction) -> str:
-    return str(fr)
+def _ratio(pair: tuple[int, int]) -> str:
+    num, den = pair
+    return str(num) if den == 1 else f"{num}/{den}"
 
 
 def _add_instance_flags(p: argparse.ArgumentParser, need_r: bool = True) -> None:
@@ -96,9 +100,9 @@ def cmd_params(args, parser) -> int:
         "subfile_bits": params.subfile_bits,
         "stored_signals_per_user": stored,
         "broadcast_segments": segments,
-        "M": _fmt(point.memory),
+        "M": str(point.memory),
         "M_float": float(point.memory),
-        "R": _fmt(point.rate),
+        "R": str(point.rate),
         "R_float": float(point.rate),
         "cache_payload_bits": stored * params.subfile_bits,
         "delivery_payload_bits": segments * params.subfile_bits,
@@ -150,14 +154,14 @@ def cmd_simulate(args, parser) -> int:
     cache_bits = {cache.payload_bits for cache in caches}
     print(
         f"placement: {k_users} caches, payload {sorted(cache_bits)[0]} bits each "
-        f"(M*F = {_fmt(point.memory * params.file_bits)})"
+        f"(M*F = {point.memory * params.file_bits})"
     )
     d = aux_demand(demands, rand.keys, n)
     x = assemble_delivery(files, d, rand)
     print(f"auxiliary demand: {','.join(map(str, d.digits))}  t={x.t_d}")
     print(
         f"delivery payload: {x.payload_bits} bits "
-        f"(R*F = {_fmt(point.rate * params.file_bits)})"
+        f"(R*F = {point.rate * params.file_bits})"
     )
     ok = 0
     for k in range(k_users):
@@ -205,31 +209,30 @@ def cmd_tradeoff(args, parser) -> int:
     except (ValueError, ZeroDivisionError) as exc:
         parser.error(f"bad --grid {args.grid!r}: {exc}")
     try:
-        rows = tightness_report(args.k, step)
+        rows = tightness_pairs(args.k, step)
     except ValueError as exc:
         parser.error(str(exc))
     lines: list[str]
     if args.format == "csv":
         lines = ["M,R_ach,R_conv,tight"]
         lines += [
-            f"{_fmt(r.memory)},{_fmt(r.achievable)},{_fmt(r.converse)},"
-            f"{'true' if r.tight else 'false'}"
-            for r in rows
+            f"{_ratio(m)},{_ratio(ach)},{_ratio(conv)},{'true' if tight else 'false'}"
+            for m, ach, conv, tight in rows
         ]
     elif args.format == "json":
         lines = [
             json.dumps(
                 [
                     {
-                        "M": _fmt(r.memory),
-                        "M_float": float(r.memory),
-                        "R_ach": _fmt(r.achievable),
-                        "R_ach_float": float(r.achievable),
-                        "R_conv": _fmt(r.converse),
-                        "R_conv_float": float(r.converse),
-                        "tight": r.tight,
+                        "M": _ratio(m),
+                        "M_float": m[0] / m[1],
+                        "R_ach": _ratio(ach),
+                        "R_ach_float": ach[0] / ach[1],
+                        "R_conv": _ratio(conv),
+                        "R_conv_float": conv[0] / conv[1],
+                        "tight": tight,
                     }
-                    for r in rows
+                    for m, ach, conv, tight in rows
                 ],
                 indent=2,
             )
@@ -237,9 +240,8 @@ def cmd_tradeoff(args, parser) -> int:
     else:
         lines = [f"{'M':>10} {'R_ach':>10} {'R_conv':>10} tight"]
         lines += [
-            f"{_fmt(r.memory):>10} {_fmt(r.achievable):>10} {_fmt(r.converse):>10} "
-            f"{'yes' if r.tight else 'no'}"
-            for r in rows
+            f"{_ratio(m):>10} {_ratio(ach):>10} {_ratio(conv):>10} {'yes' if tight else 'no'}"
+            for m, ach, conv, tight in rows
         ]
     text = "\n".join(lines) + "\n"
     if args.out:
@@ -252,6 +254,7 @@ def cmd_tradeoff(args, parser) -> int:
     return 0
 
 
+@functools.cache  # parse_args leaves the parser as it was; building it takes ~0.75 ms
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="privcache",

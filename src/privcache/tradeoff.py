@@ -2,14 +2,15 @@
 
 Achievable corner points, lower convex envelopes (memory-sharing), and the
 two-file converse region: the entropy-based half-planes plus the two
-cut-set lines.  Values enter and leave as fractions.Fraction (floats only
-appear in rendered output); inside, a point set is put over one common
-denominator and hulled with integer cross products (`_lower_hull`), and
-lines are integer (alpha, beta, gamma) whose envelope pieces start at
-integer (numerator, denominator) pairs (`_upper_hull`).  Both two-file
-curves are piecewise linear on [0, 2]: `tightness_report` compares them on
-a grid in one integer merge pass (`_compare`), `tight_intervals` at the
-union of their breakpoints, which settles every M in [0, 2] exactly.
+cut-set lines.  Python callers give and get fractions.Fraction; inside, a
+point set is put over one common denominator and hulled with integer
+cross products (`_lower_hull`), and lines are integer (alpha, beta, gamma)
+whose envelope pieces start at integer (numerator, denominator) pairs
+(`_upper_hull`).  Both two-file curves are piecewise linear on [0, 2]; one
+integer merge pass (`_compare`) compares them on a grid (`tightness_pairs`,
+reduced integer pairs, which the CLI prints, and `tightness_report`, the
+same rows as `Fraction`s) or at the union of their breakpoints
+(`tight_intervals`), which settles every M in [0, 2] exactly.
 
 `RatePoint`, `LinearBound`, `TradeoffCurve` and `TightnessRow` are frozen
 records (`_record.FrozenRecord`) with explicit constructors; the first two
@@ -28,7 +29,7 @@ from ._record import FrozenRecord
 from .combinat import position_count, scheme_counts
 
 _GRID_ROW_CAP = 100_001  # a grid step of 1/50000; finer steps are refused
-_USER_CAP = 1000  # curves cost ~K^2.3; K = 1000: tight_intervals 0.28 s, 100,001 rows 1.4 s; K = 100000: hours
+_USER_CAP = 1000  # curves cost ~K^2.3; K = 1000: tight_intervals 0.13 s, 100,001 rows 0.4 s; K = 100000: hours
 
 
 def _frac(x) -> Fraction:
@@ -147,16 +148,20 @@ class TradeoffCurve(FrozenRecord):
         return a.rate + (m - a.memory) * (b.rate - a.rate) / (b.memory - a.memory)
 
 
-def _lower_hull(points) -> tuple[int, list[tuple[int, int]]]:
-    """(den, corners): the corners of `lower_convex_envelope` as integer
-    (memory, rate) pairs over den, the lcm of the points' denominators."""
+def _scaled(points) -> tuple[int, list[tuple[int, int]]]:
+    """(den, pairs): each point's (memory, rate) as integers over den, the
+    lcm of the points' denominators."""
     pairs = [(p.memory, p.rate) for p in points]
     if not pairs:
         raise ValueError("no points given")
     den = math.lcm(*(x.denominator for pair in pairs for x in pair))
-    scaled = {(m.numerator * den // m.denominator, r.numerator * den // r.denominator) for m, r in pairs}
+    return den, [(m.numerator * den // m.denominator, r.numerator * den // r.denominator) for m, r in pairs]
+
+
+def _lower_hull(pairs: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
+    """The corners of `lower_convex_envelope` of integer (memory, rate) pairs."""
     hull: list[tuple[int, int]] = []
-    for p in sorted(scaled):
+    for p in sorted(set(pairs)):
         while len(hull) >= 2:
             (ox, oy), (ax, ay) = hull[-2], hull[-1]
             if (ax - ox) * (p[1] - oy) - (ay - oy) * (p[0] - ox) > 0:
@@ -164,15 +169,15 @@ def _lower_hull(points) -> tuple[int, list[tuple[int, int]]]:
             hull.pop()
         hull.append(p)
     best = min(range(len(hull)), key=lambda i: (hull[i][1], hull[i][0]))
-    return den, hull[: best + 1]
+    return hull[: best + 1]
 
 
 def lower_convex_envelope(points) -> TradeoffCurve:
     """Lower boundary of the convex hull of the given points.  Collinear and
     dominated points are discarded; corners past the minimum-rate vertex
     are memory-dominated and dropped as well."""
-    den, hull = _lower_hull(points)
-    return TradeoffCurve(tuple(RatePoint(Fraction(m, den), Fraction(r, den)) for m, r in hull))
+    den, pairs = _scaled(points)
+    return TradeoffCurve(tuple(RatePoint(Fraction(m, den), Fraction(r, den)) for m, r in _lower_hull(pairs)))
 
 
 def _converse_coefficients(num_users: int) -> list[tuple[int, int, int, str]]:
@@ -273,13 +278,22 @@ class TightnessRow(FrozenRecord):
 def _two_file_curves(num_users: int) -> tuple:
     """(den, corners, pieces) for K users: the achievable envelope's corners
     from 0 to 2 over den (`_lower_hull`) and the converse `_upper_hull`."""
-    den, corners = _lower_hull(scheme_points(2, num_users) + companion_points(num_users))
+    den, pairs = _scaled(scheme_points(2, num_users))
+    # the companion scheme's corners (`companion_points`) swap M and R
+    corners = _lower_hull(pairs + [(r, m) for m, r in pairs])
     return den, corners, _upper_hull(_converse_coefficients(num_users))
 
 
-def _compare(curves: tuple, memories: Iterable[tuple[int, int]]) -> Iterator[TightnessRow]:
-    """One merge pass: a row per memory a/q, given as (a, q) with q > 0 and
-    ascending within [0, 2]; one pointer walks the achievable segments and
+def _reduced(num: int, den: int) -> tuple[int, int]:
+    """num/den (den > 0) in lowest terms: the pair `Fraction(num, den)` holds."""
+    g = math.gcd(num, den)
+    return num // g, den // g
+
+
+def _compare(curves: tuple, memories: Iterable[tuple[int, int]]) -> Iterator[tuple]:
+    """One merge pass: a row (memory, achievable, converse, tight) per memory
+    a/q, given as (a, q) with q > 0 and ascending within [0, 2], with each
+    value a `_reduced` pair; one pointer walks the achievable segments and
     one the converse pieces."""
     den, corners, pieces = curves
     i = j = 0
@@ -294,8 +308,8 @@ def _compare(curves: tuple, memories: Iterable[tuple[int, int]]) -> Iterator[Tig
         _, _, alpha, beta, gamma, _ = pieces[j]
         conv_num, conv_den = gamma * q - alpha * a, beta * q
         tight = ach_num * conv_den == conv_num * ach_den
-        ach = Fraction(ach_num, ach_den)
-        yield TightnessRow(Fraction(a, q), ach, ach if tight else Fraction(conv_num, conv_den), tight)
+        ach = _reduced(ach_num, ach_den)
+        yield _reduced(a, q), ach, ach if tight else _reduced(conv_num, conv_den), tight
 
 
 def _check_user_count(num_users: int) -> None:
@@ -304,8 +318,11 @@ def _check_user_count(num_users: int) -> None:
         raise ValueError(f"K={num_users} users exceeds the cap of {_USER_CAP} for the tradeoff curves")
 
 
-def tightness_report(num_users: int, grid_step) -> list[TightnessRow]:
-    """Achievable-vs-converse comparison over a rational grid on [0, 2]."""
+def tightness_pairs(num_users: int, grid_step) -> list[tuple]:
+    """`tightness_report`'s rows as (memory, achievable, converse, tight),
+    each value a reduced (numerator, denominator) pair with denominator > 0.
+    The user count, the step and the row count are checked before any
+    curve is built."""
     _check_user_count(num_users)
     step = _frac(grid_step)
     if step <= 0:
@@ -318,6 +335,12 @@ def tightness_report(num_users: int, grid_step) -> list[TightnessRow]:
     return list(_compare(curves, grid))
 
 
+def tightness_report(num_users: int, grid_step) -> list[TightnessRow]:
+    """Achievable-vs-converse comparison over a rational grid on [0, 2]."""
+    rows = tightness_pairs(num_users, grid_step)
+    return [TightnessRow(Fraction(*m), Fraction(*ach), Fraction(*conv), tight) for m, ach, conv, tight in rows]
+
+
 def tight_intervals(num_users: int) -> list[tuple[Fraction, Fraction]]:
     """The exact set of M in [0, 2] where achievable equals converse, as
     ascending, disjoint closed intervals (lo, hi); lo == hi marks a point.
@@ -328,13 +351,14 @@ def tight_intervals(num_users: int) -> list[tuple[Fraction, Fraction]]:
     """
     _check_user_count(num_users)
     den, corners, pieces = curves = _two_file_curves(num_users)
-    breaks = sorted({Fraction(m, den) for m, _ in corners} | {Fraction(num, d) for num, d, *_ in pieces})
-    intervals: list[tuple[Fraction, Fraction]] = []
+    breaks = {_reduced(m, den) for m, _ in corners} | {_reduced(num, d) for num, d, *_ in pieces}
+    ascending = sorted(breaks, key=cmp_to_key(lambda u, v: u[0] * v[1] - v[0] * u[1]))
+    intervals: list[list[tuple[int, int]]] = []
     previous_tight = False
-    for row in _compare(curves, ((b.numerator, b.denominator) for b in breaks)):
-        if row.tight and previous_tight:
-            intervals[-1] = (intervals[-1][0], row.memory)
-        elif row.tight:
-            intervals.append((row.memory, row.memory))
-        previous_tight = row.tight
-    return intervals
+    for memory, _, _, tight in _compare(curves, ascending):
+        if tight and previous_tight:
+            intervals[-1][1] = memory
+        elif tight:
+            intervals.append([memory, memory])
+        previous_tight = tight
+    return [(Fraction(*lo), Fraction(*hi)) for lo, hi in intervals]

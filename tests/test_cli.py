@@ -7,8 +7,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from helpers import refuse_tradeoff_rows
+from privcache import cli
 from privcache.cli import main
 from privcache.scheme import (
     AuxDemand,
@@ -21,7 +24,7 @@ from privcache.scheme import (
     place,
     stored_signal_indices,
 )
-from privcache.tradeoff import tightness_report
+from privcache.tradeoff import _reduced, tightness_report
 
 
 def run_cli(capsys, *argv):
@@ -314,6 +317,8 @@ def test_tradeoff_json_roundtrip(capsys):
         ("--k 4 --grid 1/100 --format json", "c65a7f2a44b2bea159f9dbeca2d9f57ad2de502f83519bb6b396b77d904f3569"),
         ("--k 5 --grid 3/7", "342d2e84e63589115af21de4e4244b2b307dc94c0eb08c967dc913a60ffb8f03"),
         ("--k 5 --grid 3/7 --format text", "0882afbcfb0db84c46cefc962b0931723a5ec861a135fac580bbcc6678b70c5f"),
+        ("--k 64 --grid 1/1000 --format json", "8c2ff80bc7b20b4491b1e793d9d5c35717f5567e12a6ea285a5eff5fbed6f2f9"),
+        ("--k 64 --grid 1/1000 --format text", "1cea7a33d7bcd8a51b793d9ea7d3d1a3114c14702e0ce57dbfea3beb25f622b8"),
     ],
 )
 def test_tradeoff_output_bytes_are_pinned(capsys, flags, digest):
@@ -325,6 +330,64 @@ def test_tradeoff_output_bytes_are_pinned(capsys, flags, digest):
     for row in tightness_report(int(argv[1]), Fraction(argv[3])):
         assert all(type(x) is Fraction for x in (row.memory, row.achievable, row.converse)), row
         assert type(row.tight) is bool
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    num=st.one_of(st.just(0), st.integers(min_value=0, max_value=2**64)),
+    den=st.one_of(st.just(1), st.integers(min_value=1, max_value=2**64),
+                  st.integers(min_value=1, max_value=2**12).map(lambda c: c << 19)),
+    common=st.one_of(st.just(1), st.integers(min_value=2, max_value=2**20)),
+)
+@example(num=0, den=1, common=1)
+@example(num=2, den=1, common=1)
+@example(num=1, den=3, common=2**19)
+def test_tradeoff_pair_text_and_float_match_fraction(num, den, common):
+    # the rows reach the CLI as `_reduced` pairs, printed as `n` or `n/d` with
+    # `n / d` as the JSON float: the same bytes `str` and `float` of a Fraction give
+    n, d = num * common, den * common
+    exact = Fraction(n, d)
+    pair = _reduced(n, d)
+    assert pair == (exact.numerator, exact.denominator)
+    assert cli._ratio(pair) == str(exact)
+    assert pair[0] / pair[1] == n / d == float(exact)
+
+
+def test_the_cached_parser_prints_what_a_fresh_one_prints(monkeypatch, capsys):
+    # main() builds its parser once; successive calls of every kind, usage
+    # errors and --help included, print what a freshly built parser prints
+    monkeypatch.setenv("COLUMNS", "80")
+    runs = [
+        ["--help"],
+        ["params", "--n", "2", "--k", "3", "--r", "2", "--format", "json"],
+        ["tradeoff", "--k", "3", "--grid", "1/4", "--format", "text"],
+        ["tradeoff", "--k", "1"],
+        ["simulate", "--n", "2", "--k", "3", "--r", "2", "--seed", "7", "--demands", "0,1,1"],
+        ["verify", "--suite", "privacy", "--n", "257", "--k", "1", "--r", "0"],
+        ["tradeoff", "--format", "xml", "--k", "3"],
+        ["tradeoff", "--help"],
+        ["--help"],
+    ]
+
+    def run_all():
+        seen = []
+        for argv in runs:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            seen.append((code, captured.out, captured.err))
+        return seen
+
+    cached = run_all()
+    assert cli._build_parser() is cli._build_parser()
+    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+    assert run_all() == cached
+    assert [code for code, _, _ in cached] == [0, 0, 0, 2, 0, 2, 2, 0, 0]
+    assert cached[0] == cached[-1] and cached[0][1].startswith("usage: privcache ")
+    assert "tradeoff needs --k >= 2" in cached[3][2]
+    assert "invalid choice: 'xml'" in cached[6][2]
 
 
 def test_tradeoff_out_file(tmp_path, capsys):

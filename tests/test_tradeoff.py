@@ -16,6 +16,7 @@ from privcache.tradeoff import (
     lower_convex_envelope,
     scheme_points,
     tight_intervals,
+    tightness_pairs,
     tightness_report,
     upper_envelope,
 )
@@ -168,6 +169,27 @@ def test_tightness_grid_includes_endpoints():
     rows = tightness_report(3, F(1, 3))
     mems = [r.memory for r in rows]
     assert mems[0] == 0 and mems[-1] == 2
+
+
+@pytest.mark.parametrize("k, step", [(3, F(1, 100)), (5, F(3, 7)), (32, F(1, 200))])
+def test_tightness_pairs_are_the_report_rows_in_lowest_terms(k, step):
+    # the integer rows the CLI prints, and the Fraction rows Python callers get
+    pairs = tightness_pairs(k, step)
+    for (m, ach, conv, tight), row in zip(pairs, tightness_report(k, step), strict=True):
+        for pair, value in ((m, row.memory), (ach, row.achievable), (conv, row.converse)):
+            assert all(type(x) is int for x in pair) and pair[1] > 0
+            assert pair == (value.numerator, value.denominator)
+        assert tight is row.tight
+
+
+def test_tightness_pairs_refuse_before_any_curve(monkeypatch):
+    refuse_tradeoff_rows(monkeypatch)
+    for k, step, message in [(1001, F(1), "exceeds the cap of 1000"), (3, F(0), "must be positive"),
+                             (3, F(1, 50001), "more than 100001 rows")]:
+        with pytest.raises(ValueError, match=message):
+            tightness_pairs(k, step)
+    with pytest.raises(RowsBuilt):
+        tightness_pairs(1000, F(1, 50000))
 
 
 def test_tightness_step_validation():
