@@ -270,8 +270,9 @@ class RowsBuilt(Exception):
 
 
 def refuse_tradeoff_rows(monkeypatch) -> None:
-    """Make `tightness_report` and `tight_intervals` raise RowsBuilt once
-    past their user-count and step checks, before any curve is built."""
+    """Make `tightness_pairs`, `tightness_report` and `tight_intervals` raise
+    RowsBuilt once past their user-count and step checks, before any curve
+    is built."""
     import privcache.tradeoff as tradeoff
 
     def refuse(num_users):
