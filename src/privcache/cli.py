@@ -10,7 +10,6 @@ would (`n` or `n/d`), and `n / d` as each JSON float.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import random
 import sys
@@ -254,7 +253,6 @@ def cmd_tradeoff(args, parser) -> int:
     return 0
 
 
-@functools.cache  # parse_args leaves the parser as it was; building it takes ~0.75 ms
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="privcache",

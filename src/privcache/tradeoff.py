@@ -29,7 +29,9 @@ from ._record import FrozenRecord
 from .combinat import position_count, scheme_counts
 
 _GRID_ROW_CAP = 100_001  # a grid step of 1/50000; finer steps are refused
-_USER_CAP = 1000  # curves cost ~K^2.3; K = 1000: tight_intervals 0.13 s, 100,001 rows 0.4 s; K = 100000: hours
+# the curves cost ~K^2.3: at K = 1000 (best of 3, 2-vCPU Xeon) tight_intervals takes 0.09-0.16 s
+# and tightness_pairs on 100,001 rows 0.35-0.66 s; K = 100000 would take hours
+_USER_CAP = 1000
 
 
 def _frac(x) -> Fraction:
@@ -290,11 +292,12 @@ def _reduced(num: int, den: int) -> tuple[int, int]:
     return num // g, den // g
 
 
-def _compare(curves: tuple, memories: Iterable[tuple[int, int]]) -> Iterator[tuple]:
+def _compare(curves: tuple, memories: Iterable[tuple[int, int]], value=_reduced) -> Iterator[tuple]:
     """One merge pass: a row (memory, achievable, converse, tight) per memory
     a/q, given as (a, q) with q > 0 and ascending within [0, 2], with each
-    value a `_reduced` pair; one pointer walks the achievable segments and
-    one the converse pieces."""
+    value made by value(numerator, denominator), a `_reduced` pair or a
+    `Fraction`; one pointer walks the achievable segments and one the
+    converse pieces."""
     den, corners, pieces = curves
     i = j = 0
     for a, q in memories:
@@ -308,8 +311,8 @@ def _compare(curves: tuple, memories: Iterable[tuple[int, int]]) -> Iterator[tup
         _, _, alpha, beta, gamma, _ = pieces[j]
         conv_num, conv_den = gamma * q - alpha * a, beta * q
         tight = ach_num * conv_den == conv_num * ach_den
-        ach = _reduced(ach_num, ach_den)
-        yield _reduced(a, q), ach, ach if tight else _reduced(conv_num, conv_den), tight
+        ach = value(ach_num, ach_den)
+        yield value(a, q), ach, ach if tight else value(conv_num, conv_den), tight
 
 
 def _check_user_count(num_users: int) -> None:
@@ -318,11 +321,9 @@ def _check_user_count(num_users: int) -> None:
         raise ValueError(f"K={num_users} users exceeds the cap of {_USER_CAP} for the tradeoff curves")
 
 
-def tightness_pairs(num_users: int, grid_step) -> list[tuple]:
-    """`tightness_report`'s rows as (memory, achievable, converse, tight),
-    each value a reduced (numerator, denominator) pair with denominator > 0.
-    The user count, the step and the row count are checked before any
-    curve is built."""
+def _grid_rows(num_users: int, grid_step, value) -> list[tuple]:
+    """`_compare`'s rows on the grid; the user count, the step and the row
+    count are checked before any curve is built."""
     _check_user_count(num_users)
     step = _frac(grid_step)
     if step <= 0:
@@ -332,13 +333,18 @@ def tightness_pairs(num_users: int, grid_step) -> list[tuple]:
     curves = _two_file_curves(num_users)
     p, q = step.numerator, step.denominator  # the grid is i * p / q, and 2 if p does not divide 2q
     grid = [(i * p, q) for i in range(2 * q // p + 1)] + [(2 * q, q)] * (2 * q % p != 0)
-    return list(_compare(curves, grid))
+    return list(_compare(curves, grid, value))
+
+
+def tightness_pairs(num_users: int, grid_step) -> list[tuple]:
+    """`tightness_report`'s rows as (memory, achievable, converse, tight),
+    each value a reduced (numerator, denominator) pair with denominator > 0."""
+    return _grid_rows(num_users, grid_step, _reduced)
 
 
 def tightness_report(num_users: int, grid_step) -> list[TightnessRow]:
     """Achievable-vs-converse comparison over a rational grid on [0, 2]."""
-    rows = tightness_pairs(num_users, grid_step)
-    return [TightnessRow(Fraction(*m), Fraction(*ach), Fraction(*conv), tight) for m, ach, conv, tight in rows]
+    return [TightnessRow(*row) for row in _grid_rows(num_users, grid_step, Fraction)]
 
 
 def tight_intervals(num_users: int) -> list[tuple[Fraction, Fraction]]:

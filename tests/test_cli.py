@@ -353,43 +353,6 @@ def test_tradeoff_pair_text_and_float_match_fraction(num, den, common):
     assert pair[0] / pair[1] == n / d == float(exact)
 
 
-def test_the_cached_parser_prints_what_a_fresh_one_prints(monkeypatch, capsys):
-    # main() builds its parser once; successive calls of every kind, usage
-    # errors and --help included, print what a freshly built parser prints
-    monkeypatch.setenv("COLUMNS", "80")
-    runs = [
-        ["--help"],
-        ["params", "--n", "2", "--k", "3", "--r", "2", "--format", "json"],
-        ["tradeoff", "--k", "3", "--grid", "1/4", "--format", "text"],
-        ["tradeoff", "--k", "1"],
-        ["simulate", "--n", "2", "--k", "3", "--r", "2", "--seed", "7", "--demands", "0,1,1"],
-        ["verify", "--suite", "privacy", "--n", "257", "--k", "1", "--r", "0"],
-        ["tradeoff", "--format", "xml", "--k", "3"],
-        ["tradeoff", "--help"],
-        ["--help"],
-    ]
-
-    def run_all():
-        seen = []
-        for argv in runs:
-            try:
-                code = main(argv)
-            except SystemExit as exc:
-                code = exc.code
-            captured = capsys.readouterr()
-            seen.append((code, captured.out, captured.err))
-        return seen
-
-    cached = run_all()
-    assert cli._build_parser() is cli._build_parser()
-    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
-    assert run_all() == cached
-    assert [code for code, _, _ in cached] == [0, 0, 0, 2, 0, 2, 2, 0, 0]
-    assert cached[0] == cached[-1] and cached[0][1].startswith("usage: privcache ")
-    assert "tradeoff needs --k >= 2" in cached[3][2]
-    assert "invalid choice: 'xml'" in cached[6][2]
-
-
 def test_tradeoff_out_file(tmp_path, capsys):
     out_path = tmp_path / "rows.csv"
     code, out = run_cli(capsys, "tradeoff", "--k", "3", "--grid", "1/4", "--out", str(out_path))

@@ -182,16 +182,6 @@ def test_tightness_pairs_are_the_report_rows_in_lowest_terms(k, step):
         assert tight is row.tight
 
 
-def test_tightness_pairs_refuse_before_any_curve(monkeypatch):
-    refuse_tradeoff_rows(monkeypatch)
-    for k, step, message in [(1001, F(1), "exceeds the cap of 1000"), (3, F(0), "must be positive"),
-                             (3, F(1, 50001), "more than 100001 rows")]:
-        with pytest.raises(ValueError, match=message):
-            tightness_pairs(k, step)
-    with pytest.raises(RowsBuilt):
-        tightness_pairs(1000, F(1, 50000))
-
-
 def test_tightness_step_validation():
     with pytest.raises(ValueError):
         tightness_report(3, 0)
@@ -211,7 +201,11 @@ def test_grid_of_exactly_100001_rows_is_admitted(monkeypatch):
         tightness_report(3, F(1, 50000))
 
 
-@pytest.mark.parametrize("build", [lambda k: tightness_report(k, F(1)), tight_intervals])
+@pytest.mark.parametrize(
+    "build",
+    [lambda k: tightness_report(k, F(1)), tight_intervals,
+     pytest.param(lambda k: tightness_pairs(k, F(1)), id="tightness_pairs")],
+)
 def test_user_count_over_1000_is_refused_before_any_curve(monkeypatch, build):
     refuse_tradeoff_rows(monkeypatch)
     for k in (1001, 100_000):
@@ -219,7 +213,11 @@ def test_user_count_over_1000_is_refused_before_any_curve(monkeypatch, build):
             build(k)
 
 
-@pytest.mark.parametrize("build", [lambda k: tightness_report(k, F(1)), tight_intervals])
+@pytest.mark.parametrize(
+    "build",
+    [lambda k: tightness_report(k, F(1)), tight_intervals,
+     pytest.param(lambda k: tightness_pairs(k, F(1)), id="tightness_pairs")],
+)
 def test_user_count_of_exactly_1000_is_admitted(monkeypatch, build):
     # K = 1000 passes the cap and goes on to build its curves
     refuse_tradeoff_rows(monkeypatch)
