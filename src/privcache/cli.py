@@ -4,30 +4,15 @@ Exit codes are a stable contract: 0 on success, 1 on a verification or
 decode failure, 2 on usage errors.  All randomness derives from --seed,
 so identical invocations produce byte-identical output.  `tradeoff` prints
 the reduced integer pairs of `tradeoff.tightness_pairs` as `str(Fraction)`
-would (`n` or `n/d`), and `n / d` as each JSON float.
+would (`n` or `n/d`), and `n / d` as each JSON float.  Each command imports
+its own layer when it runs, and the parser adds arguments only for the
+invoked command, so importing this module loads no other package module.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import random
 import sys
-from fractions import Fraction
-from pathlib import Path
-
-from . import verify as verify_mod
-from .scheme import (
-    FileLibrary,
-    SchemeParams,
-    SessionRandomness,
-    assemble_delivery,
-    aux_demand,
-    decode,
-    memory_rate_of,
-    place,
-)
-from .tradeoff import tightness_pairs
 
 SUITES = ("correctness", "privacy", "lemma1", "identities", "reconstruction", "all")
 
@@ -48,7 +33,9 @@ def _add_instance_flags(p: argparse.ArgumentParser, need_r: bool = True) -> None
     )
 
 
-def _params_from(args, parser: argparse.ArgumentParser) -> SchemeParams:
+def _params_from(args, parser: argparse.ArgumentParser):
+    from .scheme import SchemeParams
+
     try:
         if args.f is not None:
             return SchemeParams(args.n, args.k, args.r, args.f)
@@ -57,8 +44,13 @@ def _params_from(args, parser: argparse.ArgumentParser) -> SchemeParams:
         parser.error(str(exc))
 
 
-def _load_library(args, params: SchemeParams, parser: argparse.ArgumentParser) -> tuple[FileLibrary, str]:
+def _load_library(args, params, parser: argparse.ArgumentParser):
     if args.library:
+        import json
+        from pathlib import Path
+
+        from .scheme import FileLibrary
+
         path = Path(args.library)
         sidecar = path.with_name(path.name + ".json")
         try:
@@ -77,7 +69,11 @@ def _load_library(args, params: SchemeParams, parser: argparse.ArgumentParser) -
     return _random_library(params, args.seed, parser), f"seeded ({args.seed})"
 
 
-def _random_library(params: SchemeParams, seed: str, parser: argparse.ArgumentParser) -> FileLibrary:
+def _random_library(params, seed: str, parser: argparse.ArgumentParser):
+    import random
+
+    from .scheme import FileLibrary
+
     try:
         return FileLibrary.random(params, random.Random(f"{seed}:library"))
     except ValueError as exc:
@@ -85,6 +81,8 @@ def _random_library(params: SchemeParams, seed: str, parser: argparse.ArgumentPa
 
 
 def cmd_params(args, parser) -> int:
+    from .scheme import memory_rate_of
+
     params = _params_from(args, parser)
     point = memory_rate_of(params)
     _, stored, _, per_file = params.counts
@@ -107,6 +105,7 @@ def cmd_params(args, parser) -> int:
         "delivery_payload_bits": segments * params.subfile_bits,
     }
     if args.format == "json":
+        import json
         print(json.dumps(info, indent=2))
     else:
         print(f"N={info['N']} K={info['K']} r={info['r']} F={info['F']}")
@@ -123,6 +122,9 @@ def cmd_params(args, parser) -> int:
 
 
 def cmd_simulate(args, parser) -> int:
+    from .combinat import ScaleLimitError
+    from .scheme import SessionRandomness, assemble_delivery, aux_demand, decode, memory_rate_of, place
+
     params = _params_from(args, parser)
     n, k_users = params.num_files, params.num_users
     files, origin = _load_library(args, params, parser)
@@ -136,13 +138,14 @@ def cmd_simulate(args, parser) -> int:
                 f"--demands needs {k_users} digits in [0, {n}), got {args.demands!r}"
             )
     else:
+        import random
         rng = random.Random(f"{args.seed}:demands")
         demands = tuple(rng.randrange(n) for _ in range(k_users))
 
     rand = SessionRandomness.from_seed(params, args.seed)
     try:  # placement builds the plan, whose size guard may refuse the instance
         caches = place(files, params, rand)
-    except verify_mod.ScaleLimitError as exc:
+    except ScaleLimitError as exc:
         parser.error(str(exc))
     point = memory_rate_of(params)
 
@@ -173,26 +176,29 @@ def cmd_simulate(args, parser) -> int:
 
 
 def cmd_verify(args, parser) -> int:
+    from . import verify
+
     params = _params_from(args, parser)
     suites = SUITES[:-1] if args.suite == "all" else (args.suite,)
-    marginal = args.mode == verify_mod.FULL_MARGINAL  # full-marginal privacy reads no library
+    marginal = args.mode == verify.FULL_MARGINAL  # full-marginal privacy reads no library
     files = None if suites == ("privacy",) and marginal else _random_library(params, args.seed, parser)
     reports = []
     try:
         for suite in suites:
             if suite == "correctness":
-                reports.append(verify_mod.verify_correctness_exhaustive(params, files))
+                reports.append(verify.verify_correctness_exhaustive(params, files))
             elif suite == "privacy":
-                reports.append(verify_mod.verify_privacy(params, args.mode, None if marginal else files))
+                reports.append(verify.verify_privacy(params, args.mode, None if marginal else files))
             elif suite == "lemma1":
-                reports.append(verify_mod.verify_distribution_lemma(params, files))
+                reports.append(verify.verify_distribution_lemma(params, files))
             elif suite == "identities":
-                reports.append(verify_mod.oracle_demand_identity(params, files))
+                reports.append(verify.oracle_demand_identity(params, files))
             elif suite == "reconstruction":
-                reports.append(verify_mod.oracle_y_reconstruction(params, files))
-    except verify_mod.ScaleLimitError as exc:
+                reports.append(verify.oracle_y_reconstruction(params, files))
+    except verify.ScaleLimitError as exc:
         parser.error(str(exc))
     if args.format == "json":
+        import json
         print(json.dumps([r.to_dict() for r in reports], indent=2))
     else:
         for report in reports:
@@ -201,6 +207,10 @@ def cmd_verify(args, parser) -> int:
 
 
 def cmd_tradeoff(args, parser) -> int:
+    from fractions import Fraction
+
+    from .tradeoff import tightness_pairs
+
     if args.k < 2:
         parser.error("tradeoff needs --k >= 2 (two-file converse machinery)")
     try:
@@ -218,24 +228,15 @@ def cmd_tradeoff(args, parser) -> int:
             f"{_ratio(m)},{_ratio(ach)},{_ratio(conv)},{'true' if tight else 'false'}"
             for m, ach, conv, tight in rows
         ]
-    elif args.format == "json":
-        lines = [
-            json.dumps(
-                [
-                    {
-                        "M": _ratio(m),
-                        "M_float": m[0] / m[1],
-                        "R_ach": _ratio(ach),
-                        "R_ach_float": ach[0] / ach[1],
-                        "R_conv": _ratio(conv),
-                        "R_conv_float": conv[0] / conv[1],
-                        "tight": tight,
-                    }
-                    for m, ach, conv, tight in rows
-                ],
-                indent=2,
-            )
+    elif args.format == "json":  # `json.dumps(row dicts, indent=2)`, written directly
+        items = [
+            f'  {{\n    "M": "{_ratio(m)}",\n    "M_float": {m[0] / m[1]!r},\n'
+            f'    "R_ach": "{_ratio(ach)}",\n    "R_ach_float": {ach[0] / ach[1]!r},\n'
+            f'    "R_conv": "{_ratio(conv)}",\n    "R_conv_float": {conv[0] / conv[1]!r},\n'
+            f'    "tight": {"true" if tight else "false"}\n  }}'
+            for m, ach, conv, tight in rows
         ]
+        lines = ["[\n" + ",\n".join(items) + "\n]"]
     else:
         lines = [f"{'M':>10} {'R_ach':>10} {'R_conv':>10} tight"]
         lines += [
@@ -245,7 +246,8 @@ def cmd_tradeoff(args, parser) -> int:
     text = "\n".join(lines) + "\n"
     if args.out:
         try:
-            Path(args.out).write_text(text)
+            with open(args.out, "w") as fh:
+                fh.write(text)
         except OSError as exc:
             parser.error(f"cannot write --out {args.out}: {exc}")
     else:
@@ -253,50 +255,60 @@ def cmd_tradeoff(args, parser) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """Every command with its help, but arguments only for the invoked one:
+    the first token not starting with '-' (the top level has only -h)."""
     parser = argparse.ArgumentParser(
         prog="privcache",
         description="Demand-private coded caching: simulation, verification, tradeoff region",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    invoked = next((tok for tok in argv if not tok.startswith("-")), None)
 
     p = sub.add_parser("params", help="print exact (M, R) and size accounting")
-    _add_instance_flags(p)
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=cmd_params)
+    if invoked == "params":
+        _add_instance_flags(p)
+        p.add_argument("--format", choices=("text", "json"), default="text")
+        p.set_defaults(func=cmd_params)
 
     p = sub.add_parser("simulate", help="run one placement/delivery/decode session")
-    _add_instance_flags(p)
-    p.add_argument("--seed", default="0", help="session seed (default 0)")
-    p.add_argument("--demands", default=None, help="comma-separated demand digits")
-    p.add_argument("--library", default=None, help="raw library file (with .json sidecar)")
-    p.set_defaults(func=cmd_simulate)
+    if invoked == "simulate":
+        _add_instance_flags(p)
+        p.add_argument("--seed", default="0", help="session seed (default 0)")
+        p.add_argument("--demands", default=None, help="comma-separated demand digits")
+        p.add_argument("--library", default=None, help="raw library file (with .json sidecar)")
+        p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("verify", help="run exhaustive verification suites")
-    p.add_argument("--suite", choices=SUITES, default="all")
-    _add_instance_flags(p)
-    p.add_argument("--seed", default="0", help="library seed (default 0)")
-    p.add_argument(
-        "--mode",
-        choices=(verify_mod.CONDITIONAL, "conditional", verify_mod.FULL_MARGINAL),
-        default=verify_mod.CONDITIONAL,
-        help="privacy flavor (default conditional-on-files)",
-    )
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=cmd_verify)
+    if invoked == "verify":
+        from . import verify
+
+        p.add_argument("--suite", choices=SUITES, default="all")
+        _add_instance_flags(p)
+        p.add_argument("--seed", default="0", help="library seed (default 0)")
+        p.add_argument(
+            "--mode",
+            choices=(verify.CONDITIONAL, "conditional", verify.FULL_MARGINAL),
+            default=verify.CONDITIONAL,
+            help="privacy flavor (default conditional-on-files)",
+        )
+        p.add_argument("--format", choices=("text", "json"), default="text")
+        p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("tradeoff", help="emit achievable vs converse rows over [0, 2]")
-    p.add_argument("--k", type=int, required=True, help="number of users (2 <= K <= 1000)")
-    p.add_argument("--grid", default="1/100", help="grid step as a fraction (default 1/100)")
-    p.add_argument("--format", choices=("csv", "json", "text"), default="csv")
-    p.add_argument("--out", default=None, help="write to a file instead of stdout")
-    p.set_defaults(func=cmd_tradeoff)
+    if invoked == "tradeoff":
+        p.add_argument("--k", type=int, required=True, help="number of users (2 <= K <= 1000)")
+        p.add_argument("--grid", default="1/100", help="grid step as a fraction (default 1/100)")
+        p.add_argument("--format", choices=("csv", "json", "text"), default="csv")
+        p.add_argument("--out", default=None, help="write to a file instead of stdout")
+        p.set_defaults(func=cmd_tradeoff)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _build_parser(argv)
     args = parser.parse_args(argv)
     return args.func(args, parser)
 

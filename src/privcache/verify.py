@@ -43,7 +43,6 @@ from .scheme import (
     FileLibrary,
     SchemeParams,
     SessionRandomness,
-    aux_demand,
     build_delivery,
     cache_header,
     delivery_header,
@@ -200,7 +199,7 @@ def verify_correctness_exhaustive(
     vectors = _all_digit_vectors(n, k_users)
     for demands in vectors:
         for keys in vectors:
-            digits = aux_demand(demands, keys, n).digits
+            digits = tuple((d - s) % n for d, s in zip(demands, keys))  # `aux_demand`, inputs in range
             for t in selectors[digits]:
                 for k in range(k_users):
                     got = decoded[((digits, t), k, keys[k])]
@@ -243,8 +242,6 @@ def _privacy(
     except ValueError as exc:
         raise ScaleLimitError(f"privacy weighs every wire header: {exc}") from None
     weight_lcm = lcm(*(len(ts) for ts in broadcasts.values()))
-    # the unmasked negative control drives the broadcast by the raw demands
-    drive = aux_demand if masked else (lambda demands, keys, num_files: AuxDemand(demands, num_files))
     vectors = _all_digit_vectors(n, k_users)
     # per aux digit vector and key digit s: its selector set's outcomes, each weighted 1/|V|
     on_air = {
@@ -252,8 +249,17 @@ def _privacy(
         for digits, ts in broadcasts.items()
     }
     # per demand vector, what each key vector (in `vectors` order) puts on
-    # the air; shared by every user and holding only references into on_air
-    sent = {demands: [on_air[drive(demands, keys, n).digits] for keys in vectors] for demands in vectors}
+    # the air; shared by every user and holding only references into on_air.
+    # The broadcast is driven by the `aux_demand` digits, computed directly
+    # since both vectors are in range, or in the unmasked negative control by
+    # the raw demands
+    if masked:
+        sent = {
+            demands: [on_air[tuple((d - s) % n for d, s in zip(demands, keys))] for keys in vectors]
+            for demands in vectors
+        }
+    else:
+        sent = {demands: [on_air[demands]] * len(vectors) for demands in vectors}
     completions = _all_digit_vectors(n, k_users - 1)
     cases = 0
     failures = []

@@ -3,7 +3,10 @@ import hashlib
 import io
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -265,16 +268,23 @@ def test_verify_suites_that_do_not_serialize_accept_n_257(capsys, suite):
 
 
 def test_verify_failure_exits_one(monkeypatch, capsys):
-    from privcache import cli as cli_mod
     from privcache.verify import VerificationReport
 
     def broken(params, files):
         return VerificationReport("stub", 1, [(("cfg",), "want", "got")], 0.0)
 
-    monkeypatch.setattr(cli_mod.verify_mod, "verify_correctness_exhaustive", broken)
+    # `cmd_verify` reads the engine off the verify module on every call
+    monkeypatch.setattr("privcache.verify.verify_correctness_exhaustive", broken)
     code, out = run_cli(capsys, "verify", "--suite", "correctness", "--n", "2", "--k", "3", "--r", "2")
     assert code == 1
-    assert "FAIL" in out
+    assert out.startswith("FAIL (1 failures) stub [cases=1, ")
+
+
+def test_a_patched_command_handler_is_seen_by_the_next_call(monkeypatch, capsys):
+    # the parser binds each handler when `main` builds it, on every call
+    assert run_cli(capsys, "tradeoff", "--k", "2", "--grid", "2")[0] == 0
+    monkeypatch.setattr(cli, "cmd_tradeoff", lambda args, parser: 7)
+    assert main(["tradeoff", "--k", "2"]) == 7
 
 
 def test_tradeoff_csv_three_users(capsys):
@@ -439,3 +449,28 @@ def test_tradeoff_over_1000_users_is_a_usage_error(monkeypatch, capsys, k):
 
 def test_unknown_command_is_usage_error():
     run_cli_expect_usage_error("frobnicate")
+
+
+EMPTY_SHA256 = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+
+
+@pytest.mark.parametrize(
+    "argv, code, stdout_digest, stderr_digest",
+    [
+        (["--help"], 0, "a463048318e4bbd7eaac418de804efd585e77eda66e41ff7a1b3a4548a1807c1", EMPTY_SHA256),
+        (["params", "--help"], 0, "135d2550994b6c4eb31579d0e2947b8ebc3d30fbba292853ff799fb70715f382", EMPTY_SHA256),
+        (["simulate", "--help"], 0, "e9a3baad93830d79618a10db9c775203affde366be75ca7b25a0afc041a084c9", EMPTY_SHA256),
+        (["verify", "--help"], 0, "5fc10cb642edea9c180c9b2124018602392277b6edd0bf8f425049a53be76353", EMPTY_SHA256),
+        (["tradeoff", "--help"], 0, "0ffb7399dafaf39fcda38462c3e40476a4082bf768f934c48759692506a5716d", EMPTY_SHA256),
+        ([], 2, EMPTY_SHA256, "9fa95bc23379f8dda6212c0cb33943921a8e4ec4168f3e97e9efa70821585c47"),
+        (["frobnicate"], 2, EMPTY_SHA256, "43815bb2cd09cce11e0ac5ecae09672e84762240ad52d426f11fbea5634d9d88"),
+    ],
+)
+def test_help_and_usage_text_is_pinned(argv, code, stdout_digest, stderr_digest):
+    # digests of a fresh `python -m privcache` at an 80-column terminal,
+    # recorded while every subcommand's arguments were still built eagerly
+    env = dict(os.environ, COLUMNS="80")
+    proc = subprocess.run([sys.executable, "-m", "privcache", *argv], capture_output=True, env=env)
+    assert proc.returncode == code
+    assert hashlib.sha256(proc.stdout).hexdigest() == stdout_digest
+    assert hashlib.sha256(proc.stderr).hexdigest() == stderr_digest

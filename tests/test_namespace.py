@@ -1,4 +1,4 @@
-"""The lazy `privcache` namespace: what a bare import and a session load.
+"""The lazy `privcache` namespace: what a bare import, a session and each CLI path load.
 
 Each check that looks at `sys.modules` runs in a fresh interpreter, since
 this test process has long since imported every submodule.
@@ -76,21 +76,60 @@ def test_session_names_leave_the_verifiers_and_the_tradeoff_layer_unloaded():
 
 def test_sessions_and_the_cli_leave_the_class_generator_unloaded():
     # the record classes write their own constructors, so neither a session's
-    # names nor the CLI (which loads every record class) import `dataclasses`
-    # and the `inspect` it pulls in
+    # names nor a `verify` and a `tradeoff` command (which between them load
+    # every record class) import `dataclasses` and the `inspect` it pulls in
     loaded = fresh(
-        "import json, sys\n"
+        "import contextlib, io, json, sys\n"
         "import privcache\n"
         f"for name in {SESSION_NAMES!r}: getattr(privcache, name)\n"
         "session = sorted(sys.modules)\n"
-        "import privcache.cli\n"
-        "print(json.dumps([session, sorted(sys.modules)]))\n"
+        "from privcache.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [main(['verify', '--suite', 'all', '--n', '2', '--k', '2', '--r', '1']),\n"
+        "             main(['tradeoff', '--k', '3', '--grid', '1/4', '--format', 'json'])]\n"
+        "print(json.dumps([session, sorted(sys.modules), codes]))\n"
     )
-    session, cli = loaded
+    session, cli, codes = loaded
+    assert codes == [0, 0]
     for module in ("dataclasses", "inspect"):
         assert module not in session
         assert module not in cli
-    assert {"privcache.verify", "privcache.tradeoff", "privcache.yma"} <= set(cli)
+    assert {"privcache.verify", "privcache.tradeoff", "privcache.yma", "privcache.plan"} <= set(cli)
+
+
+CLI_PATHS = {
+    # what a path must leave unloaded, by the argv `cli.main` runs (None: import only)
+    None: (
+        "privcache.bitvec", "privcache.combinat", "privcache.plan", "privcache.scheme",
+        "privcache.tradeoff", "privcache.verify", "privcache.yma", "privcache._record",
+        "json", "fractions",
+    ),
+    ("tradeoff", "--k", "5", "--grid", "1/10", "--format", "csv"): (
+        "privcache.scheme", "privcache.verify", "privcache.bitvec", "privcache.yma", "json",
+    ),
+    ("verify", "--suite", "privacy", "--n", "2", "--k", "3", "--r", "2"): (
+        "privcache.tradeoff", "fractions", "privcache.plan",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", list(CLI_PATHS), ids=["import", "tradeoff-csv", "verify-privacy"])
+def test_each_cli_path_loads_only_its_own_layer(argv):
+    code, loaded = fresh(
+        "import contextlib, io, sys\n"
+        "import privcache.cli\n"
+        "code = None\n"
+        f"if {argv!r} is not None:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"        code = privcache.cli.main(list({argv!r}))\n"
+        "loaded = sorted(sys.modules)\n"
+        "import json\n"
+        "print(json.dumps([code, loaded]))\n"
+    )
+    assert code == (None if argv is None else 0)
+    assert not set(CLI_PATHS[argv]) & set(loaded)
+    home = {None: "privcache.cli", "tradeoff": "privcache.tradeoff", "verify": "privcache.verify"}
+    assert home[argv and argv[0]] in loaded
 
 
 def test_bare_import_loads_no_submodule():
