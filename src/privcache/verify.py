@@ -250,9 +250,8 @@ def _privacy(
     }
     # per demand vector, what each key vector (in `vectors` order) puts on
     # the air; shared by every user and holding only references into on_air.
-    # The broadcast is driven by the `aux_demand` digits, computed directly
-    # since both vectors are in range, or in the unmasked negative control by
-    # the raw demands
+    # Masked, that is the `aux_demand` digits (both vectors are in range); the
+    # unmasked negative control drives the broadcast by the raw demands
     if masked:
         sent = {
             demands: [on_air[tuple((d - s) % n for d, s in zip(demands, keys))] for keys in vectors]

@@ -467,8 +467,8 @@ EMPTY_SHA256 = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855
     ],
 )
 def test_help_and_usage_text_is_pinned(argv, code, stdout_digest, stderr_digest):
-    # digests of a fresh `python -m privcache` at an 80-column terminal,
-    # recorded while every subcommand's arguments were still built eagerly
+    # digests of a fresh `python -m privcache` at an 80-column terminal, taken
+    # from a parser that added every subcommand's arguments up front
     env = dict(os.environ, COLUMNS="80")
     proc = subprocess.run([sys.executable, "-m", "privcache", *argv], capture_output=True, env=env)
     assert proc.returncode == code
