@@ -8,8 +8,10 @@ the two-file case.
 The namespace is lazy (PEP 562): `import privcache` loads no submodule,
 and each exported name imports its home module on first access, then
 sits in the package globals like an eager import.  So a session that
-only places, delivers and decodes never loads `verify`, `tradeoff` or
-`fractions`.
+only places, delivers and decodes never loads `verify`, `tradeoff`,
+`fractions` or the per-element reference layer (`reference`: subset
+objects, `compute_y`, `x_segment`, the demand classes), which only the
+tests and the oracle suites read.
 
 The value classes (`SchemeParams`, `AuxDemand`, the payloads, the
 tradeoff points and bounds, `VerificationReport`, ...) write explicit
@@ -24,19 +26,21 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "bitvec": ("Bits",),
-    "combinat": (
-        "ScaleLimitError",
+    "combinat": ("ScaleLimitError", "binomial"),
+    "reference": (
+        "DemandClass",
         "SubsetIndex",
-        "binomial",
+        "compute_y",
         "enumerate_r_subsets",
+        "f_map",
         "subset_rank",
         "subset_unrank",
+        "x_segment",
     ),
     "scheme": (
         "AuxDemand",
         "CacheContent",
         "DeliverySignal",
-        "DemandClass",
         "FileLibrary",
         "SchemeParams",
         "SessionRandomness",
@@ -46,11 +50,9 @@ _EXPORTS = {
         "build_delivery",
         "build_v",
         "decode",
-        "f_map",
         "g_map",
         "memory_rate_of",
         "place",
-        "x_segment",
     ),
     "tradeoff": (
         "LinearBound",
@@ -73,7 +75,7 @@ _EXPORTS = {
         "verify_distribution_lemma",
         "verify_privacy",
     ),
-    "yma": ("UVector", "build_u_vector", "compute_y", "yma_delivery"),
+    "yma": ("UVector", "build_u_vector", "yma_delivery"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 _SUBMODULES = frozenset({*_EXPORTS, "cli", "plan"})

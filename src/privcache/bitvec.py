@@ -19,6 +19,8 @@ from typing import Iterable
 _REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 # characters other than "0" and "1" survive translate() with this table
 _NOT_BITS = str.maketrans("", "", "01")
+# byte values 0 and 1 as the digits of a base-2 literal
+_BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 class Bits:
@@ -30,7 +32,8 @@ class Bits:
     time: one int conversion plus one table pass, byte-identical to
     packing bit by bit (bit 0 at the MSB of the first byte).  Blocks of
     a width divisible by 8 are joined and split as whole-byte slices
-    (`from_blocks`, `block_values`), with no shift and no mask.
+    (`from_blocks`, `block_values`), with no shift and no mask; 1-bit
+    blocks are joined as one byte each, read back as a base-2 literal.
     """
 
     __slots__ = ("value", "length")
@@ -72,7 +75,21 @@ class Bits:
         if _aligned(width):
             raw = _little_endian(values, width)
             return cls(int.from_bytes(raw, "little"), len(raw) << 3)
+        if width == 1:
+            return cls._join_bits(values)
         return cls._join((value, width) for value in values)
+
+    @classmethod
+    def _join_bits(cls, values: Iterable[int]) -> Bits:
+        """`from_blocks` at width 1: the bits as one byte each, read back
+        as a base-2 literal, last bit first, with no per-bit shift."""
+        try:
+            raw = bytes(values)
+        except ValueError:  # negative, or 256 and above
+            raw = None
+        if raw is None or raw.translate(None, b"\x00\x01"):
+            raise ValueError("value does not fit in 1 bits")
+        return cls(int(raw[::-1].translate(_BIT_DIGITS), 2) if raw else 0, len(raw))
 
     @classmethod
     def _join(cls, pieces: Iterable[tuple[int, int]]) -> Bits:

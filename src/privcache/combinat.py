@@ -1,21 +1,22 @@
-"""Exact binomials, the scheme's closed-form sizes, and colexicographic
-ranking of fixed-size subsets.
+"""Exact binomials, the scheme's closed-form sizes, and the colexicographic
+order of fixed-size subsets, held as increasing tuples.
 
 `scheme_counts` is the one place a payload size is computed, so nothing
 builds a plan table just to count.
 
 Colex order compares subsets by their largest element first, which gives
-O(size) rank/unrank without lookup tables and keeps the order of small
-subsets stable when the universe grows.  It is the single canonical order
-used for subfile layout and signal serialization throughout the package.
+O(size) ranks without lookup tables and keeps the order of small subsets
+stable when the universe grows.  It is the single canonical order used for
+subfile layout and signal serialization throughout the package: `plan`
+builds its levels with `colex_subsets` and ranks with `colex_rank`.  The
+subset objects of the reference layer (`reference.SubsetIndex`, its rank
+and unrank) wrap the same tuples.
 """
 
 from __future__ import annotations
 
 import math
 from typing import Sequence
-
-from ._record import FrozenRecord
 
 
 def binomial(n: int, k: int) -> int:
@@ -59,97 +60,23 @@ def scheme_counts(num_files: int, num_users: int, r: int) -> tuple[int, int, int
     return subfiles, binomial(positions, r + 1) - rebuilt, rebuilt, subfiles * r // positions
 
 
-class SubsetIndex(FrozenRecord):
-    """A subset of [0, universe) stored as a strictly increasing tuple."""
-
-    members: tuple[int, ...]
-    universe: int
-
-    def __init__(self, members: tuple[int, ...], universe: int) -> None:
-        fields = self.__dict__
-        fields["members"] = members
-        fields["universe"] = universe
-        fields["_values"] = (members, universe)
-        if universe <= 0:
-            raise ValueError(f"universe must be positive, got {universe}")
-        prev = -1
-        for m in members:
-            if m <= prev:
-                raise ValueError(f"members not strictly increasing: {members}")
-            prev = m
-        if prev >= universe:
-            raise ValueError(f"member {prev} outside universe {universe}")
-
-    @classmethod
-    def of(cls, members, universe: int) -> SubsetIndex:
-        """Build from any iterable of distinct elements."""
-        return cls(tuple(sorted(members)), universe)
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __iter__(self):
-        return iter(self.members)
-
-    def __contains__(self, x: int) -> bool:
-        return x in self.members
-
-    def without(self, x: int) -> SubsetIndex:
-        if x not in self.members:
-            raise ValueError(f"{x} not a member of {self.members}")
-        return SubsetIndex(tuple(m for m in self.members if m != x), self.universe)
-
-    def adding(self, x: int) -> SubsetIndex:
-        if x in self.members:
-            raise ValueError(f"{x} already in {self.members}")
-        return SubsetIndex(tuple(sorted(self.members + (x,))), self.universe)
-
-
 def colex_rank(members: Sequence[int]) -> int:
     """Colex rank of a strictly increasing member sequence among the
     subsets of its size."""
     return sum(math.comb(c, j + 1) for j, c in enumerate(members))
 
 
-def subset_rank(s: SubsetIndex) -> int:
-    """Colex rank of `s` among the size-|s| subsets of its universe."""
-    return colex_rank(s.members)
+def colex_subsets(universe: int, size: int) -> list[tuple[int, ...]]:
+    """All C(universe, size) size-subsets of [0, universe) as increasing
+    tuples, in colex order; [] when size is negative or above the universe.
 
-
-def subset_unrank(rank: int, size: int, universe: int) -> SubsetIndex:
-    """Inverse of subset_rank: the size-`size` subset of colex rank `rank`."""
-    total = binomial(universe, size)
-    if not 0 <= rank < total:
-        raise ValueError(f"rank {rank} out of range [0, {total})")
-    members = [0] * size
-    n, k, r = universe, size, rank
-    while k > 0:
-        n -= 1
-        offset = binomial(n, k)
-        if r >= offset:
-            r -= offset
-            k -= 1
-            members[k] = n
-    return SubsetIndex(tuple(members), universe)
-
-
-def enumerate_r_subsets(universe: int, r: int) -> list[SubsetIndex]:
-    """All C(universe, r) subsets of size r, in colex order.
-
-    Out-of-range r (negative or above the universe) yields the empty list,
-    matching the binomial convention.
+    Built level by level: the subsets of level k with largest member `top`
+    extend the first C(top, k-1) subsets of level k-1, which are exactly
+    those inside [0, top), since colex order keeps small subsets first.
     """
-    if universe <= 0:
-        raise ValueError(f"universe must be positive, got {universe}")
-    if r < 0 or r > universe:
+    if size < 0 or size > universe:
         return []
-
-    def gen(n: int, k: int) -> list[tuple[int, ...]]:
-        if k == 0:
-            return [()]
-        out = []
-        for top in range(k - 1, n):
-            out.extend(rest + (top,) for rest in gen(top, k - 1))
-        return out
-
-    return [SubsetIndex(t, universe) for t in gen(universe, r)]
+    level: list[tuple[int, ...]] = [()]
+    for k in range(1, size + 1):
+        level = [rest + (top,) for top in range(k - 1, universe) for rest in level[: math.comb(top, k - 1)]]
+    return level

@@ -32,7 +32,7 @@ from itertools import combinations
 from math import comb
 from typing import NamedTuple
 
-from .combinat import ScaleLimitError, colex_rank, enumerate_r_subsets, position_count, scheme_counts
+from .combinat import ScaleLimitError, colex_rank, colex_subsets, position_count, scheme_counts
 from .yma import build_u_vector
 
 Up = tuple[tuple[int, ...], ...]
@@ -141,7 +141,7 @@ def scheme_plan(num_files: int, num_users: int, r: int) -> SchemePlan:
             f"the plan of N={num_files} K={num_users} r={r} costs ~{cost} table "
             f"entries, which exceeds the cap of {_PLAN_COST_CAP}"
         )
-    level = {size: [s.members for s in enumerate_r_subsets(positions, size)] for size in range(r - 2, r + 2)}
+    level = {size: colex_subsets(positions, size) for size in range(r - 2, r + 2)}
     signals_down = _down(level[r + 1])
     stored_ranks = [rank for rank, members in enumerate(level[r + 1]) if members[0] < num_files]
     outside = [

@@ -11,9 +11,10 @@ The module is organized around the life of one session:
                                        once into its C(K', r) subfile ints
   * SessionRandomness               -- key digits and t-index choices
   * place                           -- cache contents (key + signals)
-  * aux_demand, build_v             -- auxiliary demand and its selector set,
-                                       built on `yma`'s label layout
-  * x_segment, assemble_delivery    -- broadcast construction
+  * aux_demand, build_v, g_map      -- auxiliary demand, its selector set and
+                                       the labelled demands, all built on
+                                       `yma`'s label layout
+  * assemble_delivery               -- broadcast construction
   * decode                          -- receiver side
   * memory_rate_of                  -- exact (M, R) accounting
 
@@ -21,14 +22,15 @@ Placement, delivery and decoding run on the rank tables of
 `SchemeParams.plan`, built once per (N, K, r): each signal, segment and
 decoded subfile is an XOR of pre-split subfile ints picked by colex rank.
 Caches and broadcasts are frozen and hold those ints as flat tuples in
-wire order (`stored_signal_indices`, `delivered_segment_indices`); their
+wire order (the plan's `stored_ranks` and `delivered` rows); their
 constructors reject any other shape, so every entry point, `from_bytes`
 included, gets one set of checks, sized by the closed-form
 `SchemeParams.counts` rather than the plan.  Each expands itself once,
 however many decodes read it (`CacheContent.signal_values`,
 `DeliverySignal.segment_values`); `decode` shifts `plan.virtual` by the
-key.  The per-element formulas (`FileLibrary.subfile`, `yma.compute_y`,
-`x_segment`) stay as the references those tables are tested against.
+key.  The per-element formulas those tables are tested against
+(`subfile`, `compute_y`, `x_segment`, the wire order as subsets, the
+demand classes and `f_map`) live in `reference`, which no session loads.
 
 Every value class here is a `_record.FrozenRecord` with an explicit
 constructor: it stores its fields, then runs its checks, so an instance
@@ -43,14 +45,13 @@ delivers and decodes never compiles the tradeoff layer or `fractions`.
 from __future__ import annotations
 
 import random
-from enum import Enum
 from functools import cached_property
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from . import yma
 from ._record import FrozenRecord
 from .bitvec import Bits, pack_blocks, split_blocks
-from .combinat import SubsetIndex, enumerate_r_subsets, position_count, scheme_counts, subset_rank
+from .combinat import position_count, scheme_counts
 
 if TYPE_CHECKING:
     from .plan import SchemePlan
@@ -122,8 +123,8 @@ class SchemeParams(FrozenRecord):
 class FileLibrary(FrozenRecord):
     """N equal-length files with subfile addressing by r-subset index.
 
-    Subfile (n, R) is the subset_rank(R)-th block of file n, so the colex
-    enumeration of r-subsets doubles as the block layout.
+    Subfile (n, R) is the block of file n at the colex rank of R, so the
+    colex enumeration of r-subsets doubles as the block layout.
     """
 
     params: SchemeParams
@@ -147,11 +148,6 @@ class FileLibrary(FrozenRecord):
         width = self.params.subfile_bits
         return tuple(w.block_values(width) for w in self.files)
 
-    def subfile(self, n: int, index: SubsetIndex) -> Bits:
-        if index.universe != self.params.positions or len(index) != self.params.r:
-            raise ValueError(f"bad subfile index {index}")
-        return self.files[n].block(subset_rank(index), self.params.subfile_bits)
-
     @classmethod
     def random(cls, params: SchemeParams, rng: random.Random) -> FileLibrary:
         return cls(params, tuple(Bits.random(params.file_bits, rng) for _ in range(params.num_files)))
@@ -164,38 +160,6 @@ class FileLibrary(FrozenRecord):
     def from_bytes(cls, params: SchemeParams, data: bytes) -> FileLibrary:
         width = params.file_bits
         return cls(params, tuple(Bits(v, width) for v in split_blocks(data, params.num_files * width, width)))
-
-
-class DemandClass(Enum):
-    D0 = "D0"
-    D1 = "D1"
-    D2 = "D2"
-
-
-def _two_run(digits: tuple[int, ...], num_files: int) -> tuple[int, int] | None:
-    """(a, j) when the digits are (a, ..., a, a+1, ..., a+1) ending in j >= 0
-    digits a+1 with a+1 < N, else None."""
-    a = digits[0]
-    j = len(digits) - next((i for i, v in enumerate(digits) if v != a), len(digits))
-    if j and (a + 1 >= num_files or any(v != a + 1 for v in digits[-j:])):
-        return None
-    return a, j
-
-
-def classify(digits: tuple[int, ...], num_files: int) -> DemandClass:
-    """Partition class of an auxiliary demand vector.
-
-    D0 holds the constant vectors and the two-run vectors (a, ..., a,
-    a+1, ..., a+1) with a <= N-2 (no wraparound); D1 the remaining
-    single-nonzero vectors; D2 the rest.  The one vector matching both
-    patterns (0,...,0,1) goes to D0; its selector set is a singleton
-    either way, so delivery is unaffected.
-    """
-    if _two_run(digits, num_files) is not None:
-        return DemandClass.D0
-    if sum(1 for v in digits if v) == 1:
-        return DemandClass.D1
-    return DemandClass.D2
 
 
 class AuxDemand(FrozenRecord):
@@ -213,10 +177,6 @@ class AuxDemand(FrozenRecord):
             raise ValueError("empty demand vector")
         if any(not 0 <= v < num_files for v in digits):
             raise ValueError(f"digit out of range in {digits}")
-
-    @cached_property
-    def demand_class(self) -> DemandClass:
-        return classify(self.digits, self.num_files)
 
     @cached_property
     def selector(self) -> tuple[int, ...]:
@@ -242,17 +202,9 @@ def aux_demand(demands: Sequence[int], keys: Sequence[int], num_files: int) -> A
     return AuxDemand(tuple((d - s) % num_files for d, s in zip(demands, keys)), num_files)
 
 
-def f_map(d: AuxDemand) -> int:
-    """Label in [0, K') of a class-D0 demand, the two-run vector (a, ...,
-    a, a+1, ..., a+1) ending in j digits a+1: `yma._label(a, j)`."""
-    run = _two_run(d.digits, d.num_files)
-    if run is None:
-        raise ValueError(f"{d.digits} is not a class-D0 demand")
-    return yma._label(*run, d.num_files, d.num_users)
-
-
 def g_map(label: int, num_files: int, num_users: int) -> AuxDemand:
-    """Inverse of f_map (`yma._unlabel`): the class-D0 demand at a label."""
+    """Inverse of `reference.f_map` (`yma._unlabel`): the class-D0 demand
+    at a label."""
     kp = position_count(num_files, num_users)
     if not 0 <= label < kp:
         raise ValueError(f"label {label} outside [0, {kp})")
@@ -261,7 +213,7 @@ def g_map(label: int, num_files: int, num_users: int) -> AuxDemand:
 
 
 class VVector(FrozenRecord):
-    """Binary selector over the position universe, as bits and as a set.
+    """Binary selector over the position universe, as bits and as members.
 
     The selected positions label exactly the class-D0 demands whose
     digit-wise XOR composition reproduces the demand this selector was
@@ -287,10 +239,6 @@ class VVector(FrozenRecord):
     def members(self) -> tuple[int, ...]:
         return tuple(j for j, b in enumerate(self.bits) if b)
 
-    @property
-    def set_form(self) -> frozenset[int]:
-        return frozenset(self.members)
-
 
 def _selector_mask(digits: tuple[int, ...], num_files: int) -> int:
     """Selector bit mask: bit 0 (the zero demand's label), then for each
@@ -310,34 +258,8 @@ def build_v(d: AuxDemand) -> VVector:
     """Selector vector for an auxiliary demand, composed digit by digit
     from the label layout (`_selector_mask`) for every demand alike: the
     labelled demands it selects XOR to d user by user, and for a class-D0
-    demand it is the single indicator of f_map(d)."""
+    demand it is the single indicator of its label (`reference.f_map`)."""
     return VVector.from_mask(_selector_mask(d.digits, d.num_files), d.positions)
-
-
-def x_segment(files: FileLibrary, d: AuxDemand, s: SubsetIndex, n: int) -> Bits:
-    """Broadcast segment for file n at an (r-1)-subset S.
-
-    XOR of the subfiles indexed by {v} union S over the selector positions
-    v outside S; the empty XOR is the all-zero string.
-    """
-    params = files.params
-    if len(s) != params.r - 1:
-        raise ValueError(f"segment index size {len(s)} != r-1 = {params.r - 1}")
-    acc = Bits.zeros(params.subfile_bits)
-    for v in build_v(d).members:
-        if v not in s:
-            acc = acc ^ files.subfile(n, s.adding(v))
-    return acc
-
-
-def delivered_segment_indices(params: SchemeParams, t_d: int) -> list[tuple[int, SubsetIndex]]:
-    """Wire order of broadcast segments: n ascending, then the
-    (r-1)-subsets avoiding t_d in colex order."""
-    if not 0 <= t_d < params.positions:
-        raise ValueError(f"t={t_d} outside the {params.positions} positions")
-    subsets = enumerate_r_subsets(params.positions, params.r - 1)
-    ranks = params.plan.delivered[t_d]
-    return [(n, subsets[i]) for n in range(params.num_files) for i in ranks]
 
 
 def _field(value: int, size: int, name: str) -> bytes:
@@ -361,7 +283,7 @@ def cache_header(key: int, payload_bits: int) -> bytes:
 
 class DeliverySignal(FrozenRecord):
     """One broadcast: auxiliary demand, chosen index t_d, and segments,
-    `subfile_bits`-wide ints in the order of delivered_segment_indices; any
+    `subfile_bits`-wide ints in wire order (`plan.delivered[t_d]` per file); any
     other aux demand, t_d or segment count raises ValueError.  The count,
     N * C(K'-1, r-1) whatever t_d is, comes from `SchemeParams.counts`, so
     building or parsing a broadcast never builds the plan."""
@@ -441,7 +363,7 @@ def build_delivery(files: FileLibrary, d: AuxDemand, t_d: int) -> DeliverySignal
         raise ValueError("auxiliary demand does not match parameters")
     selector = d.selector
     plan = params.plan
-    # x_segment for every (r-1)-subset S avoiding t_d: ranks of S plus v
+    # `reference.x_segment` for every (r-1)-subset S avoiding t_d: ranks of S plus v
     # (no rows for a t_d outside the selector set, which DeliverySignal names)
     ups = [plan.segment_up[i] for i in plan.delivered[t_d]] if t_d in selector else []
     wanted = [[up[v] for v in selector if up[v] >= 0] for up in ups]
@@ -460,16 +382,9 @@ def assemble_delivery(files: FileLibrary, d: AuxDemand, rand: SessionRandomness)
     return build_delivery(files, d, rand.choose_t(d))
 
 
-def stored_signal_indices(params: SchemeParams) -> list[SubsetIndex]:
-    """Wire order of cache signals: the leader-intersecting (r+1)-subsets
-    in colex order."""
-    signals = enumerate_r_subsets(params.positions, params.r + 1)
-    return [signals[rank] for rank in params.plan.stored_ranks]
-
-
 class CacheContent(FrozenRecord):
     """One user's cache: secret key digit plus the stored XOR signals,
-    `subfile_bits`-wide ints in the order of stored_signal_indices;
+    `subfile_bits`-wide ints in the order of `plan.stored_ranks`;
     any other user, key digit or signal count (`SchemeParams.counts`)
     raises ValueError."""
 

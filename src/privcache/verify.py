@@ -17,7 +17,8 @@ library of up to 512 bits at once: a header's payload is uniform over
 the image of the basis library's GF(2) masks, so header weights decide
 the verdict and mask ranks count the differing outcomes.  The oracle
 engines brute-force the file identity and check decoding's signal
-reconstruction against its definition, each under its own case cap.
+reconstruction against its definition (`reference.compute_y`, imported
+by that oracle alone), each under its own case cap.
 `ScaleLimitError` lives in `combinat`, next to the counts the guards
 read, and is re-exported here.  A run's outcome is a `VerificationReport`,
 a mutable `_record.Record`: field-wise equality and repr, unhashable, with
@@ -35,7 +36,7 @@ from typing import Callable, Iterable
 from . import yma
 from ._record import Record
 from .bitvec import Bits
-from .combinat import ScaleLimitError, enumerate_r_subsets
+from .combinat import ScaleLimitError
 from .scheme import (
     AuxDemand,
     CacheContent,
@@ -444,9 +445,9 @@ def oracle_y_reconstruction(params: SchemeParams, files: FileLibrary) -> Verific
     """Brute-force gate for the non-leader signal reconstruction identity.
 
     For every user and key digit, decoding's signal expansion
-    (`CacheContent.signal_values` of the placed cache) must equal compute_y
-    at every index outside the leader block; vacuously passes when no such
-    index exists (K' - N < r + 1).
+    (`CacheContent.signal_values` of the placed cache) must equal
+    `reference.compute_y` at every index outside the leader block;
+    vacuously passes when no such index exists (K' - N < r + 1).
     """
     n, k_users = params.num_files, params.num_users
     _, _, rebuilt, _ = params.counts
@@ -455,6 +456,10 @@ def oracle_y_reconstruction(params: SchemeParams, files: FileLibrary) -> Verific
     # Placement runs the plan guard, whose up-row cost C(K', r)*K' bounds
     # the C(K', r+1) subsets enumerated next, so it must come first.
     caches = _caches_by_key(params, files)
+    # the one verifier that runs the per-element reference layer, so only
+    # it compiles that module
+    from .reference import compute_y, enumerate_r_subsets
+
     non_leader = [
         (rank, index)
         for rank, index in enumerate(enumerate_r_subsets(params.positions, params.r + 1))
@@ -468,7 +473,7 @@ def oracle_y_reconstruction(params: SchemeParams, files: FileLibrary) -> Verific
             signals = caches[(k, s)].signal_values
             for rank, index in non_leader:
                 got = Bits(signals[rank], params.subfile_bits)
-                want = yma.compute_y(files, u, index)
+                want = compute_y(files, u, index)
                 cases += 1
                 if got != want:
                     failures.append(((k, s, index.members), want.to01(), got.to01()))

@@ -4,11 +4,13 @@ Cache contents of the private scheme are delivery signals of the
 uncoded-placement-optimal multicast (YMA) scheme evaluated under "virtual"
 demand vectors, read off the label layout of the K' positions (`_label`,
 `_unlabel`; `scheme` builds its labels and selectors on the same pair).
-This module builds those vectors, computes the XOR signals Y indexed by
-(r+1)-subsets of the position universe, and filters them down to the
-leader-intersecting ones that are actually stored.  The non-stored ones
-are rebuilt at decoding time from the plan's exchange-identity tables
-(`plan.SchemePlan.reconstruction`).
+This module builds those vectors and computes, from the plan's rank
+tables, the XOR signals Y indexed by the leader-intersecting
+(r+1)-subsets of the position universe, the ones that are actually
+stored.  The non-stored ones are rebuilt at decoding time from the plan's
+exchange-identity tables (`plan.SchemePlan.reconstruction`).  The
+reference XOR signal formula, one signal at a time, is
+`reference.compute_y`.
 """
 
 from __future__ import annotations
@@ -16,8 +18,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from ._record import FrozenRecord
-from .bitvec import Bits
-from .combinat import SubsetIndex, position_count
+from .combinat import position_count
 
 if TYPE_CHECKING:
     from .scheme import FileLibrary
@@ -86,27 +87,13 @@ def build_u_vector(num_files: int, num_users: int, user: int, key: int) -> UVect
     return UVector(tuple((key + a + (user >= k_users - j)) % n for a, j in runs), n)
 
 
-def compute_y(files: FileLibrary, u: UVector, r_plus: SubsetIndex) -> Bits:
-    """The XOR signal indexed by an (r+1)-subset of positions.
-
-    XOR over i in r_plus of the subfile of file u[i] indexed by
-    r_plus minus {i}.
-    """
-    if len(r_plus) != files.params.r + 1:
-        raise ValueError(f"index size {len(r_plus)} != r+1 = {files.params.r + 1}")
-    acc = Bits.zeros(files.params.subfile_bits)
-    for i in r_plus:
-        acc = acc ^ files.subfile(u.entries[i], r_plus.without(i))
-    return acc
-
-
 def yma_delivery(files: FileLibrary, u: UVector) -> tuple[int, ...]:
     """All leader-intersecting XOR signals for one virtual demand vector.
 
     This is exactly the portion of the YMA delivery that gets stored as
-    cache content, as `subfile_bits`-wide ints in the colex order of
-    `scheme.stored_signal_indices`.  Each is compute_y's XOR, taken by rank
-    from the library's plan and pre-split subfiles.
+    cache content, as `subfile_bits`-wide ints in the colex order of the
+    plan's `stored_ranks`.  Each is `reference.compute_y`'s XOR, taken by
+    rank from the library's plan and pre-split subfiles.
     """
     params = files.params
     if len(u) != params.positions:

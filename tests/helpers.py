@@ -17,7 +17,8 @@ from functools import lru_cache
 from typing import Sequence
 
 from privcache.bitvec import Bits
-from privcache.combinat import SubsetIndex, binomial, subset_rank
+from privcache.combinat import binomial
+from privcache.reference import SubsetIndex, subset_rank
 from privcache.scheme import (
     CacheContent,
     FileLibrary,

@@ -13,7 +13,7 @@ import time
 from fractions import Fraction
 
 from helpers import basis_library, payload_entry, seeded_library, xor_symbols
-from privcache.combinat import SubsetIndex, enumerate_r_subsets
+from privcache.reference import SubsetIndex, enumerate_r_subsets, x_segment
 from privcache.scheme import (
     AuxDemand,
     SchemeParams,
@@ -22,7 +22,6 @@ from privcache.scheme import (
     build_v,
     memory_rate_of,
     place,
-    x_segment,
 )
 from privcache.tradeoff import (
     companion_points,

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from helpers import refuse_tradeoff_rows
 from privcache import cli
 from privcache.cli import main
+from privcache.reference import delivered_segment_indices, stored_signal_indices
 from privcache.scheme import (
     AuxDemand,
     FileLibrary,
@@ -23,9 +24,7 @@ from privcache.scheme import (
     SessionRandomness,
     build_delivery,
     build_v,
-    delivered_segment_indices,
     place,
-    stored_signal_indices,
 )
 from privcache.tradeoff import _reduced, tightness_report
 
@@ -224,8 +223,9 @@ def test_reconstruction_oracle_is_refused_before_it_enumerates_subsets(monkeypat
     def refuse(*_):
         raise AssertionError("subsets enumerated before the plan guard")
 
-    monkeypatch.setattr("privcache.verify.enumerate_r_subsets", refuse)
-    monkeypatch.setattr("privcache.plan.enumerate_r_subsets", refuse)
+    monkeypatch.setattr("privcache.reference.enumerate_r_subsets", refuse)
+    monkeypatch.setattr("privcache.reference.colex_subsets", refuse)
+    monkeypatch.setattr("privcache.plan.colex_subsets", refuse)
     run_cli_expect_usage_error("verify", "--suite", "reconstruction", "--n", "26", "--k", "1", "--r", "12")
     assert "exceeds the cap" in capsys.readouterr().err
 

@@ -2,13 +2,8 @@ import itertools
 
 import pytest
 
-from privcache.combinat import (
-    SubsetIndex,
-    binomial,
-    enumerate_r_subsets,
-    subset_rank,
-    subset_unrank,
-)
+from privcache.combinat import binomial, colex_rank, colex_subsets
+from privcache.reference import SubsetIndex, enumerate_r_subsets, subset_rank, subset_unrank
 
 
 def pascal_triangle(rows):
@@ -100,6 +95,16 @@ def test_enumerate_matches_unrank_everywhere():
             assert len(subsets) == binomial(universe, r)
             for pos, s in enumerate(subsets):
                 assert s == subset_unrank(pos, r, universe)
+
+
+def test_colex_subsets_match_the_oracle_and_the_subset_objects():
+    for universe in range(0, 11):
+        for r in range(-1, universe + 2):
+            tuples = colex_subsets(universe, r)
+            assert tuples == (colex_oracle(universe, r) if 0 <= r <= universe else [])
+            assert [colex_rank(t) for t in tuples] == list(range(len(tuples)))
+            if universe:
+                assert [s.members for s in enumerate_r_subsets(universe, r)] == tuples
 
 
 def test_enumerate_out_of_range_r_is_empty():

@@ -31,15 +31,15 @@ SESSION_NAMES = (
 
 HOMES = {
     "bitvec": ("Bits",),
-    "combinat": (
-        "ScaleLimitError", "SubsetIndex", "binomial", "enumerate_r_subsets", "subset_rank",
-        "subset_unrank",
+    "combinat": ("ScaleLimitError", "binomial"),
+    "reference": (
+        "DemandClass", "SubsetIndex", "compute_y", "enumerate_r_subsets", "f_map", "subset_rank",
+        "subset_unrank", "x_segment",
     ),
     "scheme": (
-        "AuxDemand", "CacheContent", "DeliverySignal", "DemandClass", "FileLibrary",
-        "SchemeParams", "SessionRandomness", "VVector", "assemble_delivery", "aux_demand",
-        "build_delivery", "build_v", "decode", "f_map", "g_map", "memory_rate_of", "place",
-        "x_segment",
+        "AuxDemand", "CacheContent", "DeliverySignal", "FileLibrary", "SchemeParams",
+        "SessionRandomness", "VVector", "assemble_delivery", "aux_demand", "build_delivery",
+        "build_v", "decode", "g_map", "memory_rate_of", "place",
     ),
     "tradeoff": (
         "LinearBound", "RatePoint", "TradeoffCurve", "companion_points", "converse_bounds",
@@ -50,9 +50,9 @@ HOMES = {
         "VerificationReport", "oracle_demand_identity", "oracle_y_reconstruction",
         "verify_correctness_exhaustive", "verify_distribution_lemma", "verify_privacy",
     ),
-    "yma": ("UVector", "build_u_vector", "compute_y", "yma_delivery"),
+    "yma": ("UVector", "build_u_vector", "yma_delivery"),
 }
-"""Each exported name's home submodule, as the package exported them eagerly."""
+"""Each exported name's home submodule."""
 EXPORTED = sorted(name for names in HOMES.values() for name in names)
 
 
@@ -69,7 +69,9 @@ def test_session_names_leave_the_verifiers_and_the_tradeoff_layer_unloaded():
         f"for name in {SESSION_NAMES!r}: getattr(privcache, name)\n"
         "print(json.dumps(sorted(sys.modules)))\n"
     )
-    for module in ("privcache.verify", "privcache.tradeoff", "privcache.plan", "fractions"):
+    for module in (
+        "privcache.verify", "privcache.tradeoff", "privcache.plan", "privcache.reference", "fractions",
+    ):
         assert module not in loaded
     assert "privcache.scheme" in loaded
 
@@ -108,7 +110,7 @@ CLI_PATHS = {
         "privcache.scheme", "privcache.verify", "privcache.bitvec", "privcache.yma", "json",
     ),
     ("verify", "--suite", "privacy", "--n", "2", "--k", "3", "--r", "2"): (
-        "privcache.tradeoff", "fractions", "privcache.plan",
+        "privcache.tradeoff", "fractions", "privcache.plan", "privcache.reference",
     ),
 }
 
@@ -130,6 +132,23 @@ def test_each_cli_path_loads_only_its_own_layer(argv):
     assert not set(CLI_PATHS[argv]) & set(loaded)
     home = {None: "privcache.cli", "tradeoff": "privcache.tradeoff", "verify": "privcache.verify"}
     assert home[argv and argv[0]] in loaded
+
+
+@pytest.mark.parametrize("suite, loads_reference", [("identities", False), ("reconstruction", True)])
+def test_only_the_reconstruction_oracle_loads_the_reference_layer(suite, loads_reference):
+    # the signal-reconstruction oracle checks decoding against the
+    # per-element `reference.compute_y`; the identity oracle reads only
+    # session code (`g_map` and the selector sets)
+    code, loaded = fresh(
+        "import contextlib, io, json, sys\n"
+        "import privcache.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = privcache.cli.main(['verify', '--suite', {suite!r}, '--n', '2', '--k', '3', '--r', '2'])\n"
+        "print(json.dumps([code, sorted(sys.modules)]))\n"
+    )
+    assert code == 0
+    assert ("privcache.reference" in loaded) is loads_reference
+    assert "privcache.verify" in loaded
 
 
 def test_bare_import_loads_no_submodule():

@@ -2,8 +2,9 @@
 
 Placement, delivery and decoding XOR pre-split subfile ints picked by the
 plan's colex-rank tables; every table is checked here against the formula
-it replaces (compute_y, x_segment, FileLibrary blocks), on a grid that includes r=0, r=K'-1 and r=K' and subfile widths of 1, 3,
-8 and 13 bits.
+it replaces (`reference.compute_y`, `reference.x_segment`, FileLibrary
+blocks), on a grid that includes r=0, r=K'-1 and r=K' and subfile widths
+of 1, 3, 8 and 13 bits.
 """
 
 import itertools
@@ -12,8 +13,9 @@ import random
 import pytest
 
 import privcache.plan as plan_module
-from privcache import verify
-from privcache.combinat import ScaleLimitError, enumerate_r_subsets, scheme_counts
+from privcache import reference, verify
+from privcache.combinat import ScaleLimitError, scheme_counts
+from privcache.reference import compute_y, enumerate_r_subsets, stored_signal_indices, x_segment
 from privcache.scheme import (
     AuxDemand,
     FileLibrary,
@@ -23,10 +25,8 @@ from privcache.scheme import (
     build_v,
     decode,
     place,
-    stored_signal_indices,
-    x_segment,
 )
-from privcache.yma import build_u_vector, compute_y
+from privcache.yma import build_u_vector
 
 # (N, K, r): K' = 3 at r = 0, K'-1, K'; the rest leave non-stored signals
 # (K' - N >= r + 1) for the reconstruction tables
@@ -142,7 +142,8 @@ def test_plan_guard_refuses_before_any_table_is_built(monkeypatch, n, k, r):
         raise AssertionError("table built before the plan size was checked")
 
     monkeypatch.setattr(plan_module, "_down", unbuilt)
-    monkeypatch.setattr(plan_module, "enumerate_r_subsets", unbuilt)
+    monkeypatch.setattr(plan_module, "colex_subsets", unbuilt)
+    monkeypatch.setattr(reference, "enumerate_r_subsets", unbuilt)
     with pytest.raises(ScaleLimitError, match="exceeds the cap"):
         plan_module.scheme_plan(n, k, r)
     with pytest.raises(verify.ScaleLimitError, match="exceeds the cap"):

@@ -13,12 +13,11 @@ from fractions import Fraction
 import pytest
 
 from privcache.bitvec import Bits
-from privcache.combinat import SubsetIndex
+from privcache.reference import DemandClass, SubsetIndex, classify
 from privcache.scheme import (
     AuxDemand,
     CacheContent,
     DeliverySignal,
-    DemandClass,
     FileLibrary,
     SchemeParams,
     VVector,
@@ -95,7 +94,6 @@ CACHED = [
     (SchemeParams, "counts"),
     (SchemeParams, "plan"),
     (FileLibrary, "subfiles"),
-    (AuxDemand, "demand_class"),
     (AuxDemand, "selector"),
     (CacheContent, "signal_values"),
     (DeliverySignal, "segment_values"),
@@ -213,7 +211,7 @@ def test_cached_values_are_pinned():
     objs = build()
     assert objs[SchemeParams].counts == (3, 3, 0, 1)
     assert objs[AuxDemand].selector == (0, 1, 2)
-    assert objs[AuxDemand].demand_class is DemandClass.D1
+    assert classify(objs[AuxDemand]) is DemandClass.D1
     assert objs[FileLibrary].subfiles == ((0b00, 0b11, 0b10), (0b11, 0b00, 0b01))
 
 

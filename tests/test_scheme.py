@@ -6,12 +6,21 @@ import pytest
 
 from helpers import basis_library, payload_entry, seeded_library, symbol, xor_symbols
 from privcache.bitvec import Bits
-from privcache.combinat import SubsetIndex, binomial, enumerate_r_subsets
+from privcache.combinat import binomial
+from privcache.reference import (
+    DemandClass,
+    SubsetIndex,
+    classify,
+    delivered_segment_indices,
+    enumerate_r_subsets,
+    f_map,
+    subfile,
+    x_segment,
+)
 from privcache.scheme import (
     AuxDemand,
     CacheContent,
     DeliverySignal,
-    DemandClass,
     FileLibrary,
     SchemeParams,
     SessionRandomness,
@@ -21,13 +30,10 @@ from privcache.scheme import (
     build_v,
     cache_header,
     decode,
-    delivered_segment_indices,
     delivery_header,
-    f_map,
     g_map,
     memory_rate_of,
     place,
-    x_segment,
 )
 from privcache.yma import build_u_vector, yma_delivery
 
@@ -80,11 +86,11 @@ def test_library_validation_and_subfiles():
     # block layout follows colex rank
     for n in range(2):
         for i, r_set in enumerate(enumerate_r_subsets(4, 2)):
-            assert files.subfile(n, r_set) == files.files[n].block(i, 2)
+            assert subfile(files, n, r_set) == files.files[n].block(i, 2)
     with pytest.raises(ValueError):
         FileLibrary(params, (Bits.zeros(12),))
     with pytest.raises(ValueError):
-        files.subfile(0, SubsetIndex((0,), 4))
+        subfile(files, 0, SubsetIndex((0,), 4))
 
 
 def test_library_bytes_roundtrip():
@@ -109,10 +115,10 @@ def test_aux_demand_worked_examples():
     d = aux_demand((0, 1, 1), (0, 0, 1), 2)
     assert d.digits == (0, 1, 0)
     # (0,1,0) is a single-nonzero vector, hence class D1 by the partition
-    assert d.demand_class is DemandClass.D1
+    assert classify(d) is DemandClass.D1
     d = aux_demand((0, 0, 1), (0, 0, 1), 2)
     assert d.digits == (0, 0, 0)
-    assert d.demand_class is DemandClass.D0
+    assert classify(d) is DemandClass.D0
 
 
 def test_aux_demand_zero_keys_is_identity():
@@ -140,7 +146,7 @@ def test_classification_matches_pattern_oracle():
         }
         assert len(d0) == n * k - k + 1
         for digits in all_demand_vectors(n, k):
-            got = AuxDemand(digits, n).demand_class
+            got = classify(AuxDemand(digits, n))
             if digits in d0:
                 assert got is DemandClass.D0, digits
             elif digits in d1:
@@ -165,7 +171,7 @@ def test_labeling_bijection():
         seen = set()
         for t in range(kp):
             d = g_map(t, n, k)
-            assert d.demand_class is DemandClass.D0
+            assert classify(d) is DemandClass.D0
             assert f_map(d) == t
             seen.add(d.digits)
         assert len(seen) == kp
@@ -185,7 +191,6 @@ def test_selector_table():
     for digits, (members, _, _) in TRANSMISSIONS.items():
         v = build_v(AuxDemand(digits, 2))
         assert set(v.members) == members, digits
-        assert v.set_form == frozenset(members)
         assert len(v.bits) == 4
 
 
@@ -271,7 +276,7 @@ def test_delivery_d0_equals_direct_subfile_listing():
             x = build_delivery(files, d, t)
             got = sorted(x.segments)
             want = sorted(
-                files.subfile(n, r_set).value
+                subfile(files, n, r_set).value
                 for n in range(n_files)
                 for r_set in enumerate_r_subsets(kp, r)
                 if t in r_set
@@ -378,7 +383,7 @@ def test_place_full_cache_at_r_zero():
         assert len(cache.signals) == 3
         for i in range(3):
             idx = SubsetIndex((i,), params.positions)
-            assert payload_entry(cache, idx) == files.subfile((cache.key + i) % 3, empty)
+            assert payload_entry(cache, idx) == subfile(files, (cache.key + i) % 3, empty)
     assert memory_rate_of(params).memory == 3
 
 

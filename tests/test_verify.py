@@ -4,7 +4,7 @@ import random
 import pytest
 
 from helpers import enumerated_marginal_privacy, seeded_library
-from privcache import verify
+from privcache import reference, verify
 from privcache.combinat import binomial, position_count
 from privcache.bitvec import Bits
 from privcache.scheme import (
@@ -333,7 +333,7 @@ def test_oracles_refuse_oversized_instances_before_building_tables(monkeypatch):
     def unbuilt(*args):
         raise AssertionError("table built before the case cap was checked")
 
-    monkeypatch.setattr(verify, "enumerate_r_subsets", unbuilt)
+    monkeypatch.setattr(reference, "enumerate_r_subsets", unbuilt)
     monkeypatch.setattr(verify, "_caches_by_key", unbuilt)
     monkeypatch.setattr(verify, "_all_digit_vectors", unbuilt)
     # 2^30 * 30 * 2 identity cases; 30 * 2 * C(31, 6) = 44,176,860 reconstruction cases
@@ -348,7 +348,7 @@ def test_each_oracle_has_its_own_case_cap(monkeypatch):
     def unbuilt(*args):
         raise AssertionError("table built before the case cap was checked")
 
-    monkeypatch.setattr(verify, "enumerate_r_subsets", unbuilt)
+    monkeypatch.setattr(reference, "enumerate_r_subsets", unbuilt)
     monkeypatch.setattr(verify, "_caches_by_key", unbuilt)
     monkeypatch.setattr(verify, "_all_digit_vectors", unbuilt)
     # both under the shared correctness/privacy cap of 20,000,000 cases:

@@ -3,7 +3,9 @@
 `Bits.to_bytes`/`from_bytes` and the payload pair `pack_blocks`/
 `split_blocks` must equal the MSB-first reference codec in `helpers` for
 every length and value, reject every nonzero pad pattern, and the cache
-and broadcast blobs must re-encode byte-identically.
+and broadcast blobs must re-encode byte-identically.  Each fast path of
+`Bits.from_blocks` (whole bytes, single bits) must join and fail exactly
+as the shift-and-or chain `Bits._join` does.
 """
 
 import random
@@ -99,6 +101,19 @@ def test_pack_blocks_raises_where_the_joined_int_chain_does(width, data):
     got = outcome(lambda: pack_blocks(values, width))
     assert got == outcome(lambda: Bits._join((v, width) for v in values).to_bytes())
     assert (got[0] == "ValueError") == any(not 0 <= v >> width < 1 for v in values)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.integers(0, 1), max_size=600), st.data())
+def test_one_bit_blocks_join_as_the_shift_chain_does(values, data):
+    # width 1 joins through bytes(values); values and errors must be _join's
+    if data.draw(st.booleans()):
+        stray = data.draw(st.sampled_from([-1, -2, 2, 3, 255, 256, 1 << 70, -(1 << 70)]))
+        values.insert(data.draw(st.integers(0, len(values))), stray)
+    container = data.draw(st.sampled_from([list, tuple, iter]))
+    got = outcome(lambda: Bits.from_blocks(container(values), 1))
+    assert got == outcome(lambda: Bits._join((v, 1) for v in values))
+    assert (got[0] == "ValueError") == any(v not in (0, 1) for v in values)
 
 
 @settings(max_examples=400, deadline=None)

@@ -12,19 +12,18 @@ from helpers import (
     xor_symbols,
 )
 from privcache.bitvec import Bits
-from privcache.combinat import SubsetIndex, binomial, colex_rank, enumerate_r_subsets
+from privcache.combinat import binomial, colex_rank
+from privcache.reference import SubsetIndex, compute_y, enumerate_r_subsets, stored_signal_indices, subfile
 from privcache.scheme import (
     CacheContent,
     FileLibrary,
     SchemeParams,
     g_map,
     memory_rate_of,
-    stored_signal_indices,
 )
 from privcache.yma import (
     UVector,
     build_u_vector,
-    compute_y,
     yma_delivery,
 )
 
@@ -125,9 +124,9 @@ def test_compute_y_single_bit_parity():
     u = build_u_vector(2, 3, 1, 0)
     got = compute_y(files, u, SubsetIndex((1, 2, 3), 4))
     bits = [
-        files.subfile(1, SubsetIndex((2, 3), 4)),
-        files.subfile(0, SubsetIndex((1, 3), 4)),
-        files.subfile(1, SubsetIndex((1, 2), 4)),
+        subfile(files, 1, SubsetIndex((2, 3), 4)),
+        subfile(files, 0, SubsetIndex((1, 3), 4)),
+        subfile(files, 1, SubsetIndex((1, 2), 4)),
     ]
     assert got.value == bits[0].value ^ bits[1].value ^ bits[2].value
 
