@@ -16,6 +16,7 @@ and unrank) wrap the same tuples.
 from __future__ import annotations
 
 import math
+from itertools import combinations
 from typing import Sequence
 
 
@@ -70,13 +71,11 @@ def colex_subsets(universe: int, size: int) -> list[tuple[int, ...]]:
     """All C(universe, size) size-subsets of [0, universe) as increasing
     tuples, in colex order; [] when size is negative or above the universe.
 
-    Built level by level: the subsets of level k with largest member `top`
-    extend the first C(top, k-1) subsets of level k-1, which are exactly
-    those inside [0, top), since colex order keeps small subsets first.
+    Lexicographic order over descending members, each tuple and the list
+    then reversed, is colex order; nothing but the result is held.
     """
     if size < 0 or size > universe:
         return []
-    level: list[tuple[int, ...]] = [()]
-    for k in range(1, size + 1):
-        level = [rest + (top,) for top in range(k - 1, universe) for rest in level[: math.comb(top, k - 1)]]
-    return level
+    subsets = [c[::-1] for c in combinations(range(universe - 1, -1, -1), size)]
+    subsets.reverse()
+    return subsets

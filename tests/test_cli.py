@@ -224,7 +224,6 @@ def test_reconstruction_oracle_is_refused_before_it_enumerates_subsets(monkeypat
         raise AssertionError("subsets enumerated before the plan guard")
 
     monkeypatch.setattr("privcache.reference.enumerate_r_subsets", refuse)
-    monkeypatch.setattr("privcache.reference.colex_subsets", refuse)
     monkeypatch.setattr("privcache.plan.colex_subsets", refuse)
     run_cli_expect_usage_error("verify", "--suite", "reconstruction", "--n", "26", "--k", "1", "--r", "12")
     assert "exceeds the cap" in capsys.readouterr().err

@@ -9,11 +9,13 @@ of 1, 3, 8 and 13 bits.
 
 import itertools
 import random
+import subprocess
+import sys
 
 import pytest
 
 import privcache.plan as plan_module
-from privcache import reference, verify
+from privcache import verify
 from privcache.combinat import ScaleLimitError, scheme_counts
 from privcache.reference import compute_y, enumerate_r_subsets, stored_signal_indices, x_segment
 from privcache.scheme import (
@@ -135,6 +137,24 @@ def test_scheme_counts_are_the_plan_table_lengths(n, k, r):
     assert [len(rows) for rows in plan.reconstruction] == [rebuilt] * k
 
 
+def test_a_plan_near_the_top_level_builds_without_the_middle_levels():
+    # (2,30,29) passes the plan guard, but a generator that built levels
+    # 1..r on the way up would list C(31, 15) ~ 3e8 subsets; the child's
+    # address space is capped so such a generator fails with MemoryError
+    pytest.importorskip("resource")
+    code = (
+        "import resource\n"
+        "_, hard = resource.getrlimit(resource.RLIMIT_AS)\n"
+        "cap = 256 << 20 if hard == resource.RLIM_INFINITY else min(256 << 20, hard)\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (cap, hard))\n"
+        "from privcache.combinat import colex_subsets\n"
+        "from privcache.plan import scheme_plan\n"
+        "assert colex_subsets(31, 30) == [tuple(x for x in range(31) if x != s) for s in range(30, -1, -1)]\n"
+        "assert len(scheme_plan(2, 30, 29).subfile_up) == 465\n"
+    )
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=60)
+
+
 @pytest.mark.parametrize("n,k,r", [(16, 2, 6), (2, 30, 4)])
 def test_plan_guard_refuses_before_any_table_is_built(monkeypatch, n, k, r):
     # (16,2,6) needs more than 3 GB; (2,30,4) takes minutes in its reconstruction rows
@@ -143,7 +163,6 @@ def test_plan_guard_refuses_before_any_table_is_built(monkeypatch, n, k, r):
 
     monkeypatch.setattr(plan_module, "_down", unbuilt)
     monkeypatch.setattr(plan_module, "colex_subsets", unbuilt)
-    monkeypatch.setattr(reference, "enumerate_r_subsets", unbuilt)
     with pytest.raises(ScaleLimitError, match="exceeds the cap"):
         plan_module.scheme_plan(n, k, r)
     with pytest.raises(verify.ScaleLimitError, match="exceeds the cap"):
