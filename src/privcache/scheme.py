@@ -180,8 +180,12 @@ class AuxDemand(FrozenRecord):
 
     @cached_property
     def selector(self) -> tuple[int, ...]:
-        """Members of build_v(self), ascending; built once per demand."""
-        return build_v(self).members
+        """Members of build_v(self), ascending, read off the selector mask;
+        built once per demand."""
+        mask = _selector_mask(self.digits, self.num_files)
+        if not mask:
+            raise ValueError("empty selector set")
+        return tuple(j for j in range(mask.bit_length()) if mask >> j & 1)
 
     @property
     def num_users(self) -> int:

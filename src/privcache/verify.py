@@ -12,26 +12,33 @@ demands; no sampling, no floats.  An outcome is the pair of wire headers
 with no library or plan built, so privacy also runs on instances whose
 plan the size guard refuses: given a library, each payload is a function
 of its header, so the conditional and Lemma 1 verdicts hold for every
-library of that shape.  Full-marginal mode covers every 1-bit-subfile
-library of up to 512 bits at once: a header's payload is uniform over
-the image of the basis library's GF(2) masks, so header weights decide
-the verdict and mask ranks count the differing outcomes.  The oracle
-engines brute-force the file identity and check decoding's signal
-reconstruction against its definition (`reference.compute_y`, imported
-by that oracle alone), each under its own case cap.
-`ScaleLimitError` lives in `combinat`, next to the counts the guards
-read, and is re-exported here.  A run's outcome is a `VerificationReport`,
-a mutable `_record.Record`: field-wise equality and repr, unhashable, with
-a fresh failure list per report.
+library of that shape.  A histogram is compared as the sorted ids of the
+(aux digits, key digit) cells its key vectors put on the air; a cell
+always stands for the same weighted header pairs, so equal id lists mean
+equal weights, and only two lists that differ are expanded into integer
+weight maps, which decide the verdict and count the differing outcomes.
+The sweep and the privacy check mask demands by keys through `_masked`.
+Full-marginal mode covers every 1-bit-subfile library of up to 512 bits
+at once: a header's payload is uniform over the image of the basis
+library's GF(2) masks, so header weights decide the verdict and mask
+ranks count the differing outcomes.  The oracle engines brute-force the
+file identity and check decoding's signal reconstruction against its
+definition (`reference.compute_y`, imported by that oracle alone), each
+under its own case cap.  `ScaleLimitError` lives in `combinat`, next to
+the counts the guards read, and is re-exported here.  A run's outcome is
+a `VerificationReport`, a mutable `_record.Record`: field-wise equality
+and repr, unhashable, with a fresh failure list per report.
 """
 
 from __future__ import annotations
 
 import itertools
 import time
+from collections import Counter
 from functools import cache
 from math import lcm
-from typing import Callable, Iterable
+from operator import getitem
+from typing import Callable, Iterable, Iterator
 
 from . import yma
 from ._record import Record
@@ -109,6 +116,13 @@ class VerificationReport(Record):
 
 def _all_digit_vectors(num_files: int, length: int) -> list[tuple[int, ...]]:
     return list(itertools.product(range(num_files), repeat=length))
+
+
+def _masked(demands: tuple[int, ...], num_files: int) -> Iterator[tuple[int, ...]]:
+    """`aux_demand` digits of `demands` under every key vector, in
+    `_all_digit_vectors` order: the product of each demand digit's rotation
+    (d - s) mod N over the key digits s (every digit in range)."""
+    return itertools.product(*[[(d - s) % num_files for s in range(num_files)] for d in demands])
 
 
 def _caches_by_key(params: SchemeParams, files: FileLibrary) -> dict[tuple[int, int], CacheContent]:
@@ -199,8 +213,7 @@ def verify_correctness_exhaustive(
     cases = 0
     vectors = _all_digit_vectors(n, k_users)
     for demands in vectors:
-        for keys in vectors:
-            digits = tuple((d - s) % n for d, s in zip(demands, keys))  # `aux_demand`, inputs in range
+        for keys, digits in zip(vectors, _masked(demands, n)):
             for t in selectors[digits]:
                 for k in range(k_users):
                     got = decoded[((digits, t), k, keys[k])]
@@ -234,6 +247,15 @@ def _privacy(
     library of the shape.  `spread(k, outcome)` says how many observable
     outcomes one header pair stands for (one if None); a failure reports
     their sum over the outcomes whose weights differ.
+
+    A key vector puts one cell on user k's air: an (aux digits, key digit)
+    pair, numbered once, standing for its |V| header pairs at weight 1/|V|
+    each.  A histogram is a function of the multiset of its cells, so it is
+    compared as the sorted list of their ids: equal lists hold the same
+    weighted header pairs, so they have the same weights.  Only unequal
+    lists are expanded into outcome-bytes -> integer weight maps; those
+    decide the verdict and count the differing outcomes, so two cells whose
+    header pairs collide are still judged by their bytes.
     """
     _guard_enumeration(params, "privacy")
     n, k_users = params.num_files, params.num_users
@@ -244,48 +266,58 @@ def _privacy(
         raise ScaleLimitError(f"privacy weighs every wire header: {exc}") from None
     weight_lcm = lcm(*(len(ts) for ts in broadcasts.values()))
     vectors = _all_digit_vectors(n, k_users)
-    # per aux digit vector and key digit s: its selector set's outcomes, each weighted 1/|V|
-    on_air = {
-        digits: ([[x + z for x in ts.values()] for z in caches], weight_lcm // len(ts))
-        for digits, ts in broadcasts.items()
-    }
+    # cell ids per aux digit vector, by key digit s; cells[id] is the cell's
+    # outcomes (its selector set's header pairs) and their weight, 1/|V| each
+    cells = []
+    on_air = {}
+    for digits, ts in broadcasts.items():
+        on_air[digits] = range(len(cells), len(cells) + n)
+        cells += [([x + z for x in ts.values()], weight_lcm // len(ts)) for z in caches]
     # per demand vector, what each key vector (in `vectors` order) puts on
     # the air; shared by every user and holding only references into on_air.
-    # Masked, that is the `aux_demand` digits (both vectors are in range); the
-    # unmasked negative control drives the broadcast by the raw demands
+    # Masked, that is the `aux_demand` digits; the unmasked negative control
+    # drives the broadcast by the raw demands
     if masked:
-        sent = {
-            demands: [on_air[tuple((d - s) % n for d, s in zip(demands, keys))] for keys in vectors]
-            for demands in vectors
-        }
+        sent = {demands: list(map(on_air.__getitem__, _masked(demands, n))) for demands in vectors}
     else:
         sent = {demands: [on_air[demands]] * len(vectors) for demands in vectors}
+
+    def weights(ids: list[int]) -> dict[bytes, int]:
+        out: dict[bytes, int] = {}
+        for cell, times in Counter(ids).items():
+            outcomes, w = cells[cell]
+            for outcome in outcomes:
+                out[outcome] = out.get(outcome, 0) + times * w
+        return out
+
     completions = _all_digit_vectors(n, k_users - 1)
     cases = 0
     failures = []
     for k in range(k_users):
+        own_keys = [keys[k] for keys in vectors]
         for dk in range(n):
-            reference = ref_completion = None
+            reference = ref_weights = ref_completion = None
             for completion in completions:
                 demands = completion[:k] + (dk,) + completion[k:]
-                weights: dict[bytes, int] = {}
-                for keys, (outcomes, w) in zip(vectors, sent[demands]):
-                    for outcome in outcomes[keys[k]]:
-                        weights[outcome] = weights.get(outcome, 0) + w
+                ids = sorted(map(getitem, sent[demands], own_keys))
                 cases += 1
                 if reference is None:
-                    reference, ref_completion = weights, completion
-                elif weights != reference:
-                    outcomes = weights.keys() | reference.keys()
-                    differ = [o for o in outcomes if weights.get(o, 0) != reference.get(o, 0)]
-                    count = len(differ) if spread is None else sum(spread(k, o) for o in differ)
-                    failures.append(
-                        (
-                            (k, dk, completion),
-                            f"distribution identical to completion {ref_completion}",
-                            f"{count} outcomes differ",
+                    reference, ref_completion = ids, completion
+                elif ids != reference:
+                    if ref_weights is None:
+                        ref_weights = weights(reference)
+                    got = weights(ids)
+                    if got != ref_weights:
+                        outcomes = got.keys() | ref_weights.keys()
+                        differ = [o for o in outcomes if got.get(o, 0) != ref_weights.get(o, 0)]
+                        count = len(differ) if spread is None else sum(spread(k, o) for o in differ)
+                        failures.append(
+                            (
+                                (k, dk, completion),
+                                f"distribution identical to completion {ref_completion}",
+                                f"{count} outcomes differ",
+                            )
                         )
-                    )
     control = "" if masked else " (unmasked negative control)"
     scope = f"privacy[{what}] N={n} K={k_users} r={params.r}{control}"
     return VerificationReport(scope, cases, failures, time.perf_counter() - start)

@@ -27,6 +27,7 @@ from privcache.scheme import (
     cache_header,
     delivery_header,
 )
+from privcache import verify
 from privcache.verify import VerificationReport, _basis_library, _caches_by_key, _deliveries
 from privcache.yma import UVector
 
@@ -186,6 +187,51 @@ def enumerated_marginal_privacy(params: SchemeParams, masked: bool = True) -> Ve
                         )
                     )
     scope = f"privacy[full-marginal over {len(libraries)} libraries] N={n} K={k_users} r={params.r}"
+    return VerificationReport(scope + ("" if masked else " (unmasked negative control)"), cases, failures)
+
+
+def weight_map_privacy(params: SchemeParams, what: str, masked: bool, spread=None) -> VerificationReport:
+    """`verify._privacy` by one integer weight map per completion, its oracle.
+
+    Same signature and report: for each user k, own demand and completion,
+    every header pair from `verify._headers` (looked up at call time, so a
+    patched one is seen) is weighed over every key vector and t in the
+    selector set, and the map is compared with the first completion's; a
+    failure counts the outcomes whose weights differ, each standing for
+    `spread(k, outcome)` outcomes when given.  Keys mask the demands through
+    `verify._masked`, also looked up at call time.
+    """
+    n, k_users = params.num_files, params.num_users
+    broadcasts, caches = verify._headers(params)
+    scale = math.lcm(*(len(ts) for ts in broadcasts.values()))
+    vectors = list(itertools.product(range(n), repeat=k_users))
+    cases, failures = 0, []
+    for k in range(k_users):
+        for dk in range(n):
+            reference = ref_completion = None
+            for completion in itertools.product(range(n), repeat=k_users - 1):
+                demands = completion[:k] + (dk,) + completion[k:]
+                weights: dict[bytes, int] = {}
+                sent = verify._masked(demands, n) if masked else itertools.repeat(demands)
+                for keys, digits in zip(vectors, sent):
+                    ts = broadcasts[digits]
+                    for x in ts.values():
+                        outcome = x + caches[keys[k]]
+                        weights[outcome] = weights.get(outcome, 0) + scale // len(ts)
+                cases += 1
+                if reference is None:
+                    reference, ref_completion = weights, completion
+                elif weights != reference:
+                    differ = [o for o in weights.keys() | reference.keys() if weights.get(o) != reference.get(o)]
+                    count = len(differ) if spread is None else sum(spread(k, o) for o in differ)
+                    failures.append(
+                        (
+                            (k, dk, completion),
+                            f"distribution identical to completion {ref_completion}",
+                            f"{count} outcomes differ",
+                        )
+                    )
+    scope = f"privacy[{what}] N={n} K={k_users} r={params.r}"
     return VerificationReport(scope + ("" if masked else " (unmasked negative control)"), cases, failures)
 
 

@@ -5,8 +5,9 @@ from fractions import Fraction
 import pytest
 
 from helpers import basis_library, payload_entry, seeded_library, symbol, xor_symbols
+from privcache import scheme
 from privcache.bitvec import Bits
-from privcache.combinat import binomial
+from privcache.combinat import binomial, position_count
 from privcache.reference import (
     DemandClass,
     SubsetIndex,
@@ -24,6 +25,7 @@ from privcache.scheme import (
     FileLibrary,
     SchemeParams,
     SessionRandomness,
+    VVector,
     assemble_delivery,
     aux_demand,
     build_delivery,
@@ -202,11 +204,22 @@ def test_selector_d0_is_label_indicator():
 
 
 def test_selector_nonempty_always():
-    for n, k in itertools.product((2, 3), (1, 2, 3)):
+    # the selector is read off the mask; build_v still builds a validated VVector
+    for n, k in itertools.product((1, 2, 3, 5), (1, 2, 3, 4)):
         for digits in all_demand_vectors(n, k):
             d = AuxDemand(digits, n)
-            assert build_v(d).members
-            assert d.selector == build_v(d).members
+            v = build_v(d)
+            assert isinstance(v, VVector) and len(v.bits) == position_count(n, k)
+            assert v.members
+            assert d.selector == v.members
+
+
+def test_an_empty_selector_mask_is_refused(monkeypatch):
+    monkeypatch.setattr(scheme, "_selector_mask", lambda digits, num_files: 0)
+    with pytest.raises(ValueError, match="empty selector set"):
+        AuxDemand((0, 1), 2).selector
+    with pytest.raises(ValueError, match="empty selector set"):
+        build_v(AuxDemand((0, 1), 2))
 
 
 # ------------------------------------------------------------------ segments
