@@ -104,6 +104,11 @@ def cmd_params(args, parser) -> int:
         "cache_payload_bits": stored * params.subfile_bits,
         "delivery_payload_bits": segments * params.subfile_bits,
     }
+    for name, value in info.items():
+        try:  # Python prints no int of more than `sys.get_int_max_str_digits()` digits
+            str(value)
+        except ValueError:
+            parser.error(f"{name} has too many decimal digits to print ({value.bit_length()} bits)")
     if args.format == "json":
         import json
         print(json.dumps(info, indent=2))

@@ -12,21 +12,26 @@ demands; no sampling, no floats.  An outcome is the pair of wire headers
 with no library or plan built, so privacy also runs on instances whose
 plan the size guard refuses: given a library, each payload is a function
 of its header, so the conditional and Lemma 1 verdicts hold for every
-library of that shape.  A histogram is compared as the sorted ids of the
-(aux digits, key digit) cells its key vectors put on the air; a cell
-always stands for the same weighted header pairs, so equal id lists mean
-equal weights, and only two lists that differ are expanded into integer
-weight maps, which decide the verdict and count the differing outcomes.
-The sweep and the privacy check mask demands by keys through `_masked`.
-Full-marginal mode covers every 1-bit-subfile library of up to 512 bits
-at once: a header's payload is uniform over the image of the basis
-library's GF(2) masks, so header weights decide the verdict and mask
-ranks count the differing outcomes.  The oracle engines brute-force the
-file identity and check decoding's signal reconstruction against its
-definition (`reference.compute_y`, imported by that oracle alone), each
-under its own case cap.  `ScaleLimitError` lives in `combinat`, next to
-the counts the guards read, and is re-exported here.  A run's outcome is
-a `VerificationReport`, a mutable `_record.Record`: field-wise equality
+library of that shape.  Each key vector puts one (aux digits, key digit)
+cell on a user's air, and the cell law over uniform keys is a product
+over the demand digits, so a factor check over the N^2 rotated digits
+passes every masking that sends each demand digit through the same
+multiset of aux digits, with no enumeration.  Any other masking, such as
+the unmasked negative control, is enumerated under the case cap: a
+histogram is compared as the sorted ids of its cells, and only two lists
+that differ are expanded into integer weight maps, which decide the
+verdict and count the differing outcomes.  The sweep, the factor check
+and the enumeration mask demands by keys through one `_rotation`, of
+which `_masked` is the product.  Full-marginal mode covers every
+1-bit-subfile library of up to 512 bits at once: a header's payload is
+uniform over the image of the basis library's GF(2) masks, so header
+weights decide the verdict and mask ranks count the differing outcomes.
+The oracle engines brute-force the file identity and check decoding's
+signal reconstruction against its definition (`reference.compute_y`,
+imported by that oracle alone), each under its own case cap.
+`ScaleLimitError` lives in `combinat`, next to the counts the guards
+read, and is re-exported here.  A run's outcome is a
+`VerificationReport`, a mutable `_record.Record`: field-wise equality
 and repr, unhashable, with a fresh failure list per report.
 """
 
@@ -45,6 +50,8 @@ from ._record import Record
 from .bitvec import Bits
 from .combinat import ScaleLimitError
 from .scheme import (
+    _LEN_BYTES,
+    _TD_BYTES,
     AuxDemand,
     CacheContent,
     DeliverySignal,
@@ -74,6 +81,11 @@ _IDENTITY_CASE_CAP = 4_000_000
 # (the basis library alone is library-bits^2); under 512 bits the slowest
 # instance the case cap admits is unmasked (16,2,1), ~11 s on a 2-vCPU VM
 _MARGINAL_BIT_CAP = 512
+# a privacy run that passes the factor check builds up to N^K·K' broadcast
+# headers and nothing else; at the slowest measured 1.3-1.8 us and 70 bytes
+# of header dicts per counted header (N = 2; a 2-vCPU VM), this many is
+# 7-9 s and ~350 MiB: memory, not time, sets it
+_HEADER_CAP = 5_000_000
 
 CONDITIONAL = "conditional-on-files"
 FULL_MARGINAL = "full-marginal"
@@ -118,11 +130,17 @@ def _all_digit_vectors(num_files: int, length: int) -> list[tuple[int, ...]]:
     return list(itertools.product(range(num_files), repeat=length))
 
 
+def _rotation(digit: int, num_files: int) -> list[int]:
+    """The `aux_demand` digits of one demand digit d under the key digits
+    s = 0..N-1, in order: (d - s) mod N (d in range)."""
+    return [(digit - s) % num_files for s in range(num_files)]
+
+
 def _masked(demands: tuple[int, ...], num_files: int) -> Iterator[tuple[int, ...]]:
     """`aux_demand` digits of `demands` under every key vector, in
-    `_all_digit_vectors` order: the product of each demand digit's rotation
-    (d - s) mod N over the key digits s (every digit in range)."""
-    return itertools.product(*[[(d - s) % num_files for s in range(num_files)] for d in demands])
+    `_all_digit_vectors` order: the product of each demand digit's
+    `_rotation`."""
+    return itertools.product(*[_rotation(d, num_files) for d in demands])
 
 
 def _caches_by_key(params: SchemeParams, files: FileLibrary) -> dict[tuple[int, int], CacheContent]:
@@ -164,10 +182,14 @@ def _headers(params: SchemeParams) -> tuple[dict[tuple[int, ...], dict[int, byte
     """
     n, width = params.num_files, params.subfile_bits
     _, stored, _, per_file = params.counts
-    broadcasts = {
-        digits: {t: delivery_header(digits, t, n * per_file * width) for t in AuxDemand(digits, n).selector}
-        for digits in _all_digit_vectors(n, params.num_users)
-    }
+    broadcasts = {}
+    for digits in _all_digit_vectors(n, params.num_users):
+        ts = AuxDemand(digits, n).selector
+        # one header per digit vector, at its largest t, runs every range
+        # check; each t's field is spliced in between its digits and length
+        whole = delivery_header(digits, ts[-1], n * per_file * width)
+        head, tail = whole[: -_TD_BYTES - _LEN_BYTES], whole[-_LEN_BYTES:]
+        broadcasts[digits] = {t: head + t.to_bytes(_TD_BYTES, "big") + tail for t in ts}
     caches = [cache_header(s, stored * width) for s in range(n)]
     return broadcasts, caches
 
@@ -248,22 +270,51 @@ def _privacy(
     outcomes one header pair stands for (one if None); a failure reports
     their sum over the outcomes whose weights differ.
 
-    A key vector puts one cell on user k's air: an (aux digits, key digit)
-    pair, numbered once, standing for its |V| header pairs at weight 1/|V|
-    each.  A histogram is a function of the multiset of its cells, so it is
-    compared as the sorted list of their ids: equal lists hold the same
-    weighted header pairs, so they have the same weights.  Only unequal
-    lists are expanded into outcome-bytes -> integer weight maps; those
-    decide the verdict and count the differing outcomes, so two cells whose
-    header pairs collide are still judged by their bytes.
+    A key vector S puts one cell on user k's air: the aux digits
+    (rotation(d_j)[s_j] for every j) and the key digit s_k, standing for
+    its |V| header pairs at weight 1/|V| each.  This assumes what `_headers`
+    builds: an outcome is a function of its cell.  Over uniform keys the
+    multiset of cells is a product over the coordinates: the multiset
+    {rotation(d_j)[s] : s} for each j != k, and for k the pairs
+    (rotation(d_k)[s], s), fixed by dk.  So if every digit's rotation holds
+    the same multiset (the factor check, N^2 digit comparisons), every
+    completion puts the same cells on the air and has the same histogram:
+    the run passes with K·N^K cases and no enumeration, under a cap on the
+    N^K·K' broadcast headers it still builds, so the wire layer and its
+    one-byte digits stay in the verdict.  The check passes the scheme's
+    masking, the rotation (d - s) mod N, and any other per-digit bijection.
+
+    Otherwise (the unmasked control, whose rotation is the constant
+    [d]·N, or a masking that is not a bijection) the completions are
+    enumerated under the case cap, refused before any header is built.  A
+    histogram is a function of the multiset of its cells, so it is compared
+    as the sorted list of their ids: equal lists hold the same weighted
+    header pairs, so they have the same weights.  Only unequal lists are
+    expanded into outcome-bytes -> integer weight maps; those decide the
+    verdict and count the differing outcomes, so two cells whose header
+    pairs collide are still judged by their bytes.
     """
-    _guard_enumeration(params, "privacy")
     n, k_users = params.num_files, params.num_users
+    # the aux digit a demand digit takes under key digits 0..N-1: masked, its
+    # `_rotation`; the unmasked negative control sends the raw digit
+    rotations = [_rotation(v, n) if masked else [v] * n for v in range(n)]
+    # the factor check; with one user there is no other demand to compare
+    factored = k_users == 1 or len({tuple(sorted(r)) for r in rotations}) == 1
+    if factored:
+        headers = n**k_users * params.positions
+        if headers > _HEADER_CAP:
+            raise ScaleLimitError(f"privacy over ~{headers} wire headers exceeds the cap")
+    else:
+        _guard_enumeration(params, "privacy")
     start = time.perf_counter()
     try:  # the headers carry digits up to N-1, one byte each
         broadcasts, caches = _headers(params)
     except ValueError as exc:
         raise ScaleLimitError(f"privacy weighs every wire header: {exc}") from None
+    control = "" if masked else " (unmasked negative control)"
+    scope = f"privacy[{what}] N={n} K={k_users} r={params.r}{control}"
+    if factored:
+        return VerificationReport(scope, k_users * n**k_users, [], time.perf_counter() - start)
     weight_lcm = lcm(*(len(ts) for ts in broadcasts.values()))
     vectors = _all_digit_vectors(n, k_users)
     # cell ids per aux digit vector, by key digit s; cells[id] is the cell's
@@ -274,13 +325,11 @@ def _privacy(
         on_air[digits] = range(len(cells), len(cells) + n)
         cells += [([x + z for x in ts.values()], weight_lcm // len(ts)) for z in caches]
     # per demand vector, what each key vector (in `vectors` order) puts on
-    # the air; shared by every user and holding only references into on_air.
-    # Masked, that is the `aux_demand` digits; the unmasked negative control
-    # drives the broadcast by the raw demands
-    if masked:
-        sent = {demands: list(map(on_air.__getitem__, _masked(demands, n))) for demands in vectors}
-    else:
-        sent = {demands: [on_air[demands]] * len(vectors) for demands in vectors}
+    # the air; shared by every user and holding only references into on_air
+    sent = {
+        demands: list(map(on_air.__getitem__, itertools.product(*map(rotations.__getitem__, demands))))
+        for demands in vectors
+    }
 
     def weights(ids: list[int]) -> dict[bytes, int]:
         out: dict[bytes, int] = {}
@@ -318,8 +367,6 @@ def _privacy(
                                 f"{count} outcomes differ",
                             )
                         )
-    control = "" if masked else " (unmasked negative control)"
-    scope = f"privacy[{what}] N={n} K={k_users} r={params.r}{control}"
     return VerificationReport(scope, cases, failures, time.perf_counter() - start)
 
 
@@ -339,7 +386,7 @@ def verify_privacy(
 ) -> VerificationReport:
     """Exact distribution-equality test of the observable (X_D, Z_k).
 
-    Conditional mode fixes the library and enumerates keys and t-choices;
+    Conditional mode fixes the library and weighs every key and t-choice;
     it weighs wire headers alone, so its verdict holds for every library
     of that shape, not only `files`.  Full-marginal mode marginalizes over
     every 1-bit-subfile library as well, exactly and without enumerating

@@ -92,6 +92,20 @@ def test_params_usage_errors():
     run_cli_expect_usage_error("params", "--n", "2", "--k", "3")  # missing --r
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_params_refuses_counts_too_long_to_print(capsys, fmt):
+    # (2,14291,7146) is the smallest N = 2 instance whose F = C(14292, 7146)
+    # has more than the 4300 decimal digits Python prints by default; one
+    # user fewer, (2,14290,7145) has a 4300-digit F, which prints
+    run_cli_expect_usage_error("params", "--n", "2", "--k", "14291", "--r", "7146", "--format", fmt)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "F has too many decimal digits to print (14285 bits)" in captured.err
+    code, out = run_cli(capsys, "params", "--n", "2", "--k", "14290", "--r", "7145", "--format", fmt)
+    assert code == 0
+    assert len(str(SchemeParams.minimal(2, 14290, 7145).file_bits)) == 4300
+
+
 def test_simulate_success_and_determinism(capsys):
     argv = ("simulate", "--n", "2", "--k", "3", "--r", "2", "--seed", "7", "--demands", "0,1,1")
     code1, out1 = run_cli(capsys, *argv)

@@ -1,12 +1,14 @@
 """The privacy engine against its weight-map oracle, and its masking.
 
-`verify._privacy` compares each completion's histogram as a sorted list
-of cell ids and weighs outcome bytes only when two lists differ;
-`helpers.weight_map_privacy` weighs every completion.  Both must give the
-same report for every engine, masked and unmasked, also when wire
-headers collide, which only the weight maps can see.  A header fault
-changes no cell id, so it reaches the weight maps through the unmasked
-control; a masking that is not a bijection sends masked runs there too.
+`verify._privacy` passes a run whose per-digit rotations all hold the
+same multiset without enumerating it; otherwise it compares each
+completion's histogram as a sorted list of cell ids and weighs outcome
+bytes only when two lists differ.  `helpers.weight_map_privacy` weighs
+every completion.  Both must give the same report for every engine,
+masked and unmasked, also when wire headers collide, which only the
+weight maps can see.  A header fault changes no cell id, so it reaches
+the weight maps through the unmasked control; a masking that is not a
+bijection sends masked runs there too.
 """
 
 import itertools
@@ -21,6 +23,7 @@ from privcache.verify import (
     FULL_MARGINAL,
     _all_digit_vectors,
     _masked,
+    _rotation,
     verify_distribution_lemma,
     verify_privacy,
 )
@@ -86,14 +89,19 @@ def test_engine_reports_what_the_weight_map_oracle_reports(instance, engine, mas
 @pytest.mark.parametrize("instance", INSTANCES, ids=lambda nkr: "-".join(map(str, nkr)))
 def test_repeated_cells_weigh_as_often_as_they_are_sent(instance, engine, monkeypatch):
     # a masking that is not a bijection puts some cells on the air more
-    # than once, and how often differs between completions
-    def lossy(demands, n):
-        return itertools.product(*[[max(d - s, 0) for s in range(n)] for d in demands])
+    # than once, and how often differs between completions; the factor
+    # check, the enumeration and the oracle's `_masked` all read it
+    def lossy(digit, n):
+        return [max(digit - s, 0) for s in range(n)]
 
-    monkeypatch.setattr(verify, "_masked", lossy)
+    monkeypatch.setattr(verify, "_rotation", lossy)
+    n, k, _ = instance
+    top = (n - 1,) * k
+    assert list(verify._masked(top, n)) == list(itertools.product(lossy(n - 1, n), repeat=k))
     params, files = seeded_library(*instance, seed=20, bits_per_subfile=1)
     got = report(engine, params, files, True)
     assert got[2]
+    assert got[1] == k * n**k
     monkeypatch.setattr(verify, "_privacy", weight_map_privacy)
     assert got == report(engine, params, files, True)
 
@@ -115,9 +123,42 @@ def test_colliding_headers_are_judged_by_their_bytes(monkeypatch):
     assert differing(mark_one_t) == (10, 40)
 
 
+@pytest.mark.parametrize("engine", [conditional, lemma1, full_marginal])
+@pytest.mark.parametrize("instance", [nkr for nkr in INSTANCES if nkr[0] >= 3], ids=lambda nkr: "-".join(map(str, nkr)))
+def test_equal_digit_sets_sent_unequally_often_fail_the_factor_check(instance, engine, monkeypatch):
+    # every digit reaches the aux digits {0, 1}, but 0 sends 1 twice and the
+    # others send 0 twice: the factor check compares multisets, not sets
+    def uneven(digit, n):
+        return [min(s, 1) for s in range(n)] if digit == 0 else [int(s == n - 1) for s in range(n)]
+
+    monkeypatch.setattr(verify, "_rotation", uneven)
+    params, files = seeded_library(*instance, seed=20, bits_per_subfile=1)
+    got = report(engine, params, files, True)
+    assert got[2]
+    monkeypatch.setattr(verify, "_privacy", weight_map_privacy)
+    assert got == report(engine, params, files, True)
+
+
+@pytest.mark.parametrize("instance", INSTANCES, ids=lambda nkr: "-".join(map(str, nkr)))
+def test_any_per_digit_bijection_passes_the_factor_check(instance, monkeypatch):
+    # (d + s) mod N is not the scheme's masking, but it rotates every digit
+    # through every value, so the factor check passes it as the oracle does
+    monkeypatch.setattr(verify, "_rotation", lambda digit, n: [(digit + s) % n for s in range(n)])
+    params, files = seeded_library(*instance, seed=20, bits_per_subfile=1)
+    for engine in (conditional, lemma1, full_marginal):
+        got = report(engine, params, files, True)
+        assert not got[2]
+        with monkeypatch.context() as m:
+            m.setattr(verify, "_privacy", weight_map_privacy)
+            assert got == report(engine, params, files, True)
+
+
 @pytest.mark.parametrize("n, k", [(1, 1), (1, 3), (2, 1), (2, 4), (3, 1), (3, 3), (4, 2), (5, 2)])
 def test_masking_is_the_schemes_aux_demand(n, k):
     keys = _all_digit_vectors(n, k)
+    for d in range(n):
+        assert _rotation(d, n) == [aux_demand((d,), (s,), n).digits[0] for s in range(n)]
     for demands in itertools.product(range(n), repeat=k):
         want = [aux_demand(demands, s, n).digits for s in keys]
         assert list(_masked(demands, n)) == want
+        assert list(itertools.product(*[_rotation(d, n) for d in demands])) == want

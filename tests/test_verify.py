@@ -403,6 +403,54 @@ def test_conditional_and_lemma1_pass_where_the_plan_is_refused():
         assert report.cases_run == 512
 
 
+def _privacy_engines(params, files, masked=True):
+    yield lambda: verify_privacy(params, CONDITIONAL, files, masked)
+    yield lambda: verify_distribution_lemma(params, files, masked)
+    yield lambda: verify_privacy(params, FULL_MARGINAL, None, masked)
+
+
+def _unbuilt_headers(params):
+    raise AssertionError("wire headers built before the cap was checked")
+
+
+def test_masked_privacy_passes_past_the_case_cap():
+    # enumerating (2,12,1) would visit 2^24 * 13 * 12 = 2,617,245,696 cases;
+    # the factor check passes it after building its 26,624 broadcast headers
+    params, files = seeded_library(2, 12, 1, seed=12, bits_per_subfile=1)
+    for run in _privacy_engines(params, files):
+        report = run()
+        assert report.passed
+        assert report.cases_run == 12 * 2**12 == 49_152
+
+
+def test_a_failing_factor_check_is_enumerated_under_the_case_cap(monkeypatch):
+    params, files = seeded_library(2, 12, 1, seed=12, bits_per_subfile=1)
+    monkeypatch.setattr(verify, "_headers", _unbuilt_headers)
+    for run in _privacy_engines(params, files, masked=False):
+        with pytest.raises(ScaleLimitError, match="privacy enumeration of ~2617245696 cases exceeds the cap"):
+            run()
+
+
+def test_a_passing_factor_check_is_capped_by_header_count(monkeypatch):
+    # masked (2,3,1) builds at most 2^3 * K' = 32 broadcast headers
+    params, files = seeded_library(2, 3, 1, seed=12, bits_per_subfile=1)
+    monkeypatch.setattr(verify, "_HEADER_CAP", 32)
+    for run in _privacy_engines(params, files):
+        assert run().passed
+    monkeypatch.setattr(verify, "_HEADER_CAP", 31)
+    monkeypatch.setattr(verify, "_headers", _unbuilt_headers)
+    for run in _privacy_engines(params, files):
+        with pytest.raises(ScaleLimitError, match="privacy over ~32 wire headers exceeds the cap"):
+            run()
+    # at the real cap, (2,19,1) would build 2^19 * 20 = 10,485,760
+    monkeypatch.undo()
+    monkeypatch.setattr(verify, "_headers", _unbuilt_headers)
+    params, files = seeded_library(2, 19, 1, seed=12, bits_per_subfile=1)
+    for run in _privacy_engines(params, files):
+        with pytest.raises(ScaleLimitError, match="privacy over ~10485760 wire headers exceeds the cap"):
+            run()
+
+
 def test_y_reconstruction_oracle_guards_the_plan(monkeypatch):
     import privcache.plan as plan_module
 
