@@ -16,7 +16,9 @@ library of that shape.  Each key vector puts one (aux digits, key digit)
 cell on a user's air, and the cell law over uniform keys is a product
 over the demand digits, so a factor check over the N^2 rotated digits
 passes every masking that sends each demand digit through the same
-multiset of aux digits, with no enumeration.  Any other masking, such as
+multiset of aux digits, with no enumeration: equal cell multisets give
+equal histograms for any outcome function of the cell.  A pass builds
+one widest header pair and no header table.  Any other masking, such as
 the unmasked negative control, is enumerated under the case cap: a
 histogram is compared as the sorted ids of its cells, and only two lists
 that differ are expanded into integer weight maps, which decide the
@@ -50,8 +52,6 @@ from ._record import Record
 from .bitvec import Bits
 from .combinat import ScaleLimitError
 from .scheme import (
-    _LEN_BYTES,
-    _TD_BYTES,
     AuxDemand,
     CacheContent,
     DeliverySignal,
@@ -81,11 +81,6 @@ _IDENTITY_CASE_CAP = 4_000_000
 # (the basis library alone is library-bits^2); under 512 bits the slowest
 # instance the case cap admits is unmasked (16,2,1), ~11 s on a 2-vCPU VM
 _MARGINAL_BIT_CAP = 512
-# a privacy run that passes the factor check builds up to N^K·K' broadcast
-# headers and nothing else; at the slowest measured 1.3-1.8 us and 70 bytes
-# of header dicts per counted header (N = 2; a 2-vCPU VM), this many is
-# 7-9 s and ~350 MiB: memory, not time, sets it
-_HEADER_CAP = 5_000_000
 
 CONDITIONAL = "conditional-on-files"
 FULL_MARGINAL = "full-marginal"
@@ -153,14 +148,21 @@ def _caches_by_key(params: SchemeParams, files: FileLibrary) -> dict[tuple[int, 
     return out
 
 
+def _count(value: int) -> str:
+    """`value` for a refusal message: in decimal, or past 2000 bits (603
+    digits, under any int-to-str limit Python allows) as 2^(bits - 1)."""
+    bits = value.bit_length()
+    return str(value) if bits <= 2000 else f"2^{bits - 1}"
+
+
 def _guard_cases(label: str, cases: int, cap: int = _CASE_CAP) -> None:
     if cases > cap:
-        raise ScaleLimitError(f"{label} enumeration of ~{cases} cases exceeds the cap")
+        raise ScaleLimitError(f"{label} of ~{_count(cases)} cases exceeds the cap")
 
 
 def _guard_enumeration(params: SchemeParams, label: str) -> None:
     n, k = params.num_files, params.num_users
-    _guard_cases(label, n ** (2 * k) * params.positions * k)
+    _guard_cases(f"{label} enumeration", n ** (2 * k) * params.positions * k)
 
 
 def _deliveries(params: SchemeParams, files: FileLibrary) -> dict[tuple[tuple[int, ...], int], DeliverySignal]:
@@ -182,14 +184,10 @@ def _headers(params: SchemeParams) -> tuple[dict[tuple[int, ...], dict[int, byte
     """
     n, width = params.num_files, params.subfile_bits
     _, stored, _, per_file = params.counts
-    broadcasts = {}
-    for digits in _all_digit_vectors(n, params.num_users):
-        ts = AuxDemand(digits, n).selector
-        # one header per digit vector, at its largest t, runs every range
-        # check; each t's field is spliced in between its digits and length
-        whole = delivery_header(digits, ts[-1], n * per_file * width)
-        head, tail = whole[: -_TD_BYTES - _LEN_BYTES], whole[-_LEN_BYTES:]
-        broadcasts[digits] = {t: head + t.to_bytes(_TD_BYTES, "big") + tail for t in ts}
+    broadcasts = {
+        digits: {t: delivery_header(digits, t, n * per_file * width) for t in AuxDemand(digits, n).selector}
+        for digits in _all_digit_vectors(n, params.num_users)
+    }
     caches = [cache_header(s, stored * width) for s in range(n)]
     return broadcasts, caches
 
@@ -220,7 +218,7 @@ def verify_correctness_exhaustive(
     n, k_users = params.num_files, params.num_users
     work = _correctness_work(params)
     if work > _DECODE_WORK_CAP:
-        raise ScaleLimitError(f"correctness decoding of ~{work} subfiles exceeds the cap")
+        raise ScaleLimitError(f"correctness decoding of ~{_count(work)} subfiles exceeds the cap")
     caches = _caches_by_key(params, files)
     deliveries = _deliveries(params, files)
     selectors = {x.aux.digits: x.aux.selector for x in deliveries.values()}  # built by _deliveries
@@ -270,23 +268,24 @@ def _privacy(
     outcomes one header pair stands for (one if None); a failure reports
     their sum over the outcomes whose weights differ.
 
-    A key vector S puts one cell on user k's air: the aux digits
-    (rotation(d_j)[s_j] for every j) and the key digit s_k, standing for
-    its |V| header pairs at weight 1/|V| each.  This assumes what `_headers`
-    builds: an outcome is a function of its cell.  Over uniform keys the
-    multiset of cells is a product over the coordinates: the multiset
-    {rotation(d_j)[s] : s} for each j != k, and for k the pairs
-    (rotation(d_k)[s], s), fixed by dk.  So if every digit's rotation holds
-    the same multiset (the factor check, N^2 digit comparisons), every
-    completion puts the same cells on the air and has the same histogram:
-    the run passes with K·N^K cases and no enumeration, under a cap on the
-    N^K·K' broadcast headers it still builds, so the wire layer and its
-    one-byte digits stay in the verdict.  The check passes the scheme's
-    masking, the rotation (d - s) mod N, and any other per-digit bijection.
+    The widest header pair (every digit N-1, t = K'-1, the real lengths)
+    is serialized first, so a field too narrow for its value (N > 256) is
+    refused before anything else is built.  A key vector S puts one cell
+    on user k's air: the aux digits (rotation(d_j)[s_j] for every j) and
+    the key digit s_k, standing for its |V| header pairs at weight 1/|V|
+    each.  Over uniform keys the multiset of cells is a product over the
+    coordinates: the multiset {rotation(d_j)[s] : s} for each j != k, and
+    for k the pairs (rotation(d_k)[s], s), fixed by dk.  So if every
+    digit's rotation holds the same multiset (the factor check, N^2 digit
+    comparisons), every completion puts the same cell multiset on the air,
+    and any outcome function of the cell has the same histogram: the run
+    passes with the K·N^K cases the report claims, under the case cap, with
+    no header table.  The check passes the scheme's masking, the rotation
+    (d - s) mod N, and any other per-digit bijection.
 
     Otherwise (the unmasked control, whose rotation is the constant
     [d]·N, or a masking that is not a bijection) the completions are
-    enumerated under the case cap, refused before any header is built.  A
+    enumerated under the case cap, refused before `_headers` runs.  A
     histogram is a function of the multiset of its cells, so it is compared
     as the sorted list of their ids: equal lists hold the same weighted
     header pairs, so they have the same weights.  Only unequal lists are
@@ -294,27 +293,26 @@ def _privacy(
     verdict and count the differing outcomes, so two cells whose header
     pairs collide are still judged by their bytes.
     """
+    start = time.perf_counter()
     n, k_users = params.num_files, params.num_users
+    _, stored, _, per_file = params.counts
+    try:  # the widest header pair: every digit N-1, t = K'-1, one byte per digit
+        delivery_header((n - 1,) * k_users, params.positions - 1, n * per_file * params.subfile_bits)
+        cache_header(n - 1, stored * params.subfile_bits)
+    except ValueError as exc:
+        raise ScaleLimitError(f"privacy weighs every wire header: {exc}") from None
     # the aux digit a demand digit takes under key digits 0..N-1: masked, its
     # `_rotation`; the unmasked negative control sends the raw digit
     rotations = [_rotation(v, n) if masked else [v] * n for v in range(n)]
-    # the factor check; with one user there is no other demand to compare
-    factored = k_users == 1 or len({tuple(sorted(r)) for r in rotations}) == 1
-    if factored:
-        headers = n**k_users * params.positions
-        if headers > _HEADER_CAP:
-            raise ScaleLimitError(f"privacy over ~{headers} wire headers exceeds the cap")
-    else:
-        _guard_enumeration(params, "privacy")
-    start = time.perf_counter()
-    try:  # the headers carry digits up to N-1, one byte each
-        broadcasts, caches = _headers(params)
-    except ValueError as exc:
-        raise ScaleLimitError(f"privacy weighs every wire header: {exc}") from None
     control = "" if masked else " (unmasked negative control)"
     scope = f"privacy[{what}] N={n} K={k_users} r={params.r}{control}"
-    if factored:
-        return VerificationReport(scope, k_users * n**k_users, [], time.perf_counter() - start)
+    # the factor check; with one user there is no other demand to compare
+    if k_users == 1 or len({tuple(sorted(r)) for r in rotations}) == 1:
+        cases = k_users * n**k_users
+        _guard_cases("privacy verdict", cases)
+        return VerificationReport(scope, cases, [], time.perf_counter() - start)
+    _guard_enumeration(params, "privacy")
+    broadcasts, caches = _headers(params)
     weight_lcm = lcm(*(len(ts) for ts in broadcasts.values()))
     vectors = _all_digit_vectors(n, k_users)
     # cell ids per aux digit vector, by key digit s; cells[id] is the cell's
@@ -454,7 +452,7 @@ def _privacy_marginal(params: SchemeParams, masked: bool) -> VerificationReport:
     total_bits = params.num_files * params.subfile_count
     if total_bits > _MARGINAL_BIT_CAP:
         raise ScaleLimitError(
-            f"full-marginal mode over {total_bits} library bits exceeds the "
+            f"full-marginal mode over {_count(total_bits)} library bits exceeds the "
             f"{_MARGINAL_BIT_CAP}-bit cap"
         )
 
@@ -499,7 +497,7 @@ def oracle_demand_identity(params: SchemeParams, files: FileLibrary) -> Verifica
     files are compared, which covers every subfile index at once.
     """
     n, k_users = params.num_files, params.num_users
-    _guard_cases("demand-identity", n**k_users * k_users * n, _IDENTITY_CASE_CAP)
+    _guard_cases("demand-identity enumeration", n**k_users * k_users * n, _IDENTITY_CASE_CAP)
     start = time.perf_counter()
     cases = 0
     failures = []
@@ -530,7 +528,7 @@ def oracle_y_reconstruction(params: SchemeParams, files: FileLibrary) -> Verific
     """
     n, k_users = params.num_files, params.num_users
     _, _, rebuilt, _ = params.counts
-    _guard_cases("signal-reconstruction", k_users * n * rebuilt, _RECONSTRUCTION_CASE_CAP)
+    _guard_cases("signal-reconstruction enumeration", k_users * n * rebuilt, _RECONSTRUCTION_CASE_CAP)
     start = time.perf_counter()
     # Placement runs the plan guard, whose up-row cost C(K', r)*K' bounds
     # the C(K', r+1) subsets enumerated next, so it must come first.

@@ -223,6 +223,26 @@ def test_verify_refuses_demand_digits_wider_than_a_byte(capsys, suite):
     assert "demand digit 256 does not fit in 1 byte(s)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("suite", ["privacy", "lemma1"])
+def test_wide_demand_digits_are_refused_before_the_rotation_table(monkeypatch, capsys, suite):
+    # the rotation table is N x N digits: 4 * 10^8 of them at N = 20000
+    def unbuilt(*args):
+        raise AssertionError("rotation table built before the header width was checked")
+
+    monkeypatch.setattr("privcache.verify._rotation", unbuilt)
+    run_cli_expect_usage_error("verify", "--suite", suite, "--n", "257", "--k", "1", "--r", "0")
+    assert "demand digit 256 does not fit in 1 byte(s)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("suite", ["correctness", "identities", "privacy", "lemma1"])
+def test_case_counts_past_the_int_to_str_limit_are_usage_errors(capsys, suite):
+    # 2^20000 demand vectors: a count with over 6,000 digits is printed as a power of two
+    run_cli_expect_usage_error("verify", "--suite", suite, "--n", "2", "--k", "20000", "--r", "1")
+    err = capsys.readouterr().err
+    assert "cases exceeds the cap" in err
+    assert "~2^" in err
+
+
 @pytest.mark.parametrize(
     "suite, n, k, r", [("identities", "2", "30", "0"), ("reconstruction", "2", "30", "5")]
 )

@@ -415,7 +415,7 @@ def _unbuilt_headers(params):
 
 def test_masked_privacy_passes_past_the_case_cap():
     # enumerating (2,12,1) would visit 2^24 * 13 * 12 = 2,617,245,696 cases;
-    # the factor check passes it after building its 26,624 broadcast headers
+    # the factor check passes it after serializing one widest header pair
     params, files = seeded_library(2, 12, 1, seed=12, bits_per_subfile=1)
     for run in _privacy_engines(params, files):
         report = run()
@@ -431,24 +431,31 @@ def test_a_failing_factor_check_is_enumerated_under_the_case_cap(monkeypatch):
             run()
 
 
-def test_a_passing_factor_check_is_capped_by_header_count(monkeypatch):
-    # masked (2,3,1) builds at most 2^3 * K' = 32 broadcast headers
-    params, files = seeded_library(2, 3, 1, seed=12, bits_per_subfile=1)
-    monkeypatch.setattr(verify, "_HEADER_CAP", 32)
-    for run in _privacy_engines(params, files):
-        assert run().passed
-    monkeypatch.setattr(verify, "_HEADER_CAP", 31)
-    monkeypatch.setattr(verify, "_headers", _unbuilt_headers)
-    for run in _privacy_engines(params, files):
-        with pytest.raises(ScaleLimitError, match="privacy over ~32 wire headers exceeds the cap"):
-            run()
-    # at the real cap, (2,19,1) would build 2^19 * 20 = 10,485,760
-    monkeypatch.undo()
-    monkeypatch.setattr(verify, "_headers", _unbuilt_headers)
+def test_a_passing_factor_check_builds_no_headers(monkeypatch):
+    def unbuilt(*args):
+        raise AssertionError("table built on the passing path")
+
+    monkeypatch.setattr(verify, "_headers", unbuilt)
+    monkeypatch.setattr(verify, "_basis_library", unbuilt)
+    # masked (2,19,1): 19 * 2^19 cases, under the case cap
     params, files = seeded_library(2, 19, 1, seed=12, bits_per_subfile=1)
     for run in _privacy_engines(params, files):
-        with pytest.raises(ScaleLimitError, match="privacy over ~10485760 wire headers exceeds the cap"):
+        report = run()
+        assert report.passed
+        assert report.cases_run == 19 * 2**19 == 9_961_472
+    # masked (2,20,1): 20 * 2^20 cases, over it
+    params, files = seeded_library(2, 20, 1, seed=12, bits_per_subfile=1)
+    for run in _privacy_engines(params, files):
+        with pytest.raises(ScaleLimitError, match="privacy verdict of ~20971520 cases exceeds the cap"):
             run()
+
+
+def test_refusal_counts_past_2000_bits_print_as_powers_of_two():
+    # 2^2000 has 603 digits, under the smallest int-to-str limit Python allows (640)
+    assert verify._count(7_990_599_680) == "7990599680"
+    assert verify._count(2**2000 - 1) == str(2**2000 - 1)
+    assert verify._count(2**2000) == "2^2000"
+    assert verify._count(3 * 2**40000) == "2^40001"
 
 
 def test_y_reconstruction_oracle_guards_the_plan(monkeypatch):
