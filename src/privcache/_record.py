@@ -3,8 +3,10 @@
 A record declares its fields once, as class annotations, in constructor
 order; `__repr__` prints them as `Name(field=value, ...)`, and equality
 holds only between instances of the same class with equal fields.  Each
-record writes an explicit `__init__` that stores its fields and then
-checks them, so no class is generated from source at import time.
+frozen record writes an explicit `__init__` that passes its field values
+to `FrozenRecord._store` in that order and then checks them, so no class
+is generated from source at import time and only this module knows how
+an instance holds its fields.
 
 Instances keep a `__dict__` (no `__slots__`): `functools.cached_property`
 stores its value there, outside the fields, so a cached value joins
@@ -39,12 +41,18 @@ class Record:
 class FrozenRecord(Record):
     """Immutable, hashable record.
 
-    `__init__` stores each field, and `_values`, the tuple of all fields in
-    declaration order, straight into the instance `__dict__`; equality and
-    hash read that tuple, so they build nothing per call.  Assigning or
+    `__init__` makes one `_store` call with every field value in
+    declaration order.  It writes each field, and `_values`, the tuple of
+    all of them, straight into the instance `__dict__`; equality and hash
+    read that tuple, so they build nothing per call.  Assigning or
     deleting any attribute raises `FrozenInstanceError`, an
     `AttributeError`.
     """
+
+    def _store(self, *values: object) -> None:
+        """Set the declared fields, in order, to `values`; a count that
+        differs from the annotations' raises ValueError."""
+        self.__dict__.update(zip(self._fields, values, strict=True), _values=values)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:

@@ -14,6 +14,8 @@ from __future__ import annotations
 import random
 from typing import Iterable
 
+from .combinat import _count
+
 # byte b with its bit order reversed: turns little-endian int bytes into
 # the MSB-first wire layout and back
 _REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
@@ -53,7 +55,7 @@ class Bits:
     @classmethod
     def random(cls, length: int, rng: random.Random) -> Bits:
         if length >= 1 << 31:  # getrandbits takes a C int
-            raise ValueError(f"cannot draw {length} random bits, the limit is 2^31 - 1")
+            raise ValueError(f"cannot draw {_count(length)} random bits, the limit is 2^31 - 1")
         return cls(rng.getrandbits(length) if length else 0, length)
 
     @classmethod

@@ -45,15 +45,15 @@ def _params_from(args, parser: argparse.ArgumentParser):
 
 
 def _load_library(args, params, parser: argparse.ArgumentParser):
-    if args.library:
+    if args.library is not None:
         import json
         from pathlib import Path
 
         from .scheme import FileLibrary
 
         path = Path(args.library)
-        sidecar = path.with_name(path.name + ".json")
-        try:
+        try:  # an empty path has no name to put a sidecar beside
+            sidecar = path.with_name(path.name + ".json")
             meta = json.loads(sidecar.read_text())
             if not isinstance(meta, dict):
                 parser.error(f"library sidecar {sidecar} is not a JSON object")
@@ -133,10 +133,13 @@ def cmd_simulate(args, parser) -> int:
     params = _params_from(args, parser)
     n, k_users = params.num_files, params.num_users
     files, origin = _load_library(args, params, parser)
-    if args.demands:
+    if args.demands is not None:
+        tokens = args.demands.split(",")
         try:
-            demands = tuple(int(tok) for tok in args.demands.split(","))
+            demands = tuple(int(tok) for tok in tokens)
         except ValueError:
+            demands = None
+        if demands is None or list(map(str, demands)) != tokens:  # canonical digits only
             parser.error(f"cannot parse --demands {args.demands!r}")
         if len(demands) != k_users or any(not 0 <= d < n for d in demands):
             parser.error(

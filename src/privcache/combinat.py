@@ -38,6 +38,13 @@ class ScaleLimitError(ValueError):
     """The requested enumeration is too large to run exhaustively."""
 
 
+def _count(value: int) -> str:
+    """`value` for a refusal message: in decimal, or past 2000 bits (603
+    digits, under any int-to-str limit Python allows) as 2^(bits - 1)."""
+    bits = value.bit_length()
+    return str(value) if bits <= 2000 else f"2^{bits - 1}"
+
+
 def scheme_counts(num_files: int, num_users: int, r: int) -> tuple[int, int, int, int]:
     """Every payload size of (N, K, r), in closed form, with K' = N*K - K + 1.
 

@@ -37,10 +37,7 @@ class SubsetIndex(FrozenRecord):
     universe: int
 
     def __init__(self, members: tuple[int, ...], universe: int) -> None:
-        fields = self.__dict__
-        fields["members"] = members
-        fields["universe"] = universe
-        fields["_values"] = (members, universe)
+        self._store(members, universe)
         if universe <= 0:
             raise ValueError(f"universe must be positive, got {universe}")
         prev = -1

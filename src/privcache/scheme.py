@@ -33,9 +33,10 @@ key.  The per-element formulas those tables are tested against
 demand classes and `f_map`) live in `reference`, which no session loads.
 
 Every value class here is a `_record.FrozenRecord` with an explicit
-constructor: it stores its fields, then runs its checks, so an instance
-that exists has passed them; equality, hash and repr come from the
-declared fields, and `cached_property` values stay outside them.
+constructor: it stores its fields with one `_store` call, in declaration
+order, then runs its checks, so an instance that exists has passed them;
+equality, hash and repr come from the declared fields, and
+`cached_property` values stay outside them.
 
 Loading this module loads neither `plan` nor `tradeoff`: `SchemeParams.plan`
 and `memory_rate_of` import them on first use, so a session that places,
@@ -74,12 +75,7 @@ class SchemeParams(FrozenRecord):
     file_bits: int
 
     def __init__(self, num_files: int, num_users: int, r: int, file_bits: int) -> None:
-        fields = self.__dict__
-        fields["num_files"] = num_files
-        fields["num_users"] = num_users
-        fields["r"] = r
-        fields["file_bits"] = file_bits
-        fields["_values"] = (num_files, num_users, r, file_bits)
+        self._store(num_files, num_users, r, file_bits)
         subfiles = self.subfile_count  # checks N, K and r
         if file_bits < 1:
             raise ValueError(f"file length must be positive, got {file_bits}")
@@ -131,10 +127,7 @@ class FileLibrary(FrozenRecord):
     files: tuple[Bits, ...]
 
     def __init__(self, params: SchemeParams, files: tuple[Bits, ...]) -> None:
-        fields = self.__dict__
-        fields["params"] = params
-        fields["files"] = files
-        fields["_values"] = (params, files)
+        self._store(params, files)
         if len(files) != params.num_files:
             raise ValueError(f"expected {params.num_files} files, got {len(files)}")
         for w in files:
@@ -169,10 +162,7 @@ class AuxDemand(FrozenRecord):
     num_files: int
 
     def __init__(self, digits: tuple[int, ...], num_files: int) -> None:
-        fields = self.__dict__
-        fields["digits"] = digits
-        fields["num_files"] = num_files
-        fields["_values"] = (digits, num_files)
+        self._store(digits, num_files)
         if not digits:
             raise ValueError("empty demand vector")
         if any(not 0 <= v < num_files for v in digits):
@@ -227,9 +217,7 @@ class VVector(FrozenRecord):
     bits: tuple[int, ...]
 
     def __init__(self, bits: tuple[int, ...]) -> None:
-        fields = self.__dict__
-        fields["bits"] = bits
-        fields["_values"] = (bits,)
+        self._store(bits)
         if any(b not in (0, 1) for b in bits):
             raise ValueError(f"non-binary selector {bits}")
         if not any(bits):
@@ -298,12 +286,7 @@ class DeliverySignal(FrozenRecord):
     params: SchemeParams
 
     def __init__(self, aux: AuxDemand, t_d: int, segments: tuple[int, ...], params: SchemeParams) -> None:
-        fields = self.__dict__
-        fields["aux"] = aux
-        fields["t_d"] = t_d
-        fields["segments"] = segments
-        fields["params"] = params
-        fields["_values"] = (aux, t_d, segments, params)
+        self._store(aux, t_d, segments, params)
         if aux.num_users != params.num_users or aux.num_files != params.num_files:
             raise ValueError("auxiliary demand does not match parameters")
         if t_d not in aux.selector:
@@ -398,12 +381,7 @@ class CacheContent(FrozenRecord):
     params: SchemeParams
 
     def __init__(self, user: int, key: int, signals: tuple[int, ...], params: SchemeParams) -> None:
-        fields = self.__dict__
-        fields["user"] = user
-        fields["key"] = key
-        fields["signals"] = signals
-        fields["params"] = params
-        fields["_values"] = (user, key, signals, params)
+        self._store(user, key, signals, params)
         if not 0 <= user < params.num_users:
             raise ValueError(f"user {user} out of range for {params.num_users} users")
         if not 0 <= key < params.num_files:

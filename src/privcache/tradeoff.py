@@ -46,10 +46,7 @@ class RatePoint(FrozenRecord):
 
     def __init__(self, memory: Fraction, rate: Fraction) -> None:
         memory, rate = _frac(memory), _frac(rate)
-        fields = self.__dict__
-        fields["memory"] = memory
-        fields["rate"] = rate
-        fields["_values"] = (memory, rate)
+        self._store(memory, rate)
         if memory < 0 or rate < 0:
             raise ValueError(f"negative coordinate in ({memory}, {rate})")
 
@@ -67,12 +64,7 @@ class LinearBound(FrozenRecord):
 
     def __init__(self, alpha: Fraction, beta: Fraction, gamma: Fraction, label: str = "") -> None:
         alpha, beta, gamma = _frac(alpha), _frac(beta), _frac(gamma)
-        fields = self.__dict__
-        fields["alpha"] = alpha
-        fields["beta"] = beta
-        fields["gamma"] = gamma
-        fields["label"] = label
-        fields["_values"] = (alpha, beta, gamma, label)
+        self._store(alpha, beta, gamma, label)
         if beta < 0 or (alpha == 0 and beta == 0):
             raise ValueError(f"invalid bound coefficients ({alpha}, {beta})")
 
@@ -118,9 +110,7 @@ class TradeoffCurve(FrozenRecord):
     corners: tuple[RatePoint, ...]
 
     def __init__(self, corners: tuple[RatePoint, ...]) -> None:
-        fields = self.__dict__
-        fields["corners"] = corners
-        fields["_values"] = (corners,)
+        self._store(corners)
         if not corners:
             raise ValueError("curve needs at least one corner")
         prev_slope = None
@@ -269,12 +259,7 @@ class TightnessRow(FrozenRecord):
     tight: bool
 
     def __init__(self, memory: Fraction, achievable: Fraction, converse: Fraction, tight: bool) -> None:
-        fields = self.__dict__
-        fields["memory"] = memory
-        fields["achievable"] = achievable
-        fields["converse"] = converse
-        fields["tight"] = tight
-        fields["_values"] = (memory, achievable, converse, tight)
+        self._store(memory, achievable, converse, tight)
 
 
 def _two_file_curves(num_users: int) -> tuple:

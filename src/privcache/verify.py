@@ -50,7 +50,7 @@ from typing import Callable, Iterable, Iterator
 from . import yma
 from ._record import Record
 from .bitvec import Bits
-from .combinat import ScaleLimitError
+from .combinat import ScaleLimitError, _count
 from .scheme import (
     AuxDemand,
     CacheContent,
@@ -146,13 +146,6 @@ def _caches_by_key(params: SchemeParams, files: FileLibrary) -> dict[tuple[int, 
         for cache in place(files, params, rand):
             out[(cache.user, s)] = cache
     return out
-
-
-def _count(value: int) -> str:
-    """`value` for a refusal message: in decimal, or past 2000 bits (603
-    digits, under any int-to-str limit Python allows) as 2^(bits - 1)."""
-    bits = value.bit_length()
-    return str(value) if bits <= 2000 else f"2^{bits - 1}"
 
 
 def _guard_cases(label: str, cases: int, cap: int = _CASE_CAP) -> None:

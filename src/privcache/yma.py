@@ -35,10 +35,7 @@ class UVector(FrozenRecord):
     num_files: int
 
     def __init__(self, entries: tuple[int, ...], num_files: int) -> None:
-        fields = self.__dict__
-        fields["entries"] = entries
-        fields["num_files"] = num_files
-        fields["_values"] = (entries, num_files)
+        self._store(entries, num_files)
         n = num_files
         if n < 2:
             raise ValueError(f"need at least 2 files, got {n}")

@@ -134,6 +134,12 @@ def test_simulate_demand_validation():
     run_cli_expect_usage_error(
         "simulate", "--n", "2", "--k", "3", "--r", "2", "--demands", "a,b,c"
     )
+    # an empty flag is not an absent one, and only canonical digits parse
+    for demands in ("", " 1,0,1", "+1,0,1", "01,0,1", "0_1,0,1", "1,0,"):
+        run_cli_expect_usage_error(
+            "simulate", "--n", "2", "--k", "3", "--r", "2", "--demands", demands
+        )
+    run_cli_expect_usage_error("simulate", "--n", "2", "--k", "3", "--r", "2", "--library", "")
 
 
 def test_simulate_loads_library_file(tmp_path, capsys):
@@ -241,6 +247,19 @@ def test_case_counts_past_the_int_to_str_limit_are_usage_errors(capsys, suite):
     err = capsys.readouterr().err
     assert "cases exceeds the cap" in err
     assert "~2^" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("verify", "--suite", "privacy", "--n", "2", "--k", "20000", "--r", "10000"),
+     ("simulate", "--n", "2", "--k", "3000", "--r", "1500")],
+)
+def test_library_lengths_past_the_int_to_str_limit_are_usage_errors(capsys, argv):
+    # files of C(K', r) bits, a count of 900 to 6,000 digits, printed as a power of two
+    run_cli_expect_usage_error(*argv)
+    err = capsys.readouterr().err
+    assert "cannot generate the library: cannot draw 2^" in err
+    assert "Exceeds the limit" not in err
 
 
 @pytest.mark.parametrize(

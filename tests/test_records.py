@@ -143,6 +143,13 @@ def test_equal_instances_are_equal_and_hash_alike(cls):
     assert a == b and not a != b
     assert hash(a) == hash(b) == hash(fields_of(a))
     assert len({a, b}) == 1
+    assert a._values == tuple(getattr(a, name) for name in cls._fields)
+
+
+@pytest.mark.parametrize("values", [(Fraction(1),), (Fraction(1), Fraction(2), Fraction(3))])
+def test_a_store_of_the_wrong_length_raises(values):
+    with pytest.raises(ValueError):
+        object.__new__(RatePoint)._store(*values)
 
 
 def _differing():
