@@ -5,8 +5,12 @@ decode failure, 2 on usage errors.  All randomness derives from --seed,
 so identical invocations produce byte-identical output.  `tradeoff` prints
 the reduced integer pairs of `tradeoff.tightness_pairs` as `str(Fraction)`
 would (`n` or `n/d`), and `n / d` as each JSON float.  Each command imports
-its own layer when it runs, and the parser adds arguments only for the
-invoked command, so importing this module loads no other package module.
+its own layer when it runs, so importing this module loads no other
+package module.  `main` builds only the invoked command's parser, named
+`privcache <command>`, so argparse's errors and a command's own usage
+errors both print that command's usage.  An argv that does not start
+with a command meets the top-level parser, which prints help or exits 2
+and runs no command.
 """
 
 from __future__ import annotations
@@ -15,6 +19,9 @@ import argparse
 import sys
 
 SUITES = ("correctness", "privacy", "lemma1", "identities", "reconstruction", "all")
+# `verify.CONDITIONAL`, its short alias and `verify.FULL_MARGINAL`, spelled
+# out so that parsing loads no verifier
+MODES = ("conditional-on-files", "conditional", "full-marginal")
 
 
 def _ratio(pair: tuple[int, int]) -> str:
@@ -263,61 +270,74 @@ def cmd_tradeoff(args, parser) -> int:
     return 0
 
 
-def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
-    """Every command with its help, but arguments only for the invoked one:
-    the first token not starting with '-' (the top level has only -h)."""
+def _params_arguments(p: argparse.ArgumentParser) -> None:
+    _add_instance_flags(p)
+    p.add_argument("--format", choices=("text", "json"), default="text")
+
+
+def _simulate_arguments(p: argparse.ArgumentParser) -> None:
+    _add_instance_flags(p)
+    p.add_argument("--seed", default="0", help="session seed (default 0)")
+    p.add_argument("--demands", default=None, help="comma-separated demand digits")
+    p.add_argument("--library", default=None, help="raw library file (with .json sidecar)")
+
+
+def _verify_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--suite", choices=SUITES, default="all")
+    _add_instance_flags(p)
+    p.add_argument("--seed", default="0", help="library seed (default 0)")
+    p.add_argument(
+        "--mode", choices=MODES, default=MODES[0], help="privacy flavor (default conditional-on-files)"
+    )
+    p.add_argument("--format", choices=("text", "json"), default="text")
+
+
+def _tradeoff_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--k", type=int, required=True, help="number of users (2 <= K <= 1000)")
+    p.add_argument("--grid", default="1/100", help="grid step as a fraction (default 1/100)")
+    p.add_argument("--format", choices=("csv", "json", "text"), default="csv")
+    p.add_argument("--out", default=None, help="write to a file instead of stdout")
+
+
+def _commands() -> dict:
+    """Each command's help line, argument adder and handler.  Built on every
+    call, so a handler patched on this module is the one that runs."""
+    return {
+        "params": ("print exact (M, R) and size accounting", _params_arguments, cmd_params),
+        "simulate": ("run one placement/delivery/decode session", _simulate_arguments, cmd_simulate),
+        "verify": ("run exhaustive verification suites", _verify_arguments, cmd_verify),
+        "tradeoff": ("emit achievable vs converse rows over [0, 2]", _tradeoff_arguments, cmd_tradeoff),
+    }
+
+
+def _parse(argv: list[str]) -> tuple[argparse.Namespace, argparse.ArgumentParser]:
+    """The invoked command's arguments, and the parser that read them.
+
+    A command named first gets a parser of its own arguments alone.  Any
+    other argv meets the top-level parser with every command's arguments,
+    which prints help (exit 0) or a usage error (exit 2), and never returns.
+    """
+    commands = _commands()
+    if argv and argv[0] in commands:
+        _, add_arguments, handler = commands[argv[0]]
+        parser = argparse.ArgumentParser(prog=f"privcache {argv[0]}")
+        add_arguments(parser)
+        parser.set_defaults(func=handler)
+        return parser.parse_args(argv[1:]), parser
     parser = argparse.ArgumentParser(
         prog="privcache",
         description="Demand-private coded caching: simulation, verification, tradeoff region",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    invoked = next((tok for tok in argv if not tok.startswith("-")), None)
-
-    p = sub.add_parser("params", help="print exact (M, R) and size accounting")
-    if invoked == "params":
-        _add_instance_flags(p)
-        p.add_argument("--format", choices=("text", "json"), default="text")
-        p.set_defaults(func=cmd_params)
-
-    p = sub.add_parser("simulate", help="run one placement/delivery/decode session")
-    if invoked == "simulate":
-        _add_instance_flags(p)
-        p.add_argument("--seed", default="0", help="session seed (default 0)")
-        p.add_argument("--demands", default=None, help="comma-separated demand digits")
-        p.add_argument("--library", default=None, help="raw library file (with .json sidecar)")
-        p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("verify", help="run exhaustive verification suites")
-    if invoked == "verify":
-        from . import verify
-
-        p.add_argument("--suite", choices=SUITES, default="all")
-        _add_instance_flags(p)
-        p.add_argument("--seed", default="0", help="library seed (default 0)")
-        p.add_argument(
-            "--mode",
-            choices=(verify.CONDITIONAL, "conditional", verify.FULL_MARGINAL),
-            default=verify.CONDITIONAL,
-            help="privacy flavor (default conditional-on-files)",
-        )
-        p.add_argument("--format", choices=("text", "json"), default="text")
-        p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("tradeoff", help="emit achievable vs converse rows over [0, 2]")
-    if invoked == "tradeoff":
-        p.add_argument("--k", type=int, required=True, help="number of users (2 <= K <= 1000)")
-        p.add_argument("--grid", default="1/100", help="grid step as a fraction (default 1/100)")
-        p.add_argument("--format", choices=("csv", "json", "text"), default="csv")
-        p.add_argument("--out", default=None, help="write to a file instead of stdout")
-        p.set_defaults(func=cmd_tradeoff)
-
-    return parser
+    for name, (help_text, add_arguments, _) in commands.items():
+        add_arguments(sub.add_parser(name, help=help_text))
+    parser.parse_args(argv)
+    parser.error("the command must be the first argument")
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = _build_parser(argv)
-    args = parser.parse_args(argv)
+    args, parser = _parse(argv)
     return args.func(args, parser)
 
 

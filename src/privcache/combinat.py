@@ -2,7 +2,8 @@
 order of fixed-size subsets, held as increasing tuples.
 
 `scheme_counts` is the one place a payload size is computed, so nothing
-builds a plan table just to count.
+builds a plan table just to count.  It prices C(K', r) before computing
+it and refuses a count of more than `COUNT_BITS_CAP` bits.
 
 Colex order compares subsets by their largest element first, which gives
 O(size) ranks without lookup tables and keeps the order of small subsets
@@ -45,6 +46,37 @@ def _count(value: int) -> str:
     return str(value) if bits <= 2000 else f"2^{bits - 1}"
 
 
+COUNT_BITS_CAP = 1 << 16
+"""The most bits C(K', r) may have: 65,536 (19,729 decimal digits), which
+`math.comb` computes in about 0.1 s (CPython 3.11 on a 2-vCPU VM; the
+cost grows faster than linearly), where C(10^9 + 1, 5 * 10^8) would take
+hours.  The largest count any shipped check admits, C(20001, 10000),
+has 19,994 bits."""
+
+
+def _binomial_bits_exceed(n: int, k: int, cap: int) -> bool:
+    """Whether C(n, k) has more than `cap` bits, computing it only near the cap.
+
+    With k the smaller side, 2^k <= (n/k)^k <= C(n, k) < 2^n, so n <= cap
+    admits and k >= cap refuses at once.  Otherwise log2 C(n, k) is
+    estimated to well under a bit: below n = 2^40 from three `math.lgamma`
+    terms, each good to a few ulps; above it as log2(n^k / k!), which
+    `math.log2` reads off an int of any size and which exceeds
+    log2 C(n, k) by k*log2(n/(n-k+1)) < 2^-7 bits for k < 2^16.  An
+    estimate within a bit of the cap is settled by the exact count.
+    """
+    k = min(k, n - k)
+    if n <= cap or k >= cap:
+        return n > cap
+    if n < 1 << 40:
+        log2c = (math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)) / math.log(2)
+    else:
+        log2c = k * math.log2(n) - math.lgamma(k + 1) / math.log(2)
+    if abs(log2c - cap) > 1:  # bit_length is floor(log2 C) + 1
+        return log2c > cap
+    return math.comb(n, k).bit_length() > cap
+
+
 def scheme_counts(num_files: int, num_users: int, r: int) -> tuple[int, int, int, int]:
     """Every payload size of (N, K, r), in closed form, with K' = N*K - K + 1.
 
@@ -53,7 +85,8 @@ def scheme_counts(num_files: int, num_users: int, r: int) -> tuple[int, int, int
     C(K', r+1) - C(K'-N, r+1) leader-intersecting (r+1)-subsets, the stored
     ones; the C(K'-N, r+1) others; and C(K'-1, r-1) (r-1)-subsets avoiding
     t_d.  An instance with N < 2, K < 1 or r outside [0, K'] raises
-    ValueError.
+    ValueError, and one whose C(K', r) has more than `COUNT_BITS_CAP` bits
+    raises `ScaleLimitError` before any binomial is computed.
     """
     if num_files < 2:
         raise ValueError(f"need at least 2 files, got {num_files}")
@@ -62,6 +95,11 @@ def scheme_counts(num_files: int, num_users: int, r: int) -> tuple[int, int, int
     positions = position_count(num_files, num_users)
     if not 0 <= r <= positions:
         raise ValueError(f"r={r} outside [0, {positions}]")
+    if _binomial_bits_exceed(positions, r, COUNT_BITS_CAP):
+        raise ScaleLimitError(
+            f"C(K', r) = C({_count(positions)}, {_count(r)}) has more than "
+            f"{COUNT_BITS_CAP} bits, which exceeds the cap"
+        )
     subfiles = binomial(positions, r)
     rebuilt = binomial(positions - num_files, r + 1)
     # C(K'-1, r-1) = C(K', r) * r / K' exactly, one binomial fewer.

@@ -326,3 +326,72 @@ def refuse_tradeoff_rows(monkeypatch) -> None:
         raise RowsBuilt(num_users)
 
     monkeypatch.setattr(tradeoff, "_two_file_curves", refuse)
+
+
+def oracle_cli_parser(argv: list[str]):
+    """The parser `privcache.cli.main` built for every argv before each
+    command got a parser of its own: every command with its help, but
+    arguments only for the invoked one, the first token not starting with
+    '-' (the top level has only -h).  The flags are written out here, not
+    borrowed from the CLI, so a flag the CLI drops or changes shows."""
+    import argparse
+
+    from privcache import cli
+
+    def add_instance_flags(p, need_r=True):
+        p.add_argument("--n", type=int, required=True, help="number of files (N >= 2)")
+        p.add_argument("--k", type=int, required=True, help="number of users (K >= 1)")
+        p.add_argument("--r", type=int, required=need_r, help="split parameter in [0, N*K-K+1]")
+        p.add_argument("--f", type=int, default=None, help="file length in bits (default: minimal)")
+        p.add_argument(
+            "--subfile-bits", type=int, default=1,
+            help="bits per subfile when --f is not given (default 1)",
+        )
+
+    parser = argparse.ArgumentParser(
+        prog="privcache",
+        description="Demand-private coded caching: simulation, verification, tradeoff region",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    invoked = next((tok for tok in argv if not tok.startswith("-")), None)
+
+    p = sub.add_parser("params", help="print exact (M, R) and size accounting")
+    if invoked == "params":
+        add_instance_flags(p)
+        p.add_argument("--format", choices=("text", "json"), default="text")
+        p.set_defaults(func=cli.cmd_params)
+
+    p = sub.add_parser("simulate", help="run one placement/delivery/decode session")
+    if invoked == "simulate":
+        add_instance_flags(p)
+        p.add_argument("--seed", default="0", help="session seed (default 0)")
+        p.add_argument("--demands", default=None, help="comma-separated demand digits")
+        p.add_argument("--library", default=None, help="raw library file (with .json sidecar)")
+        p.set_defaults(func=cli.cmd_simulate)
+
+    p = sub.add_parser("verify", help="run exhaustive verification suites")
+    if invoked == "verify":
+        p.add_argument(
+            "--suite", choices=("correctness", "privacy", "lemma1", "identities", "reconstruction", "all"),
+            default="all",
+        )
+        add_instance_flags(p)
+        p.add_argument("--seed", default="0", help="library seed (default 0)")
+        p.add_argument(
+            "--mode",
+            choices=("conditional-on-files", "conditional", "full-marginal"),
+            default="conditional-on-files",
+            help="privacy flavor (default conditional-on-files)",
+        )
+        p.add_argument("--format", choices=("text", "json"), default="text")
+        p.set_defaults(func=cli.cmd_verify)
+
+    p = sub.add_parser("tradeoff", help="emit achievable vs converse rows over [0, 2]")
+    if invoked == "tradeoff":
+        p.add_argument("--k", type=int, required=True, help="number of users (2 <= K <= 1000)")
+        p.add_argument("--grid", default="1/100", help="grid step as a fraction (default 1/100)")
+        p.add_argument("--format", choices=("csv", "json", "text"), default="csv")
+        p.add_argument("--out", default=None, help="write to a file instead of stdout")
+        p.set_defaults(func=cli.cmd_tradeoff)
+
+    return parser

@@ -1,3 +1,5 @@
+import argparse
+import contextlib
 import csv
 import hashlib
 import io
@@ -7,13 +9,14 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import refuse_tradeoff_rows
+from helpers import oracle_cli_parser, refuse_tradeoff_rows
 from privcache import cli
 from privcache.cli import main
 from privcache.reference import delivered_segment_indices, stored_signal_indices
@@ -104,6 +107,19 @@ def test_params_refuses_counts_too_long_to_print(capsys, fmt):
     code, out = run_cli(capsys, "params", "--n", "2", "--k", "14290", "--r", "7145", "--format", fmt)
     assert code == 0
     assert len(str(SchemeParams.minimal(2, 14290, 7145).file_bits)) == 4300
+
+
+def test_a_count_past_the_bit_cap_is_refused_at_once(capsys):
+    # C(10^9 + 1, 5 * 10^8) is priced, not computed: math.comb would run for hours
+    start = time.perf_counter()
+    run_cli_expect_usage_error("params", "--n", "2", "--k", "1000000000", "--r", "500000000")
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: privcache params ")
+    assert err.endswith(
+        "privcache params: error: C(K', r) = C(1000000001, 500000000) has more than 65536 bits, "
+        "which exceeds the cap\n"
+    )
 
 
 def test_simulate_success_and_determinism(capsys):
@@ -526,3 +542,121 @@ def test_help_and_usage_text_is_pinned(argv, code, stdout_digest, stderr_digest)
     assert proc.returncode == code
     assert hashlib.sha256(proc.stdout).hexdigest() == stdout_digest
     assert hashlib.sha256(proc.stderr).hexdigest() == stderr_digest
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("simulate", "--n", "2", "--k", "3", "--r", "2", "--demands", ""), "cannot parse --demands ''"),
+        (("verify", "--suite", "correctness", "--n", "2", "--k", "13", "--r", "2"),
+         "correctness enumeration of ~12213813248 cases exceeds the cap"),
+        (("verify", "--suite", "privacy", "--n", "2", "--k", "3", "--r", "2", "--bogus"),
+         "unrecognized arguments: --bogus"),
+    ],
+)
+def test_usage_errors_print_the_commands_own_usage(capsys, argv, message):
+    # a command's own refusals (bad --demands, a ScaleLimitError) and argparse's
+    # errors alike name the command, not the top-level parser
+    run_cli_expect_usage_error(*argv)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage: privcache {argv[0]} ")
+    assert f"privcache {argv[0]}: error: {message}" in captured.err
+
+
+VERIFY_ARGV = ["verify", "--suite", "privacy", "--n", "2", "--k", "3", "--r", "2"]
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        ([], 2),
+        (["-h"], 0),
+        (["-h", "verify"], 0),
+        (["--", *VERIFY_ARGV], 2),
+        (["--foo", *VERIFY_ARGV], 2),
+        (["frobnicate"], 2),
+    ],
+)
+def test_an_argv_not_led_by_a_command_exits_without_running_one(monkeypatch, capsys, argv, code):
+    # the exit codes of the parser that read every argv, before each command got its own
+    for name in ("cmd_params", "cmd_simulate", "cmd_verify", "cmd_tradeoff"):
+        monkeypatch.setattr(cli, name, lambda args, parser: pytest.fail("a command ran"))
+    for parse in (main, cli._parse):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+        assert exc.value.code == code
+        captured = capsys.readouterr()
+        assert (captured.out if code == 0 else captured.err).startswith("usage: privcache [-h]")
+
+
+def test_a_top_level_parse_that_returns_is_still_a_usage_error(monkeypatch, capsys):
+    # argparse releases that let `privcache -- verify` reach the command must not run it
+    monkeypatch.setattr(
+        argparse.ArgumentParser, "parse_args", lambda self, args=None, namespace=None: argparse.Namespace()
+    )
+    with pytest.raises(SystemExit) as exc:
+        cli._parse(["--", "verify"])
+    assert exc.value.code == 2
+    assert "privcache: error: the command must be the first argument" in capsys.readouterr().err
+
+
+def test_mode_names_are_the_verifiers_own():
+    from privcache import verify
+
+    assert cli.MODES == (verify.CONDITIONAL, "conditional", verify.FULL_MARGINAL)
+
+
+def _outcome(parse, argv):
+    """("ok", namespace dict) or ("exit", code, stdout, the text after "error: ")."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            namespace = parse(argv)
+        except SystemExit as exc:
+            return "exit", exc.code, out.getvalue(), err.getvalue().partition("error: ")[2]
+    return "ok", {key: value for key, value in vars(namespace).items() if key != "command"}
+
+
+_INTS = st.one_of(st.integers(-2, 12).map(str), st.sampled_from(["", "x", "1.5", "0x3", "1_0", "-"]))
+_FLAG_VALUES = {
+    "--n": _INTS, "--k": _INTS, "--r": _INTS, "--f": _INTS, "--subfile-bits": _INTS,
+    "--seed": st.sampled_from(["0", "7", "abc", ""]),
+    "--demands": st.sampled_from(["0,1,1", "", "x"]),
+    "--library": st.sampled_from(["lib.bin", ""]),
+    "--suite": st.sampled_from(cli.SUITES + ("bogus",)),
+    "--mode": st.sampled_from(cli.MODES + ("marginal",)),
+    "--format": st.sampled_from(["text", "json", "csv", "xml"]),
+    "--grid": st.sampled_from(["1/100", "1/0", "x"]),
+    "--out": st.sampled_from(["rows.csv", ""]),
+}
+_COMMANDS = ("params", "simulate", "verify", "tradeoff")
+_JUNK = st.sampled_from(
+    ["-h", "--help", "--", "--bogus", "junk", "-n", "--su", "--s", "--fo", "--n=3", "--mode=conditional",
+     "-1", "", *_COMMANDS]
+)
+_PIECES = st.one_of(
+    st.sampled_from(sorted(_FLAG_VALUES)).flatmap(lambda flag: _FLAG_VALUES[flag].map(lambda v: [flag, v])),
+    st.tuples(*[st.integers(0, 4).map(str)] * 3).map(lambda v: ["--n", v[0], "--k", v[1], "--r", v[2]]),
+    _JUNK.map(lambda tok: [tok]),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    first=st.one_of(st.sampled_from(_COMMANDS), _JUNK),
+    pieces=st.lists(_PIECES, max_size=6),
+)
+@example(first="verify", pieces=[["--n", "2", "--k", "3", "--r", "2"]])
+@example(first="--foo", pieces=[["verify"], ["--n", "x"], ["-h"]])
+@example(first="tradeoff", pieces=[["--k", "3"], ["--"], ["--grid"]])
+def test_parse_matches_the_parser_that_read_every_argv(first, pieces):
+    # the same namespace where the old parser accepted an argv, the same exit code
+    # where it did not; a command named first prints the same help and error text
+    argv = [first] + [tok for piece in pieces for tok in piece]
+    want = _outcome(lambda a: oracle_cli_parser(a).parse_args(a), argv)
+    got = _outcome(lambda a: cli._parse(a)[0], argv)
+    if want[0] == "ok" or first in _COMMANDS:
+        assert got == want, argv
+    else:
+        assert got[:2] == want[:2], argv

@@ -1,8 +1,18 @@
 import itertools
+import math
+import time
 
 import pytest
 
-from privcache.combinat import binomial, colex_rank, colex_subsets
+from privcache.combinat import (
+    COUNT_BITS_CAP,
+    ScaleLimitError,
+    _binomial_bits_exceed,
+    binomial,
+    colex_rank,
+    colex_subsets,
+    scheme_counts,
+)
 from privcache.reference import SubsetIndex, enumerate_r_subsets, subset_rank, subset_unrank
 
 
@@ -132,3 +142,50 @@ def test_subset_index_operations():
         s.adding(0)
     with pytest.raises(ValueError):
         s.without(3)
+
+
+@pytest.mark.parametrize(
+    "n, k, fits",
+    [
+        (65544, 32772, True),  # exactly 65,536 bits
+        (65545, 32772, False),  # one more
+        (70000, 24680, True),
+        (70000, 24681, False),
+        (10**6, 7760, False),
+        (2**40 - 1, 2159, False),  # the last n priced by three lgamma terms
+        (2**40, 2159, False),  # the first priced as n^k / k!
+        (10**15, 1614, False),
+        (2**5000, 14, False),
+    ],
+)
+def test_the_count_bit_cap_is_exact_at_its_edge(n, k, fits):
+    # each k that does not fit is the first such, found by exact bisection
+    for size in (k, n - k):
+        assert (math.comb(n, size).bit_length() <= COUNT_BITS_CAP) == fits
+        assert _binomial_bits_exceed(n, size, COUNT_BITS_CAP) == (not fits)
+    if not fits and n != 65545:
+        assert math.comb(n, k - 1).bit_length() <= COUNT_BITS_CAP
+        assert not _binomial_bits_exceed(n, k - 1, COUNT_BITS_CAP)
+
+
+def test_counts_past_the_bit_cap_are_refused_before_any_binomial(monkeypatch):
+    # C(10^9 + 1, 5 * 10^8) would keep math.comb busy for hours
+    def refuse(*_):
+        raise AssertionError("binomial computed")
+
+    monkeypatch.setattr(math, "comb", refuse)
+    start = time.perf_counter()
+    for n, k, r in [(2, 10**9, 5 * 10**8), (2, 10**9, 10**9 - 5 * 10**8 + 1), (3, 10**6, 10**5), (10**20000, 2, 1)]:
+        with pytest.raises(ScaleLimitError, match=r"^C\(K', r\) = C\(.*\) has more than 65536 bits, which exceeds the cap$"):
+            scheme_counts(n, k, r)
+    assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize(
+    "n, k, r", [(2, 14291, 7146), (2, 20000, 10000), (2, 20000, 1), (2, 10**9, 10**9), (2, 10**9, 2), (2, 30, 29)]
+)
+def test_counts_under_the_bit_cap_are_computed(n, k, r):
+    positions = n * k - k + 1
+    start = time.perf_counter()
+    assert scheme_counts(n, k, r)[0] == math.comb(positions, r)
+    assert time.perf_counter() - start < 0.5
