@@ -140,6 +140,10 @@ def cmd_simulate(args, parser) -> int:
     params = _params_from(args, parser)
     n, k_users = params.num_files, params.num_users
     files, origin = _load_library(args, params, parser)
+    try:  # the plan's size guard may refuse the instance, before any per-user draw
+        params.plan
+    except ScaleLimitError as exc:
+        parser.error(str(exc))
     if args.demands is not None:
         tokens = args.demands.split(",")
         try:
@@ -158,10 +162,7 @@ def cmd_simulate(args, parser) -> int:
         demands = tuple(rng.randrange(n) for _ in range(k_users))
 
     rand = SessionRandomness.from_seed(params, args.seed)
-    try:  # placement builds the plan, whose size guard may refuse the instance
-        caches = place(files, params, rand)
-    except ScaleLimitError as exc:
-        parser.error(str(exc))
+    caches = place(files, params, rand)
     point = memory_rate_of(params)
 
     print(f"simulate N={n} K={k_users} r={params.r} F={params.file_bits} seed={args.seed}")

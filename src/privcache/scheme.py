@@ -27,10 +27,12 @@ constructors reject any other shape, so every entry point, `from_bytes`
 included, gets one set of checks, sized by the closed-form
 `SchemeParams.counts` rather than the plan.  Each expands itself once,
 however many decodes read it (`CacheContent.signal_values`,
-`DeliverySignal.segment_values`); `decode` shifts `plan.virtual` by the
-key.  The per-element formulas those tables are tested against
-(`subfile`, `compute_y`, `x_segment`, the wire order as subsets, the
-demand classes and `f_map`) live in `reference`, which no session loads.
+`DeliverySignal.segment_values`); `decode` joins the subfiles that
+`_decoded_subfiles` rebuilds, shifting `plan.virtual` by the key, and the
+correctness verifier compares those subfiles without the join.  The
+per-element formulas those tables are tested against (`subfile`,
+`compute_y`, `x_segment`, the wire order as subsets, the demand classes
+and `f_map`) live in `reference`, which no session loads.
 
 Every value class here is a `_record.FrozenRecord` with an explicit
 constructor: it stores its fields with one `_store` call, in declaration
@@ -432,6 +434,7 @@ def place(files: FileLibrary, params: SchemeParams, rand: SessionRandomness) -> 
         raise ValueError("library was split under different parameters")
     if len(rand.keys) != params.num_users or rand.num_files != params.num_files:
         raise ValueError("session randomness does not match parameters")
+    params.plan  # its size guard refuses the instance before any per-user work
     caches = []
     for k, key in enumerate(rand.keys):
         u = yma.build_u_vector(params.num_files, params.num_users, k, key)
@@ -440,7 +443,13 @@ def place(files: FileLibrary, params: SchemeParams, rand: SessionRandomness) -> 
 
 
 def decode(cache: CacheContent, x: DeliverySignal, user: int, demand: int) -> Bits:
-    """Recover the demanded file from one cache and one broadcast.
+    """Recover the demanded file from one cache and one broadcast: the
+    subfiles of `_decoded_subfiles`, joined in colex order."""
+    return Bits.from_blocks(_decoded_subfiles(cache, x, user, demand), cache.params.subfile_bits)
+
+
+def _decoded_subfiles(cache: CacheContent, x: DeliverySignal, user: int, demand: int) -> list[int]:
+    """The demanded file's subfiles as ints, in colex order of their r-subsets.
 
     Subfile by subfile (r-subsets R in colex order): XOR the signals at
     {t} union R for selector positions t outside R with the segments at
@@ -477,7 +486,7 @@ def decode(cache: CacheContent, x: DeliverySignal, user: int, demand: int) -> Bi
         for t, j in down:
             acc ^= segments[t][j]
         parts.append(acc)
-    return Bits.from_blocks(parts, params.subfile_bits)
+    return parts
 
 
 def memory_rate_of(params: SchemeParams) -> RatePoint:

@@ -1,10 +1,17 @@
 """Exhaustive verification engines.
 
-Correctness reads one table of broadcasts, built once per call for every
-(auxiliary demand, t) the scheme can send, and sweeps every (demand
-vector, key vector, t-choice, user) tuple over it, checking bit-exact
-decoding, each cache and broadcast expanded once over `SchemeParams.plan`
-(`signal_values`, `segment_values`, `virtual`).  Privacy is one histogram
+Correctness builds every broadcast the scheme can send, one per
+(auxiliary digits a, t), and every cache, one per (user k, key digit s).
+A user sees the demands only through a = D - S (mod N), so a decode
+depends on (a, t, k, s) alone and must return file (a_k + s) mod N: each
+such decode runs once, through the decoder's own loop
+(`scheme._decoded_subfiles`), and its subfiles are compared with the
+library's split.  For a fixed key vector D -> a is a bijection, so one
+check stands for N^(K-1) (demand vector, key vector, t, user) tuples;
+the report counts those tuples, and a failing check is reported as every
+one of them.  Correctness is capped by its decode calls (the case cap)
+and by the subfiles they rebuild (`_correctness_work`), never by the
+N^(2K) tuples it stands for.  Privacy is one histogram
 check: per user and own-demand value, the exact distribution of the
 observable must be identical across every completion of the other
 demands; no sampling, no floats.  An outcome is the pair of wire headers
@@ -22,15 +29,17 @@ one widest header pair and no header table.  Any other masking, such as
 the unmasked negative control, is enumerated under the case cap: a
 histogram is compared as the sorted ids of its cells, and only two lists
 that differ are expanded into integer weight maps, which decide the
-verdict and count the differing outcomes.  The sweep, the factor check
-and the enumeration mask demands by keys through one `_rotation`, of
-which `_masked` is the product.  Full-marginal mode covers every
-1-bit-subfile library of up to 512 bits at once: a header's payload is
-uniform over the image of the basis library's GF(2) masks, so header
-weights decide the verdict and mask ranks count the differing outcomes.
-The oracle engines brute-force the file identity and check decoding's
-signal reconstruction against its definition (`reference.compute_y`,
-imported by that oracle alone), each under its own case cap.
+verdict and count the differing outcomes.  The factor check and the
+enumeration mask demands by keys through one `_rotation`, of which
+`_masked`, read by the test oracles, is the product.  Full-marginal mode
+covers every 1-bit-subfile library of up to 512 bits at once: a header's
+payload is uniform over the image of the basis library's GF(2) masks, so
+header weights decide the verdict and mask ranks count the differing
+outcomes.  The oracle engines brute-force the file identity and check
+decoding's signal reconstruction against its definition
+(`reference.compute_y`, imported by that oracle alone), each under its
+own case cap; they diagnose the decoder's building blocks and are not the
+proof of correctness.
 `ScaleLimitError` lives in `combinat`, next to the counts the guards
 read, and is re-exported here.  A run's outcome is a
 `VerificationReport`, a mutable `_record.Record`: field-wise equality
@@ -63,7 +72,7 @@ from .scheme import (
     delivery_header,
     g_map,
     place,
-    decode,
+    _decoded_subfiles,
 )
 
 _CASE_CAP = 20_000_000
@@ -186,7 +195,7 @@ def _headers(params: SchemeParams) -> tuple[dict[tuple[int, ...], dict[int, byte
 
 
 def _correctness_work(params: SchemeParams) -> int:
-    """Subfiles the correctness sweep rebuilds, at most: one decode per
+    """Subfiles the correctness check rebuilds, at most: one decode per
     (auxiliary digits, t, user, key), each rebuilding all C(K', r) subfiles.
     A selector holds at most K' positions, and exactly one when K = 1 (every
     one-user demand is constant), so K = 1 is priced exactly."""
@@ -202,40 +211,64 @@ def verify_correctness_exhaustive(
 ) -> VerificationReport:
     """Decode check over all demands, all keys, all t-choices, all users.
 
+    A user sees the demands only through the broadcast's auxiliary digits
+    a = D - S (mod N), so a decode depends on (a, t, user k, key digit s)
+    alone and must return file (a_k + s) mod N.  Each such check runs once,
+    subfile by subfile against the library's split, on the real placement
+    and delivery.  For a fixed key vector, D -> a is a bijection, so one
+    check stands for the N^(K-1) tuples (D, S, t, k) with S_k = s, and
+    `cases_run` counts those tuples.
+
     `mutate_delivery` taps the broadcast before it reaches the decoders;
     fault-injection tests use it to confirm that corruption is detected
-    and reported with the exact failing (D, S, t, k) tuples.
+    and reported with the exact failing (D, S, t, k) tuples
+    (`_failing_tuples`).
     """
-    _guard_enumeration(params, "correctness")
-    start = time.perf_counter()
     n, k_users = params.num_files, params.num_users
     work = _correctness_work(params)
+    # each check is one decode call, of C(K', r) subfiles
+    _guard_cases("correctness check", work // params.subfile_count)
     if work > _DECODE_WORK_CAP:
         raise ScaleLimitError(f"correctness decoding of ~{_count(work)} subfiles exceeds the cap")
+    start = time.perf_counter()
     caches = _caches_by_key(params, files)
     deliveries = _deliveries(params, files)
-    selectors = {x.aux.digits: x.aux.selector for x in deliveries.values()}  # built by _deliveries
     if mutate_delivery is not None:
         deliveries = {key: mutate_delivery(x) for key, x in deliveries.items()}
-    # a decode depends on (broadcast, user, key digit) alone, the demand being (d_k + key) mod N
-    decoded = {
-        ((digits, t), k, s): decode(caches[(k, s)], x, k, (digits[k] + s) % n)
-        for (digits, t), x in deliveries.items() for k in range(k_users) for s in range(n)
-    }
-    failures = []
-    cases = 0
-    vectors = _all_digit_vectors(n, k_users)
-    for demands in vectors:
-        for keys, digits in zip(vectors, _masked(demands, n)):
-            for t in selectors[digits]:
-                for k in range(k_users):
-                    got = decoded[((digits, t), k, keys[k])]
-                    want = files.files[demands[k]]
-                    cases += 1
-                    if got != want:
-                        failures.append(((demands, keys, t, k), want.to01(), got.to01()))
+    wanted = [list(row) for row in files.subfiles]
+    checks = 0
+    failed = {}
+    for (digits, t), x in deliveries.items():
+        for k in range(k_users):
+            for s in range(n):
+                demand = (digits[k] + s) % n
+                got = _decoded_subfiles(caches[(k, s)], x, k, demand)
+                checks += 1
+                if got != wanted[demand]:
+                    failed[(digits, t, k, s)] = got
+    failures = _failing_tuples(params, files, failed)
     scope = f"correctness N={n} K={k_users} r={params.r} F={params.file_bits}"
-    return VerificationReport(scope, cases, failures, time.perf_counter() - start)
+    return VerificationReport(scope, checks * n ** (k_users - 1), failures, time.perf_counter() - start)
+
+
+def _failing_tuples(params: SchemeParams, files: FileLibrary, failed: dict) -> list[tuple]:
+    """Each failing (aux digits a, t, user k, key digit s) check, mapped to
+    its decoded subfiles in `failed`, as its N^(K-1) tuples (D, S, t, k):
+    every key vector S with S_k = s, and D = (a + S) mod N.  Sorted, they
+    come in the order of a sweep over D, then S, then t, then k, each with
+    (wanted, decoded) file bits."""
+    n = params.num_files
+    out = []
+    for (digits, t, k, s), got in failed.items():
+        want = files.files[(digits[k] + s) % n].to01()
+        got_bits = Bits.from_blocks(got, params.subfile_bits).to01()
+        choices = [range(n)] * len(digits)
+        choices[k] = (s,)
+        for keys in itertools.product(*choices):
+            demands = tuple((a + v) % n for a, v in zip(digits, keys))
+            out.append(((demands, keys, t, k), want, got_bits))
+    out.sort(key=lambda failure: failure[0])
+    return out
 
 
 def _privacy(

@@ -25,6 +25,7 @@ from privcache.scheme import (
     SchemeParams,
     aux_demand,
     cache_header,
+    decode,
     delivery_header,
 )
 from privcache import verify
@@ -233,6 +234,44 @@ def weight_map_privacy(params: SchemeParams, what: str, masked: bool, spread=Non
                     )
     scope = f"privacy[{what}] N={n} K={k_users} r={params.r}"
     return VerificationReport(scope + ("" if masked else " (unmasked negative control)"), cases, failures)
+
+
+def sweep_correctness(params: SchemeParams, files: FileLibrary, mutate_delivery=None) -> VerificationReport:
+    """`verify.verify_correctness_exhaustive` by a sweep over every (demand
+    vector, key vector, t-choice, user) tuple, its oracle.
+
+    Same signature and report: every broadcast and cache comes from
+    `verify._deliveries` and `verify._caches_by_key`, each decoded once per
+    (broadcast, user, key digit) through `scheme.decode`, and that table is
+    read once per tuple, with demands masked by keys through `verify._masked`;
+    a failure is ((D, S, t, k), wanted bits, decoded bits), in sweep order.
+    """
+    verify._guard_enumeration(params, "correctness")
+    n, k_users = params.num_files, params.num_users
+    caches = _caches_by_key(params, files)
+    deliveries = _deliveries(params, files)
+    selectors = {x.aux.digits: x.aux.selector for x in deliveries.values()}
+    if mutate_delivery is not None:
+        deliveries = {key: mutate_delivery(x) for key, x in deliveries.items()}
+    # a decode depends on (broadcast, user, key digit) alone, the demand being (d_k + key) mod N
+    decoded = {
+        ((digits, t), k, s): decode(caches[(k, s)], x, k, (digits[k] + s) % n)
+        for (digits, t), x in deliveries.items() for k in range(k_users) for s in range(n)
+    }
+    failures = []
+    cases = 0
+    vectors = verify._all_digit_vectors(n, k_users)
+    for demands in vectors:
+        for keys, digits in zip(vectors, verify._masked(demands, n)):
+            for t in selectors[digits]:
+                for k in range(k_users):
+                    got = decoded[((digits, t), k, keys[k])]
+                    want = files.files[demands[k]]
+                    cases += 1
+                    if got != want:
+                        failures.append(((demands, keys, t, k), want.to01(), got.to01()))
+    scope = f"correctness N={n} K={k_users} r={params.r} F={params.file_bits}"
+    return VerificationReport(scope, cases, failures)
 
 
 def symbol(params: SchemeParams, file_index: int, members) -> Bits:

@@ -278,6 +278,20 @@ def test_library_lengths_past_the_int_to_str_limit_are_usage_errors(capsys, argv
     assert "Exceeds the limit" not in err
 
 
+def test_simulate_is_refused_by_the_plan_before_any_per_user_draw(monkeypatch, capsys):
+    # K' = 10^8 + 1 one-bit subfiles per file: the library is drawn, then the
+    # plan guard refuses the run before 10^8 demand and key digits are drawn
+    def no_draws(self, *args):
+        raise AssertionError("per-user digits drawn")
+
+    monkeypatch.setattr(random.Random, "randrange", no_draws)
+    run_cli_expect_usage_error("simulate", "--n", "2", "--k", "100000000", "--r", "100000000")
+    captured = capsys.readouterr()
+    assert "the plan of N=2 K=100000000 r=100000000 costs ~" in captured.err
+    assert "which exceeds the cap of 2000000" in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize(
     "suite, n, k, r", [("identities", "2", "30", "0"), ("reconstruction", "2", "30", "5")]
 )
@@ -549,7 +563,7 @@ def test_help_and_usage_text_is_pinned(argv, code, stdout_digest, stderr_digest)
     [
         (("simulate", "--n", "2", "--k", "3", "--r", "2", "--demands", ""), "cannot parse --demands ''"),
         (("verify", "--suite", "correctness", "--n", "2", "--k", "13", "--r", "2"),
-         "correctness enumeration of ~12213813248 cases exceeds the cap"),
+         "correctness decoding of ~271351808 subfiles exceeds the cap"),
         (("verify", "--suite", "privacy", "--n", "2", "--k", "3", "--r", "2", "--bogus"),
          "unrecognized arguments: --bogus"),
     ],

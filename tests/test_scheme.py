@@ -7,7 +7,7 @@ import pytest
 from helpers import basis_library, payload_entry, seeded_library, symbol, xor_symbols
 from privcache import scheme
 from privcache.bitvec import Bits
-from privcache.combinat import binomial, position_count
+from privcache.combinat import ScaleLimitError, binomial, position_count
 from privcache.reference import (
     DemandClass,
     SubsetIndex,
@@ -497,6 +497,40 @@ def test_decode_error_cases():
         decode(caches[0], x, 1, 1)  # wrong user for this cache
     with pytest.raises(ValueError):
         decode(caches[0], x, 0, 0)  # demand inconsistent with key and aux digit
+
+
+
+def test_decoded_subfiles_make_the_checks_decode_makes():
+    # the verifier calls the loop without the join, so every refusal must
+    # come from the loop itself
+    params, files = seeded_library(2, 3, 2)
+    caches = place(files, params, SessionRandomness(2, (0, 0, 0)))
+    x = build_delivery(files, aux_demand((1, 0, 0), (0, 0, 0), 2), 0)
+    _, wide = seeded_library(2, 3, 2, bits_per_subfile=4)
+    other = build_delivery(wide, AuxDemand((1, 0, 0), 2), 0)
+    for cache, x_, user, demand, message in [
+        (caches[0], x, 1, 1, "cache belongs to user 0, not 1"),
+        (caches[0], other, 0, 1, "broadcast was built under different parameters"),
+        (caches[0], x, 0, 0, "demand 0 inconsistent with key 0 and auxiliary digit 1"),
+    ]:
+        for call in (decode, scheme._decoded_subfiles):
+            with pytest.raises(ValueError, match=message):
+                call(cache, x_, user, demand)
+    parts = scheme._decoded_subfiles(caches[0], x, 0, 1)
+    assert parts == list(files.subfiles[1])
+    assert Bits.from_blocks(parts, params.subfile_bits) == decode(caches[0], x, 0, 1)
+
+
+def test_place_is_refused_by_the_plan_before_any_user_is_placed(monkeypatch):
+    # C(K', r) = K' = 10^6 + 1 subfiles, but a plan of ~10^12 entries
+    def unbuilt(*args):
+        raise AssertionError("a user's vector built before the plan guard")
+
+    monkeypatch.setattr("privcache.yma.build_u_vector", unbuilt)
+    params = SchemeParams.minimal(2, 10**6, 10**6)
+    files = FileLibrary(params, (Bits.zeros(params.file_bits),) * 2)
+    with pytest.raises(ScaleLimitError, match="exceeds the cap of 2000000"):
+        place(files, params, SessionRandomness(2, (0,) * 10**6))
 
 
 # ----------------------------------------------------------- rate accounting
