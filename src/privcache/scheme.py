@@ -28,8 +28,10 @@ included, gets one set of checks, sized by the closed-form
 `SchemeParams.counts` rather than the plan.  Each expands itself once,
 however many decodes read it (`CacheContent.signal_values`,
 `DeliverySignal.segment_values`); `decode` joins the subfiles that
-`_decoded_subfiles` rebuilds, shifting `plan.virtual` by the key, and the
-correctness verifier compares those subfiles without the join.  The
+`_xor_decode`, the one decode loop, rebuilds from the cache, the selector
+and the segment expansion, shifting `plan.virtual` by the key, and the
+correctness verifier compares those subfiles without the join, once per
+distinct expansion.  The
 per-element formulas those tables are tested against (`subfile`,
 `compute_y`, `x_segment`, the wire order as subsets, the demand classes
 and `f_map`) live in `reference`, which no session loads.
@@ -451,31 +453,44 @@ def decode(cache: CacheContent, x: DeliverySignal, user: int, demand: int) -> Bi
 def _decoded_subfiles(cache: CacheContent, x: DeliverySignal, user: int, demand: int) -> list[int]:
     """The demanded file's subfiles as ints, in colex order of their r-subsets.
 
-    Subfile by subfile (r-subsets R in colex order): XOR the signals at
-    {t} union R for selector positions t outside R with the segments at
-    R minus {t} for t in R, where the segment's file index is the user's
-    digit under the t-th labeled demand (`SchemeParams.plan.virtual`),
-    shifted by the cache key.  Signals missing from the cache (`signal_values`) and
-    segments missing from the broadcast (`segment_values`) are rebuilt once
-    per payload, never assumed; both payloads checked their shape when built.
+    Checks that the cache, the broadcast and the demand belong together,
+    then runs `_xor_decode` on the broadcast's selector and segment
+    expansion.  Segments missing from the broadcast (`segment_values`) are
+    rebuilt once per payload, never assumed; both payloads checked their
+    shape when built.
     """
     params = cache.params
-    n = params.num_files
     if user != cache.user:
         raise ValueError(f"cache belongs to user {cache.user}, not {user}")
     if x.params != params:
         raise ValueError("broadcast was built under different parameters")
     d = x.aux
-    if (d.digits[user] + cache.key) % n != demand:
+    if (d.digits[user] + cache.key) % params.num_files != demand:
         raise ValueError(
             f"demand {demand} inconsistent with key {cache.key} and auxiliary digit {d.digits[user]}"
         )
-    plan = params.plan
-    selector = d.selector
+    return _xor_decode(cache, d.selector, x.segment_values)
+
+
+def _xor_decode(cache: CacheContent, selector: tuple[int, ...], expansion: list[list[int]]) -> list[int]:
+    """The one decode loop, shared by `decode` and the correctness verifier.
+
+    Subfile by subfile (r-subsets R in colex order): XOR the signals at
+    {t} union R for selector positions t outside R with the segments at
+    R minus {t} for t in R, where the segment's file index is the user's
+    digit under the t-th labeled demand (`SchemeParams.plan.virtual`),
+    shifted by the cache key.  Signals missing from the cache
+    (`signal_values`) are rebuilt once per cache.  The broadcast enters only
+    as its selector and its segment expansion by file and colex rank
+    (`DeliverySignal.segment_values`), never as t_d or the sent segments,
+    so broadcasts with equal selectors and expansions decode alike.
+    """
+    n = cache.params.num_files
+    plan = cache.params.plan
     signals = cache.signal_values
     # position t's segments are those of the user's digit under the t-th
     # labeled demand (g_map), shifted by the key
-    segments = [x.segment_values[(v + cache.key) % n] for v in plan.virtual[user]]
+    segments = [expansion[(v + cache.key) % n] for v in plan.virtual[cache.user]]
     parts = []
     for up, down in zip(plan.subfile_up, plan.subfile_down):
         acc = 0

@@ -3,15 +3,20 @@
 Correctness builds every broadcast the scheme can send, one per
 (auxiliary digits a, t), and every cache, one per (user k, key digit s).
 A user sees the demands only through a = D - S (mod N), so a decode
-depends on (a, t, k, s) alone and must return file (a_k + s) mod N: each
-such decode runs once, through the decoder's own loop
-(`scheme._decoded_subfiles`), and its subfiles are compared with the
-library's split.  For a fixed key vector D -> a is a bijection, so one
-check stands for N^(K-1) (demand vector, key vector, t, user) tuples;
-the report counts those tuples, and a failing check is reported as every
-one of them.  Correctness is capped by its decode calls (the case cap)
-and by the subfiles they rebuild (`_correctness_work`), never by the
-N^(2K) tuples it stands for.  Privacy is one histogram
+depends on (a, t, k, s) alone and must return file (a_k + s) mod N.  It
+reads the broadcast only through its selector and segment expansion
+(`scheme._xor_decode`, the decoder's own loop), so decodes are
+quotiented over t: the broadcasts of one a are grouped by equal
+expansion, each (group, k, s) decode runs once, and its subfiles are
+compared with the library's split for every t of the group.  A correct
+scheme sends one expansion per a, so one decode per (a, k, s).  For a
+fixed key vector D -> a is a bijection, so one check stands for N^(K-1)
+(demand vector, key vector, t, user) tuples; the report counts those
+tuples, and a failing check is reported as every one of them.
+Correctness is capped by its decode calls (the case cap) and by the
+subfiles they rebuild (`_correctness_work`), never by the N^(2K) tuples
+it stands for; both price the worst case, one expansion per t, so their
+values did not change with the quotient.  Privacy is one histogram
 check: per user and own-demand value, the exact distribution of the
 observable must be identical across every completion of the other
 demands; no sampling, no floats.  An outcome is the pair of wire headers
@@ -76,10 +81,12 @@ from .scheme import (
 )
 
 _CASE_CAP = 20_000_000
-# correctness decodes each (aux digits, t, user, key) once, each decode
-# rebuilding all C(K', r) subfiles (`_correctness_work`); this many subfiles
-# is about a minute at the slowest cost per subfile measured on a 2-vCPU VM
-# (550-880 ns; it grows with r and with |V| / K')
+# correctness decodes each (aux digits, user, key) once per distinct segment
+# expansion among the t's, each decode rebuilding all C(K', r) subfiles; the
+# cap and `_correctness_work` price the worst case, one expansion per t, so
+# neither changed with that quotient.  This many subfiles is about a minute
+# at the slowest cost per subfile measured on a 2-vCPU VM (550-880 ns; it
+# grows with r and with |V| / K')
 _DECODE_WORK_CAP = 60_000_000
 # the oracles' own caps, each about a minute at its slowest per-case cost
 # measured on a 2-vCPU VM: signal reconstruction 15-62 us per case (it grows
@@ -196,7 +203,8 @@ def _headers(params: SchemeParams) -> tuple[dict[tuple[int, ...], dict[int, byte
 
 def _correctness_work(params: SchemeParams) -> int:
     """Subfiles the correctness check rebuilds, at most: one decode per
-    (auxiliary digits, t, user, key), each rebuilding all C(K', r) subfiles.
+    (auxiliary digits, t, user, key), each rebuilding all C(K', r) subfiles;
+    the worst case, where no two t's of a digit vector share an expansion.
     A selector holds at most K' positions, and exactly one when K = 1 (every
     one-user demand is constant), so K = 1 is priced exactly."""
     n, k_users = params.num_files, params.num_users
@@ -213,11 +221,19 @@ def verify_correctness_exhaustive(
 
     A user sees the demands only through the broadcast's auxiliary digits
     a = D - S (mod N), so a decode depends on (a, t, user k, key digit s)
-    alone and must return file (a_k + s) mod N.  Each such check runs once,
-    subfile by subfile against the library's split, on the real placement
-    and delivery.  For a fixed key vector, D -> a is a bijection, so one
-    check stands for the N^(K-1) tuples (D, S, t, k) with S_k = s, and
-    `cases_run` counts those tuples.
+    alone and must return file (a_k + s) mod N.  Every broadcast is built,
+    one per (a, t), by the real delivery, and each rebuilds its missing
+    segments (`segment_values`).  The decode loop (`scheme._xor_decode`)
+    reads a broadcast only through its selector and that expansion, so the
+    checks are quotiented over t: the broadcasts of one a are grouped by
+    equal parameters, aux digits and expansion, and each (group, k, s)
+    decode runs once, subfile by subfile against the library's split.  It
+    counts as one check for every t of its group, and a failing decode
+    fails every one of them.  For a fixed key vector, D -> a is a
+    bijection, so one check stands for the N^(K-1) tuples (D, S, t, k) with
+    S_k = s, and `cases_run` counts those tuples.  The guards
+    (`_correctness_work`, `_DECODE_WORK_CAP`, the case cap) still price
+    one decode per t, the worst case, with their values unchanged.
 
     `mutate_delivery` taps the broadcast before it reaches the decoders;
     fault-injection tests use it to confirm that corruption is detected
@@ -235,38 +251,51 @@ def verify_correctness_exhaustive(
     deliveries = _deliveries(params, files)
     if mutate_delivery is not None:
         deliveries = {key: mutate_delivery(x) for key, x in deliveries.items()}
+    # per aux digit vector, its broadcasts grouped by what a decode reads of
+    # them: parameters, aux digits and segment expansion; each group is
+    # [representative, its t's]
+    groups: dict[tuple[int, ...], list[tuple[DeliverySignal, list[int]]]] = {}
+    for (digits, t), x in deliveries.items():
+        same = groups.setdefault(digits, [])
+        for rep, ts in same:
+            if rep.params == x.params and rep.aux == x.aux and rep.segment_values == x.segment_values:
+                ts.append(t)
+                break
+        else:
+            same.append((x, [t]))
     wanted = [list(row) for row in files.subfiles]
     checks = 0
-    failed = {}
-    for (digits, t), x in deliveries.items():
-        for k in range(k_users):
-            for s in range(n):
-                demand = (digits[k] + s) % n
-                got = _decoded_subfiles(caches[(k, s)], x, k, demand)
-                checks += 1
-                if got != wanted[demand]:
-                    failed[(digits, t, k, s)] = got
+    failed = []
+    for digits, same in groups.items():
+        for x, ts in same:
+            for k in range(k_users):
+                for s in range(n):
+                    demand = (digits[k] + s) % n
+                    got = _decoded_subfiles(caches[(k, s)], x, k, demand)
+                    checks += len(ts)
+                    if got != wanted[demand]:
+                        failed.append((digits, ts, k, s, got))
     failures = _failing_tuples(params, files, failed)
     scope = f"correctness N={n} K={k_users} r={params.r} F={params.file_bits}"
     return VerificationReport(scope, checks * n ** (k_users - 1), failures, time.perf_counter() - start)
 
 
-def _failing_tuples(params: SchemeParams, files: FileLibrary, failed: dict) -> list[tuple]:
-    """Each failing (aux digits a, t, user k, key digit s) check, mapped to
-    its decoded subfiles in `failed`, as its N^(K-1) tuples (D, S, t, k):
-    every key vector S with S_k = s, and D = (a + S) mod N.  Sorted, they
-    come in the order of a sweep over D, then S, then t, then k, each with
-    (wanted, decoded) file bits."""
+def _failing_tuples(params: SchemeParams, files: FileLibrary, failed: list[tuple]) -> list[tuple]:
+    """Each failing decode (aux digits a, the t's of its broadcast group,
+    user k, key digit s, decoded subfiles) as its N^(K-1) tuples (D, S, t, k)
+    per t: every key vector S with S_k = s, and D = (a + S) mod N.  Sorted,
+    they come in the order of a sweep over D, then S, then t, then k, each
+    with (wanted, decoded) file bits, joined once per decode."""
     n = params.num_files
     out = []
-    for (digits, t, k, s), got in failed.items():
+    for digits, ts, k, s, got in failed:
         want = files.files[(digits[k] + s) % n].to01()
         got_bits = Bits.from_blocks(got, params.subfile_bits).to01()
         choices = [range(n)] * len(digits)
         choices[k] = (s,)
         for keys in itertools.product(*choices):
             demands = tuple((a + v) % n for a, v in zip(digits, keys))
-            out.append(((demands, keys, t, k), want, got_bits))
+            out += [((demands, keys, t, k), want, got_bits) for t in ts]
     out.sort(key=lambda failure: failure[0])
     return out
 

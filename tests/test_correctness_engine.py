@@ -1,9 +1,10 @@
 """The correctness engine against its sweep oracle, over every library and at its caps.
 
-`verify.verify_correctness_exhaustive` checks each (aux digits, t, user,
-key digit) decode once; `helpers.sweep_correctness` reads a decode table
-once per (demand vector, key vector, t-choice, user) tuple.  They must
-agree on scope, case count and the failure list, failures in sweep order.
+`verify.verify_correctness_exhaustive` runs each (aux digits, user, key
+digit) decode once per distinct segment expansion among the t-choices;
+`helpers.sweep_correctness` reads a decode table once per (demand vector,
+key vector, t-choice, user) tuple.  They must agree on scope, case count
+and the failure list, failures in sweep order.
 """
 
 import itertools
@@ -11,7 +12,7 @@ import itertools
 import pytest
 
 from helpers import basis_library, seeded_library, sweep_correctness
-from privcache import verify
+from privcache import scheme, verify
 from privcache.bitvec import Bits
 from privcache.scheme import AuxDemand, DeliverySignal, FileLibrary, SchemeParams
 from privcache.verify import ScaleLimitError, verify_correctness_exhaustive
@@ -37,19 +38,108 @@ def one_t(k):
     return lambda x: flip_first_segment(x) if x.t_d == 1 else x
 
 
+def target(k):
+    """(1, ..., 1, 0): three t's in its selector set at K >= 2, one at K = 1."""
+    return (1,) * (k - 1) + (0,)
+
+
+def one_digits_t(k):
+    """Corrupt the broadcast of (1, ..., 1, 0) sent with the last t of its
+    selector set; its other t's stay intact."""
+    return lambda x: flip_first_segment(x) if x.aux.digits == target(k) and x.t_d == x.aux.selector[-1] else x
+
+
+def relabelled_t(k):
+    """Send the segments of (1, ..., 1, 0)'s first t under its second t.
+
+    No fault at K = 1, where every selector set holds one t, nor at r = 1,
+    where the one segment per file, at the empty set, avoids every t."""
+
+    def relabel(x):
+        if x.aux.digits == target(k) and len(x.aux.selector) > 1 and x.t_d == x.aux.selector[0]:
+            return DeliverySignal(x.aux, x.aux.selector[1], x.segments, x.params)
+        return x
+
+    return relabel
+
+
 def report(engine, params, files, mutate=None):
     got = engine(params, files, mutate)
     return got.scope, got.cases_run, got.failures
 
 
-@pytest.mark.parametrize("mutation", [None, one_broadcast, one_t], ids=["intact", "one-broadcast", "one-t"])
+@pytest.mark.parametrize(
+    "mutation",
+    [None, one_broadcast, one_t, one_digits_t, relabelled_t],
+    ids=["intact", "one-broadcast", "one-t", "one-digits-t", "relabelled-t"],
+)
 @pytest.mark.parametrize("instance", INSTANCES, ids=lambda nkr: "-".join(map(str, nkr)))
 def test_engine_matches_the_sweep(instance, mutation):
     params, files = seeded_library(*instance, seed=8)
     mutate = None if mutation is None else mutation(instance[1])
     want = report(sweep_correctness, params, files, mutate)
     assert report(verify_correctness_exhaustive, params, files, mutate) == want
-    assert bool(want[2]) == (mutation is not None)
+    _, k, r = instance
+    benign = mutation is relabelled_t and (k == 1 or r == 1)
+    assert bool(want[2]) == (mutation is not None and not benign)
+
+
+@pytest.mark.parametrize("mutation, pick", [(one_digits_t, -1), (relabelled_t, 0)], ids=["one-digits-t", "relabelled-t"])
+@pytest.mark.parametrize("instance", [(2, 3, 2), (3, 2, 2), (3, 3, 2)], ids=lambda nkr: "-".join(map(str, nkr)))
+def test_only_the_corrupted_t_fails(instance, mutation, pick):
+    # the other t's of (1, ..., 1, 0) keep the intact expansion and form a
+    # group of their own, so they pass
+    n, k = instance[:2]
+    params, files = seeded_library(*instance, seed=8)
+    corrupted = AuxDemand(target(k), n).selector[pick]
+    failures = verify_correctness_exhaustive(params, files, mutation(k)).failures
+    assert failures
+    assert {t for (_, _, t, _), _, _ in failures} == {corrupted}
+    assert {tuple((d - s) % n for d, s in zip(demands, keys)) for (demands, keys, _, _), _, _ in failures} == {target(k)}
+
+
+def count_decodes(monkeypatch) -> list:
+    """Record every run of the decode loop, `scheme._xor_decode`."""
+    calls = []
+    kernel = scheme._xor_decode
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(scheme, "_xor_decode", counted)
+    return calls
+
+
+@pytest.mark.parametrize("instance", [(2, 3, 2), (3, 2, 2)], ids=lambda nkr: "-".join(map(str, nkr)))
+def test_one_decode_per_distinct_expansion(monkeypatch, instance):
+    # intact, every t of an aux digit vector sends the same expansion: one
+    # decode per (digits, user, key digit), N^K * K * N, against the
+    # sweep's N^K * |V| * K * N
+    n, k = instance[:2]
+    params, files = seeded_library(*instance, seed=8)
+    calls = count_decodes(monkeypatch)
+    assert verify_correctness_exhaustive(params, files).passed
+    assert len(calls) == n**k * k * n
+    # one_t splits the corrupted t = 1 broadcast off every selector set that
+    # holds 1 and another t: K * N more decodes each
+    selectors = [AuxDemand(d, n).selector for d in itertools.product(range(n), repeat=k)]
+    split = sum(1 in selector and len(selector) > 1 for selector in selectors)
+    assert split
+    calls.clear()
+    assert verify_correctness_exhaustive(params, files, one_t(k)).failures
+    assert len(calls) == (n**k + split) * k * n
+
+
+def test_decode_runs_the_same_loop(monkeypatch):
+    params, files = seeded_library(2, 3, 2, seed=8)
+    caches = verify._caches_by_key(params, files)
+    x = verify._deliveries(params, files)[((1, 1, 0), 2)]
+    calls = count_decodes(monkeypatch)
+    assert scheme.decode(caches[(0, 1)], x, 0, 0) == files.files[0]
+    assert len(calls) == 1
+    # the broadcast enters the loop as its selector and expansion alone
+    assert calls[0] == (caches[(0, 1)], x.aux.selector, x.segment_values)
 
 
 def expected_cases(n, k):
@@ -120,3 +210,28 @@ def test_decode_calls_are_capped_as_cases(monkeypatch):
     assert verify._correctness_work(params) == 35_651_584 <= verify._DECODE_WORK_CAP
     with pytest.raises(ScaleLimitError, match=r"correctness check of ~35651584 cases exceeds the cap"):
         verify_correctness_exhaustive(params, zero_library(params))
+
+
+@pytest.mark.parametrize(
+    "digits, bits, message",
+    [
+        ((1, 1, 1), 1, "demand 0 inconsistent with key 0 and auxiliary digit 1"),
+        ((1, 1, 0), 2, "broadcast was built under different parameters"),
+    ],
+    ids=["other-aux-digits", "other-parameters"],
+)
+def test_a_foreign_broadcast_is_refused_inside_a_group(digits, bits, message):
+    # over zero libraries every expansion is zero, so the foreign broadcast
+    # sent in (1, 1, 0)'s last t slot matches its slot's other expansions;
+    # it must still be checked as a decode of its own
+    params = SchemeParams.minimal(2, 3, 2)
+    files = zero_library(params)
+    wide = SchemeParams.minimal(2, 3, 2, bits)
+    foreign = next(x for (d, _), x in verify._deliveries(wide, zero_library(wide)).items() if d == digits)
+
+    def send_foreign(x):
+        return foreign if x.aux.digits == (1, 1, 0) and x.t_d == x.aux.selector[-1] else x
+
+    for engine in (sweep_correctness, verify_correctness_exhaustive):
+        with pytest.raises(ValueError, match=message):
+            engine(params, files, send_foreign)
