@@ -3,14 +3,14 @@
 Exit codes are a stable contract: 0 on success, 1 on a verification or
 decode failure, 2 on usage errors.  All randomness derives from --seed,
 so identical invocations produce byte-identical output.  `tradeoff` prints
-the reduced integer pairs of `tradeoff.tightness_pairs` as `str(Fraction)`
-would (`n` or `n/d`), and `n / d` as each JSON float.  Each command imports
-its own layer when it runs, so importing this module loads no other
-package module.  `main` builds only the invoked command's parser, named
-`privcache <command>`, so argparse's errors and a command's own usage
-errors both print that command's usage.  An argv that does not start
-with a command meets the top-level parser, which prints help or exits 2
-and runs no command.
+each value as `tradeoff.ratio_text` writes it from the walk's integer
+pair, as `str(Fraction)` would (`n` or `n/d`), and the pair's `n / d` as
+each JSON float.  Each command imports its own layer when it runs, so
+importing this module loads no other package module.  `main` builds only
+the invoked command's parser, named `privcache <command>`, so argparse's
+errors and a command's own usage errors both print that command's usage.
+An argv that does not start with a command meets the top-level parser,
+which prints help or exits 2 and runs no command.
 """
 
 from __future__ import annotations
@@ -22,11 +22,6 @@ SUITES = ("correctness", "privacy", "lemma1", "identities", "reconstruction", "a
 # `verify.CONDITIONAL`, its short alias and `verify.FULL_MARGINAL`, spelled
 # out so that parsing loads no verifier
 MODES = ("conditional-on-files", "conditional", "full-marginal")
-
-
-def _ratio(pair: tuple[int, int]) -> str:
-    num, den = pair
-    return str(num) if den == 1 else f"{num}/{den}"
 
 
 def _add_instance_flags(p: argparse.ArgumentParser, need_r: bool = True) -> None:
@@ -223,42 +218,39 @@ def cmd_verify(args, parser) -> int:
 
 
 def cmd_tradeoff(args, parser) -> int:
-    from fractions import Fraction
-
-    from .tradeoff import tightness_pairs
+    from .tradeoff import grid_step_fraction, ratio_text, tightness_rows
 
     if args.k < 2:
         parser.error("tradeoff needs --k >= 2 (two-file converse machinery)")
     try:
-        step = Fraction(args.grid)
+        step = grid_step_fraction(args.grid)
     except (ValueError, ZeroDivisionError) as exc:
         parser.error(f"bad --grid {args.grid!r}: {exc}")
+    if args.format == "json":  # the float of each unreduced pair, correctly rounded
+        def value(num, den):
+            return ratio_text(num, den), num / den
+    else:
+        value = ratio_text
     try:
-        rows = tightness_pairs(args.k, step)
+        rows = tightness_rows(args.k, step, value)
     except ValueError as exc:
         parser.error(str(exc))
     lines: list[str]
     if args.format == "csv":
         lines = ["M,R_ach,R_conv,tight"]
-        lines += [
-            f"{_ratio(m)},{_ratio(ach)},{_ratio(conv)},{'true' if tight else 'false'}"
-            for m, ach, conv, tight in rows
-        ]
+        lines += [f"{m},{ach},{conv},{'true' if tight else 'false'}" for m, ach, conv, tight in rows]
     elif args.format == "json":  # `json.dumps(row dicts, indent=2)`, written directly
         items = [
-            f'  {{\n    "M": "{_ratio(m)}",\n    "M_float": {m[0] / m[1]!r},\n'
-            f'    "R_ach": "{_ratio(ach)}",\n    "R_ach_float": {ach[0] / ach[1]!r},\n'
-            f'    "R_conv": "{_ratio(conv)}",\n    "R_conv_float": {conv[0] / conv[1]!r},\n'
+            f'  {{\n    "M": "{m[0]}",\n    "M_float": {m[1]!r},\n'
+            f'    "R_ach": "{ach[0]}",\n    "R_ach_float": {ach[1]!r},\n'
+            f'    "R_conv": "{conv[0]}",\n    "R_conv_float": {conv[1]!r},\n'
             f'    "tight": {"true" if tight else "false"}\n  }}'
             for m, ach, conv, tight in rows
         ]
         lines = ["[\n" + ",\n".join(items) + "\n]"]
     else:
         lines = [f"{'M':>10} {'R_ach':>10} {'R_conv':>10} tight"]
-        lines += [
-            f"{_ratio(m):>10} {_ratio(ach):>10} {_ratio(conv):>10} {'yes' if tight else 'no'}"
-            for m, ach, conv, tight in rows
-        ]
+        lines += [f"{m:>10} {ach:>10} {conv:>10} {'yes' if tight else 'no'}" for m, ach, conv, tight in rows]
     text = "\n".join(lines) + "\n"
     if args.out:
         try:

@@ -6,11 +6,17 @@ cut-set lines.  Python callers give and get fractions.Fraction; inside, a
 point set is put over one common denominator and hulled with integer
 cross products (`_lower_hull`), and lines are integer (alpha, beta, gamma)
 whose envelope pieces start at integer (numerator, denominator) pairs
-(`_upper_hull`).  Both two-file curves are piecewise linear on [0, 2]; one
-integer merge pass (`_compare`) compares them on a grid (`tightness_pairs`,
-reduced integer pairs, which the CLI prints, and `tightness_report`, the
-same rows as `Fraction`s) or at the union of their breakpoints
-(`tight_intervals`), which settles every M in [0, 2] exactly.
+(`_upper_hull`).  The two-file curves stay integers from the corners to
+the rows: the scheme corners are put over one lcm straight from
+`scheme_counts`, with no `Fraction` (`_two_file_curves`).  Both curves are
+piecewise linear on [0, 2]; one walk by cells (`_compare`, a cell being an
+achievable segment paired with a converse piece) compares them on a grid
+(`tightness_rows`, each value made from its unreduced integer pair: the
+CLI's text by `ratio_text`, `tightness_pairs`' reduced pairs and
+`tightness_report`'s `Fraction`s) or at the union of their breakpoints
+(`tight_intervals`), which settles every M in [0, 2] exactly.  A str grid
+step's decimal exponent is checked before any `Fraction` is built for it
+(`grid_step_fraction`).
 
 `RatePoint`, `LinearBound`, `TradeoffCurve` and `TightnessRow` are frozen
 records (`_record.FrozenRecord`) with explicit constructors; the first two
@@ -20,18 +26,23 @@ store their coordinates as `Fraction`s whatever number they are given.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+import re
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import cmp_to_key, lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from ._record import FrozenRecord
-from .combinat import position_count, scheme_counts
+from .combinat import _count, position_count, scheme_counts
 
 _GRID_ROW_CAP = 100_001  # a grid step of 1/50000; finer steps are refused
-# the curves cost ~K^2.3: at K = 1000 (best of 3, 2-vCPU Xeon) tight_intervals takes 0.09-0.16 s
-# and tightness_pairs on 100,001 rows 0.35-0.66 s; K = 100000 would take hours
+# the curves cost ~K^2.3: at K = 1000 (best of 3, 2-vCPU Xeon) tight_intervals takes 0.09-0.13 s
+# and tightness_pairs on 100,001 rows 0.27-0.30 s; K = 100000 would take hours
 _USER_CAP = 1000
+_STEP_EXPONENT_CAP = 10_000
+# a str grid step scales by at most 10^10000 (under 1 ms to build); Fraction("1e-30000000")
+# would spend about 39 s building 10^30000000 before the row cap could refuse it
+_DECIMAL_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
 
 
 def _frac(x) -> Fraction:
@@ -140,14 +151,14 @@ class TradeoffCurve(FrozenRecord):
         return a.rate + (m - a.memory) * (b.rate - a.rate) / (b.memory - a.memory)
 
 
-def _scaled(points) -> tuple[int, list[tuple[int, int]]]:
-    """(den, pairs): each point's (memory, rate) as integers over den, the
-    lcm of the points' denominators."""
-    pairs = [(p.memory, p.rate) for p in points]
-    if not pairs:
+def _over_lcm(ratios) -> tuple[int, list[tuple[int, int]]]:
+    """(den, pairs): each ((memory numerator, denominator), (rate numerator,
+    denominator)) as one integer (memory, rate) pair over den, the lcm of
+    the denominators."""
+    if not ratios:
         raise ValueError("no points given")
-    den = math.lcm(*(x.denominator for pair in pairs for x in pair))
-    return den, [(m.numerator * den // m.denominator, r.numerator * den // r.denominator) for m, r in pairs]
+    den = math.lcm(*(d for ratio in ratios for _, d in ratio))
+    return den, [(m * (den // dm), r * (den // dr)) for (m, dm), (r, dr) in ratios]
 
 
 def _lower_hull(pairs: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -168,7 +179,7 @@ def lower_convex_envelope(points) -> TradeoffCurve:
     """Lower boundary of the convex hull of the given points.  Collinear and
     dominated points are discarded; corners past the minimum-rate vertex
     are memory-dominated and dropped as well."""
-    den, pairs = _scaled(points)
+    den, pairs = _over_lcm([(p.memory.as_integer_ratio(), p.rate.as_integer_ratio()) for p in points])
     return TradeoffCurve(tuple(RatePoint(Fraction(m, den), Fraction(r, den)) for m, r in _lower_hull(pairs)))
 
 
@@ -264,8 +275,16 @@ class TightnessRow(FrozenRecord):
 
 def _two_file_curves(num_users: int) -> tuple:
     """(den, corners, pieces) for K users: the achievable envelope's corners
-    from 0 to 2 over den (`_lower_hull`) and the converse `_upper_hull`."""
-    den, pairs = _scaled(scheme_points(2, num_users))
+    from 0 to 2 as integer (memory, rate) pairs over den (`_lower_hull`),
+    and the converse `_upper_hull`.  Each scheme corner, stored/subfiles and
+    2r/K' from `scheme_counts`, is reduced and put over den, the lcm of the
+    reduced denominators, with no `RatePoint` or `Fraction` built."""
+    positions = position_count(2, num_users)
+    ratios = []
+    for r in range(positions + 1):
+        subfiles, stored, _, _ = scheme_counts(2, num_users, r)
+        ratios.append((_reduced(stored, subfiles), _reduced(2 * r, positions)))
+    den, pairs = _over_lcm(ratios)
     # the companion scheme's corners (`companion_points`) swap M and R
     corners = _lower_hull(pairs + [(r, m) for m, r in pairs])
     return den, corners, _upper_hull(_converse_coefficients(num_users))
@@ -277,27 +296,67 @@ def _reduced(num: int, den: int) -> tuple[int, int]:
     return num // g, den // g
 
 
-def _compare(curves: tuple, memories: Iterable[tuple[int, int]], value=_reduced) -> Iterator[tuple]:
-    """One merge pass: a row (memory, achievable, converse, tight) per memory
-    a/q, given as (a, q) with q > 0 and ascending within [0, 2], with each
-    value made by value(numerator, denominator), a `_reduced` pair or a
-    `Fraction`; one pointer walks the achievable segments and one the
-    converse pieces."""
+def ratio_text(num: int, den: int) -> str:
+    """num/den (den > 0) as `str(Fraction(num, den))` prints it: `n`, or
+    `n/d` in lowest terms."""
+    g = math.gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
+
+
+def _compare(curves: tuple, q: int, memories: Sequence[int], value) -> list[tuple]:
+    """The walk by cells: a row (memory, achievable, converse, tight) per
+    memory a/q, for a in `memories` (ascending ints in [0, 2q]), each value
+    made by value(numerator, denominator) from its unreduced integer pair:
+    `ratio_text`, a `_reduced` pair or a `Fraction`.
+
+    A cell is one achievable segment paired with one converse piece.  It
+    holds the memories from the later of their starts to the earlier of
+    their ends (a memory on a boundary goes to the later cell), found by
+    bisection.  A pointer moves only when a cell's first memory is past its
+    end, and only then are its terms recomputed: the segment's achievable
+    value (a_term + a*b_term) / d_term, or the piece's converse value
+    (c_term - alpha*a) / e_term.  Their cross difference over q is
+    d0 + a*d1, so a cell is tight at every memory, at one, or at none,
+    with no per-row comparison.
+    """
     den, corners, pieces = curves
-    i = j = 0
-    for a, q in memories:
-        a_den = a * den
-        while i + 2 < len(corners) and corners[i + 1][0] * q <= a_den:
-            i += 1
-        while j + 1 < len(pieces) and pieces[j + 1][0] * q <= a * pieces[j + 1][1]:
-            j += 1
-        (x0, y0), (x1, y1) = corners[i], corners[i + 1]
-        ach_num, ach_den = q * (y0 * (x1 - x0) - x0 * (y1 - y0)) + a_den * (y1 - y0), q * den * (x1 - x0)
-        _, _, alpha, beta, gamma, _ = pieces[j]
-        conv_num, conv_den = gamma * q - alpha * a, beta * q
-        tight = ach_num * conv_den == conv_num * ach_den
-        ach = value(ach_num, ach_den)
-        yield value(a, q), ach, ach if tight else value(conv_num, conv_den), tight
+    rows: list[tuple] = []
+    past = 2 * q + 1  # past every memory: the end of the last segment and of the last piece
+    i = j = -1
+    lo = segment_end = piece_end = 0  # each end is the first memory numerator past it
+    while lo < len(memories):
+        a = memories[lo]
+        if segment_end <= a:
+            while segment_end <= a:
+                i += 1
+                segment_end = -(-corners[i + 1][0] * q // den) if i + 2 < len(corners) else past
+            (x0, y0), (x1, y1) = corners[i : i + 2]
+            intercept, b_term, run = y0 * (x1 - x0) - x0 * (y1 - y0), den * (y1 - y0), den * (x1 - x0)
+            a_term, d_term = q * intercept, q * run
+        if piece_end <= a:
+            while piece_end <= a:
+                j += 1
+                piece_end = -(-pieces[j + 1][0] * q // pieces[j + 1][1]) if j + 1 < len(pieces) else past
+            _, _, alpha, beta, gamma, _ = pieces[j]
+            c_term, e_term = q * gamma, q * beta
+        hi = bisect_left(memories, min(segment_end, piece_end), lo + 1)
+        cell = memories[lo:hi]
+        # the cross difference over q
+        d0, d1 = q * (intercept * beta - gamma * run), b_term * beta + alpha * run
+        if d0 == d1 == 0:
+            achieved = [value(a_term + a * b_term, d_term) for a in cell]
+            rows += zip([value(a, q) for a in cell], achieved, achieved, [True] * len(cell))
+        else:
+            first = len(rows)
+            rows += [(value(a, q), value(a_term + a * b_term, d_term), value(c_term - alpha * a, e_term), False)
+                     for a in cell]
+            root, off = divmod(-d0, d1) if d1 else (None, 1)
+            k = bisect_left(memories, root, lo, hi) if off == 0 else hi
+            if k < hi and memories[k] == root:
+                achieved = value(a_term + root * b_term, d_term)
+                rows[first + k - lo] = (value(root, q), achieved, achieved, True)
+        lo = hi
+    return rows
 
 
 def _check_user_count(num_users: int) -> None:
@@ -306,30 +365,51 @@ def _check_user_count(num_users: int) -> None:
         raise ValueError(f"K={num_users} users exceeds the cap of {_USER_CAP} for the tradeoff curves")
 
 
-def _grid_rows(num_users: int, grid_step, value) -> list[tuple]:
-    """`_compare`'s rows on the grid; the user count, the step and the row
-    count are checked before any curve is built."""
+def grid_step_fraction(grid_step) -> Fraction:
+    """The grid step as a `Fraction`.  A str step's decimal exponent is
+    checked first, so no `Fraction` is built for one outside
+    [-_STEP_EXPONENT_CAP, _STEP_EXPONENT_CAP]."""
+    if isinstance(grid_step, str):
+        exponent = _DECIMAL_EXPONENT.search(grid_step)
+        digits = exponent[1].replace("_", "").lstrip("0") if exponent else ""
+        if len(digits) > len(str(_STEP_EXPONENT_CAP)) or int(digits or 0) > _STEP_EXPONENT_CAP:
+            raise ValueError(f"decimal exponent outside [-{_STEP_EXPONENT_CAP}, {_STEP_EXPONENT_CAP}]")
+    return _frac(grid_step)
+
+
+def _step_text(step: Fraction) -> str:
+    """The step for a refusal message, as `str(step)` but with each term
+    past 2000 bits as 2^(bits - 1) (`combinat._count`)."""
+    text = "-" * (step < 0) + _count(abs(step.numerator))
+    return text if step.denominator == 1 else f"{text}/{_count(step.denominator)}"
+
+
+def tightness_rows(num_users: int, grid_step, value) -> list[tuple]:
+    """The rows (memory, achievable, converse, tight) of a grid on [0, 2]:
+    i * grid_step for i = 0, 1, ..., and 2 if the step does not divide it,
+    each value made by value(numerator, denominator) from its unreduced
+    integer pair (`_compare`).  The user count, the step and the row count
+    are checked before any curve is built."""
     _check_user_count(num_users)
-    step = _frac(grid_step)
+    step = grid_step_fraction(grid_step)
     if step <= 0:
-        raise ValueError(f"grid step must be positive, got {step}")
+        raise ValueError(f"grid step must be positive, got {_step_text(step)}")
     if 2 / step > _GRID_ROW_CAP - 1:
-        raise ValueError(f"grid step {step} gives more than {_GRID_ROW_CAP} rows on [0, 2]")
+        raise ValueError(f"grid step {_step_text(step)} gives more than {_GRID_ROW_CAP} rows on [0, 2]")
     curves = _two_file_curves(num_users)
-    p, q = step.numerator, step.denominator  # the grid is i * p / q, and 2 if p does not divide 2q
-    grid = [(i * p, q) for i in range(2 * q // p + 1)] + [(2 * q, q)] * (2 * q % p != 0)
-    return list(_compare(curves, grid, value))
+    p, q = step.numerator, step.denominator
+    return _compare(curves, q, [*range(0, 2 * q + 1, p)] + [2 * q] * (2 * q % p != 0), value)
 
 
 def tightness_pairs(num_users: int, grid_step) -> list[tuple]:
     """`tightness_report`'s rows as (memory, achievable, converse, tight),
     each value a reduced (numerator, denominator) pair with denominator > 0."""
-    return _grid_rows(num_users, grid_step, _reduced)
+    return tightness_rows(num_users, grid_step, _reduced)
 
 
 def tightness_report(num_users: int, grid_step) -> list[TightnessRow]:
     """Achievable-vs-converse comparison over a rational grid on [0, 2]."""
-    return [TightnessRow(*row) for row in _grid_rows(num_users, grid_step, Fraction)]
+    return [TightnessRow(*row) for row in tightness_rows(num_users, grid_step, Fraction)]
 
 
 def tight_intervals(num_users: int) -> list[tuple[Fraction, Fraction]]:
@@ -338,18 +418,20 @@ def tight_intervals(num_users: int) -> list[tuple[Fraction, Fraction]]:
 
     Both curves are linear between consecutive points of the union of
     their breakpoints, so such a piece is tight exactly when both of its
-    ends are.
+    ends are.  The breakpoints are walked over one denominator, the lcm of
+    theirs.
     """
     _check_user_count(num_users)
     den, corners, pieces = curves = _two_file_curves(num_users)
-    breaks = {_reduced(m, den) for m, _ in corners} | {_reduced(num, d) for num, d, *_ in pieces}
-    ascending = sorted(breaks, key=cmp_to_key(lambda u, v: u[0] * v[1] - v[0] * u[1]))
-    intervals: list[list[tuple[int, int]]] = []
+    q = math.lcm(den, *(d for _, d, *_ in pieces))
+    breaks = sorted({m * (q // den) for m, _ in corners} | {num * (q // d) for num, d, *_ in pieces})
+    intervals: list[list[int]] = []
     previous_tight = False
-    for memory, _, _, tight in _compare(curves, ascending):
+    # each value is its bare numerator over q: no gcd, and only the memories are read
+    for memory, _, _, tight in _compare(curves, q, breaks, lambda num, den: num):
         if tight and previous_tight:
             intervals[-1][1] = memory
         elif tight:
             intervals.append([memory, memory])
         previous_tight = tight
-    return [(Fraction(*lo), Fraction(*hi)) for lo, hi in intervals]
+    return [(Fraction(lo, q), Fraction(hi, q)) for lo, hi in intervals]

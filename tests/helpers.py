@@ -28,7 +28,7 @@ from privcache.scheme import (
     decode,
     delivery_header,
 )
-from privcache import verify
+from privcache import tradeoff, verify
 from privcache.verify import VerificationReport, _basis_library, _caches_by_key, _deliveries
 from privcache.yma import UVector
 
@@ -351,6 +351,54 @@ def envelope_by_pairwise_max(bounds) -> list[tuple[Fraction, Fraction, Fraction]
     return pieces
 
 
+def compare_by_rows(curves: tuple, memories, value):
+    """The per-row merge pass the cell walk (`tradeoff._compare`) replaced,
+    kept as its oracle: a row (memory, achievable, converse, tight) per
+    memory a/q, given as (a, q) with q > 0 and ascending within [0, 2],
+    each value made by value(numerator, denominator); one pointer walks the
+    achievable segments and one the converse pieces, and each row is
+    compared by cross-multiplying."""
+    den, corners, pieces = curves
+    i = j = 0
+    for a, q in memories:
+        a_den = a * den
+        while i + 2 < len(corners) and corners[i + 1][0] * q <= a_den:
+            i += 1
+        while j + 1 < len(pieces) and pieces[j + 1][0] * q <= a * pieces[j + 1][1]:
+            j += 1
+        (x0, y0), (x1, y1) = corners[i], corners[i + 1]
+        ach_num, ach_den = q * (y0 * (x1 - x0) - x0 * (y1 - y0)) + a_den * (y1 - y0), q * den * (x1 - x0)
+        _, _, alpha, beta, gamma, _ = pieces[j]
+        conv_num, conv_den = gamma * q - alpha * a, beta * q
+        tight = ach_num * conv_den == conv_num * ach_den
+        ach = value(ach_num, ach_den)
+        yield value(a, q), ach, ach if tight else value(conv_num, conv_den), tight
+
+
+def grid_rows_by_rows(num_users: int, step: Fraction, value) -> list[tuple]:
+    """`tradeoff.tightness_rows` by `compare_by_rows`: the grid i * step,
+    and 2 if the step does not divide it."""
+    p, q = step.numerator, step.denominator
+    grid = [(i * p, q) for i in range(2 * q // p + 1)] + [(2 * q, q)] * (2 * q % p != 0)
+    return list(compare_by_rows(tradeoff._two_file_curves(num_users), grid, value))
+
+
+def tight_intervals_by_rows(num_users: int) -> list[tuple[Fraction, Fraction]]:
+    """`tradeoff.tight_intervals` by `compare_by_rows`, each breakpoint in
+    lowest terms over its own denominator."""
+    den, corners, pieces = curves = tradeoff._two_file_curves(num_users)
+    breaks = {tradeoff._reduced(m, den) for m, _ in corners} | {tradeoff._reduced(n, d) for n, d, *_ in pieces}
+    intervals: list[list[tuple[int, int]]] = []
+    previous_tight = False
+    for memory, _, _, tight in compare_by_rows(curves, sorted(breaks, key=lambda m: Fraction(*m)), lambda n, d: (n, d)):
+        if tight and previous_tight:
+            intervals[-1][1] = memory
+        elif tight:
+            intervals.append([memory, memory])
+        previous_tight = tight
+    return [(Fraction(*lo), Fraction(*hi)) for lo, hi in intervals]
+
+
 class RowsBuilt(Exception):
     """Raised in place of building the tradeoff curves, before any grid row."""
 
@@ -359,7 +407,6 @@ def refuse_tradeoff_rows(monkeypatch) -> None:
     """Make `tightness_pairs`, `tightness_report` and `tight_intervals` raise
     RowsBuilt once past their user-count and step checks, before any curve
     is built."""
-    import privcache.tradeoff as tradeoff
 
     def refuse(num_users):
         raise RowsBuilt(num_users)

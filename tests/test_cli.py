@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import oracle_cli_parser, refuse_tradeoff_rows
-from privcache import cli
+from privcache import cli, tradeoff
 from privcache.cli import main
 from privcache.reference import delivered_segment_indices, stored_signal_indices
 from privcache.scheme import (
@@ -29,7 +29,7 @@ from privcache.scheme import (
     build_v,
     place,
 )
-from privcache.tradeoff import _reduced, tightness_report
+from privcache.tradeoff import _reduced, ratio_text, tightness_report
 
 
 def run_cli(capsys, *argv):
@@ -435,14 +435,14 @@ def test_tradeoff_output_bytes_are_pinned(capsys, flags, digest):
 @example(num=2, den=1, common=1)
 @example(num=1, den=3, common=2**19)
 def test_tradeoff_pair_text_and_float_match_fraction(num, den, common):
-    # the rows reach the CLI as `_reduced` pairs, printed as `n` or `n/d` with
-    # `n / d` as the JSON float: the same bytes `str` and `float` of a Fraction give
+    # the rows reach the CLI as unreduced pairs, printed by `ratio_text` as `n`
+    # or `n/d` with the unreduced `n / d` as the JSON float: the same bytes `str`
+    # and `float` of a Fraction give, and `_reduced` holds the Fraction's pair
     n, d = num * common, den * common
     exact = Fraction(n, d)
-    pair = _reduced(n, d)
-    assert pair == (exact.numerator, exact.denominator)
-    assert cli._ratio(pair) == str(exact)
-    assert pair[0] / pair[1] == n / d == float(exact)
+    assert _reduced(n, d) == (exact.numerator, exact.denominator)
+    assert ratio_text(n, d) == str(exact)
+    assert n / d == float(exact)
 
 
 def test_tradeoff_out_file(tmp_path, capsys):
@@ -520,6 +520,32 @@ def test_tradeoff_grid_over_100001_rows_is_a_usage_error(monkeypatch, capsys, gr
     refuse_tradeoff_rows(monkeypatch)
     run_cli_expect_usage_error("tradeoff", "--k", "3", "--grid", grid)
     assert "more than 100001 rows" in capsys.readouterr().err
+
+
+def test_tradeoff_grid_past_the_int_to_str_limit_prints_the_row_cap(monkeypatch, capsys):
+    # 1e-5000 is 1/10^5000, whose denominator has more digits than str() prints
+    refuse_tradeoff_rows(monkeypatch)
+    run_cli_expect_usage_error("tradeoff", "--k", "3", "--grid", "1e-5000")
+    err = capsys.readouterr().err
+    assert err.endswith("error: grid step 1/2^16609 gives more than 100001 rows on [0, 2]\n")
+    assert "Exceeds the limit" not in err
+
+
+@pytest.mark.parametrize("grid", ["1e-30000000", "1e99999999999", "1e10001"])
+def test_tradeoff_grid_exponent_past_10000_is_a_usage_error(monkeypatch, capsys, grid):
+    # refused from the string: no Fraction is built for it
+    monkeypatch.setattr(tradeoff, "_frac", lambda step: pytest.fail(f"a Fraction was built for {step!r}"))
+    refuse_tradeoff_rows(monkeypatch)
+    run_cli_expect_usage_error("tradeoff", "--k", "3", "--grid", grid)
+    err = capsys.readouterr().err
+    assert err.endswith(f"error: bad --grid '{grid}': decimal exponent outside [-10000, 10000]\n")
+
+
+def test_tradeoff_coarse_decimal_grid_gives_both_ends(capsys):
+    # a step above 2 with an exponent inside the range keeps its rows 0 and 2
+    code, out = run_cli(capsys, "tradeoff", "--k", "3", "--grid", "1e5000")
+    assert code == 0
+    assert out == "M,R_ach,R_conv,tight\n0,2,2,true\n2,0,0,true\n"
 
 
 @pytest.mark.parametrize("k", ["1001", "100000"])

@@ -4,7 +4,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import RowsBuilt, envelope_by_pairwise_max, hull_corners_by_pairs, refuse_tradeoff_rows
+from helpers import (
+    RowsBuilt,
+    envelope_by_pairwise_max,
+    grid_rows_by_rows,
+    hull_corners_by_pairs,
+    refuse_tradeoff_rows,
+    tight_intervals_by_rows,
+)
+from privcache import tradeoff
 from privcache.tradeoff import (
     LinearBound,
     RatePoint,
@@ -14,10 +22,12 @@ from privcache.tradeoff import (
     converse_bounds,
     converse_eval,
     lower_convex_envelope,
+    ratio_text,
     scheme_points,
     tight_intervals,
     tightness_pairs,
     tightness_report,
+    tightness_rows,
     upper_envelope,
 )
 
@@ -308,3 +318,77 @@ def test_tightness_rows_match_pointwise_oracle(k):
 def test_tight_intervals_validation():
     with pytest.raises(ValueError):
         tight_intervals(1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(k=st.integers(2, 96), q=st.integers(1, 500), p=st.integers(1, 1500))
+@example(k=32, q=200, p=1)  # the benchmark's grid
+@example(k=5, q=7, p=3)  # 3/7 does not divide 2
+@example(k=4, q=1, p=3)  # a step above 2: the rows 0 and 2
+def test_cell_walk_matches_the_row_walk(k, q, p):
+    # steps p/q with p in [1, 3q]: steps that do not divide 2 and steps above 2 both occur
+    step = F((p - 1) % (3 * q) + 1, q)
+    pairs = grid_rows_by_rows(k, step, tradeoff._reduced)
+    assert tightness_pairs(k, step) == pairs
+    assert tightness_rows(k, step, ratio_text) == grid_rows_by_rows(k, step, ratio_text)
+    report = tightness_report(k, step)
+    assert [(r.memory, r.achievable, r.converse, r.tight) for r in report] == grid_rows_by_rows(k, step, F)
+    assert all(type(r.tight) is bool for r in report)
+
+
+def test_tight_intervals_match_the_row_walk():
+    for k in range(2, 201):
+        assert tight_intervals(k) == tight_intervals_by_rows(k), k
+
+
+@pytest.mark.parametrize("users", [range(2, 301), [1000]], ids=["2-300", "1000"])
+def test_integer_curves_match_the_fraction_path(users):
+    # the corners built from `scheme_counts` and the converse pieces, against
+    # the public envelopes of the Fraction points and bounds
+    for k in users:
+        den, corners, pieces = tradeoff._two_file_curves(k)
+        envelope = lower_convex_envelope(scheme_points(2, k) + companion_points(k))
+        assert [(F(m, den), F(r, den)) for m, r in corners] == [(c.memory, c.rate) for c in envelope.corners], k
+        expected = [(start, b.alpha, b.beta, b.gamma, b.label) for start, b in upper_envelope(converse_bounds(k))]
+        assert [(F(num, d), a, b, g, tag) for num, d, a, b, g, tag in pieces] == expected, k
+
+
+def _fraction_unbuilt(step):
+    raise AssertionError(f"a Fraction was built for {step!r}")
+
+
+@pytest.mark.parametrize("build", [tightness_pairs, tightness_report])
+@pytest.mark.parametrize("step", ["1e-30000000", "1E+99999999999", "1e-0_000_000_010_001", "2e10001"])
+def test_a_decimal_exponent_past_10000_is_refused_before_any_fraction(monkeypatch, build, step):
+    # Fraction("1e-30000000") would build 10^30000000 first (about 39 s)
+    monkeypatch.setattr(tradeoff, "_frac", _fraction_unbuilt)
+    refuse_tradeoff_rows(monkeypatch)
+    with pytest.raises(ValueError, match=r"^decimal exponent outside \[-10000, 10000\]$"):
+        build(3, step)
+
+
+def test_a_coarse_decimal_step_inside_the_range_gives_the_rows_zero_and_two():
+    # 10^5000 is built in well under a millisecond; a step above 2 keeps both ends
+    assert tightness_pairs(3, "1e5000") == [((0, 1), (2, 1), (2, 1), True), ((2, 1), (0, 1), (0, 1), True)]
+    assert tightness_pairs(3, "1e-4") == tightness_pairs(3, F(1, 10000))
+
+
+@pytest.mark.parametrize(
+    "step, message",
+    [
+        ("1e-5000", "grid step 1/2^16609 gives more than 100001 rows on [0, 2]"),
+        (F(3, 10**5000), "grid step 3/2^16609 gives more than 100001 rows on [0, 2]"),
+        (F(1, 50001), "grid step 1/50001 gives more than 100001 rows on [0, 2]"),
+        (F(-1, 10**5000), "grid step must be positive, got -1/2^16609"),
+        (-(10**1000), "grid step must be positive, got -2^3321"),
+        (-(2**100), f"grid step must be positive, got -{2**100}"),
+    ],
+    ids=["1e-5000", "3e-5000", "1/50001", "-1e-5000", "-1e1000", "-2^100"],
+)
+def test_refused_steps_print_through_the_count_formatter(monkeypatch, step, message):
+    # terms past 2000 bits print as 2^(bits - 1), not through str(Fraction),
+    # which raises past the int-to-str limit
+    refuse_tradeoff_rows(monkeypatch)
+    with pytest.raises(ValueError) as info:
+        tightness_report(3, step)
+    assert str(info.value) == message
