@@ -130,15 +130,15 @@ def cmd_params(args, parser) -> int:
 
 def cmd_simulate(args, parser) -> int:
     from .combinat import ScaleLimitError
-    from .scheme import SessionRandomness, assemble_delivery, aux_demand, decode, memory_rate_of, place
+    from .scheme import SessionRandomness, assemble_delivery, aux_demand, decode, place
 
     params = _params_from(args, parser)
     n, k_users = params.num_files, params.num_users
-    files, origin = _load_library(args, params, parser)
-    try:  # the plan's size guard may refuse the instance, before any per-user draw
+    try:  # the plan's size guard may refuse the instance before the library or any digit is drawn
         params.plan
     except ScaleLimitError as exc:
         parser.error(str(exc))
+    files, origin = _load_library(args, params, parser)
     if args.demands is not None:
         tokens = args.demands.split(",")
         try:
@@ -158,7 +158,7 @@ def cmd_simulate(args, parser) -> int:
 
     rand = SessionRandomness.from_seed(params, args.seed)
     caches = place(files, params, rand)
-    point = memory_rate_of(params)
+    _, stored, _, per_file = params.counts  # M*F and R*F are whole numbers of subfile bits
 
     print(f"simulate N={n} K={k_users} r={params.r} F={params.file_bits} seed={args.seed}")
     print(f"library: {origin}")
@@ -167,14 +167,14 @@ def cmd_simulate(args, parser) -> int:
     cache_bits = {cache.payload_bits for cache in caches}
     print(
         f"placement: {k_users} caches, payload {sorted(cache_bits)[0]} bits each "
-        f"(M*F = {point.memory * params.file_bits})"
+        f"(M*F = {stored * params.subfile_bits})"
     )
     d = aux_demand(demands, rand.keys, n)
     x = assemble_delivery(files, d, rand)
     print(f"auxiliary demand: {','.join(map(str, d.digits))}  t={x.t_d}")
     print(
         f"delivery payload: {x.payload_bits} bits "
-        f"(R*F = {point.rate * params.file_bits})"
+        f"(R*F = {n * per_file * params.subfile_bits})"
     )
     ok = 0
     for k in range(k_users):

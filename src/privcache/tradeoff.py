@@ -7,8 +7,8 @@ point set is put over one common denominator and hulled with integer
 cross products (`_lower_hull`), and lines are integer (alpha, beta, gamma)
 whose envelope pieces start at integer (numerator, denominator) pairs
 (`_upper_hull`).  The two-file curves stay integers from the corners to
-the rows: the scheme corners are put over one lcm straight from
-`scheme_counts`, with no `Fraction` (`_two_file_curves`).  Both curves are
+the rows: the scheme corners come from their closed form, all over
+K(K+1), with no binomial, lcm or `Fraction` (`_two_file_curves`).  Both curves are
 piecewise linear on [0, 2]; one walk by cells (`_compare`, a cell being an
 achievable segment paired with a converse piece) compares them on a grid
 (`tightness_rows`, each value made from its unreduced integer pair: the
@@ -36,8 +36,9 @@ from ._record import FrozenRecord
 from .combinat import _count, position_count, scheme_counts
 
 _GRID_ROW_CAP = 100_001  # a grid step of 1/50000; finer steps are refused
-# the curves cost ~K^2.3: at K = 1000 (best of 3, 2-vCPU Xeon) tight_intervals takes 0.09-0.13 s
-# and tightness_pairs on 100,001 rows 0.27-0.30 s; K = 100000 would take hours
+# best of 5 on a 2-vCPU Xeon: the curves cost ~K (5 ms at K = 1000) and tight_intervals ~K^1.5
+# (0.02-0.03 s at K = 1000, 0.95 s at K = 8000); tightness_pairs on 100,001 rows at K = 1000
+# takes 0.17-0.19 s, nearly all of it the rows
 _USER_CAP = 1000
 _STEP_EXPONENT_CAP = 10_000
 # a str grid step scales by at most 10^10000 (under 1 ms to build); Fraction("1e-30000000")
@@ -151,16 +152,6 @@ class TradeoffCurve(FrozenRecord):
         return a.rate + (m - a.memory) * (b.rate - a.rate) / (b.memory - a.memory)
 
 
-def _over_lcm(ratios) -> tuple[int, list[tuple[int, int]]]:
-    """(den, pairs): each ((memory numerator, denominator), (rate numerator,
-    denominator)) as one integer (memory, rate) pair over den, the lcm of
-    the denominators."""
-    if not ratios:
-        raise ValueError("no points given")
-    den = math.lcm(*(d for ratio in ratios for _, d in ratio))
-    return den, [(m * (den // dm), r * (den // dr)) for (m, dm), (r, dr) in ratios]
-
-
 def _lower_hull(pairs: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
     """The corners of `lower_convex_envelope` of integer (memory, rate) pairs."""
     hull: list[tuple[int, int]] = []
@@ -179,7 +170,11 @@ def lower_convex_envelope(points) -> TradeoffCurve:
     """Lower boundary of the convex hull of the given points.  Collinear and
     dominated points are discarded; corners past the minimum-rate vertex
     are memory-dominated and dropped as well."""
-    den, pairs = _over_lcm([(p.memory.as_integer_ratio(), p.rate.as_integer_ratio()) for p in points])
+    ratios = [(p.memory.as_integer_ratio(), p.rate.as_integer_ratio()) for p in points]
+    if not ratios:
+        raise ValueError("no points given")
+    den = math.lcm(*(d for ratio in ratios for _, d in ratio))
+    pairs = [(m * (den // dm), r * (den // dr)) for (m, dm), (r, dr) in ratios]
     return TradeoffCurve(tuple(RatePoint(Fraction(m, den), Fraction(r, den)) for m, r in _lower_hull(pairs)))
 
 
@@ -276,18 +271,15 @@ class TightnessRow(FrozenRecord):
 def _two_file_curves(num_users: int) -> tuple:
     """(den, corners, pieces) for K users: the achievable envelope's corners
     from 0 to 2 as integer (memory, rate) pairs over den (`_lower_hull`),
-    and the converse `_upper_hull`.  Each scheme corner, stored/subfiles and
-    2r/K' from `scheme_counts`, is reduced and put over den, the lcm of the
-    reduced denominators, with no `RatePoint` or `Fraction` built."""
-    positions = position_count(2, num_users)
-    ratios = []
-    for r in range(positions + 1):
-        subfiles, stored, _, _ = scheme_counts(2, num_users, r)
-        ratios.append((_reduced(stored, subfiles), _reduced(2 * r, positions)))
-    den, pairs = _over_lcm(ratios)
+    and the converse `_upper_hull`.  At N = 2, K' = K + 1 and the scheme
+    corner of split r (`scheme_point`) is M = (K+1-r)(2K-r) / (K(K+1)),
+    R = 2r/(K+1), so every corner is put straight over den = K(K+1), with
+    no binomial, gcd or `Fraction`."""
+    k = num_users
+    pieces = _upper_hull(_converse_coefficients(k))
+    pairs = [((k + 1 - r) * (2 * k - r), 2 * r * k) for r in range(k + 2)]
     # the companion scheme's corners (`companion_points`) swap M and R
-    corners = _lower_hull(pairs + [(r, m) for m, r in pairs])
-    return den, corners, _upper_hull(_converse_coefficients(num_users))
+    return k * (k + 1), _lower_hull(pairs + [(r, m) for m, r in pairs]), pieces
 
 
 def _reduced(num: int, den: int) -> tuple[int, int]:

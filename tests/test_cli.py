@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import oracle_cli_parser, refuse_tradeoff_rows
-from privcache import cli, tradeoff
+from privcache import bitvec, cli, tradeoff
 from privcache.cli import main
 from privcache.reference import delivered_segment_indices, stored_signal_indices
 from privcache.scheme import (
@@ -268,10 +268,11 @@ def test_case_counts_past_the_int_to_str_limit_are_usage_errors(capsys, suite):
 @pytest.mark.parametrize(
     "argv",
     [("verify", "--suite", "privacy", "--n", "2", "--k", "20000", "--r", "10000"),
-     ("simulate", "--n", "2", "--k", "3000", "--r", "1500")],
+     ("simulate", "--n", "2", "--k", "3", "--r", "2", "--subfile-bits", "1" + "0" * 1000)],
 )
 def test_library_lengths_past_the_int_to_str_limit_are_usage_errors(capsys, argv):
-    # files of C(K', r) bits, a count of 900 to 6,000 digits, printed as a power of two
+    # files of C(K', r) or 6 * 10^1000 bits, a count of 1,000 to 6,000 digits, printed as a
+    # power of two; simulate prices its plan first, so only a small plan reaches the library
     run_cli_expect_usage_error(*argv)
     err = capsys.readouterr().err
     assert "cannot generate the library: cannot draw 2^" in err
@@ -279,8 +280,8 @@ def test_library_lengths_past_the_int_to_str_limit_are_usage_errors(capsys, argv
 
 
 def test_simulate_is_refused_by_the_plan_before_any_per_user_draw(monkeypatch, capsys):
-    # K' = 10^8 + 1 one-bit subfiles per file: the library is drawn, then the
-    # plan guard refuses the run before 10^8 demand and key digits are drawn
+    # K' = 10^8 + 1 one-bit subfiles per file: the plan guard refuses the run
+    # before the library and 10^8 demand and key digits are drawn
     def no_draws(self, *args):
         raise AssertionError("per-user digits drawn")
 
@@ -289,6 +290,15 @@ def test_simulate_is_refused_by_the_plan_before_any_per_user_draw(monkeypatch, c
     captured = capsys.readouterr()
     assert "the plan of N=2 K=100000000 r=100000000 costs ~" in captured.err
     assert "which exceeds the cap of 2000000" in captured.err
+    assert captured.out == ""
+
+
+def test_simulate_is_refused_by_the_plan_before_the_library_is_drawn(monkeypatch, capsys):
+    # 16 files of 736,281 16-bit subfiles would be about 22 MiB of library
+    monkeypatch.setattr(bitvec.Bits, "random", lambda *args: pytest.fail("library bits drawn"))
+    run_cli_expect_usage_error("simulate", "--n", "16", "--k", "2", "--r", "6", "--subfile-bits", "16")
+    captured = capsys.readouterr()
+    assert "the plan of N=16 K=2 r=6 costs ~24472071 table entries" in captured.err
     assert captured.out == ""
 
 

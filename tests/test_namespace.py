@@ -112,10 +112,13 @@ CLI_PATHS = {
     ("verify", "--suite", "privacy", "--n", "2", "--k", "3", "--r", "2"): (
         "privcache.tradeoff", "fractions", "privcache.plan", "privcache.reference",
     ),
+    ("simulate", "--n", "2", "--k", "3", "--r", "2", "--demands", "0,1,1"): (
+        "privcache.tradeoff", "fractions", "privcache.verify",
+    ),
 }
 
 
-@pytest.mark.parametrize("argv", list(CLI_PATHS), ids=["import", "tradeoff-csv", "verify-privacy"])
+@pytest.mark.parametrize("argv", list(CLI_PATHS), ids=["import", "tradeoff-csv", "verify-privacy", "simulate"])
 def test_each_cli_path_loads_only_its_own_layer(argv):
     code, loaded = fresh(
         "import contextlib, io, sys\n"
@@ -130,7 +133,8 @@ def test_each_cli_path_loads_only_its_own_layer(argv):
     )
     assert code == (None if argv is None else 0)
     assert not set(CLI_PATHS[argv]) & set(loaded)
-    home = {None: "privcache.cli", "tradeoff": "privcache.tradeoff", "verify": "privcache.verify"}
+    home = {None: "privcache.cli", "tradeoff": "privcache.tradeoff", "verify": "privcache.verify",
+            "simulate": "privcache.scheme"}
     assert home[argv and argv[0]] in loaded
 
 

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -351,6 +352,25 @@ def test_integer_curves_match_the_fraction_path(users):
         assert [(F(m, den), F(r, den)) for m, r in corners] == [(c.memory, c.rate) for c in envelope.corners], k
         expected = [(start, b.alpha, b.beta, b.gamma, b.label) for start, b in upper_envelope(converse_bounds(k))]
         assert [(F(num, d), a, b, g, tag) for num, d, a, b, g, tag in pieces] == expected, k
+
+
+def _no_binomial(*args):
+    raise AssertionError(f"a binomial was computed for {args}")
+
+
+@pytest.mark.parametrize("k", [2, 3, 32, 1000])
+def test_the_curves_compute_no_binomial(monkeypatch, k):
+    # the two-file corners come from their closed form, not from `scheme_counts`
+    expected = tight_intervals(k), tightness_rows(k, "1/200", ratio_text)
+    monkeypatch.setattr(tradeoff, "scheme_counts", _no_binomial)
+    monkeypatch.setattr(math, "comb", _no_binomial)
+    assert (tight_intervals(k), tightness_rows(k, "1/200", ratio_text)) == expected
+
+
+@pytest.mark.parametrize("k", [65, 128, 257, 500, 999, 1000])
+def test_tight_intervals_are_the_abstracts_past_64_users(k):
+    # [0, 2/K] and [2(K-1)/(K+1), 2], the ranges the paper proves tight
+    assert tight_intervals(k) == [(0, F(2, k)), (F(2 * (k - 1), k + 1), 2)]
 
 
 def _fraction_unbuilt(step):
