@@ -32,7 +32,7 @@ from itertools import combinations
 from math import comb
 from typing import NamedTuple
 
-from .combinat import ScaleLimitError, colex_rank, colex_subsets, position_count, scheme_counts
+from .combinat import ScaleLimitError, _count, colex_rank, colex_subsets, position_count, scheme_counts
 from .yma import build_u_vector
 
 Up = tuple[tuple[int, ...], ...]
@@ -138,7 +138,7 @@ def scheme_plan(num_files: int, num_users: int, r: int) -> SchemePlan:
     cost = subfiles * positions + num_users * rebuilt * 2 ** (r + 1)
     if cost > _PLAN_COST_CAP:
         raise ScaleLimitError(
-            f"the plan of N={num_files} K={num_users} r={r} costs ~{cost} table "
+            f"the plan of N={num_files} K={num_users} r={r} costs ~{_count(cost)} table "
             f"entries, which exceeds the cap of {_PLAN_COST_CAP}"
         )
     level = {size: colex_subsets(positions, size) for size in range(r - 2, r + 2)}

@@ -279,6 +279,15 @@ def test_library_lengths_past_the_int_to_str_limit_are_usage_errors(capsys, argv
     assert "Exceeds the limit" not in err
 
 
+@pytest.mark.parametrize("k, r", [(3000, 1500), (10000, 5000), (20000, 10000)])
+def test_plan_costs_past_the_int_to_str_limit_are_usage_errors(capsys, k, r):
+    # plan costs of 1,400 to 9,000 digits, printed as a power of two
+    run_cli_expect_usage_error("simulate", "--n", "2", "--k", str(k), "--r", str(r))
+    err = capsys.readouterr().err
+    assert f"the plan of N=2 K={k} r={r} costs ~2^" in err
+    assert "Exceeds the limit" not in err
+
+
 def test_simulate_is_refused_by_the_plan_before_any_per_user_draw(monkeypatch, capsys):
     # K' = 10^8 + 1 one-bit subfiles per file: the plan guard refuses the run
     # before the library and 10^8 demand and key digits are drawn
