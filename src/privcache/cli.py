@@ -192,9 +192,11 @@ def cmd_verify(args, parser) -> int:
     params = _params_from(args, parser)
     suites = SUITES[:-1] if args.suite == "all" else (args.suite,)
     marginal = args.mode == verify.FULL_MARGINAL  # full-marginal privacy reads no library
-    files = None if suites == ("privacy",) and marginal else _random_library(params, args.seed, parser)
     reports = []
     try:
+        if "correctness" in suites:  # priced before a library bit is drawn
+            verify.guard_correctness(params)
+        files = None if suites == ("privacy",) and marginal else _random_library(params, args.seed, parser)
         for suite in suites:
             if suite == "correctness":
                 reports.append(verify.verify_correctness_exhaustive(params, files))

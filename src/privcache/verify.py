@@ -212,6 +212,18 @@ def _correctness_work(params: SchemeParams) -> int:
     return n**k_users * t_choices * k_users * n * params.subfile_count
 
 
+def guard_correctness(params: SchemeParams) -> None:
+    """Refuse a correctness run that the caps price too large: the case cap
+    on its decode calls, then `_DECODE_WORK_CAP` on the subfiles they
+    rebuild.  Both read `params` alone, so a caller can price the run
+    before it draws a library."""
+    work = _correctness_work(params)
+    # each check is one decode call, of C(K', r) subfiles
+    _guard_cases("correctness check", work // params.subfile_count)
+    if work > _DECODE_WORK_CAP:
+        raise ScaleLimitError(f"correctness decoding of ~{_count(work)} subfiles exceeds the cap")
+
+
 def verify_correctness_exhaustive(
     params: SchemeParams,
     files: FileLibrary,
@@ -232,8 +244,8 @@ def verify_correctness_exhaustive(
     fails every one of them.  For a fixed key vector, D -> a is a
     bijection, so one check stands for the N^(K-1) tuples (D, S, t, k) with
     S_k = s, and `cases_run` counts those tuples.  The guards
-    (`_correctness_work`, `_DECODE_WORK_CAP`, the case cap) still price
-    one decode per t, the worst case, with their values unchanged.
+    (`guard_correctness`) still price one decode per t, the worst case,
+    with their values unchanged.
 
     `mutate_delivery` taps the broadcast before it reaches the decoders;
     fault-injection tests use it to confirm that corruption is detected
@@ -241,11 +253,7 @@ def verify_correctness_exhaustive(
     (`_failing_tuples`).
     """
     n, k_users = params.num_files, params.num_users
-    work = _correctness_work(params)
-    # each check is one decode call, of C(K', r) subfiles
-    _guard_cases("correctness check", work // params.subfile_count)
-    if work > _DECODE_WORK_CAP:
-        raise ScaleLimitError(f"correctness decoding of ~{_count(work)} subfiles exceeds the cap")
+    guard_correctness(params)
     start = time.perf_counter()
     caches = _caches_by_key(params, files)
     deliveries = _deliveries(params, files)

@@ -311,6 +311,18 @@ def test_simulate_is_refused_by_the_plan_before_the_library_is_drawn(monkeypatch
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("suite", ["correctness", "all"])
+def test_verify_prices_correctness_before_the_library_is_drawn(monkeypatch, capsys, suite):
+    # the 16-bit library would be about 22 MiB; correctness is refused by its price first
+    monkeypatch.setattr(bitvec.Bits, "random", lambda *args: pytest.fail("library bits drawn"))
+    run_cli_expect_usage_error(
+        "verify", "--suite", suite, "--n", "16", "--k", "2", "--r", "6", "--subfile-bits", "16"
+    )
+    captured = capsys.readouterr()
+    assert "correctness decoding of ~186980032512 subfiles exceeds the cap" in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize(
     "suite, n, k, r", [("identities", "2", "30", "0"), ("reconstruction", "2", "30", "5")]
 )

@@ -5,13 +5,14 @@
 every length and value, reject every nonzero pad pattern, and the cache
 and broadcast blobs must re-encode byte-identically.  Each fast path of
 `Bits.from_blocks` (whole bytes, single bits) must join and fail exactly
-as the shift-and-or chain `Bits._join` does.
+as the shift-and-or chain `Bits._join` does, and each split must hold
+past its 64-block struct records and at MiB payloads.
 """
 
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import reference_from_bytes, reference_to_bytes
@@ -23,8 +24,11 @@ from privcache.scheme import (
     FileLibrary,
     SchemeParams,
     SessionRandomness,
+    assemble_delivery,
+    aux_demand,
     build_delivery,
     build_v,
+    decode,
     place,
 )
 
@@ -71,6 +75,25 @@ def test_pack_and_split_blocks_equal_the_reference(width, data):
     whole = reference_from_bytes(blob, length).value
     expected = tuple(whole >> start & ((1 << width) - 1) for start in range(0, length, width))
     assert split_blocks(data.draw(byte_inputs)(blob), length, width) == expected == tuple(values)
+
+
+@pytest.mark.parametrize("width", [1, 8, 16, 24, 128, 1024])
+@settings(max_examples=12, deadline=None)
+@given(count=st.integers(0, 200), seed=st.integers(0, 2**32), kind=byte_inputs)
+@example(count=63, seed=1, kind=bytes)
+@example(count=64, seed=2, kind=bytearray)
+@example(count=65, seed=3, kind=memoryview)
+@example(count=128, seed=4, kind=memoryview)
+@example(count=129, seed=5, kind=bytes)
+def test_splits_past_the_struct_group_equal_the_reference(width, count, seed, kind):
+    # aligned splits cut 64 blocks per struct record, then the rest; 1-bit
+    # splits translate the base-2 text: both must cut where the reference does
+    length = count * width
+    blob = Bits(random.Random(seed).getrandbits(length), length).to_bytes()
+    read = reference_from_bytes(blob, length)
+    expected = tuple(read.value >> start & ((1 << width) - 1) for start in range(0, length, width))
+    assert split_blocks(kind(blob), length, width) == expected
+    assert read.block_values(width) == expected
 
 
 def outcome(call):
@@ -197,3 +220,23 @@ def test_mib_library_roundtrips():
     assert len(blob) == 4 * params.file_bits // 8 == 1_171_456
     assert blob[:64] == reference_to_bytes(Bits(files.files[0].value & ((1 << 512) - 1), 512))
     assert FileLibrary.from_bytes(params, blob) == files
+
+
+def test_mib_payloads_roundtrip_and_decode():
+    # N=4 K=4 r=3 with 16 Kibit subfiles: 1.2 MiB cache blobs of 589 blocks
+    # of 2 KiB, and a 0.5 MiB broadcast; users decode from the parsed blobs
+    params = SchemeParams.minimal(4, 4, 3, 16384)
+    files = FileLibrary.random(params, random.Random(6))
+    rand = SessionRandomness.from_seed(params, 30)
+    parsed = []
+    for cache in place(files, params, rand):
+        blob = cache.to_bytes()
+        assert len(blob) > 1 << 20
+        parsed.append(CacheContent.from_bytes(params, cache.user, blob))
+        assert parsed[-1] == cache
+    demands = (0, 1, 2, 3)
+    x = assemble_delivery(files, aux_demand(demands, rand.keys, 4), rand)
+    received = DeliverySignal.from_bytes(params, x.to_bytes())
+    assert received == x
+    for k, demand in enumerate(demands):
+        assert decode(parsed[k], received, k, demand) == files.files[demand]
