@@ -63,8 +63,7 @@ class Bits:
 
     @classmethod
     def random(cls, length: int, rng: random.Random) -> Bits:
-        if length >= 1 << 31:  # getrandbits takes a C int
-            raise ValueError(f"cannot draw {_count(length)} random bits, the limit is 2^31 - 1")
+        admit_draw(length)
         return cls(rng.getrandbits(length) if length else 0, length)
 
     @classmethod
@@ -193,6 +192,12 @@ class Bits:
         if self.length <= 64:
             return f"Bits({self.to01()!r})"
         return f"Bits(<{self.length} bits>)"
+
+
+def admit_draw(length: int) -> None:
+    """Refuse a length `Bits.random` cannot draw, without drawing."""
+    if length >= 1 << 31:  # getrandbits takes a C int
+        raise ValueError(f"cannot draw {_count(length)} random bits, the limit is 2^31 - 1")
 
 
 def pack_blocks(values: Iterable[int], width: int) -> bytes:

@@ -68,18 +68,16 @@ def _load_library(args, params, parser: argparse.ArgumentParser):
         except (OSError, ValueError, KeyError) as exc:
             parser.error(f"cannot load library {path}: {exc}")
         return files, f"file {path}"
-    return _random_library(params, args.seed, parser), f"seeded ({args.seed})"
+    return _random_library(params, args.seed), f"seeded ({args.seed})"
 
 
-def _random_library(params, seed: str, parser: argparse.ArgumentParser):
+def _random_library(params, seed: str):
+    """The seeded library; a draw too long for the generator raises `ScaleLimitError`."""
     import random
 
     from .scheme import FileLibrary
 
-    try:
-        return FileLibrary.random(params, random.Random(f"{seed}:library"))
-    except ValueError as exc:
-        parser.error(f"cannot generate the library: {exc}")
+    return FileLibrary.random(params, random.Random(f"{seed}:library"))
 
 
 def cmd_params(args, parser) -> int:
@@ -87,8 +85,6 @@ def cmd_params(args, parser) -> int:
 
     params = _params_from(args, parser)
     point = memory_rate_of(params)
-    _, stored, _, per_file = params.counts
-    segments = params.num_files * per_file
     info = {
         "N": params.num_files,
         "K": params.num_users,
@@ -97,14 +93,14 @@ def cmd_params(args, parser) -> int:
         "positions": params.positions,
         "subfiles_per_file": params.subfile_count,
         "subfile_bits": params.subfile_bits,
-        "stored_signals_per_user": stored,
-        "broadcast_segments": segments,
+        "stored_signals_per_user": params.counts[1],
+        "broadcast_segments": params.num_files * params.counts[3],
         "M": str(point.memory),
         "M_float": float(point.memory),
         "R": str(point.rate),
         "R_float": float(point.rate),
-        "cache_payload_bits": stored * params.subfile_bits,
-        "delivery_payload_bits": segments * params.subfile_bits,
+        "cache_payload_bits": params.cache_payload_bits,
+        "delivery_payload_bits": params.delivery_payload_bits,
     }
     for name, value in info.items():
         try:  # Python prints no int of more than `sys.get_int_max_str_digits()` digits
@@ -129,16 +125,15 @@ def cmd_params(args, parser) -> int:
 
 
 def cmd_simulate(args, parser) -> int:
-    from .combinat import ScaleLimitError
-    from .scheme import SessionRandomness, assemble_delivery, aux_demand, decode, place
+    from .scheme import ScaleLimitError, SessionRandomness, assemble_delivery, aux_demand, decode, place
 
     params = _params_from(args, parser)
     n, k_users = params.num_files, params.num_users
-    try:  # the plan's size guard may refuse the instance before the library or any digit is drawn
+    try:  # the plan's size guard, then the draw's limit, refuse the instance before any bit or digit is drawn
         params.plan
+        files, origin = _load_library(args, params, parser)
     except ScaleLimitError as exc:
         parser.error(str(exc))
-    files, origin = _load_library(args, params, parser)
     if args.demands is not None:
         tokens = args.demands.split(",")
         try:
@@ -158,24 +153,17 @@ def cmd_simulate(args, parser) -> int:
 
     rand = SessionRandomness.from_seed(params, args.seed)
     caches = place(files, params, rand)
-    _, stored, _, per_file = params.counts  # M*F and R*F are whole numbers of subfile bits
 
     print(f"simulate N={n} K={k_users} r={params.r} F={params.file_bits} seed={args.seed}")
     print(f"library: {origin}")
     print(f"demands: {','.join(map(str, demands))}")
     print(f"keys:    {','.join(map(str, rand.keys))}")
-    cache_bits = {cache.payload_bits for cache in caches}
-    print(
-        f"placement: {k_users} caches, payload {sorted(cache_bits)[0]} bits each "
-        f"(M*F = {stored * params.subfile_bits})"
-    )
+    cache_bits = params.cache_payload_bits  # every cache's `payload_bits`, which its constructor checks
+    print(f"placement: {k_users} caches, payload {cache_bits} bits each (M*F = {cache_bits})")
     d = aux_demand(demands, rand.keys, n)
     x = assemble_delivery(files, d, rand)
     print(f"auxiliary demand: {','.join(map(str, d.digits))}  t={x.t_d}")
-    print(
-        f"delivery payload: {x.payload_bits} bits "
-        f"(R*F = {n * per_file * params.subfile_bits})"
-    )
+    print(f"delivery payload: {x.payload_bits} bits (R*F = {params.delivery_payload_bits})")
     ok = 0
     for k in range(k_users):
         got = decode(caches[k], x, k, demands[k])
@@ -191,25 +179,20 @@ def cmd_verify(args, parser) -> int:
 
     params = _params_from(args, parser)
     suites = SUITES[:-1] if args.suite == "all" else (args.suite,)
-    marginal = args.mode == verify.FULL_MARGINAL  # full-marginal privacy reads no library
-    reports = []
-    try:
-        if "correctness" in suites:  # priced before a library bit is drawn
-            verify.guard_correctness(params)
-        files = None if suites == ("privacy",) and marginal else _random_library(params, args.seed, parser)
-        for suite in suites:
-            if suite == "correctness":
-                reports.append(verify.verify_correctness_exhaustive(params, files))
-            elif suite == "privacy":
-                reports.append(verify.verify_privacy(params, args.mode, None if marginal else files))
-            elif suite == "lemma1":
-                reports.append(verify.verify_distribution_lemma(params, files))
-            elif suite == "identities":
-                reports.append(verify.oracle_demand_identity(params, files))
-            elif suite == "reconstruction":
-                reports.append(verify.oracle_y_reconstruction(params, files))
+    try:  # every selected suite is priced, in `SUITES` order, before any runs or a bit is drawn
+        reads_library = [verify.admit(params, suite, args.mode) for suite in suites]
     except verify.ScaleLimitError as exc:
         parser.error(str(exc))
+    # a library is drawn once, and only for the suites that read one
+    files = _random_library(params, args.seed) if any(reads_library) else None
+    runs = {  # each engine is read off the module when it runs
+        "correctness": lambda: verify.verify_correctness_exhaustive(params, files),
+        "privacy": lambda: verify.verify_privacy(params, args.mode),
+        "lemma1": lambda: verify.verify_distribution_lemma(params),
+        "identities": lambda: verify.oracle_demand_identity(params, files),
+        "reconstruction": lambda: verify.oracle_y_reconstruction(params, files),
+    }
+    reports = [runs[suite]() for suite in suites]
     if args.format == "json":
         import json
         print(json.dumps([r.to_dict() for r in reports], indent=2))

@@ -3,7 +3,9 @@ order of fixed-size subsets, held as increasing tuples.
 
 `scheme_counts` is the one place a payload size is computed, so nothing
 builds a plan table just to count.  It prices C(K', r) before computing
-it and refuses a count of more than `COUNT_BITS_CAP` bits.
+it and refuses a count of more than `COUNT_BITS_CAP` bits, and
+`admit_plan` prices the rank tables of `plan.scheme_plan` from those
+counts before any table is built.
 
 Colex order compares subsets by their largest element first, which gives
 O(size) ranks without lookup tables and keeps the order of small subsets
@@ -104,6 +106,33 @@ def scheme_counts(num_files: int, num_users: int, r: int) -> tuple[int, int, int
     rebuilt = binomial(positions - num_files, r + 1)
     # C(K'-1, r-1) = C(K', r) * r / K' exactly, one binomial fewer.
     return subfiles, binomial(positions, r + 1) - rebuilt, rebuilt, subfiles * r // positions
+
+
+# in `admit_plan`'s cost units; built one per fresh process on a 2-vCPU VM,
+# the costliest plans under the cap take 4-5 s or 100-250 MiB: (2,100,1)
+# 1.95M units 4.2 s, (6,4,5) 1.71M 4.7 s, (13,2,5) 1.45M 3.6 s / 251 MiB;
+# above it (5,5,5) 2.99M takes 8.3 s and (16,2,5) 5.9M 15 s / 918 MiB
+_PLAN_COST_CAP = 2_000_000
+
+
+def admit_plan(num_files: int, num_users: int, r: int) -> int:
+    """Refuse (N, K, r) whose plan (`plan.scheme_plan`) costs more than
+    `_PLAN_COST_CAP`, from the closed-form counts alone, and return K'.
+
+    Two terms dominate the cost of building a plan: the up rows of the
+    C(K', r) subfiles, K' entries each, and the reconstruction rows,
+    C(K'-N, r+1) per user, each built from the 2^(r+1) subsets of its
+    (r+1)-subset.
+    """
+    positions = position_count(num_files, num_users)
+    subfiles, _, rebuilt, _ = scheme_counts(num_files, num_users, r)
+    cost = subfiles * positions + num_users * rebuilt * 2 ** (r + 1)
+    if cost > _PLAN_COST_CAP:
+        raise ScaleLimitError(
+            f"the plan of N={num_files} K={num_users} r={r} costs ~{_count(cost)} table "
+            f"entries, which exceeds the cap of {_PLAN_COST_CAP}"
+        )
+    return positions
 
 
 def colex_rank(members: Sequence[int]) -> int:

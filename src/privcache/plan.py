@@ -22,7 +22,8 @@ of the subset plus t, or -1 when t is already a member; a `down` row lists
 
 Only placement, delivery, decoding, the payload expansions and the
 wire-order helpers read a plan; payload sizes come from
-`combinat.scheme_counts`, which also prices a plan before it is built.
+`combinat.scheme_counts`, and `combinat.admit_plan` prices a plan from
+them before it is built.
 """
 
 from __future__ import annotations
@@ -32,18 +33,13 @@ from itertools import combinations
 from math import comb
 from typing import NamedTuple
 
-from .combinat import ScaleLimitError, _count, colex_rank, colex_subsets, position_count, scheme_counts
+from .combinat import admit_plan, colex_rank, colex_subsets
 from .yma import build_u_vector
 
 Up = tuple[tuple[int, ...], ...]
 Down = tuple[tuple[tuple[int, int], ...], ...]
 
 _PLAN_CACHE_SIZE = 8
-# in `scheme_plan`'s cost units; built one per fresh process on a 2-vCPU VM,
-# the costliest plans under the cap take 4-5 s or 100-250 MiB: (2,100,1)
-# 1.95M units 4.2 s, (6,4,5) 1.71M 4.7 s, (13,2,5) 1.45M 3.6 s / 251 MiB;
-# above it (5,5,5) 2.99M takes 8.3 s and (16,2,5) 5.9M 15 s / 918 MiB
-_PLAN_COST_CAP = 2_000_000
 
 
 class SchemePlan(NamedTuple):
@@ -126,21 +122,8 @@ def _flat_reconstruction(
 @lru_cache(maxsize=_PLAN_CACHE_SIZE)
 def scheme_plan(num_files: int, num_users: int, r: int) -> SchemePlan:
     """The plan of (N, K, r); it does not depend on the file length.
-
-    Two terms dominate the cost of building it: the up rows of the C(K', r)
-    subfiles, K' entries each, and the reconstruction rows, C(K'-N, r+1)
-    per user, each built from the 2^(r+1) subsets of its (r+1)-subset.
-    Above `_PLAN_COST_CAP` it raises `ScaleLimitError` before any table is
-    built.
-    """
-    positions = position_count(num_files, num_users)
-    subfiles, _, rebuilt, _ = scheme_counts(num_files, num_users, r)
-    cost = subfiles * positions + num_users * rebuilt * 2 ** (r + 1)
-    if cost > _PLAN_COST_CAP:
-        raise ScaleLimitError(
-            f"the plan of N={num_files} K={num_users} r={r} costs ~{_count(cost)} table "
-            f"entries, which exceeds the cap of {_PLAN_COST_CAP}"
-        )
+    `admit_plan` prices it first, so a refused plan builds no table."""
+    positions = admit_plan(num_files, num_users, r)
     level = {size: colex_subsets(positions, size) for size in range(r - 2, r + 2)}
     signals_down = _down(level[r + 1])
     stored_ranks = [rank for rank, members in enumerate(level[r + 1]) if members[0] < num_files]

@@ -55,8 +55,8 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 from . import yma
 from ._record import FrozenRecord
-from .bitvec import Bits, pack_blocks, split_blocks
-from .combinat import position_count, scheme_counts
+from .bitvec import Bits, admit_draw, pack_blocks, split_blocks
+from .combinat import ScaleLimitError, _count, position_count, scheme_counts
 
 if TYPE_CHECKING:
     from .plan import SchemePlan
@@ -104,6 +104,16 @@ class SchemeParams(FrozenRecord):
     def subfile_bits(self) -> int:
         return self.file_bits // self.subfile_count
 
+    @property
+    def cache_payload_bits(self) -> int:
+        """Bits of a cache's payload, M*F: its stored signals, one subfile wide each."""
+        return self.counts[1] * self.subfile_bits
+
+    @property
+    def delivery_payload_bits(self) -> int:
+        """Bits of a broadcast's payload, R*F: N files' segments, one subfile wide each."""
+        return self.num_files * self.counts[3] * self.subfile_bits
+
     @cached_property
     def plan(self) -> SchemePlan:
         """The rank tables of (N, K, r), shared by every file length."""
@@ -147,7 +157,16 @@ class FileLibrary(FrozenRecord):
 
     @classmethod
     def random(cls, params: SchemeParams, rng: random.Random) -> FileLibrary:
+        cls.admit_random(params)
         return cls(params, tuple(Bits.random(params.file_bits, rng) for _ in range(params.num_files)))
+
+    @staticmethod
+    def admit_random(params: SchemeParams) -> None:
+        """Refuse a library `random` cannot draw (`bitvec.admit_draw`), without drawing."""
+        try:
+            admit_draw(params.file_bits)
+        except ValueError as exc:
+            raise ScaleLimitError(f"cannot generate the library: {exc}") from None
 
     def to_bytes(self) -> bytes:
         """Raw concatenation of all N files, padded to a byte boundary."""
@@ -263,7 +282,7 @@ def _field(value: int, size: int, name: str) -> bytes:
     try:
         return value.to_bytes(size, "big")
     except OverflowError:
-        raise ValueError(f"{name} {value} does not fit in {size} byte(s)") from None
+        raise ValueError(f"{name} {_count(value)} does not fit in {size} byte(s)") from None
 
 
 def delivery_header(digits: Sequence[int], t_d: int, payload_bits: int) -> bytes:
@@ -295,8 +314,7 @@ class DeliverySignal(FrozenRecord):
             raise ValueError("auxiliary demand does not match parameters")
         if t_d not in aux.selector:
             raise ValueError(f"t={t_d} not in the selector set of {aux.digits}")
-        _, _, _, per_file = params.counts
-        expected = params.num_files * per_file
+        expected = params.num_files * params.counts[3]
         if len(segments) != expected:
             raise ValueError(f"broadcast holds {len(segments)} segments, expected {expected}")
 

@@ -24,12 +24,13 @@ demands; no sampling, no floats.  An outcome is the pair of wire headers
 with no library or plan built, so privacy also runs on instances whose
 plan the size guard refuses: given a library, each payload is a function
 of its header, so the conditional and Lemma 1 verdicts hold for every
-library of that shape.  Each key vector puts one (aux digits, key digit)
-cell on a user's air, and the cell law over uniform keys is a product
-over the demand digits, so a factor check over the N^2 rotated digits
-passes every masking that sends each demand digit through the same
-multiset of aux digits, with no enumeration: equal cell multisets give
-equal histograms for any outcome function of the cell.  A pass builds
+library of that shape, and those engines take no library.  Each key
+vector puts one (aux digits, key digit) cell on a user's air, and the
+cell law over uniform keys is a product over the demand digits, so a
+factor check over the N^2 rotated digits passes every masking that
+sends each demand digit through the same multiset of aux digits, with
+no enumeration: equal cell multisets give equal histograms for any
+outcome function of the cell.  A pass builds
 one widest header pair and no header table.  Any other masking, such as
 the unmasked negative control, is enumerated under the case cap: a
 histogram is compared as the sorted ids of its cells, and only two lists
@@ -45,6 +46,13 @@ decoding's signal reconstruction against its definition
 (`reference.compute_y`, imported by that oracle alone), each under its
 own case cap; they diagnose the decoder's building blocks and are not the
 proof of correctness.
+Every suite's refusals are written once, in `admit`, and read `params`
+(and the privacy mode) alone: its caps, for correctness and
+reconstruction the plan's price, and for the suites that read library
+bits the seeded draw's limit.  Each engine calls its suite's set first,
+and `cli.cmd_verify` calls the sets of all selected suites before any
+suite runs or any library bit is drawn, so a refused run builds and
+draws nothing.
 `ScaleLimitError` lives in `combinat`, next to the counts the guards
 read, and is re-exported here.  A run's outcome is a
 `VerificationReport`, a mutable `_record.Record`: field-wise equality
@@ -64,7 +72,7 @@ from typing import Callable, Iterable, Iterator
 from . import yma
 from ._record import Record
 from .bitvec import Bits
-from .combinat import ScaleLimitError, _count
+from .combinat import ScaleLimitError, _count, admit_plan
 from .scheme import (
     AuxDemand,
     CacheContent,
@@ -191,13 +199,12 @@ def _headers(params: SchemeParams) -> tuple[dict[tuple[int, ...], dict[int, byte
     d and t in d's selector set; `caches[s]` heads `CacheContent.to_bytes`
     for key digit s.
     """
-    n, width = params.num_files, params.subfile_bits
-    _, stored, _, per_file = params.counts
+    n, x_bits = params.num_files, params.delivery_payload_bits
     broadcasts = {
-        digits: {t: delivery_header(digits, t, n * per_file * width) for t in AuxDemand(digits, n).selector}
+        digits: {t: delivery_header(digits, t, x_bits) for t in AuxDemand(digits, n).selector}
         for digits in _all_digit_vectors(n, params.num_users)
     }
-    caches = [cache_header(s, stored * width) for s in range(n)]
+    caches = [cache_header(s, params.cache_payload_bits) for s in range(n)]
     return broadcasts, caches
 
 
@@ -212,16 +219,58 @@ def _correctness_work(params: SchemeParams) -> int:
     return n**k_users * t_choices * k_users * n * params.subfile_count
 
 
-def guard_correctness(params: SchemeParams) -> None:
-    """Refuse a correctness run that the caps price too large: the case cap
-    on its decode calls, then `_DECODE_WORK_CAP` on the subfiles they
-    rebuild.  Both read `params` alone, so a caller can price the run
-    before it draws a library."""
-    work = _correctness_work(params)
-    # each check is one decode call, of C(K', r) subfiles
-    _guard_cases("correctness check", work // params.subfile_count)
-    if work > _DECODE_WORK_CAP:
-        raise ScaleLimitError(f"correctness decoding of ~{_count(work)} subfiles exceeds the cap")
+def admit(params: SchemeParams, suite: str, mode: str = CONDITIONAL) -> bool:
+    """Refuse a run of `suite` that its caps price too large, from `params`
+    (and the privacy `mode`) alone, so nothing is drawn or built to refuse
+    it; return whether the suite reads library bits.
+
+    Every engine calls its own suite's set first; `cmd_verify` calls the
+    sets of all selected suites, in `cli.SUITES` order, before any runs,
+    and draws a library only if one of them reads it.  Privacy and Lemma 1
+    weigh wire headers alone: in full-marginal mode 1-bit subfiles and
+    `_MARGINAL_BIT_CAP`; then the widest header pair (every digit N-1,
+    t = K'-1, the real lengths) is serialized, so a field too narrow for
+    its value (N > 256) is refused before the N x N rotation table; then
+    the case cap on the K·N^K cases a report claims.  The suites that read
+    library bits: correctness's case cap on its decode calls, then
+    `_DECODE_WORK_CAP` on the subfiles they rebuild, or an oracle's own
+    case cap; then, for the two that place caches, the plan
+    (`combinat.admit_plan`); then the seeded library's draw
+    (`FileLibrary.admit_random`).
+    """
+    n, k_users = params.num_files, params.num_users
+    if suite in ("privacy", "lemma1"):
+        if suite == "privacy" and mode == FULL_MARGINAL:
+            if params.subfile_bits != 1:
+                raise ScaleLimitError("full-marginal mode needs 1-bit subfiles")
+            total_bits = n * params.subfile_count
+            if total_bits > _MARGINAL_BIT_CAP:
+                raise ScaleLimitError(
+                    f"full-marginal mode over {_count(total_bits)} library bits exceeds the "
+                    f"{_MARGINAL_BIT_CAP}-bit cap"
+                )
+        try:
+            delivery_header((n - 1,) * k_users, params.positions - 1, params.delivery_payload_bits)
+            cache_header(n - 1, params.cache_payload_bits)
+        except ValueError as exc:
+            raise ScaleLimitError(f"privacy weighs every wire header: {exc}") from None
+        _guard_cases("privacy verdict", k_users * n**k_users)
+        return False
+    if suite == "correctness":
+        work = _correctness_work(params)
+        # each check is one decode call, of C(K', r) subfiles
+        _guard_cases("correctness check", work // params.subfile_count)
+        if work > _DECODE_WORK_CAP:
+            raise ScaleLimitError(f"correctness decoding of ~{_count(work)} subfiles exceeds the cap")
+    elif suite == "identities":
+        _guard_cases("demand-identity enumeration", n**k_users * k_users * n, _IDENTITY_CASE_CAP)
+    elif suite == "reconstruction":
+        rebuilt = params.counts[2]
+        _guard_cases("signal-reconstruction enumeration", k_users * n * rebuilt, _RECONSTRUCTION_CASE_CAP)
+    if suite != "identities":  # correctness and reconstruction place caches
+        admit_plan(n, k_users, params.r)
+    FileLibrary.admit_random(params)
+    return True
 
 
 def verify_correctness_exhaustive(
@@ -243,9 +292,8 @@ def verify_correctness_exhaustive(
     counts as one check for every t of its group, and a failing decode
     fails every one of them.  For a fixed key vector, D -> a is a
     bijection, so one check stands for the N^(K-1) tuples (D, S, t, k) with
-    S_k = s, and `cases_run` counts those tuples.  The guards
-    (`guard_correctness`) still price one decode per t, the worst case,
-    with their values unchanged.
+    S_k = s, and `cases_run` counts those tuples.  Its caps (`admit`) still
+    price one decode per t, the worst case, with their values unchanged.
 
     `mutate_delivery` taps the broadcast before it reaches the decoders;
     fault-injection tests use it to confirm that corruption is detected
@@ -253,7 +301,7 @@ def verify_correctness_exhaustive(
     (`_failing_tuples`).
     """
     n, k_users = params.num_files, params.num_users
-    guard_correctness(params)
+    admit(params, "correctness")
     start = time.perf_counter()
     caches = _caches_by_key(params, files)
     deliveries = _deliveries(params, files)
@@ -331,9 +379,8 @@ def _privacy(
     outcomes one header pair stands for (one if None); a failure reports
     their sum over the outcomes whose weights differ.
 
-    The widest header pair (every digit N-1, t = K'-1, the real lengths)
-    is serialized first, so a field too narrow for its value (N > 256) is
-    refused before anything else is built.  A key vector S puts one cell
+    Its callers have run `admit`, which serializes the widest header pair,
+    so every header fits its fields.  A key vector S puts one cell
     on user k's air: the aux digits (rotation(d_j)[s_j] for every j) and
     the key digit s_k, standing for its |V| header pairs at weight 1/|V|
     each.  Over uniform keys the multiset of cells is a product over the
@@ -342,8 +389,8 @@ def _privacy(
     digit's rotation holds the same multiset (the factor check, N^2 digit
     comparisons), every completion puts the same cell multiset on the air,
     and any outcome function of the cell has the same histogram: the run
-    passes with the K·N^K cases the report claims, under the case cap, with
-    no header table.  The check passes the scheme's masking, the rotation
+    passes with the K·N^K cases the report claims, which `admit` capped,
+    with no header table.  The check passes the scheme's masking, the rotation
     (d - s) mod N, and any other per-digit bijection.
 
     Otherwise (the unmasked control, whose rotation is the constant
@@ -358,12 +405,6 @@ def _privacy(
     """
     start = time.perf_counter()
     n, k_users = params.num_files, params.num_users
-    _, stored, _, per_file = params.counts
-    try:  # the widest header pair: every digit N-1, t = K'-1, one byte per digit
-        delivery_header((n - 1,) * k_users, params.positions - 1, n * per_file * params.subfile_bits)
-        cache_header(n - 1, stored * params.subfile_bits)
-    except ValueError as exc:
-        raise ScaleLimitError(f"privacy weighs every wire header: {exc}") from None
     # the aux digit a demand digit takes under key digits 0..N-1: masked, its
     # `_rotation`; the unmasked negative control sends the raw digit
     rotations = [_rotation(v, n) if masked else [v] * n for v in range(n)]
@@ -371,9 +412,7 @@ def _privacy(
     scope = f"privacy[{what}] N={n} K={k_users} r={params.r}{control}"
     # the factor check; with one user there is no other demand to compare
     if k_users == 1 or len({tuple(sorted(r)) for r in rotations}) == 1:
-        cases = k_users * n**k_users
-        _guard_cases("privacy verdict", cases)
-        return VerificationReport(scope, cases, [], time.perf_counter() - start)
+        return VerificationReport(scope, k_users * n**k_users, [], time.perf_counter() - start)
     _guard_enumeration(params, "privacy")
     broadcasts, caches = _headers(params)
     weight_lcm = lcm(*(len(ts) for ts in broadcasts.values()))
@@ -431,25 +470,14 @@ def _privacy(
     return VerificationReport(scope, cases, failures, time.perf_counter() - start)
 
 
-def _given_library(params: SchemeParams, files: FileLibrary | None) -> None:
-    """The conditional engines read no library bits, but still take one."""
-    if files is None:
-        raise ValueError("conditional mode needs a file library")
-    if files.params != params:
-        raise ValueError("library was split under different parameters")
-
-
 def verify_privacy(
-    params: SchemeParams,
-    mode: str = CONDITIONAL,
-    files: FileLibrary | None = None,
-    masked: bool = True,
+    params: SchemeParams, mode: str = CONDITIONAL, *, masked: bool = True
 ) -> VerificationReport:
     """Exact distribution-equality test of the observable (X_D, Z_k).
 
     Conditional mode fixes the library and weighs every key and t-choice;
-    it weighs wire headers alone, so its verdict holds for every library
-    of that shape, not only `files`.  Full-marginal mode marginalizes over
+    it weighs wire headers alone, so it takes no library and its verdict
+    holds for every library of the shape.  Full-marginal mode marginalizes over
     every 1-bit-subfile library as well, exactly and without enumerating
     them (`_privacy_marginal`), up to 512 library bits.  For every user k
     and own demand value, the histogram must be identical across all
@@ -458,12 +486,12 @@ def verify_privacy(
     of the key-masked ones; that variant must fail and serves as the
     negative control for the test machinery itself.
     """
-    if mode in (CONDITIONAL, "conditional"):
-        _given_library(params, files)
-        return _privacy(params, CONDITIONAL, masked)
+    if mode not in (CONDITIONAL, "conditional", FULL_MARGINAL):
+        raise ValueError(f"unknown privacy mode {mode!r}")
+    admit(params, "privacy", mode)
     if mode == FULL_MARGINAL:
         return _privacy_marginal(params, masked)
-    raise ValueError(f"unknown privacy mode {mode!r}")
+    return _privacy(params, CONDITIONAL, masked)
 
 
 def _basis_library(params: SchemeParams) -> tuple[SchemeParams, FileLibrary, int]:
@@ -509,15 +537,9 @@ def _privacy_marginal(params: SchemeParams, masked: bool) -> VerificationReport:
     differing header pair stands for 2^rank differing outcomes.  The basis
     library's tables, as wide as the library has bits (capped at 512), are
     built on the first failure only, and each rank once per (d, t, k, s).
+    `admit` has capped the library bits.
     """
-    if params.subfile_bits != 1:
-        raise ScaleLimitError("full-marginal mode needs 1-bit subfiles")
     total_bits = params.num_files * params.subfile_count
-    if total_bits > _MARGINAL_BIT_CAP:
-        raise ScaleLimitError(
-            f"full-marginal mode over {_count(total_bits)} library bits exceeds the "
-            f"{_MARGINAL_BIT_CAP}-bit cap"
-        )
 
     @cache
     def tables() -> tuple[dict, dict, dict]:
@@ -537,17 +559,16 @@ def _privacy_marginal(params: SchemeParams, masked: bool) -> VerificationReport:
     return _privacy(params, f"full-marginal over {1 << total_bits} libraries", masked, spread)
 
 
-def verify_distribution_lemma(
-    params: SchemeParams, files: FileLibrary, masked: bool = True
-) -> VerificationReport:
+def verify_distribution_lemma(params: SchemeParams, *, masked: bool = True) -> VerificationReport:
     """Equality of the joint (X_D, Z_k, W_{D_k}) histogram across D_{-k}.
 
-    Same check as conditional privacy: given the library, the demanded file
-    is a function of the own demand alone, a constant of each histogram, so
-    the verdict holds for every library of that shape, and any inequality
-    points at the broadcast or cache leaking the other users' demands.
+    Same check as conditional privacy, and it takes no library either: given
+    the library, the demanded file is a function of the own demand alone, a
+    constant of each histogram, so the verdict holds for every library of
+    the shape, and any inequality points at the broadcast or cache leaking
+    the other users' demands.
     """
-    _given_library(params, files)
+    admit(params, "lemma1")
     return _privacy(params, "joint with demanded file", masked)
 
 
@@ -560,7 +581,7 @@ def oracle_demand_identity(params: SchemeParams, files: FileLibrary) -> Verifica
     files are compared, which covers every subfile index at once.
     """
     n, k_users = params.num_files, params.num_users
-    _guard_cases("demand-identity enumeration", n**k_users * k_users * n, _IDENTITY_CASE_CAP)
+    admit(params, "identities")
     start = time.perf_counter()
     cases = 0
     failures = []
@@ -590,11 +611,10 @@ def oracle_y_reconstruction(params: SchemeParams, files: FileLibrary) -> Verific
     vacuously passes when no such index exists (K' - N < r + 1).
     """
     n, k_users = params.num_files, params.num_users
-    _, _, rebuilt, _ = params.counts
-    _guard_cases("signal-reconstruction enumeration", k_users * n * rebuilt, _RECONSTRUCTION_CASE_CAP)
+    # the plan guard in `admit`, whose up-row cost C(K', r)*K' bounds the
+    # C(K', r+1) subsets enumerated below, refuses before anything is built
+    admit(params, "reconstruction")
     start = time.perf_counter()
-    # Placement runs the plan guard, whose up-row cost C(K', r)*K' bounds
-    # the C(K', r+1) subsets enumerated next, so it must come first.
     caches = _caches_by_key(params, files)
     # the one verifier that runs the per-element reference layer, so only
     # it compiles that module

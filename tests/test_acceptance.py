@@ -110,13 +110,13 @@ def test_criterion_2_exhaustive_correctness():
 def test_criterion_3_exact_privacy():
     start = time.perf_counter()
     problems = []
-    params, files = seeded_library(2, 3, 2, seed=200, bits_per_subfile=5)
-    if not verify_privacy(params, CONDITIONAL, files).passed:
+    params = SchemeParams.minimal(2, 3, 2, 5)
+    if not verify_privacy(params, CONDITIONAL).passed:
         problems.append("conditional mode failed")
     minimal = SchemeParams.minimal(2, 3, 2)
     if not verify_privacy(minimal, FULL_MARGINAL).passed:
         problems.append("full-marginal mode failed")
-    if verify_privacy(params, CONDITIONAL, files, masked=False).passed:
+    if verify_privacy(params, CONDITIONAL, masked=False).passed:
         problems.append("unmasked negative control did not fail")
     _criterion(3, "exact privacy at (2,3,2)", problems, time.perf_counter() - start, 120.0)
 
@@ -125,8 +125,8 @@ def test_criterion_4_distribution_lemma():
     start = time.perf_counter()
     problems = []
     for n, k, r in [(2, 2, 1), (2, 3, 2)]:
-        params, files = seeded_library(n, k, r, seed=300, bits_per_subfile=2)
-        if not verify_distribution_lemma(params, files).passed:
+        params = SchemeParams.minimal(n, k, r, 2)
+        if not verify_distribution_lemma(params).passed:
             problems.append((n, k, r))
     _criterion(4, "joint distribution equality", problems, time.perf_counter() - start, 60.0)
 

@@ -272,10 +272,14 @@ def test_case_counts_past_the_int_to_str_limit_are_usage_errors(capsys, suite):
 )
 def test_library_lengths_past_the_int_to_str_limit_are_usage_errors(capsys, argv):
     # files of C(K', r) or 6 * 10^1000 bits, a count of 1,000 to 6,000 digits, printed as a
-    # power of two; simulate prices its plan first, so only a small plan reaches the library
+    # power of two; simulate prices its plan first, so only a small plan reaches the library,
+    # and privacy draws none, so its widest header names the broadcast length
     run_cli_expect_usage_error(*argv)
     err = capsys.readouterr().err
-    assert "cannot generate the library: cannot draw 2^" in err
+    if argv[0] == "verify":
+        assert "privacy weighs every wire header: payload_bits 2^19993 does not fit in 4 byte(s)" in err
+    else:
+        assert "cannot generate the library: cannot draw 2^" in err
     assert "Exceeds the limit" not in err
 
 
@@ -321,6 +325,66 @@ def test_verify_prices_correctness_before_the_library_is_drawn(monkeypatch, caps
     captured = capsys.readouterr()
     assert "correctness decoding of ~186980032512 subfiles exceeds the cap" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "suite, instance, refusal",
+    [("identities", ("16", "6", "6", "1"),
+      "demand-identity enumeration of ~1610612736 cases exceeds the cap"),
+     ("reconstruction", ("16", "2", "6", "16"),
+      "the plan of N=16 K=2 r=6 costs ~24472071 table entries, which exceeds the cap of 2000000")],
+)
+def test_verify_prices_the_oracles_before_the_library_is_drawn(monkeypatch, capsys, suite, instance, refusal):
+    # (16,6,6) would draw 16 files of 666,563,898 bits (1.45 GB peak RSS when it
+    # drew them), and the 16-bit (16,2,6) about 22 MiB
+    monkeypatch.setattr(bitvec.Bits, "random", lambda *args: pytest.fail("library bits drawn"))
+    n, k, r, width = instance
+    run_cli_expect_usage_error(
+        "verify", "--suite", suite, "--n", n, "--k", k, "--r", r, "--subfile-bits", width
+    )
+    captured = capsys.readouterr()
+    assert f"privcache verify: error: {refusal}\n" in captured.err
+    assert captured.out == ""
+
+
+def test_verify_prices_every_suite_before_any_runs(monkeypatch, capsys):
+    # correctness would pass at N = 257, but privacy's headers cannot carry
+    # digit 256, so the run stops before any engine or draw
+    from privcache import verify
+
+    for engine in ("verify_correctness_exhaustive", "verify_privacy", "verify_distribution_lemma",
+                   "oracle_demand_identity", "oracle_y_reconstruction"):
+        monkeypatch.setattr(verify, engine, lambda *args, **kwargs: pytest.fail("a suite ran"))
+    monkeypatch.setattr(bitvec.Bits, "random", lambda *args: pytest.fail("library bits drawn"))
+    run_cli_expect_usage_error("verify", "--suite", "all", "--n", "257", "--k", "1", "--r", "0")
+    captured = capsys.readouterr()
+    assert "privacy weighs every wire header: demand digit 256 does not fit in 1 byte(s)" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "suite, scope",
+    [("privacy", "privacy[conditional-on-files]"), ("lemma1", "privacy[joint with demanded file]")],
+)
+def test_conditional_privacy_and_lemma1_draw_no_library(monkeypatch, capsys, suite, scope):
+    # (16,2,8) at 16-bit subfiles would draw 16 files of 126,219,600 bits
+    def no_draws(self, k):
+        raise AssertionError("bits drawn")
+
+    monkeypatch.setattr(random.Random, "getrandbits", no_draws)
+    code, out = run_cli(
+        capsys, "verify", "--suite", suite, "--n", "16", "--k", "2", "--r", "8", "--subfile-bits", "16"
+    )
+    assert code == 0
+    assert out.startswith(f"PASS {scope} N=16 K=2 r=8 [cases=512, ")
+
+
+@pytest.mark.parametrize("suite", ["privacy", "lemma1"])
+def test_privacy_runs_at_the_widest_admitted_digit(capsys, suite):
+    # N = 256: every demand and key digit, up to 255, fits its one-byte field
+    code, out = run_cli(capsys, "verify", "--suite", suite, "--n", "256", "--k", "1", "--r", "0")
+    assert code == 0
+    assert out.startswith("PASS privacy[") and " N=256 K=1 r=0 [cases=256, " in out
 
 
 @pytest.mark.parametrize(
@@ -501,14 +565,19 @@ def test_tradeoff_out_to_a_missing_directory_is_a_usage_error(tmp_path, capsys):
                                                   "reconstruction", "all")],
 )
 def test_a_library_too_long_to_generate_is_a_usage_error(monkeypatch, capsys, argv):
-    # 6 * 2^31-bit files: refused before a single random bit is drawn
+    # 6 * 2^31-bit files: refused before a single random bit is drawn; privacy and
+    # Lemma 1 draw no library, so their widest header pair refuses the length instead
     def no_draws(self, k):
         raise AssertionError("bits drawn")
 
     monkeypatch.setattr(random.Random, "getrandbits", no_draws)
     run_cli_expect_usage_error(*argv, "--n", "2", "--k", "3", "--r", "2", "--subfile-bits", "2147483648")
     captured = capsys.readouterr()
-    assert "cannot draw 12884901888 random bits, the limit is 2^31 - 1" in captured.err
+    if argv[-1] in ("privacy", "lemma1"):
+        refusal = "privacy weighs every wire header: payload_bits 12884901888 does not fit in 4 byte(s)"
+    else:
+        refusal = "cannot draw 12884901888 random bits, the limit is 2^31 - 1"
+    assert refusal in captured.err
     assert captured.out == ""
 
 

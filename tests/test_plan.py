@@ -16,7 +16,7 @@ import pytest
 
 import privcache.plan as plan_module
 from privcache import verify
-from privcache.combinat import ScaleLimitError, scheme_counts
+from privcache.combinat import ScaleLimitError, admit_plan, scheme_counts
 from privcache.reference import compute_y, enumerate_r_subsets, stored_signal_indices, x_segment
 from privcache.scheme import (
     AuxDemand,
@@ -153,6 +153,15 @@ def test_a_plan_near_the_top_level_builds_without_the_middle_levels():
         "assert len(scheme_plan(2, 30, 29).subfile_up) == 465\n"
     )
     subprocess.run([sys.executable, "-c", code], check=True, timeout=60)
+
+
+def test_plan_cost_counts_the_reconstruction_rows():
+    # (2,30,4): C(31, 4) = 31,465 subfiles times K' = 31 up-row entries, plus
+    # 30 users times C(29, 5) = 118,755 rebuilt signals times 2^5 subsets,
+    # 975,415 + 114,004,800 entries; priced alike with or without a build
+    for price in (admit_plan, plan_module.scheme_plan):
+        with pytest.raises(ScaleLimitError, match=r"N=2 K=30 r=4 costs ~114980215 table entries"):
+            price(2, 30, 4)
 
 
 @pytest.mark.parametrize("n,k,r", [(16, 2, 6), (2, 30, 4)])

@@ -29,19 +29,19 @@ COUNTS_221 = [128, 256, 256, 128]
 
 
 def conditional(params, files, masked):
-    return verify_privacy(params, CONDITIONAL, files, masked=masked)
+    return verify_privacy(params, CONDITIONAL, masked=masked)
 
 
 def conditional_alias(params, files, masked):
-    return verify_privacy(params, "conditional", files, masked=masked)
+    return verify_privacy(params, "conditional", masked=masked)
 
 
 def lemma1(params, files, masked):
-    return verify_distribution_lemma(params, files, masked=masked)
+    return verify_distribution_lemma(params, masked=masked)
 
 
 def full_marginal(params, files, masked):
-    return verify_privacy(params, FULL_MARGINAL, None, masked=masked)
+    return verify_privacy(params, FULL_MARGINAL, masked=masked)
 
 
 CASES = [

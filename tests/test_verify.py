@@ -68,10 +68,10 @@ def test_correctness_single_user():
 
 
 def test_privacy_and_lemma_three_files():
-    params, files = seeded_library(3, 2, 1, seed=16)
-    assert verify_privacy(params, CONDITIONAL, files).passed
-    assert verify_distribution_lemma(params, files).passed
-    assert not verify_privacy(params, CONDITIONAL, files, masked=False).passed
+    params = SchemeParams.minimal(3, 2, 1, 8)
+    assert verify_privacy(params, CONDITIONAL).passed
+    assert verify_distribution_lemma(params).passed
+    assert not verify_privacy(params, CONDITIONAL, masked=False).passed
 
 
 def test_correctness_detects_corrupted_segment():
@@ -101,47 +101,41 @@ def test_correctness_scale_guard():
 
 
 def test_privacy_conditional_passes():
-    params, files = seeded_library(2, 3, 2, seed=10)
-    report = verify_privacy(params, CONDITIONAL, files)
+    params = SchemeParams.minimal(2, 3, 2, 8)
+    report = verify_privacy(params, CONDITIONAL)
     assert report.passed
     assert report.cases_run == 3 * 2 * 4  # users x own demands x completions
 
 
-def test_privacy_conditional_needs_files():
-    params = SchemeParams.minimal(2, 3, 2)
-    with pytest.raises(ValueError):
-        verify_privacy(params, CONDITIONAL, None)
-
-
-@pytest.mark.parametrize("engine", ["conditional", "lemma1"])
-def test_conditional_engines_refuse_a_library_of_other_params(engine):
-    params = SchemeParams.minimal(2, 3, 2)
-    for _, files in [seeded_library(2, 3, 2, bits_per_subfile=2), seeded_library(3, 2, 1)]:
-        with pytest.raises(ValueError, match="different parameters"):
-            if engine == "conditional":
-                verify_privacy(params, CONDITIONAL, files)
-            else:
-                verify_distribution_lemma(params, files)
+def test_conditional_engines_take_no_library():
+    # they weigh wire headers alone; `masked` is keyword-only, so a library
+    # passed where one used to go is a TypeError, not a truthy `masked`
+    params, files = seeded_library(2, 3, 2)
+    for stale in (lambda: verify_privacy(params, CONDITIONAL, files),
+                  lambda: verify_privacy(params, CONDITIONAL, files, False),
+                  lambda: verify_distribution_lemma(params, files),
+                  lambda: verify_distribution_lemma(params, files, False)):
+        with pytest.raises(TypeError):
+            stale()
 
 
 @pytest.mark.parametrize("masked", [True, False], ids=["masked", "unmasked"])
 @pytest.mark.parametrize("n, k, r", [(2, 3, 2), (3, 2, 1)])
 def test_conditional_reports_are_library_independent(monkeypatch, n, k, r, masked):
-    # the engines weigh wire headers alone: no library is placed or
-    # delivered, and every library of a shape gets the same report
+    # the engines weigh wire headers alone: they take no library, none is
+    # placed or delivered, and every subfile width gets the same report
     def unbuilt(*args):
         raise AssertionError("a library payload was built")
 
     monkeypatch.setattr(verify, "place", unbuilt)
     monkeypatch.setattr(verify, "build_delivery", unbuilt)
-    for engine in (lambda p, f, m: verify_privacy(p, CONDITIONAL, f, m), verify_distribution_lemma):
+    for engine in (lambda p, m: verify_privacy(p, CONDITIONAL, masked=m),
+                   lambda p, m: verify_distribution_lemma(p, masked=m)):
         reports = set()
-        for seed in (1, 2, 3):
-            for width in (1, 8, 64):
-                params, files = seeded_library(n, k, r, seed=seed, bits_per_subfile=width)
-                fields = engine(params, files, masked).to_dict()
-                del fields["elapsed_seconds"]
-                reports.add(repr(fields))
+        for width in (1, 8, 64):
+            fields = engine(SchemeParams.minimal(n, k, r, width), masked).to_dict()
+            del fields["elapsed_seconds"]
+            reports.add(repr(fields))
         assert len(reports) == 1
 
 
@@ -164,18 +158,18 @@ def test_privacy_headers_are_the_wire_prefixes(n, k, r, width):
 def test_privacy_unknown_mode():
     params, files = seeded_library(2, 3, 2)
     with pytest.raises(ValueError):
-        verify_privacy(params, "sampled", files)
+        verify_privacy(params, "sampled")
 
 
 def test_privacy_negative_control_fails():
-    params, files = seeded_library(2, 3, 2, seed=10)
-    report = verify_privacy(params, CONDITIONAL, files, masked=False)
+    params = SchemeParams.minimal(2, 3, 2, 8)
+    report = verify_privacy(params, CONDITIONAL, masked=False)
     assert not report.passed
 
 
 def test_privacy_single_user_trivially_passes():
-    params, files = seeded_library(2, 1, 1, seed=3)
-    report = verify_privacy(params, CONDITIONAL, files)
+    params = SchemeParams.minimal(2, 1, 1, 8)
+    report = verify_privacy(params, CONDITIONAL)
     assert report.passed
     assert not report.failures
 
@@ -293,14 +287,13 @@ def test_gf2_rank_equals_span_size():
 
 def test_distribution_lemma_passes():
     for n, k, r in [(2, 2, 1), (2, 3, 2)]:
-        params, files = seeded_library(n, k, r, seed=12)
-        report = verify_distribution_lemma(params, files)
+        report = verify_distribution_lemma(SchemeParams.minimal(n, k, r, 8))
         assert report.passed
 
 
 def test_distribution_lemma_negative_control_fails():
-    params, files = seeded_library(2, 3, 2, seed=12)
-    assert not verify_distribution_lemma(params, files, masked=False).passed
+    params = SchemeParams.minimal(2, 3, 2, 8)
+    assert not verify_distribution_lemma(params, masked=False).passed
 
 
 def test_demand_identity_oracle():
@@ -383,10 +376,9 @@ def test_privacy_and_wire_parsing_never_build_the_plan(monkeypatch):
 
     monkeypatch.setattr(plan_module, "scheme_plan", unbuilt)
     fresh = SchemeParams(2, 3, 2, params.file_bits)  # no plan cached on it
-    library = FileLibrary(fresh, files.files)
     for masked in (True, False):
-        assert verify_privacy(fresh, CONDITIONAL, library, masked).passed is masked
-        assert verify_distribution_lemma(fresh, library, masked).passed is masked
+        assert verify_privacy(fresh, CONDITIONAL, masked=masked).passed is masked
+        assert verify_distribution_lemma(fresh, masked=masked).passed is masked
     assert verify_privacy(fresh, FULL_MARGINAL).passed
     assert CacheContent.from_bytes(fresh, 2, cache_blob).to_bytes() == cache_blob
     assert DeliverySignal.from_bytes(fresh, broadcast_blob).to_bytes() == broadcast_blob
@@ -395,18 +387,17 @@ def test_privacy_and_wire_parsing_never_build_the_plan(monkeypatch):
 def test_conditional_and_lemma1_pass_where_the_plan_is_refused():
     # (16,2,6): 736,281 subfiles per file; its plan would need more than 3 GB
     params = SchemeParams.minimal(16, 2, 6)
-    files = FileLibrary(params, tuple(Bits.zeros(params.file_bits) for _ in range(16)))
     with pytest.raises(ScaleLimitError, match="exceeds the cap"):
         params.plan
-    for report in (verify_privacy(params, CONDITIONAL, files), verify_distribution_lemma(params, files)):
+    for report in (verify_privacy(params, CONDITIONAL), verify_distribution_lemma(params)):
         assert report.passed
         assert report.cases_run == 512
 
 
-def _privacy_engines(params, files, masked=True):
-    yield lambda: verify_privacy(params, CONDITIONAL, files, masked)
-    yield lambda: verify_distribution_lemma(params, files, masked)
-    yield lambda: verify_privacy(params, FULL_MARGINAL, None, masked)
+def _privacy_engines(params, masked=True):
+    yield lambda: verify_privacy(params, CONDITIONAL, masked=masked)
+    yield lambda: verify_distribution_lemma(params, masked=masked)
+    yield lambda: verify_privacy(params, FULL_MARGINAL, masked=masked)
 
 
 def _unbuilt_headers(params):
@@ -416,17 +407,17 @@ def _unbuilt_headers(params):
 def test_masked_privacy_passes_past_the_case_cap():
     # enumerating (2,12,1) would visit 2^24 * 13 * 12 = 2,617,245,696 cases;
     # the factor check passes it after serializing one widest header pair
-    params, files = seeded_library(2, 12, 1, seed=12, bits_per_subfile=1)
-    for run in _privacy_engines(params, files):
+    params = SchemeParams.minimal(2, 12, 1)
+    for run in _privacy_engines(params):
         report = run()
         assert report.passed
         assert report.cases_run == 12 * 2**12 == 49_152
 
 
 def test_a_failing_factor_check_is_enumerated_under_the_case_cap(monkeypatch):
-    params, files = seeded_library(2, 12, 1, seed=12, bits_per_subfile=1)
+    params = SchemeParams.minimal(2, 12, 1)
     monkeypatch.setattr(verify, "_headers", _unbuilt_headers)
-    for run in _privacy_engines(params, files, masked=False):
+    for run in _privacy_engines(params, masked=False):
         with pytest.raises(ScaleLimitError, match="privacy enumeration of ~2617245696 cases exceeds the cap"):
             run()
 
@@ -438,14 +429,14 @@ def test_a_passing_factor_check_builds_no_headers(monkeypatch):
     monkeypatch.setattr(verify, "_headers", unbuilt)
     monkeypatch.setattr(verify, "_basis_library", unbuilt)
     # masked (2,19,1): 19 * 2^19 cases, under the case cap
-    params, files = seeded_library(2, 19, 1, seed=12, bits_per_subfile=1)
-    for run in _privacy_engines(params, files):
+    params = SchemeParams.minimal(2, 19, 1)
+    for run in _privacy_engines(params):
         report = run()
         assert report.passed
         assert report.cases_run == 19 * 2**19 == 9_961_472
     # masked (2,20,1): 20 * 2^20 cases, over it
-    params, files = seeded_library(2, 20, 1, seed=12, bits_per_subfile=1)
-    for run in _privacy_engines(params, files):
+    params = SchemeParams.minimal(2, 20, 1)
+    for run in _privacy_engines(params):
         with pytest.raises(ScaleLimitError, match="privacy verdict of ~20971520 cases exceeds the cap"):
             run()
 
