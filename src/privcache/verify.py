@@ -220,9 +220,10 @@ def _correctness_work(params: SchemeParams) -> int:
 
 
 def admit(params: SchemeParams, suite: str, mode: str = CONDITIONAL) -> bool:
-    """Refuse a run of `suite` that its caps price too large, from `params`
-    (and the privacy `mode`) alone, so nothing is drawn or built to refuse
-    it; return whether the suite reads library bits.
+    """Refuse a run of `suite` (a `cli.SUITES` name other than "all") that
+    its caps price too large, from `params` (and the privacy `mode`) alone,
+    so nothing is drawn or built to refuse it; return whether the suite
+    reads library bits.
 
     Every engine calls its own suite's set first; `cmd_verify` calls the
     sets of all selected suites, in `cli.SUITES` order, before any runs,
