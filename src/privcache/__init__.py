@@ -51,7 +51,6 @@ _EXPORTS = {
         "build_v",
         "decode",
         "g_map",
-        "memory_rate_of",
         "place",
     ),
     "tradeoff": (

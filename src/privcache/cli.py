@@ -2,10 +2,11 @@
 
 Exit codes are a stable contract: 0 on success, 1 on a verification or
 decode failure, 2 on usage errors.  All randomness derives from --seed,
-so identical invocations produce byte-identical output.  `tradeoff` prints
-each value as `tradeoff.ratio_text` writes it from the walk's integer
-pair, as `str(Fraction)` would (`n` or `n/d`), and the pair's `n / d` as
-each JSON float.  Each command imports its own layer when it runs, so
+so identical invocations produce byte-identical output.  `params` and
+`tradeoff` print each ratio as `combinat.ratio_text` writes it from an
+integer pair (`params` from `SchemeParams.counts`, `tradeoff` from its
+walk), as `str(Fraction)` would (`n` or `n/d`), and the pair's `n / d` as
+each float.  Each command imports its own layer when it runs, so
 importing this module loads no other package module.  `main` builds only
 the invoked command's parser, named `privcache <command>`, so argparse's
 errors and a command's own usage errors both print that command's usage.
@@ -24,10 +25,10 @@ SUITES = ("correctness", "privacy", "lemma1", "identities", "reconstruction", "a
 MODES = ("conditional-on-files", "conditional", "full-marginal")
 
 
-def _add_instance_flags(p: argparse.ArgumentParser, need_r: bool = True) -> None:
+def _add_instance_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, required=True, help="number of files (N >= 2)")
     p.add_argument("--k", type=int, required=True, help="number of users (K >= 1)")
-    p.add_argument("--r", type=int, required=need_r, help="split parameter in [0, N*K-K+1]")
+    p.add_argument("--r", type=int, required=True, help="split parameter in [0, N*K-K+1]")
     p.add_argument("--f", type=int, default=None, help="file length in bits (default: minimal)")
     p.add_argument(
         "--subfile-bits", type=int, default=1,
@@ -81,24 +82,25 @@ def _random_library(params, seed: str):
 
 
 def cmd_params(args, parser) -> int:
-    from .scheme import memory_rate_of
+    from .combinat import ratio_text
 
     params = _params_from(args, parser)
-    point = memory_rate_of(params)
+    # M and R over the subfiles per file: stored signals, broadcast segments
+    subfiles, stored, segments = params.subfile_count, params.counts[1], params.broadcast_segments
     info = {
         "N": params.num_files,
         "K": params.num_users,
         "r": params.r,
         "F": params.file_bits,
         "positions": params.positions,
-        "subfiles_per_file": params.subfile_count,
+        "subfiles_per_file": subfiles,
         "subfile_bits": params.subfile_bits,
-        "stored_signals_per_user": params.counts[1],
-        "broadcast_segments": params.num_files * params.counts[3],
-        "M": str(point.memory),
-        "M_float": float(point.memory),
-        "R": str(point.rate),
-        "R_float": float(point.rate),
+        "stored_signals_per_user": stored,
+        "broadcast_segments": segments,
+        "M": ratio_text(stored, subfiles),
+        "M_float": stored / subfiles,
+        "R": ratio_text(segments, subfiles),
+        "R_float": segments / subfiles,
         "cache_payload_bits": params.cache_payload_bits,
         "delivery_payload_bits": params.delivery_payload_bits,
     }

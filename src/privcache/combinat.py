@@ -1,11 +1,16 @@
 """Exact binomials, the scheme's closed-form sizes, and the colexicographic
 order of fixed-size subsets, held as increasing tuples.
 
-`scheme_counts` is the one place a payload size is computed, so nothing
-builds a plan table just to count.  It prices C(K', r) before computing
-it and refuses a count of more than `COUNT_BITS_CAP` bits, and
-`admit_plan` prices the rank tables of `plan.scheme_plan` from those
-counts before any table is built.
+`scheme_counts` is the one place the scheme's counts are computed, so
+nothing builds a plan table just to count; `scheme.SchemeParams` holds
+them, and every size derived from them, once per instance.  It prices
+C(K', r) before computing it and refuses a count of more than
+`COUNT_BITS_CAP` bits.  `admit_plan_counts` prices the rank tables of
+`plan.scheme_plan` from those counts before any table is built:
+`verify.admit` passes it `SchemeParams.counts`, and `scheme_plan` calls
+`admit_plan`, which computes them from (N, K, r) first.  `_count` writes
+a count into a refusal, and `ratio_text` writes a ratio of two counts as
+`str(Fraction)` prints it, with no `Fraction` built.
 
 Colex order compares subsets by their largest element first, which gives
 O(size) ranks without lookup tables and keeps the order of small subsets
@@ -46,6 +51,13 @@ def _count(value: int) -> str:
     digits, under any int-to-str limit Python allows) as 2^(bits - 1)."""
     bits = value.bit_length()
     return str(value) if bits <= 2000 else f"2^{bits - 1}"
+
+
+def ratio_text(num: int, den: int) -> str:
+    """num/den (den > 0) as `str(Fraction(num, den))` prints it: `n`, or
+    `n/d` in lowest terms."""
+    g = math.gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
 
 
 COUNT_BITS_CAP = 1 << 16
@@ -108,7 +120,7 @@ def scheme_counts(num_files: int, num_users: int, r: int) -> tuple[int, int, int
     return subfiles, binomial(positions, r + 1) - rebuilt, rebuilt, subfiles * r // positions
 
 
-# in `admit_plan`'s cost units; built one per fresh process on a 2-vCPU VM,
+# in `admit_plan_counts`' cost units; built one per fresh process on a 2-vCPU VM,
 # the costliest plans under the cap take 4-5 s or 100-250 MiB: (2,100,1)
 # 1.95M units 4.2 s, (6,4,5) 1.71M 4.7 s, (13,2,5) 1.45M 3.6 s / 251 MiB;
 # above it (5,5,5) 2.99M takes 8.3 s and (16,2,5) 5.9M 15 s / 918 MiB
@@ -116,8 +128,13 @@ _PLAN_COST_CAP = 2_000_000
 
 
 def admit_plan(num_files: int, num_users: int, r: int) -> int:
+    """`admit_plan_counts` on the counts of (N, K, r); returns K'."""
+    return admit_plan_counts(num_files, num_users, r, scheme_counts(num_files, num_users, r))
+
+
+def admit_plan_counts(num_files: int, num_users: int, r: int, counts: tuple[int, int, int, int]) -> int:
     """Refuse (N, K, r) whose plan (`plan.scheme_plan`) costs more than
-    `_PLAN_COST_CAP`, from the closed-form counts alone, and return K'.
+    `_PLAN_COST_CAP`, from its `scheme_counts` alone, and return K'.
 
     Two terms dominate the cost of building a plan: the up rows of the
     C(K', r) subfiles, K' entries each, and the reconstruction rows,
@@ -125,7 +142,7 @@ def admit_plan(num_files: int, num_users: int, r: int) -> int:
     (r+1)-subset.
     """
     positions = position_count(num_files, num_users)
-    subfiles, _, rebuilt, _ = scheme_counts(num_files, num_users, r)
+    subfiles, _, rebuilt, _ = counts
     cost = subfiles * positions + num_users * rebuilt * 2 ** (r + 1)
     if cost > _PLAN_COST_CAP:
         raise ScaleLimitError(

@@ -16,7 +16,6 @@ The module is organized around the life of one session:
                                        `yma`'s label layout
   * assemble_delivery               -- broadcast construction
   * decode                          -- receiver side
-  * memory_rate_of                  -- exact (M, R) accounting
 
 Placement, delivery and decoding run on the rank tables of
 `SchemeParams.plan`, built once per (N, K, r): each signal, segment and
@@ -42,9 +41,16 @@ order, then runs its checks, so an instance that exists has passed them;
 equality, hash and repr come from the declared fields, and
 `cached_property` values stay outside them.
 
+`SchemeParams` is the one place an instance's sizes are computed: the
+closed-form counts, the library's N*F bits, each payload's bits and the
+broadcast's segment count.  Every guard, header, report and command reads
+them from there; the seeded draw refuses a file, and then a library, past
+`bitvec.admit_draw`'s limit (`FileLibrary.admit_random`).
+
 Loading this module loads neither `plan` nor `tradeoff`: `SchemeParams.plan`
-and `memory_rate_of` import them on first use, so a session that places,
-delivers and decodes never compiles the tradeoff layer or `fractions`.
+imports `plan` on first use, and nothing here imports `tradeoff`, so a
+session, and the `params` command, never compiles the tradeoff layer or
+`fractions`.
 """
 
 from __future__ import annotations
@@ -60,7 +66,6 @@ from .combinat import ScaleLimitError, _count, position_count, scheme_counts
 
 if TYPE_CHECKING:
     from .plan import SchemePlan
-    from .tradeoff import RatePoint
 
 _TD_BYTES = 2
 _LEN_BYTES = 4
@@ -105,14 +110,24 @@ class SchemeParams(FrozenRecord):
         return self.file_bits // self.subfile_count
 
     @property
+    def library_bits(self) -> int:
+        """Bits of the whole library, N*F."""
+        return self.num_files * self.file_bits
+
+    @property
+    def broadcast_segments(self) -> int:
+        """Segments per broadcast: C(K'-1, r-1) for each of the N files."""
+        return self.num_files * self.counts[3]
+
+    @property
     def cache_payload_bits(self) -> int:
         """Bits of a cache's payload, M*F: its stored signals, one subfile wide each."""
         return self.counts[1] * self.subfile_bits
 
     @property
     def delivery_payload_bits(self) -> int:
-        """Bits of a broadcast's payload, R*F: N files' segments, one subfile wide each."""
-        return self.num_files * self.counts[3] * self.subfile_bits
+        """Bits of a broadcast's payload, R*F: its segments, one subfile wide each."""
+        return self.broadcast_segments * self.subfile_bits
 
     @cached_property
     def plan(self) -> SchemePlan:
@@ -162,9 +177,11 @@ class FileLibrary(FrozenRecord):
 
     @staticmethod
     def admit_random(params: SchemeParams) -> None:
-        """Refuse a library `random` cannot draw (`bitvec.admit_draw`), without drawing."""
+        """Refuse a library `random` cannot draw, without drawing: a file, and
+        then the whole library, past `bitvec.admit_draw`'s limit."""
         try:
             admit_draw(params.file_bits)
+            admit_draw(params.library_bits)
         except ValueError as exc:
             raise ScaleLimitError(f"cannot generate the library: {exc}") from None
 
@@ -175,7 +192,7 @@ class FileLibrary(FrozenRecord):
     @classmethod
     def from_bytes(cls, params: SchemeParams, data: bytes) -> FileLibrary:
         width = params.file_bits
-        return cls(params, tuple(Bits(v, width) for v in split_blocks(data, params.num_files * width, width)))
+        return cls(params, tuple(Bits(v, width) for v in split_blocks(data, params.library_bits, width)))
 
 
 class AuxDemand(FrozenRecord):
@@ -300,7 +317,7 @@ class DeliverySignal(FrozenRecord):
     """One broadcast: auxiliary demand, chosen index t_d, and segments,
     `subfile_bits`-wide ints in wire order (`plan.delivered[t_d]` per file); any
     other aux demand, t_d or segment count raises ValueError.  The count,
-    N * C(K'-1, r-1) whatever t_d is, comes from `SchemeParams.counts`, so
+    N * C(K'-1, r-1) whatever t_d is, is `SchemeParams.broadcast_segments`, so
     building or parsing a broadcast never builds the plan."""
 
     aux: AuxDemand
@@ -314,13 +331,13 @@ class DeliverySignal(FrozenRecord):
             raise ValueError("auxiliary demand does not match parameters")
         if t_d not in aux.selector:
             raise ValueError(f"t={t_d} not in the selector set of {aux.digits}")
-        expected = params.num_files * params.counts[3]
+        expected = params.broadcast_segments
         if len(segments) != expected:
             raise ValueError(f"broadcast holds {len(segments)} segments, expected {expected}")
 
     @property
     def payload_bits(self) -> int:
-        return len(self.segments) * self.params.subfile_bits
+        return self.params.delivery_payload_bits
 
     @cached_property
     def segment_values(self) -> list[list[int]]:
@@ -414,7 +431,7 @@ class CacheContent(FrozenRecord):
 
     @property
     def payload_bits(self) -> int:
-        return len(self.signals) * self.params.subfile_bits
+        return self.params.cache_payload_bits
 
     @cached_property
     def signal_values(self) -> list[int]:
@@ -522,13 +539,6 @@ def _xor_decode(cache: CacheContent, selector: tuple[int, ...], expansion: list[
     return parts
 
 
-def memory_rate_of(params: SchemeParams) -> RatePoint:
-    """Exact (M, R) of this parameterization (tradeoff.scheme_point)."""
-    from .tradeoff import scheme_point  # on use, see the module docstring
-
-    return scheme_point(params.num_files, params.num_users, params.r)
-
-
 class SessionRandomness:
     """Key digits and t-index choices for one session, seed-reproducible.
 
@@ -549,7 +559,6 @@ class SessionRandomness:
             raise ValueError(f"key digit out of range in {tuple(keys)}")
         self.num_files = num_files
         self.keys = tuple(keys)
-        self.seed = seed
         self.t_choices = dict(t_choices or {})
         self._t_rng = random.Random(f"{seed}:t") if seed is not None else None
 

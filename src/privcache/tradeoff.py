@@ -12,7 +12,7 @@ K(K+1), with no binomial, lcm or `Fraction` (`_two_file_curves`).  Both curves a
 piecewise linear on [0, 2]; one walk by cells (`_compare`, a cell being an
 achievable segment paired with a converse piece) compares them on a grid
 (`tightness_rows`, each value made from its unreduced integer pair: the
-CLI's text by `ratio_text`, `tightness_pairs`' reduced pairs and
+CLI's text by `combinat.ratio_text`, `tightness_pairs`' reduced pairs and
 `tightness_report`'s `Fraction`s) or at the union of their breakpoints
 (`tight_intervals`), which settles every M in [0, 2] exactly.  A str grid
 step's decimal exponent is checked before any `Fraction` is built for it
@@ -33,7 +33,7 @@ from functools import cmp_to_key, lru_cache
 from typing import Iterable, Sequence
 
 from ._record import FrozenRecord
-from .combinat import _count, position_count, scheme_counts
+from .combinat import _count, position_count, ratio_text, scheme_counts
 
 _GRID_ROW_CAP = 100_001  # a grid step of 1/50000; finer steps are refused
 # best of 5 on a 2-vCPU Xeon: the curves cost ~K (5 ms at K = 1000) and tight_intervals ~K^1.5
@@ -286,13 +286,6 @@ def _reduced(num: int, den: int) -> tuple[int, int]:
     """num/den (den > 0) in lowest terms: the pair `Fraction(num, den)` holds."""
     g = math.gcd(num, den)
     return num // g, den // g
-
-
-def ratio_text(num: int, den: int) -> str:
-    """num/den (den > 0) as `str(Fraction(num, den))` prints it: `n`, or
-    `n/d` in lowest terms."""
-    g = math.gcd(num, den)
-    return str(num // g) if g == den else f"{num // g}/{den // g}"
 
 
 def _compare(curves: tuple, q: int, memories: Sequence[int], value) -> list[tuple]:

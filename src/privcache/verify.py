@@ -49,10 +49,12 @@ proof of correctness.
 Every suite's refusals are written once, in `admit`, and read `params`
 (and the privacy mode) alone: its caps, for correctness and
 reconstruction the plan's price, and for the suites that read library
-bits the seeded draw's limit.  Each engine calls its suite's set first,
-and `cli.cmd_verify` calls the sets of all selected suites before any
-suite runs or any library bit is drawn, so a refused run builds and
-draws nothing.
+bits the seeded draw's limit, per file and on the whole library.  Every
+size they read (the counts, the library's bits, each payload's bits) is
+one `SchemeParams` value, computed nowhere else.  Each engine calls its
+suite's set first, and `cli.cmd_verify` calls the sets of all selected
+suites before any suite runs or any library bit is drawn, so a refused
+run builds and draws nothing.
 `ScaleLimitError` lives in `combinat`, next to the counts the guards
 read, and is re-exported here.  A run's outcome is a
 `VerificationReport`, a mutable `_record.Record`: field-wise equality
@@ -72,7 +74,7 @@ from typing import Callable, Iterable, Iterator
 from . import yma
 from ._record import Record
 from .bitvec import Bits
-from .combinat import ScaleLimitError, _count, admit_plan
+from .combinat import ScaleLimitError, _count, admit_plan_counts
 from .scheme import (
     AuxDemand,
     CacheContent,
@@ -177,11 +179,6 @@ def _guard_cases(label: str, cases: int, cap: int = _CASE_CAP) -> None:
         raise ScaleLimitError(f"{label} of ~{_count(cases)} cases exceeds the cap")
 
 
-def _guard_enumeration(params: SchemeParams, label: str) -> None:
-    n, k = params.num_files, params.num_users
-    _guard_cases(f"{label} enumeration", n ** (2 * k) * params.positions * k)
-
-
 def _deliveries(params: SchemeParams, files: FileLibrary) -> dict[tuple[tuple[int, ...], int], DeliverySignal]:
     """Every broadcast the scheme can send, keyed by (auxiliary digits, t)."""
     table = {}
@@ -216,7 +213,8 @@ def _correctness_work(params: SchemeParams) -> int:
     one-user demand is constant), so K = 1 is priced exactly."""
     n, k_users = params.num_files, params.num_users
     t_choices = 1 if k_users == 1 else params.positions
-    return n**k_users * t_choices * k_users * n * params.subfile_count
+    decodes = n**k_users * t_choices * k_users * n
+    return decodes * params.subfile_count
 
 
 def admit(params: SchemeParams, suite: str, mode: str = CONDITIONAL) -> bool:
@@ -229,14 +227,15 @@ def admit(params: SchemeParams, suite: str, mode: str = CONDITIONAL) -> bool:
     sets of all selected suites, in `cli.SUITES` order, before any runs,
     and draws a library only if one of them reads it.  Privacy and Lemma 1
     weigh wire headers alone: in full-marginal mode 1-bit subfiles and
-    `_MARGINAL_BIT_CAP`; then the widest header pair (every digit N-1,
-    t = K'-1, the real lengths) is serialized, so a field too narrow for
-    its value (N > 256) is refused before the N x N rotation table; then
-    the case cap on the K·N^K cases a report claims.  The suites that read
-    library bits: correctness's case cap on its decode calls, then
-    `_DECODE_WORK_CAP` on the subfiles they rebuild, or an oracle's own
-    case cap; then, for the two that place caches, the plan
-    (`combinat.admit_plan`); then the seeded library's draw
+    `_MARGINAL_BIT_CAP` on the library's bits; then the widest header
+    pair (every digit N-1, t = K'-1, the real lengths) is serialized, so a
+    field too narrow for its value (N > 256) is refused before the N x N
+    rotation table; then the case cap on the K·N^K cases a report claims.
+    The suites that read library bits: correctness's case cap on its
+    decode calls, then `_DECODE_WORK_CAP` on the subfiles they rebuild, or
+    an oracle's own case cap; then, for the two that place caches, the
+    plan, priced from `SchemeParams.counts` (`combinat.admit_plan_counts`);
+    then the seeded library's draw, each file and then the whole library
     (`FileLibrary.admit_random`).
     """
     n, k_users = params.num_files, params.num_users
@@ -244,10 +243,9 @@ def admit(params: SchemeParams, suite: str, mode: str = CONDITIONAL) -> bool:
         if suite == "privacy" and mode == FULL_MARGINAL:
             if params.subfile_bits != 1:
                 raise ScaleLimitError("full-marginal mode needs 1-bit subfiles")
-            total_bits = n * params.subfile_count
-            if total_bits > _MARGINAL_BIT_CAP:
+            if params.library_bits > _MARGINAL_BIT_CAP:
                 raise ScaleLimitError(
-                    f"full-marginal mode over {_count(total_bits)} library bits exceeds the "
+                    f"full-marginal mode over {_count(params.library_bits)} library bits exceeds the "
                     f"{_MARGINAL_BIT_CAP}-bit cap"
                 )
         try:
@@ -269,7 +267,7 @@ def admit(params: SchemeParams, suite: str, mode: str = CONDITIONAL) -> bool:
         rebuilt = params.counts[2]
         _guard_cases("signal-reconstruction enumeration", k_users * n * rebuilt, _RECONSTRUCTION_CASE_CAP)
     if suite != "identities":  # correctness and reconstruction place caches
-        admit_plan(n, k_users, params.r)
+        admit_plan_counts(n, k_users, params.r, params.counts)
     FileLibrary.admit_random(params)
     return True
 
@@ -414,7 +412,7 @@ def _privacy(
     # the factor check; with one user there is no other demand to compare
     if k_users == 1 or len({tuple(sorted(r)) for r in rotations}) == 1:
         return VerificationReport(scope, k_users * n**k_users, [], time.perf_counter() - start)
-    _guard_enumeration(params, "privacy")
+    _guard_cases("privacy enumeration", n ** (2 * k_users) * params.positions * k_users)
     broadcasts, caches = _headers(params)
     weight_lcm = lcm(*(len(ts) for ts in broadcasts.values()))
     vectors = _all_digit_vectors(n, k_users)
@@ -496,15 +494,15 @@ def verify_privacy(
 
 
 def _basis_library(params: SchemeParams) -> tuple[SchemeParams, FileLibrary, int]:
-    """Library whose subfile (n, R) is the matching one-hot bit mask.
+    """Library whose subfile (n, R) is the matching one-hot bit mask, one
+    bit per library bit of the 1-bit-subfile `params`.
 
     Running the real placement and delivery code over it yields, for every
     payload bit, the mask of true library bits that XOR into it: payload
     bits are GF(2)-linear in the library bits, so the masks stand for every
     1-bit-subfile library at once.
     """
-    count = params.subfile_count
-    total = params.num_files * count
+    count, total = params.subfile_count, params.library_bits
     wide = SchemeParams(params.num_files, params.num_users, params.r, count * total)
     files = []
     for fi in range(params.num_files):
@@ -540,8 +538,6 @@ def _privacy_marginal(params: SchemeParams, masked: bool) -> VerificationReport:
     built on the first failure only, and each rank once per (d, t, k, s).
     `admit` has capped the library bits.
     """
-    total_bits = params.num_files * params.subfile_count
-
     @cache
     def tables() -> tuple[dict, dict, dict]:
         """Header pair -> ((d, t), s), and the basis library's broadcasts and caches."""
@@ -557,7 +553,7 @@ def _privacy_marginal(params: SchemeParams, masked: bool) -> VerificationReport:
         key, s = origin[outcome]
         return 1 << _gf2_rank(deliveries[key].segments + caches[(k, s)].signals)
 
-    return _privacy(params, f"full-marginal over {1 << total_bits} libraries", masked, spread)
+    return _privacy(params, f"full-marginal over {1 << params.library_bits} libraries", masked, spread)
 
 
 def verify_distribution_lemma(params: SchemeParams, *, masked: bool = True) -> VerificationReport:

@@ -246,8 +246,8 @@ def sweep_correctness(params: SchemeParams, files: FileLibrary, mutate_delivery=
     read once per tuple, with demands masked by keys through `verify._masked`;
     a failure is ((D, S, t, k), wanted bits, decoded bits), in sweep order.
     """
-    verify._guard_enumeration(params, "correctness")
     n, k_users = params.num_files, params.num_users
+    verify._guard_cases("correctness enumeration", n ** (2 * k_users) * params.positions * k_users)
     caches = _caches_by_key(params, files)
     deliveries = _deliveries(params, files)
     selectors = {x.aux.digits: x.aux.selector for x in deliveries.values()}
@@ -424,10 +424,10 @@ def oracle_cli_parser(argv: list[str]):
 
     from privcache import cli
 
-    def add_instance_flags(p, need_r=True):
+    def add_instance_flags(p):
         p.add_argument("--n", type=int, required=True, help="number of files (N >= 2)")
         p.add_argument("--k", type=int, required=True, help="number of users (K >= 1)")
-        p.add_argument("--r", type=int, required=need_r, help="split parameter in [0, N*K-K+1]")
+        p.add_argument("--r", type=int, required=True, help="split parameter in [0, N*K-K+1]")
         p.add_argument("--f", type=int, default=None, help="file length in bits (default: minimal)")
         p.add_argument(
             "--subfile-bits", type=int, default=1,

@@ -20,7 +20,6 @@ from privcache.scheme import (
     SessionRandomness,
     build_delivery,
     build_v,
-    memory_rate_of,
     place,
 )
 from privcache.tradeoff import (
@@ -28,6 +27,7 @@ from privcache.tradeoff import (
     converse_bounds,
     converse_eval,
     lower_convex_envelope,
+    scheme_point,
     scheme_points,
     tight_intervals,
 )
@@ -136,7 +136,7 @@ def test_criterion_5_rate_memory_accounting():
     problems = []
     for n, k, r in GRID + [(2, 3, 0), (2, 3, 4), (3, 2, 0), (3, 2, 5)]:
         params, files = seeded_library(n, k, r, seed=400, bits_per_subfile=2)
-        point = memory_rate_of(params)
+        point = scheme_point(params.num_files, params.num_users, params.r)
         for key in range(n):
             caches = place(files, params, SessionRandomness(n, (key,) * k))
             if any(c.payload_bits != point.memory * params.file_bits for c in caches):
@@ -147,13 +147,13 @@ def test_criterion_5_rate_memory_accounting():
                 x = build_delivery(files, d, t)
                 if x.payload_bits != point.rate * params.file_bits:
                     problems.append(("delivery size", n, k, r, digits, t))
-    sample = memory_rate_of(SchemeParams.minimal(2, 3, 2))
+    sample = scheme_point(2, 3, 2)
     if (sample.memory, sample.rate) != (F(2, 3), F(1)):
         problems.append(("(2,3,2) point", sample))
     for n, k in [(2, 3), (3, 2)]:
         kp = n * k - k + 1
-        p0 = memory_rate_of(SchemeParams.minimal(n, k, 0))
-        pm = memory_rate_of(SchemeParams.minimal(n, k, kp))
+        p0 = scheme_point(n, k, 0)
+        pm = scheme_point(n, k, kp)
         if (p0.memory, p0.rate) != (F(n), F(0)) or (pm.memory, pm.rate) != (F(0), F(n)):
             problems.append(("endpoints", n, k))
     _criterion(5, "exact M*F / R*F accounting", problems, time.perf_counter() - start, 60.0)

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -579,6 +580,75 @@ def test_a_library_too_long_to_generate_is_a_usage_error(monkeypatch, capsys, ar
         refusal = "cannot draw 12884901888 random bits, the limit is 2^31 - 1"
     assert refusal in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv", [("simulate",), ("verify", "--suite", "identities"), ("verify", "--suite", "correctness")]
+)
+def test_a_library_too_long_in_total_is_a_usage_error(monkeypatch, capsys, argv):
+    # 16 files of 2^31 - 1 bits: each file is under the draw's limit, but the
+    # library's 34,359,738,352 bits (4 GiB) are not, so nothing is drawn
+    def no_draws(self, k):
+        raise AssertionError("bits drawn")
+
+    monkeypatch.setattr(random.Random, "getrandbits", no_draws)
+    run_cli_expect_usage_error(*argv, "--n", "16", "--k", "1", "--r", "0", "--f", "2147483647")
+    captured = capsys.readouterr()
+    refusal = "cannot generate the library: cannot draw 34359738352 random bits, the limit is 2^31 - 1"
+    assert f"privcache {argv[0]}: error: {refusal}\n" in captured.err
+    assert captured.out == ""
+
+
+def _admitted_before_the_draw(suites: tuple[str, ...]) -> list[tuple[int, int, int]]:
+    """Every (N, K, r) with N <= 64, K <= 3 and r <= 1 (a plan of at most
+    ~130,000 entries) whose caps in `suites` all admit it at minimal F, so
+    that only the library's length can refuse it at a longer F."""
+    from privcache import verify
+
+    admitted = []
+    for n, k, r in itertools.product(range(2, 65), range(1, 4), range(2)):
+        params = SchemeParams.minimal(n, k, r)
+        try:
+            for suite in suites:
+                verify.admit(params, suite)
+        except verify.ScaleLimitError:
+            continue
+        admitted.append((n, k, r))
+    return admitted
+
+
+DRAWING_COMMANDS = {
+    ("simulate",): (),
+    ("verify", "--suite", "correctness"): ("correctness",),
+    ("verify", "--suite", "identities"): ("identities",),
+    ("verify", "--suite", "reconstruction"): ("reconstruction",),
+    ("verify", "--suite", "all"): cli.SUITES[:-1],
+}
+DRAWING_INSTANCES = {argv: _admitted_before_the_draw(suites) for argv, suites in DRAWING_COMMANDS.items()}
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_no_command_draws_a_library_past_the_draw_limit(data):
+    # F on either side of 2^31 (refused per file, or as the library's N*F
+    # bits), for every command that draws a library; in process, one example
+    # at a time, with the generator patched to fail
+    argv = data.draw(st.sampled_from(sorted(DRAWING_COMMANDS)), label="command")
+    n, k, r = data.draw(st.sampled_from(DRAWING_INSTANCES[argv]), label="instance")
+    subfiles = SchemeParams.minimal(n, k, r).subfile_count
+    if data.draw(st.booleans(), label="file past the limit"):
+        widths = st.integers(-(-(1 << 31) // subfiles), (1 << 32) // subfiles)
+    else:
+        widths = st.integers(-(-(1 << 31) // (n * subfiles)), ((1 << 31) - 1) // subfiles)
+    f = subfiles * data.draw(widths, label="subfile bits")
+    out, err = io.StringIO(), io.StringIO()
+    no_draws = mock.patch.object(random.Random, "getrandbits", side_effect=AssertionError("bits drawn"))
+    with no_draws, contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--n", str(n), "--k", str(k), "--r", str(r), "--f", str(f)])
+    assert exc.value.code == 2
+    assert out.getvalue() == ""
+    assert f"privcache {argv[0]}: error: cannot generate the library: cannot draw " in err.getvalue()
 
 
 def test_full_marginal_privacy_draws_no_library(monkeypatch, capsys):

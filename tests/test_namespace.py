@@ -39,7 +39,7 @@ HOMES = {
     "scheme": (
         "AuxDemand", "CacheContent", "DeliverySignal", "FileLibrary", "SchemeParams",
         "SessionRandomness", "VVector", "assemble_delivery", "aux_demand", "build_delivery",
-        "build_v", "decode", "g_map", "memory_rate_of", "place",
+        "build_v", "decode", "g_map", "place",
     ),
     "tradeoff": (
         "LinearBound", "RatePoint", "TradeoffCurve", "companion_points", "converse_bounds",
@@ -115,10 +115,14 @@ CLI_PATHS = {
     ("simulate", "--n", "2", "--k", "3", "--r", "2", "--demands", "0,1,1"): (
         "privcache.tradeoff", "fractions", "privcache.verify",
     ),
+    # M and R come from the integer counts, with no plan and no `Fraction`
+    ("params", "--n", "2", "--k", "3", "--r", "2"): (
+        "privcache.tradeoff", "fractions", "privcache.plan", "privcache.verify",
+    ),
 }
 
 
-@pytest.mark.parametrize("argv", list(CLI_PATHS), ids=["import", "tradeoff-csv", "verify-privacy", "simulate"])
+@pytest.mark.parametrize("argv", list(CLI_PATHS), ids=["import", "tradeoff-csv", "verify-privacy", "simulate", "params"])
 def test_each_cli_path_loads_only_its_own_layer(argv):
     code, loaded = fresh(
         "import contextlib, io, sys\n"
@@ -134,7 +138,7 @@ def test_each_cli_path_loads_only_its_own_layer(argv):
     assert code == (None if argv is None else 0)
     assert not set(CLI_PATHS[argv]) & set(loaded)
     home = {None: "privcache.cli", "tradeoff": "privcache.tradeoff", "verify": "privcache.verify",
-            "simulate": "privcache.scheme"}
+            "simulate": "privcache.scheme", "params": "privcache.scheme"}
     assert home[argv and argv[0]] in loaded
 
 
@@ -161,7 +165,7 @@ def test_bare_import_loads_no_submodule():
 
 
 def test_exported_names_are_pinned():
-    assert len(EXPORTED) == 46
+    assert len(EXPORTED) == 45
     assert sorted(privcache.__all__) == EXPORTED
 
 
@@ -208,19 +212,3 @@ def test_dir_lists_names_and_submodules():
     assert set(EXPORTED) <= set(listed)
     assert {"verify", "tradeoff", "scheme", "cli", "plan"} <= set(listed)
 
-
-def test_memory_rate_of_imports_the_tradeoff_layer_on_use():
-    got = fresh(
-        "import json, sys\n"
-        "from privcache import SchemeParams, memory_rate_of\n"
-        "before = 'privcache.tradeoff' in sys.modules\n"
-        "instances = [(2, 3, 2), (2, 3, 0), (3, 2, 1), (4, 4, 3), (2, 4, 5)]\n"
-        "points = [memory_rate_of(SchemeParams.minimal(*i)) for i in instances]\n"
-        "from privcache.tradeoff import scheme_point\n"
-        "same = [p == scheme_point(*i) for p, i in zip(points, instances)]\n"
-        "print(json.dumps([before, same, [str(p.memory) + ' ' + str(p.rate) for p in points]]))\n"
-    )
-    before, same, points = got
-    assert before is False
-    assert same == [True] * 5
-    assert points[0] == "2/3 1"

@@ -34,9 +34,9 @@ from privcache.scheme import (
     decode,
     delivery_header,
     g_map,
-    memory_rate_of,
     place,
 )
+from privcache.tradeoff import scheme_point
 from privcache.yma import build_u_vector, yma_delivery
 
 # Transmission table for two files and three users at r=2: auxiliary demand
@@ -108,6 +108,32 @@ def test_library_bytes_are_the_joined_files(width):
     files = FileLibrary.random(params, random.Random(width))
     assert files.to_bytes() == Bits.concat(files.files).to_bytes()
     assert FileLibrary.from_bytes(params, files.to_bytes()) == files
+
+
+def test_the_draw_admits_a_library_of_at_most_2_31_minus_1_bits(monkeypatch):
+    # each of (2,1,0)'s two files is under the draw's limit at both lengths;
+    # the library's N*F bits decide, and neither admission draws a bit
+    monkeypatch.setattr(random.Random, "getrandbits", lambda *args: pytest.fail("bits drawn"))
+    largest = SchemeParams(2, 1, 0, (1 << 30) - 1)
+    assert largest.library_bits == (1 << 31) - 2
+    FileLibrary.admit_random(largest)
+    with pytest.raises(ScaleLimitError, match=r"^cannot generate the library: cannot draw 2147483648 random bits"):
+        FileLibrary.random(SchemeParams(2, 1, 0, 1 << 30), random.Random(0))
+
+
+def test_payload_sizes_are_the_params_sizes():
+    # (3,2,2): K' = 5, 10 subfiles of 4 bits, C(5, 3) = 10 stored signals,
+    # C(4, 1) = 4 segments per file
+    params = SchemeParams.minimal(3, 2, 2, 4)
+    assert (params.library_bits, params.broadcast_segments) == (120, 12)
+    assert (params.cache_payload_bits, params.delivery_payload_bits) == (40, 48)
+    files = FileLibrary.random(params, random.Random(1))
+    rand = SessionRandomness(3, (2, 0), seed=4)
+    x = assemble_delivery(files, aux_demand((1, 2), rand.keys, 3), rand)
+    assert len(x.segments) == params.broadcast_segments
+    assert x.payload_bits == params.delivery_payload_bits
+    for cache in place(files, params, rand):
+        assert cache.payload_bits == params.cache_payload_bits == len(cache.signals) * 4
 
 
 # ------------------------------------------------------------ aux demand map
@@ -304,7 +330,7 @@ def test_delivery_segment_count_and_rate():
         x = build_delivery(files, d, build_v(d).members[0])
         kp = params.positions
         assert len(x.segments) == n * binomial(kp - 1, r - 1)
-        point = memory_rate_of(params)
+        point = scheme_point(params.num_files, params.num_users, params.r)
         assert x.payload_bits == point.rate * params.file_bits
 
 
@@ -397,7 +423,7 @@ def test_place_full_cache_at_r_zero():
         for i in range(3):
             idx = SubsetIndex((i,), params.positions)
             assert payload_entry(cache, idx) == subfile(files, (cache.key + i) % 3, empty)
-    assert memory_rate_of(params).memory == 3
+    assert scheme_point(params.num_files, params.num_users, params.r).memory == 3
 
 
 def test_place_key_only_at_maximal_split():
@@ -406,7 +432,7 @@ def test_place_key_only_at_maximal_split():
     for cache in caches:
         assert cache.signals == ()
         assert cache.payload_bits == 0
-    assert memory_rate_of(params).memory == 0
+    assert scheme_point(params.num_files, params.num_users, params.r).memory == 0
 
 
 def test_cache_bytes_roundtrip():
@@ -539,21 +565,21 @@ def test_place_is_refused_by_the_plan_before_any_user_is_placed(monkeypatch):
 def test_memory_rate_worked_values():
     from privcache.tradeoff import RatePoint
 
-    assert memory_rate_of(SchemeParams(2, 3, 2, 6)) == RatePoint(Fraction(2, 3), Fraction(1))
-    p = memory_rate_of(SchemeParams(2, 3, 3, 4))
+    assert scheme_point(2, 3, 2) == RatePoint(Fraction(2, 3), Fraction(1))
+    p = scheme_point(2, 3, 3)
     assert (p.memory, p.rate) == (Fraction(1, 4), Fraction(3, 2))
     for n, k in [(2, 3), (3, 2), (4, 4)]:
-        p0 = memory_rate_of(SchemeParams.minimal(n, k, 0))
+        p0 = scheme_point(n, k, 0)
         assert (p0.memory, p0.rate) == (n, 0)
         kp = n * k - k + 1
-        pmax = memory_rate_of(SchemeParams.minimal(n, k, kp))
+        pmax = scheme_point(n, k, kp)
         assert (pmax.memory, pmax.rate) == (0, n)
 
 
 def test_exact_size_accounting_on_grid():
     for n, k, r in GRID:
         params, files = seeded_library(n, k, r, seed=31, bits_per_subfile=2)
-        point = memory_rate_of(params)
+        point = scheme_point(params.num_files, params.num_users, params.r)
         caches = place(files, params, SessionRandomness(n, ((k % n),) * k))
         for cache in caches:
             assert cache.payload_bits == point.memory * params.file_bits

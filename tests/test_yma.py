@@ -19,8 +19,8 @@ from privcache.scheme import (
     FileLibrary,
     SchemeParams,
     g_map,
-    memory_rate_of,
 )
+from privcache.tradeoff import scheme_point
 from privcache.yma import (
     UVector,
     build_u_vector,
@@ -172,7 +172,7 @@ def test_delivery_size_matches_memory():
         params, files = seeded_library(n, k_users, r, bits_per_subfile=2)
         signals = yma_delivery(files, build_u_vector(n, k_users, 0, 0))
         stored_bits = len(signals) * params.subfile_bits
-        point = memory_rate_of(params)
+        point = scheme_point(params.num_files, params.num_users, params.r)
         assert stored_bits == point.memory * params.file_bits
 
 
