@@ -213,8 +213,7 @@ def _correctness_work(params: SchemeParams) -> int:
     one-user demand is constant), so K = 1 is priced exactly."""
     n, k_users = params.num_files, params.num_users
     t_choices = 1 if k_users == 1 else params.positions
-    decodes = n**k_users * t_choices * k_users * n
-    return decodes * params.subfile_count
+    return k_users * t_choices * n ** (k_users + 1) * params.subfile_count
 
 
 def admit(params: SchemeParams, suite: str, mode: str = CONDITIONAL) -> bool:
