@@ -9,6 +9,11 @@ string's bytes, so both directions work on whole-byte fields and never
 build the joined int: packing joins the fields, and splitting cuts them
 in one struct pass, chunking and int conversion both in C.  Other widths
 take the joined-int path.
+
+`xor_columns` is the one XOR kernel of placement, delivery, segment
+expansion and decoding: each of them gathers its operands out of a flat
+pool of ints with the column pickers of `plan.SchemePlan` and XORs the
+columns slot by slot in C.
 """
 
 from __future__ import annotations
@@ -16,9 +21,13 @@ from __future__ import annotations
 import random
 import struct
 from itertools import chain, repeat
-from typing import Iterable
+from operator import xor
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .combinat import _count
+
+if TYPE_CHECKING:
+    from .plan import Column
 
 # byte b with its bit order reversed: turns little-endian int bytes into
 # the MSB-first wire layout and back
@@ -28,6 +37,9 @@ _NOT_BITS = str.maketrans("", "", "01")
 # byte values 0 and 1 as the digits of a base-2 literal, and back
 _BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 _DIGIT_BITS = bytes.maketrans(b"01", b"\x00\x01")
+# lazy maps `xor_columns` chains before it evaluates them: C recursion
+# through 10^5 nested maps overflows the stack, 10^4 does not
+_NEST = 256
 # blocks per struct.iter_unpack record in `_split`: one field per record
 # gets about half the gain, and 32 to 128 time the same
 _GROUP = 64
@@ -198,6 +210,28 @@ def admit_draw(length: int) -> None:
     """Refuse a length `Bits.random` cannot draw, without drawing."""
     if length >= 1 << 31:  # getrandbits takes a C int
         raise ValueError(f"cannot draw {_count(length)} random bits, the limit is 2^31 - 1")
+
+
+def xor_columns(columns: Sequence[Column], pool: Sequence[int]) -> Iterable[int]:
+    """The slot-by-slot XOR of what `columns` gather out of `pool`.
+
+    At least one column is given, and all cover the same slots.  The
+    result iterates the XOR of the gathered values at each slot, and the
+    caller builds its tuple or list once: a chain of lazy `map(xor, ...)`,
+    so no Python step runs per term.  Past `_NEST` columns, each run of
+    `_NEST` is evaluated into a list first, so however many columns a
+    selector brings, the maps never nest deep enough to overflow the C
+    stack.
+    """
+    head = None  # the evaluated XOR of the runs already taken
+    while len(columns) > _NEST:
+        run = xor_columns(columns[:_NEST], pool)
+        head = [*(run if head is None else map(xor, head, run))]
+        columns = columns[_NEST:]
+    acc = columns[0].pick(pool)
+    for column in columns[1:]:
+        acc = map(xor, acc, column.pick(pool))
+    return acc if head is None else map(xor, head, acc)
 
 
 def pack_blocks(values: Iterable[int], width: int) -> bytes:

@@ -5,7 +5,7 @@ order of fixed-size subsets, held as increasing tuples.
 nothing builds a plan table just to count; `scheme.SchemeParams` holds
 them, and every size derived from them, once per instance.  It prices
 C(K', r) before computing it and refuses a count of more than
-`COUNT_BITS_CAP` bits.  `admit_plan_counts` prices the rank tables of
+`COUNT_BITS_CAP` bits.  `admit_plan_counts` prices the tables of
 `plan.scheme_plan` from those counts before any table is built:
 `verify.admit` passes it `SchemeParams.counts`, and `scheme_plan` calls
 `admit_plan`, which computes them from (N, K, r) first.  `_count` writes
@@ -121,9 +121,11 @@ def scheme_counts(num_files: int, num_users: int, r: int) -> tuple[int, int, int
 
 
 # in `admit_plan_counts`' cost units; built one per fresh process on a 2-vCPU VM,
-# the costliest plans under the cap take 4-5 s or 100-250 MiB: (2,100,1)
-# 1.95M units 4.2 s, (6,4,5) 1.71M 4.7 s, (13,2,5) 1.45M 3.6 s / 251 MiB;
-# above it (5,5,5) 2.99M takes 8.3 s and (16,2,5) 5.9M 15 s / 918 MiB
+# the costliest plans under the cap take 2-4 s or 100-220 MiB with the column
+# tables: (2,100,1) 1.95M units 2.6-4.2 s / 102 MiB, (6,4,5) 1.71M 2.5-4.2 s /
+# 110 MiB, (13,2,5) 1.45M 1.5-3.0 s / 220 MiB (the row tables they replace:
+# 102, 117 and 249 MiB in the same runs); above it, with the row tables,
+# (5,5,5) 2.99M took 8.3 s and (16,2,5) 5.9M 15 s / 918 MiB
 _PLAN_COST_CAP = 2_000_000
 
 
@@ -136,8 +138,8 @@ def admit_plan_counts(num_files: int, num_users: int, r: int, counts: tuple[int,
     """Refuse (N, K, r) whose plan (`plan.scheme_plan`) costs more than
     `_PLAN_COST_CAP`, from its `scheme_counts` alone, and return K'.
 
-    Two terms dominate the cost of building a plan: the up rows of the
-    C(K', r) subfiles, K' entries each, and the reconstruction rows,
+    Two terms dominate the cost of building a plan: the decoding columns,
+    K' entries for each of the C(K', r) subfiles, and the reconstruction rows,
     C(K'-N, r+1) per user, each built from the 2^(r+1) subsets of its
     (r+1)-subset.
     """

@@ -1,26 +1,45 @@
-"""Rank-indexed XOR plans for placement, delivery and decoding.
+"""Column pickers for placement, delivery, decoding and the segment expansion.
 
 Every payload bit of the scheme is a fixed XOR of library subfiles.  Which
 subfiles it takes depends only on (N, K, r), the key digit and the
 auxiliary demand, never on the library bits.  A SchemePlan holds that
-structure as flat tables of colex ranks, built once per (N, K, r), kept in
-a small bounded cache and read as `SchemeParams.plan`.  The hot loops in
-`yma.yma_delivery`, `scheme.build_delivery` and `scheme.decode` then XOR
-plain ints, picked by rank out of the library's pre-split subfiles; no
-subset object is built per signal or segment.  Payloads are tuples of
-those ints in wire order: a cache's stored signals in `stored_ranks`
-order, a broadcast's segments file by file, each in colex order of the
-(r-1)-subsets avoiding t_d.  `delivered[t]` lists the segments sent when
-t_d = t and `rebuilt[t]` how `DeliverySignal.segment_values` rebuilds the
-others; `reconstruction` rebuilds a cache's other signals for
-`CacheContent.signal_values`, and `virtual` is each user's key-0 vector.
+structure as column tables, built once per (N, K, r), kept in a small
+bounded cache and read as `SchemeParams.plan`.  A `Column` lists, for
+every output slot (a stored signal, a segment or a subfile), the index in
+a flat pool of ints of one XOR term of that slot, and carries a prebuilt
+`operator.itemgetter` that gathers them all; `bitvec.xor_columns`, the one
+kernel, XORs the gathered columns slot by slot, with no Python step per
+term.  A slot with no term in a column points at the pool's zero
+sentinel, which the pool holds right after its values.  The pools:
 
-Tables are indexed by the colex rank of an l-subset of the K' positions
-("level l"): an `up` row gives, for each position t, the level-(l+1) rank
-of the subset plus t, or -1 when t is already a member; a `down` row lists
-(t, level-(l-1) rank of the subset minus t) for each member t.
+  * placement (`yma.yma_delivery`): position-major, C(K', r) subfiles per
+    position, those of the file the position of the user's virtual vector
+    names (`stored_columns[c]`: the term of each stored (r+1)-subset at its
+    c-th member; every signal has r + 1 terms, so no sentinel);
+  * delivery (`scheme._segment_rows`): one file's subfiles, then the
+    sentinel (`segment_columns[v]`: the subfile at S plus v for every
+    (r-1)-subset S, per position v); `delivered[t]` then picks, in colex
+    order, the segments avoiding t, which a broadcast with t_d = t sends;
+  * segment expansion (`DeliverySignal.segment_values`): one file's
+    segments in colex order, zero where t_d sent none, then the sentinel
+    (`base_columns[t]`: the segment at B plus t for every (r-2)-subset B;
+    `base_columns[t_d]` also names the segment each rebuilt value fills);
+  * decoding (`scheme._xor_decode`): the cache's `signal_values`, the
+    sentinel, then the segment expansion of every position in position
+    order (`decode_up[t]`: the signal at R plus t for every subfile R;
+    `decode_down[c]`: the segment at R minus its c-th member).
 
-Only placement, delivery, decoding, the payload expansions and the
+Payloads are tuples of those ints in wire order: a cache's stored signals
+in `stored_ranks` order, a broadcast's segments file by file in
+`delivered[t_d]` order.  `reconstruction` rebuilds a cache's other signals
+for `CacheContent.signal_values` row by row: its rows hold up to
+2^(r+1) - 1 terms, in lengths that vary within a plan, and padding them
+to columns would add 29-70% more terms on (2,100,1), (4,4,3) and
+(6,4,5), each an XOR with the sentinel, and grow the table that
+dominates those plans.  `virtual` is each user's key-0 vector.
+
+Ranks are colex ranks among the l-subsets of the K' positions ("level
+l").  Only placement, delivery, decoding, the payload expansions and the
 wire-order helpers read a plan; payload sizes come from
 `combinat.scheme_counts`, and `combinat.admit_plan` prices a plan from
 them before it is built.
@@ -31,34 +50,52 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations
 from math import comb
-from typing import NamedTuple
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .combinat import admit_plan, colex_rank, colex_subsets
 from .yma import build_u_vector
 
-Up = tuple[tuple[int, ...], ...]
-Down = tuple[tuple[tuple[int, int], ...], ...]
-
 _PLAN_CACHE_SIZE = 8
 
 
+class Column(NamedTuple):
+    """One XOR term of every output slot: its index in a flat pool of ints,
+    slot by slot, and the gather that reads them all as one sequence."""
+
+    indices: tuple[int, ...]
+    pick: Callable[[Sequence[int]], Sequence[int]]
+
+
+def column(indices: Iterable[int]) -> Column:
+    """The column of `indices`; its gather is an `operator.itemgetter`, which
+    keeps the very tuple it is given, so the indices are held once."""
+    held = tuple(indices)
+    if len(held) == 1:  # itemgetter of one index returns the bare item
+        return Column(held, itemgetter(slice(held[0], held[0] + 1)))
+    return Column(held, itemgetter(*held) if held else itemgetter(slice(0)))
+
+
 class SchemePlan(NamedTuple):
-    """Colex-rank tables of one (N, K, r); see the module docstring."""
+    """Column tables of one (N, K, r); see the module docstring."""
 
     # cache side: level-(r+1) ranks of the leader-intersecting (r+1)-subsets,
-    # colex order, with their (position, r-subset rank) terms
+    # colex order; column c: the term of each at its c-th member
     stored_ranks: tuple[int, ...]
-    stored_terms: Down
+    stored_columns: tuple[Column, ...]
     signal_count: int
-    # broadcast side: neighbours of every (r-1)-subset, colex order
-    segment_up: Up
-    # per position t: the ranks of the (r-1)-subsets avoiding t, sent when
-    # t_d = t; and (rank, up row of the subset minus t) of those holding t
-    delivered: tuple[tuple[int, ...], ...]
-    rebuilt: tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]
-    # neighbours of the r-subsets, one row per subfile
-    subfile_up: Up
-    subfile_down: Down
+    # broadcast side: C(K', r-1) segments S per file; per position v, the
+    # subfile rank of S plus v
+    segment_count: int
+    segment_columns: tuple[Column, ...]
+    # per position t: the ranks of the (r-1)-subsets avoiding t, sent when t_d = t
+    delivered: tuple[Column, ...]
+    # per position t, over the (r-2)-subsets B: the segment rank of B plus t
+    base_columns: tuple[Column, ...]
+    # decoding, over the subfiles R: per position t, the signal at R plus t;
+    # per member index c, the segment at R minus its c-th member
+    decode_up: tuple[Column, ...]
+    decode_down: tuple[Column, ...]
     # virtual[user]: the user's virtual demand vector for key digit 0
     virtual: tuple[tuple[int, ...], ...]
     # reconstruction[user]: (rank of a non-stored signal, level-(r+1) ranks
@@ -66,29 +103,30 @@ class SchemePlan(NamedTuple):
     reconstruction: tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]
 
 
-def _down(subsets: list[tuple[int, ...]]) -> Down:
-    """For each subset, (member t, colex rank of the subset minus t)."""
-    rows = []
+def _down(subsets: list[tuple[int, ...]]) -> Iterator[list[int]]:
+    """For each subset, the colex rank of the subset minus each member, in
+    member order."""
     for members in subsets:
         kept = [comb(c, j + 1) for j, c in enumerate(members)]  # below the removed one
         shifted = [comb(c, j) for j, c in enumerate(members)]  # above it
         below, above = 0, sum(shifted)
-        row = []
-        for j, c in enumerate(members):
+        lowers = []
+        for j in range(len(members)):
             above -= shifted[j]
-            row.append((c, below + above))
+            lowers.append(below + above)
             below += kept[j]
-        rows.append(tuple(row))
-    return tuple(rows)
+        yield lowers
 
 
-def _up(count: int, positions: int, down_above: Down) -> Up:
-    """Invert the next level's down rows: rank of subset plus t, or -1."""
-    rows = [[-1] * positions for _ in range(count)]
-    for rank, row in enumerate(down_above):
-        for t, lower in row:
-            rows[lower][t] = rank
-    return tuple(tuple(row) for row in rows)
+def _up(subsets: list[tuple[int, ...]], downs: list[list[int]], below: int, positions: int) -> list[list[int]]:
+    """Per position t, over the `below` subsets one level down: the rank of
+    the subset plus t among `subsets`, or len(subsets) (the pool's zero
+    sentinel) when t is already a member."""
+    rows = [[len(subsets)] * below for _ in range(positions)]
+    for rank, (members, lowers) in enumerate(zip(subsets, downs)):
+        for t, lower in zip(members, lowers):
+            rows[t][lower] = rank
+    return rows
 
 
 def _flat_reconstruction(
@@ -125,28 +163,35 @@ def scheme_plan(num_files: int, num_users: int, r: int) -> SchemePlan:
     `admit_plan` prices it first, so a refused plan builds no table."""
     positions = admit_plan(num_files, num_users, r)
     level = {size: colex_subsets(positions, size) for size in range(r - 2, r + 2)}
-    signals_down = _down(level[r + 1])
+    downs = {size: list(_down(level[size])) for size in (r + 1, r, r - 1)}
+    signals, subfiles, segments = (len(level[size]) for size in (r + 1, r, r - 1))
     stored_ranks = [rank for rank, members in enumerate(level[r + 1]) if members[0] < num_files]
     outside = [
         (rank, members) for rank, members in enumerate(level[r + 1]) if members[0] >= num_files
     ]
-    subfile_down = _down(level[r])
-    segment_up = _up(len(level[r - 1]), positions, subfile_down)
-    segment_down = _down(level[r - 1])
-    base_up = _up(len(level[r - 2]), positions, segment_down)
+    # placement pool: the subfiles of position t start at t * subfiles
+    stored: list[list[int]] = [[] for _ in range(r + 1)]
+    for rank in stored_ranks:
+        for terms, t, lower in zip(stored, level[r + 1][rank], downs[r + 1][rank]):
+            terms.append(t * subfiles + lower)
+    # decoding pool: signals, the zero, then position t's segments at
+    # signals + 1 + t * segments
+    down: list[list[int]] = [[] for _ in range(r)]
+    for members, lowers in zip(level[r], downs[r]):
+        for terms, t, lower in zip(down, members, lowers):
+            terms.append(signals + 1 + t * segments + lower)
+    segment_up = _up(level[r], downs[r], segments, positions)
     virtual = tuple(build_u_vector(num_files, num_users, user, 0).entries for user in range(num_users))
     return SchemePlan(
         stored_ranks=tuple(stored_ranks),
-        stored_terms=tuple(signals_down[rank] for rank in stored_ranks),
-        signal_count=len(level[r + 1]),
-        segment_up=segment_up,
-        delivered=tuple(tuple(i for i, up in enumerate(segment_up) if up[t] >= 0) for t in range(positions)),
-        rebuilt=tuple(
-            tuple((i, base_up[b]) for i, row in enumerate(segment_down) for u, b in row if u == t)
-            for t in range(positions)
-        ),
-        subfile_up=_up(len(level[r]), positions, signals_down),
-        subfile_down=subfile_down,
+        stored_columns=tuple(map(column, stored)),
+        signal_count=signals,
+        segment_count=segments,
+        segment_columns=tuple(map(column, segment_up)),
+        delivered=tuple(column(i for i, rank in enumerate(row) if rank != subfiles) for row in segment_up),
+        base_columns=tuple(map(column, _up(level[r - 1], downs[r - 1], len(level[r - 2]), positions))),
+        decode_up=tuple(map(column, _up(level[r + 1], downs[r + 1], subfiles, positions))),
+        decode_down=tuple(map(column, down)),
         virtual=virtual,
         reconstruction=tuple(_flat_reconstruction(entries, outside) for entries in virtual),
     )

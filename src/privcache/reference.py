@@ -1,7 +1,7 @@
 """The per-element reference layer: subsets as objects, and the scheme's
 formulas evaluated one signal, segment or subfile at a time.
 
-Placement, delivery and decoding run on the colex-rank tables of `plan`
+Placement, delivery and decoding run on the column tables of `plan`
 and never read this module.  It holds the definitions those tables are
 tested against: a subfile read by its r-subset (`subfile`), the YMA XOR
 signal (`compute_y`), the broadcast segment (`x_segment`), the wire order
@@ -158,7 +158,7 @@ def delivered_segment_indices(params: SchemeParams, t_d: int) -> list[tuple[int,
     if not 0 <= t_d < params.positions:
         raise ValueError(f"t={t_d} outside the {params.positions} positions")
     subsets = enumerate_r_subsets(params.positions, params.r - 1)
-    ranks = params.plan.delivered[t_d]
+    ranks = params.plan.delivered[t_d].indices
     return [(n, subsets[i]) for n in range(params.num_files) for i in ranks]
 
 

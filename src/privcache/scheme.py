@@ -17,23 +17,26 @@ The module is organized around the life of one session:
   * assemble_delivery               -- broadcast construction
   * decode                          -- receiver side
 
-Placement, delivery and decoding run on the rank tables of
-`SchemeParams.plan`, built once per (N, K, r): each signal, segment and
-decoded subfile is an XOR of pre-split subfile ints picked by colex rank.
-Caches and broadcasts are frozen and hold those ints as flat tuples in
-wire order (the plan's `stored_ranks` and `delivered` rows); their
-constructors reject any other shape, so every entry point, `from_bytes`
-included, gets one set of checks, sized by the closed-form
-`SchemeParams.counts` rather than the plan.  Each expands itself once,
-however many decodes read it (`CacheContent.signal_values`,
-`DeliverySignal.segment_values`); `decode` joins the subfiles that
-`_xor_decode`, the one decode loop, rebuilds from the cache, the selector
-and the segment expansion, shifting `plan.virtual` by the key, and the
-correctness verifier compares those subfiles without the join, once per
-distinct expansion.  The
-per-element formulas those tables are tested against (`subfile`,
-`compute_y`, `x_segment`, the wire order as subsets, the demand classes
-and `f_map`) live in `reference`, which no session loads.
+Placement, delivery, the segment expansion and decoding run on the
+column tables of `SchemeParams.plan`, built once per (N, K, r): each
+signal, segment and decoded subfile is an XOR of pre-split subfile ints,
+and one kernel, `bitvec.xor_columns`, XORs the columns the plan's pickers
+gather out of a flat pool, with no Python step per term.  Caches and
+broadcasts are frozen and hold those ints as flat tuples in wire order
+(the plan's `stored_ranks` and `delivered` columns); their constructors
+reject any other shape, so every entry point, `from_bytes` included, gets
+one set of checks, sized by the closed-form `SchemeParams.counts` rather
+than the plan.  Each expands itself once, however many decodes read it
+(`CacheContent.signal_values`, `DeliverySignal.segment_values`); `decode`
+joins the subfiles that `_xor_decode`, the one decode, rebuilds from the
+cache, the selector and the segment expansion, shifting `plan.virtual` by
+the key, and the correctness verifier compares those subfiles without the
+join, once per distinct expansion.  A delivery is two steps, the segment
+rows of the selector (`_segment_rows`) and the part of them that t_d
+sends (`_broadcast`), so the verifier builds the rows once per auxiliary
+demand.  The per-element formulas those tables are tested against
+(`subfile`, `compute_y`, `x_segment`, the wire order as subsets, the
+demand classes and `f_map`) live in `reference`, which no session loads.
 
 Every value class here is a `_record.FrozenRecord` with an explicit
 constructor: it stores its fields with one `_store` call, in declaration
@@ -61,7 +64,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 from . import yma
 from ._record import FrozenRecord
-from .bitvec import Bits, admit_draw, pack_blocks, split_blocks
+from .bitvec import Bits, admit_draw, pack_blocks, split_blocks, xor_columns
 from .combinat import ScaleLimitError, _count, position_count, scheme_counts
 
 if TYPE_CHECKING:
@@ -131,7 +134,7 @@ class SchemeParams(FrozenRecord):
 
     @cached_property
     def plan(self) -> SchemePlan:
-        """The rank tables of (N, K, r), shared by every file length."""
+        """The column tables of (N, K, r), shared by every file length."""
         # imported on first use, so loading this module (or reaching a session
         # name through the lazy `privcache` namespace) never compiles it
         from .plan import scheme_plan
@@ -345,23 +348,30 @@ class DeliverySignal(FrozenRecord):
 
         Segments avoiding t_d are read off the broadcast.  A segment S
         containing t_d XORs the delivered segments at S minus t_d plus t, over
-        the selector positions t outside S; the empty XOR is zero.
+        the selector positions t outside S; the empty XOR is zero.  With the
+        unsent segments still zero, `xor_columns` on the plan's
+        `base_columns` of the selector positions other than t_d gives that
+        XOR for every (r-2)-subset B at once, the one of S = B plus t_d when
+        B avoids t_d; `base_columns[t_d]` names that S, and sends the value
+        of a B holding t_d, zero, to the sentinel.
         """
         plan, t_d = self.params.plan, self.t_d
-        delivered = plan.delivered[t_d]
-        count = len(delivered)
-        selector = self.aux.selector
-        recovered = [(i, [up[t] for t in selector if t != t_d and up[t] >= 0]) for i, up in plan.rebuilt[t_d]]
+        sent = plan.delivered[t_d].indices
+        count = len(sent)
+        into = plan.base_columns[t_d].indices  # B -> S, or the sentinel when t_d is in B
+        # no column when r < 2 (every segment is sent) or t_d is the only
+        # selector position (every unsent segment is the empty XOR, zero)
+        columns = [plan.base_columns[t] for t in self.aux.selector if t != t_d] if into else []
         values = []
         for n in range(self.params.num_files):
-            row = [0] * len(plan.segment_up)
-            for i, value in zip(delivered, self.segments[n * count : (n + 1) * count]):
+            row = [0] * (plan.segment_count + 1)  # the last is the zero sentinel
+            for i, value in zip(sent, self.segments[n * count : (n + 1) * count]):
                 row[i] = value
-            for i, ranks in recovered:
-                acc = 0
-                for j in ranks:
-                    acc ^= row[j]
-                row[i] = acc
+            if columns:
+                rebuilt = [*xor_columns(columns, row)]
+                for i, value in zip(into, rebuilt):
+                    row[i] = value  # a B holding t_d rebuilds 0 into the sentinel
+            row.pop()
             values.append(row)
         return values
 
@@ -387,19 +397,29 @@ def build_delivery(files: FileLibrary, d: AuxDemand, t_d: int) -> DeliverySignal
     params = files.params
     if d.num_users != params.num_users or d.num_files != params.num_files:
         raise ValueError("auxiliary demand does not match parameters")
-    selector = d.selector
-    plan = params.plan
-    # `reference.x_segment` for every (r-1)-subset S avoiding t_d: ranks of S plus v
-    # (no rows for a t_d outside the selector set, which DeliverySignal names)
-    ups = [plan.segment_up[i] for i in plan.delivered[t_d]] if t_d in selector else []
-    wanted = [[up[v] for v in selector if up[v] >= 0] for up in ups]
-    segments = []
-    for row in files.subfiles:
-        for ranks in wanted:
-            acc = 0
-            for j in ranks:
-                acc ^= row[j]
-            segments.append(acc)
+    if t_d not in d.selector:  # DeliverySignal names the selector set
+        return DeliverySignal(d, t_d, (), params)
+    return _broadcast(files, d, t_d, _segment_rows(files, d))
+
+
+def _segment_rows(files: FileLibrary, d: AuxDemand) -> list[list[int]]:
+    """`reference.x_segment` of every (r-1)-subset S of every file, by file
+    and colex rank: the subfiles at S plus v over v in the selector, by
+    `xor_columns` on the plan's `segment_columns`.  Every t_d of the
+    selector sends a part of them (`_broadcast`)."""
+    plan = files.params.plan
+    columns = [*map(plan.segment_columns.__getitem__, d.selector)]
+    return [[*xor_columns(columns, row + (0,))] for row in files.subfiles]
+
+
+def _broadcast(files: FileLibrary, d: AuxDemand, t_d: int, rows: list[list[int]]) -> DeliverySignal:
+    """The broadcast for t_d: file by file, the segments of `rows` that avoid
+    t_d (`plan.delivered[t_d]`)."""
+    params = files.params
+    sent = params.plan.delivered[t_d].pick
+    segments: list[int] = []
+    for row in rows:
+        segments += sent(row)
     return DeliverySignal(d, t_d, tuple(segments), params)
 
 
@@ -508,35 +528,29 @@ def _decoded_subfiles(cache: CacheContent, x: DeliverySignal, user: int, demand:
 
 
 def _xor_decode(cache: CacheContent, selector: tuple[int, ...], expansion: list[list[int]]) -> list[int]:
-    """The one decode loop, shared by `decode` and the correctness verifier.
+    """The one decode, shared by `decode` and the correctness verifier.
 
     Subfile by subfile (r-subsets R in colex order): XOR the signals at
     {t} union R for selector positions t outside R with the segments at
     R minus {t} for t in R, where the segment's file index is the user's
     digit under the t-th labeled demand (`SchemeParams.plan.virtual`),
-    shifted by the cache key.  Signals missing from the cache
-    (`signal_values`) are rebuilt once per cache.  The broadcast enters only
-    as its selector and its segment expansion by file and colex rank
-    (`DeliverySignal.segment_values`), never as t_d or the sent segments,
-    so broadcasts with equal selectors and expansions decode alike.
+    shifted by the cache key.  `bitvec.xor_columns` runs it on the plan's
+    `decode_down` columns and the selector's `decode_up` columns, over the
+    cache's signals, the zero sentinel and each position's segments.
+    Signals missing from the cache (`signal_values`) are rebuilt once per
+    cache.  The broadcast enters only as its selector and its segment
+    expansion by file and colex rank (`DeliverySignal.segment_values`),
+    never as t_d or the sent segments, so broadcasts with equal selectors
+    and expansions decode alike.
     """
-    n = cache.params.num_files
-    plan = cache.params.plan
-    signals = cache.signal_values
+    params = cache.params
+    plan, n, key = params.plan, params.num_files, cache.key
+    pool = [*cache.signal_values, 0]
     # position t's segments are those of the user's digit under the t-th
     # labeled demand (g_map), shifted by the key
-    segments = [expansion[(v + cache.key) % n] for v in plan.virtual[cache.user]]
-    parts = []
-    for up, down in zip(plan.subfile_up, plan.subfile_down):
-        acc = 0
-        for t in selector:
-            j = up[t]
-            if j >= 0:
-                acc ^= signals[j]
-        for t, j in down:
-            acc ^= segments[t][j]
-        parts.append(acc)
-    return parts
+    for v in plan.virtual[cache.user]:
+        pool += expansion[(v + key) % n]
+    return [*xor_columns([*plan.decode_down, *map(plan.decode_up.__getitem__, selector)], pool)]
 
 
 class SessionRandomness:

@@ -5,7 +5,7 @@ Correctness builds every broadcast the scheme can send, one per
 A user sees the demands only through a = D - S (mod N), so a decode
 depends on (a, t, k, s) alone and must return file (a_k + s) mod N.  It
 reads the broadcast only through its selector and segment expansion
-(`scheme._xor_decode`, the decoder's own loop), so decodes are
+(`scheme._xor_decode`, the decoder's own kernel call), so decodes are
 quotiented over t: the broadcasts of one a are grouped by equal
 expansion, each (group, k, s) decode runs once, and its subfiles are
 compared with the library's split for every t of the group.  A correct
@@ -82,12 +82,13 @@ from .scheme import (
     FileLibrary,
     SchemeParams,
     SessionRandomness,
-    build_delivery,
     cache_header,
     delivery_header,
     g_map,
     place,
+    _broadcast,
     _decoded_subfiles,
+    _segment_rows,
 )
 
 _CASE_CAP = 20_000_000
@@ -180,12 +181,18 @@ def _guard_cases(label: str, cases: int, cap: int = _CASE_CAP) -> None:
 
 
 def _deliveries(params: SchemeParams, files: FileLibrary) -> dict[tuple[tuple[int, ...], int], DeliverySignal]:
-    """Every broadcast the scheme can send, keyed by (auxiliary digits, t)."""
+    """Every broadcast the scheme can send, keyed by (auxiliary digits, t).
+
+    The real delivery's two steps (`scheme.build_delivery`): the segment
+    rows of an auxiliary demand depend on its selector alone, so they are
+    computed once per demand, and each t of its selector sends its part.
+    """
     table = {}
     for digits in _all_digit_vectors(params.num_files, params.num_users):
         d = AuxDemand(digits, params.num_files)
+        rows = _segment_rows(files, d)
         for t in d.selector:
-            table[(digits, t)] = build_delivery(files, d, t)
+            table[(digits, t)] = _broadcast(files, d, t, rows)
     return table
 
 
@@ -281,12 +288,14 @@ def verify_correctness_exhaustive(
     A user sees the demands only through the broadcast's auxiliary digits
     a = D - S (mod N), so a decode depends on (a, t, user k, key digit s)
     alone and must return file (a_k + s) mod N.  Every broadcast is built,
-    one per (a, t), by the real delivery, and each rebuilds its missing
-    segments (`segment_values`).  The decode loop (`scheme._xor_decode`)
-    reads a broadcast only through its selector and that expansion, so the
-    checks are quotiented over t: the broadcasts of one a are grouped by
-    equal parameters, aux digits and expansion, and each (group, k, s)
-    decode runs once, subfile by subfile against the library's split.  It
+    one per (a, t), by the real delivery, whose segment rows are computed
+    once per a (`_deliveries`), and each rebuilds its missing segments
+    (`segment_values`).  The decode (`scheme._xor_decode`, the one XOR
+    kernel on the plan's decoding columns) reads a broadcast only through
+    its selector and that expansion, so the checks are quotiented over t:
+    the broadcasts of one a are grouped by equal parameters, aux digits
+    and expansion, and each (group, k, s) decode runs once, subfile by
+    subfile against the library's split.  It
     counts as one check for every t of its group, and a failing decode
     fails every one of them.  For a fixed key vector, D -> a is a
     bijection, so one check stands for the N^(K-1) tuples (D, S, t, k) with
@@ -607,7 +616,7 @@ def oracle_y_reconstruction(params: SchemeParams, files: FileLibrary) -> Verific
     vacuously passes when no such index exists (K' - N < r + 1).
     """
     n, k_users = params.num_files, params.num_users
-    # the plan guard in `admit`, whose up-row cost C(K', r)*K' bounds the
+    # the plan guard in `admit`, whose column cost C(K', r)*K' bounds the
     # C(K', r+1) subsets enumerated below, refuses before anything is built
     admit(params, "reconstruction")
     start = time.perf_counter()

@@ -4,13 +4,13 @@ Cache contents of the private scheme are delivery signals of the
 uncoded-placement-optimal multicast (YMA) scheme evaluated under "virtual"
 demand vectors, read off the label layout of the K' positions (`_label`,
 `_unlabel`; `scheme` builds its labels and selectors on the same pair).
-This module builds those vectors and computes, from the plan's rank
-tables, the XOR signals Y indexed by the leader-intersecting
-(r+1)-subsets of the position universe, the ones that are actually
-stored.  The non-stored ones are rebuilt at decoding time from the plan's
-exchange-identity tables (`plan.SchemePlan.reconstruction`).  The
-reference XOR signal formula, one signal at a time, is
-`reference.compute_y`.
+This module builds those vectors and computes, with the plan's column
+tables and the one XOR kernel (`bitvec.xor_columns`), the XOR signals Y
+indexed by the leader-intersecting (r+1)-subsets of the position
+universe, the ones that are actually stored.  The non-stored ones are
+rebuilt at decoding time from the plan's exchange-identity tables
+(`plan.SchemePlan.reconstruction`).  The reference XOR signal formula,
+one signal at a time, is `reference.compute_y`.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from ._record import FrozenRecord
+from .bitvec import xor_columns
 from .combinat import position_count
 
 if TYPE_CHECKING:
@@ -89,18 +90,16 @@ def yma_delivery(files: FileLibrary, u: UVector) -> tuple[int, ...]:
 
     This is exactly the portion of the YMA delivery that gets stored as
     cache content, as `subfile_bits`-wide ints in the colex order of the
-    plan's `stored_ranks`.  Each is `reference.compute_y`'s XOR, taken by
-    rank from the library's plan and pre-split subfiles.
+    plan's `stored_ranks`.  Each is `reference.compute_y`'s XOR, run by
+    `bitvec.xor_columns` on the plan's `stored_columns` over a
+    position-major pool: position t holds the subfiles of file u[t], so
+    the vector's file map is read once per position, never per term.
     """
     params = files.params
     if len(u) != params.positions:
         raise ValueError(f"vector length {len(u)} != universe {params.positions}")
-    stored_terms = params.plan.stored_terms  # the plan's size guard runs before any file is split
-    rows = [files.subfiles[e] for e in u.entries]
-    out = []
-    for terms in stored_terms:
-        acc = 0
-        for i, rank in terms:
-            acc ^= rows[i][rank]
-        out.append(acc)
-    return tuple(out)
+    columns = params.plan.stored_columns  # the plan's size guard runs before any file is split
+    pool: list[int] = []
+    for e in u.entries:
+        pool += files.subfiles[e]
+    return tuple(xor_columns(columns, pool))

@@ -131,9 +131,11 @@ def test_payload_expansions_are_built_once():
 def test_scheme_counts_are_the_plan_table_lengths(n, k, r):
     plan = SchemeParams.minimal(n, k, r).plan
     subfiles, stored, rebuilt, per_file = scheme_counts(n, k, r)
-    assert subfiles == len(plan.subfile_up)
+    decoding = plan.decode_up + plan.decode_down
+    assert [len(column.indices) for column in decoding] == [subfiles] * (len(plan.virtual[0]) + r)
     assert stored == len(plan.stored_ranks)
-    assert [len(ranks) for ranks in plan.delivered] == [per_file] * len(plan.delivered)
+    assert [len(column.indices) for column in plan.stored_columns] == [stored] * (r + 1)
+    assert [len(column.indices) for column in plan.delivered] == [per_file] * len(plan.delivered)
     assert [len(rows) for rows in plan.reconstruction] == [rebuilt] * k
 
 
@@ -150,7 +152,7 @@ def test_a_plan_near_the_top_level_builds_without_the_middle_levels():
         "from privcache.combinat import colex_subsets\n"
         "from privcache.plan import scheme_plan\n"
         "assert colex_subsets(31, 30) == [tuple(x for x in range(31) if x != s) for s in range(30, -1, -1)]\n"
-        "assert len(scheme_plan(2, 30, 29).subfile_up) == 465\n"
+        "assert len(scheme_plan(2, 30, 29).decode_up[0].indices) == 465\n"
     )
     subprocess.run([sys.executable, "-c", code], check=True, timeout=60)
 

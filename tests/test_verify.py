@@ -128,7 +128,8 @@ def test_conditional_reports_are_library_independent(monkeypatch, n, k, r, maske
         raise AssertionError("a library payload was built")
 
     monkeypatch.setattr(verify, "place", unbuilt)
-    monkeypatch.setattr(verify, "build_delivery", unbuilt)
+    monkeypatch.setattr(verify, "_segment_rows", unbuilt)
+    monkeypatch.setattr(verify, "_broadcast", unbuilt)
     for engine in (lambda p, m: verify_privacy(p, CONDITIONAL, masked=m),
                    lambda p, m: verify_distribution_lemma(p, masked=m)):
         reports = set()
@@ -521,7 +522,8 @@ def test_correctness_decode_work_guard_fires_before_anything_is_built(monkeypatc
 
     monkeypatch.setattr(verify, "_caches_by_key", unbuilt)
     monkeypatch.setattr(verify, "_deliveries", unbuilt)
-    monkeypatch.setattr(verify, "build_delivery", unbuilt)
+    monkeypatch.setattr(verify, "_segment_rows", unbuilt)
+    monkeypatch.setattr(verify, "_broadcast", unbuilt)
     monkeypatch.setattr(verify, "place", unbuilt)
     monkeypatch.setattr(plan_module, "scheme_plan", unbuilt)
     params = SchemeParams.minimal(16, 2, 4)
