@@ -13,8 +13,8 @@ only places, delivers and decodes never loads `verify`, `tradeoff`,
 objects, `compute_y`, `x_segment`, the demand classes), which only the
 tests and the oracle suites read.
 
-The value classes (`SchemeParams`, `AuxDemand`, the payloads, the
-tradeoff points and bounds, `VerificationReport`, ...) write explicit
+The value classes (`SchemeParams`, `AuxDemand`, the payloads,
+`VerificationReport`, ...) write explicit
 constructors on the small bases of `_record`, so no class is generated
 from source at import time and neither a session nor the CLI loads
 `inspect`.
@@ -53,19 +53,7 @@ _EXPORTS = {
         "g_map",
         "place",
     ),
-    "tradeoff": (
-        "LinearBound",
-        "RatePoint",
-        "TradeoffCurve",
-        "companion_points",
-        "converse_bounds",
-        "converse_eval",
-        "lower_convex_envelope",
-        "scheme_points",
-        "tight_intervals",
-        "tightness_report",
-        "upper_envelope",
-    ),
+    "tradeoff": ("tight_intervals", "tightness_rows"),
     "verify": (
         "VerificationReport",
         "oracle_demand_identity",

@@ -6,7 +6,8 @@ nothing builds a plan table just to count; `scheme.SchemeParams` holds
 them, and every size derived from them, once per instance.  It prices
 C(K', r) before computing it and refuses a count of more than
 `COUNT_BITS_CAP` bits.  `admit_plan_counts` prices the tables of
-`plan.scheme_plan` from those counts before any table is built:
+`plan.scheme_plan` from those counts and the sizes of the two levels
+below r before any table is built:
 `verify.admit` passes it `SchemeParams.counts`, and `scheme_plan` calls
 `admit_plan`, which computes them from (N, K, r) first.  `_count` writes
 a count into a refusal, and `ratio_text` writes a ratio of two counts as
@@ -125,7 +126,10 @@ def scheme_counts(num_files: int, num_users: int, r: int) -> tuple[int, int, int
 # tables: (2,100,1) 1.95M units 2.6-4.2 s / 102 MiB, (6,4,5) 1.71M 2.5-4.2 s /
 # 110 MiB, (13,2,5) 1.45M 1.5-3.0 s / 220 MiB (the row tables they replace:
 # 102, 117 and 249 MiB in the same runs); above it, with the row tables,
-# (5,5,5) 2.99M took 8.3 s and (16,2,5) 5.9M 15 s / 918 MiB
+# (5,5,5) 2.99M took 8.3 s and (16,2,5) 5.9M 15 s / 918 MiB.  Near r = K' the
+# expansion tables dominate: (2,150,151), 1.73M units, simulates in 0.3 s / 42 MiB,
+# while (2,400,401), 32.3M units, ran out of a 600,000 KiB address space building
+# them when they were not priced
 _PLAN_COST_CAP = 2_000_000
 
 
@@ -141,11 +145,15 @@ def admit_plan_counts(num_files: int, num_users: int, r: int, counts: tuple[int,
     Two terms dominate the cost of building a plan: the decoding columns,
     K' entries for each of the C(K', r) subfiles, and the reconstruction rows,
     C(K'-N, r+1) per user, each built from the 2^(r+1) subsets of its
-    (r+1)-subset.
+    (r+1)-subset.  Near r = K', where both are small, the delivery and
+    expansion columns dominate instead: K' entries for each of the
+    C(K', r-1) and C(K', r-2) subsets one and two levels down.  The cost is
+    the larger of the two sums.
     """
     positions = position_count(num_files, num_users)
     subfiles, _, rebuilt, _ = counts
-    cost = subfiles * positions + num_users * rebuilt * 2 ** (r + 1)
+    expansion = positions * (binomial(positions, r - 1) + binomial(positions, r - 2))
+    cost = max(subfiles * positions + num_users * rebuilt * 2 ** (r + 1), expansion)
     if cost > _PLAN_COST_CAP:
         raise ScaleLimitError(
             f"the plan of N={num_files} K={num_users} r={r} costs ~{_count(cost)} table "

@@ -53,7 +53,7 @@ from math import comb
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .combinat import admit_plan, colex_rank, colex_subsets
+from .combinat import admit_plan, binomial, colex_rank, colex_subsets
 from .yma import build_u_vector
 
 _PLAN_CACHE_SIZE = 8
@@ -162,7 +162,7 @@ def scheme_plan(num_files: int, num_users: int, r: int) -> SchemePlan:
     """The plan of (N, K, r); it does not depend on the file length.
     `admit_plan` prices it first, so a refused plan builds no table."""
     positions = admit_plan(num_files, num_users, r)
-    level = {size: colex_subsets(positions, size) for size in range(r - 2, r + 2)}
+    level = {size: colex_subsets(positions, size) for size in range(r - 1, r + 2)}
     downs = {size: list(_down(level[size])) for size in (r + 1, r, r - 1)}
     signals, subfiles, segments = (len(level[size]) for size in (r + 1, r, r - 1))
     stored_ranks = [rank for rank, members in enumerate(level[r + 1]) if members[0] < num_files]
@@ -189,7 +189,7 @@ def scheme_plan(num_files: int, num_users: int, r: int) -> SchemePlan:
         segment_count=segments,
         segment_columns=tuple(map(column, segment_up)),
         delivered=tuple(column(i for i, rank in enumerate(row) if rank != subfiles) for row in segment_up),
-        base_columns=tuple(map(column, _up(level[r - 1], downs[r - 1], len(level[r - 2]), positions))),
+        base_columns=tuple(map(column, _up(level[r - 1], downs[r - 1], binomial(positions, r - 2), positions))),
         decode_up=tuple(map(column, _up(level[r + 1], downs[r + 1], subfiles, positions))),
         decode_down=tuple(map(column, down)),
         virtual=virtual,

@@ -1,44 +1,36 @@
-"""Exact-rational memory-rate tradeoff machinery.
+"""Exact memory-rate tradeoff of the two-file case, in integers.
 
-Achievable corner points, lower convex envelopes (memory-sharing), and the
-two-file converse region: the entropy-based half-planes plus the two
-cut-set lines.  Python callers give and get fractions.Fraction; inside, a
-point set is put over one common denominator and hulled with integer
-cross products (`_lower_hull`), and lines are integer (alpha, beta, gamma)
-whose envelope pieces start at integer (numerator, denominator) pairs
-(`_upper_hull`).  The two-file curves stay integers from the corners to
-the rows: the scheme corners come from their closed form, all over
-K(K+1), with no binomial, lcm or `Fraction` (`_two_file_curves`).  Both curves are
-piecewise linear on [0, 2]; one walk by cells (`_compare`, a cell being an
-achievable segment paired with a converse piece) compares them on a grid
-(`tightness_rows`, each value made from its unreduced integer pair: the
-CLI's text by `combinat.ratio_text`, `tightness_pairs`' reduced pairs and
-`tightness_report`'s `Fraction`s) or at the union of their breakpoints
-(`tight_intervals`), which settles every M in [0, 2] exactly.  A str grid
-step's decimal exponent is checked before any `Fraction` is built for it
-(`grid_step_fraction`).
-
-`RatePoint`, `LinearBound`, `TradeoffCurve` and `TightnessRow` are frozen
-records (`_record.FrozenRecord`) with explicit constructors; the first two
-store their coordinates as `Fraction`s whatever number they are given.
+The achievable curve is the lower convex envelope of the scheme's corners
+and the companion scheme's (`_lower_hull`, integer cross products over
+one common denominator); the converse curve is the upper envelope of the
+two-file converse lines, integer (alpha, beta, gamma) whose pieces start
+at integer (numerator, denominator) pairs (`_upper_hull`).  The scheme
+corners come from their closed form, all over K(K+1), with no binomial,
+lcm or `Fraction` (`_two_file_curves`).  Both curves are piecewise linear
+on [0, 2]; one walk by cells (`_compare`, a cell being an achievable
+segment paired with a converse piece) compares them on a grid
+(`tightness_rows`, each value made by the caller from its unreduced
+integer pair: the CLI's text by `combinat.ratio_text`, or a `Fraction`)
+or at the union of their breakpoints (`tight_intervals`), which settles
+every M in [0, 2] exactly.  A str grid step's decimal exponent is checked
+before any `Fraction` is built for it (`grid_step_fraction`).
 """
 
 from __future__ import annotations
 
 import math
 import re
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from fractions import Fraction
-from functools import cmp_to_key, lru_cache
+from functools import cmp_to_key
 from typing import Iterable, Sequence
 
-from ._record import FrozenRecord
-from .combinat import _count, position_count, ratio_text, scheme_counts
+from .combinat import _count, ratio_text
 
 _GRID_ROW_CAP = 100_001  # a grid step of 1/50000; finer steps are refused
 # best of 5 on a 2-vCPU Xeon: the curves cost ~K (5 ms at K = 1000) and tight_intervals ~K^1.5
-# (0.02-0.03 s at K = 1000, 0.95 s at K = 8000); tightness_pairs on 100,001 rows at K = 1000
-# takes 0.17-0.19 s, nearly all of it the rows
+# (0.02-0.03 s at K = 1000, 0.95 s at K = 8000); tightness_rows on 100,001 rows at K = 1000,
+# each value a reduced pair, takes 0.17-0.19 s, nearly all of it the rows
 _USER_CAP = 1000
 _STEP_EXPONENT_CAP = 10_000
 # a str grid step scales by at most 10^10000 (under 1 ms to build); Fraction("1e-30000000")
@@ -50,110 +42,11 @@ def _frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-class RatePoint(FrozenRecord):
-    """An exact (memory, rate) pair, both in units of files."""
-
-    memory: Fraction
-    rate: Fraction
-
-    def __init__(self, memory: Fraction, rate: Fraction) -> None:
-        memory, rate = _frac(memory), _frac(rate)
-        self._store(memory, rate)
-        if memory < 0 or rate < 0:
-            raise ValueError(f"negative coordinate in ({memory}, {rate})")
-
-    def swapped(self) -> RatePoint:
-        return RatePoint(self.rate, self.memory)
-
-
-class LinearBound(FrozenRecord):
-    """A half-plane alpha*M + beta*R >= gamma with beta > 0."""
-
-    alpha: Fraction
-    beta: Fraction
-    gamma: Fraction
-    label: str
-
-    def __init__(self, alpha: Fraction, beta: Fraction, gamma: Fraction, label: str = "") -> None:
-        alpha, beta, gamma = _frac(alpha), _frac(beta), _frac(gamma)
-        self._store(alpha, beta, gamma, label)
-        if beta < 0 or (alpha == 0 and beta == 0):
-            raise ValueError(f"invalid bound coefficients ({alpha}, {beta})")
-
-    def rate_at(self, memory) -> Fraction:
-        if self.beta == 0:
-            raise ValueError("vertical bound has no rate value")
-        return (self.gamma - self.alpha * _frac(memory)) / self.beta
-
-
-def scheme_point(num_files: int, num_users: int, r: int) -> RatePoint:
-    """Exact (M, R) of the virtual-user scheme with split parameter r.
-
-    With K' = N*K-K+1:  M = (C(K',r+1) - C(K'-N,r+1)) / C(K',r), the
-    signals per cache over the subfiles per file (`scheme_counts`), and
-    R = N*C(K'-1,r-1) / C(K',r) = N*r / K'.
-    """
-    subfiles, stored, _, _ = scheme_counts(num_files, num_users, r)
-    rate = Fraction(num_files * r, position_count(num_files, num_users))
-    return RatePoint(Fraction(stored, subfiles), rate)
-
-
-def scheme_points(num_files: int, num_users: int) -> list[RatePoint]:
-    """The achievable corner family: one scheme_point per r in [0, N*K-K+1]."""
-    n, k = num_files, num_users
-    if n < 2 or k < 1:
-        raise ValueError(f"need N >= 2 and K >= 1, got ({n}, {k})")
-    return [scheme_point(n, k, r) for r in range(position_count(n, k) + 1)]
-
-
-def companion_points(num_users: int) -> list[RatePoint]:
-    """Corner points of the companion two-file scheme.
-
-    The companion construction achieves each scheme point with cache size
-    and delivery rate swapped; it is only certified for two files, so this
-    takes no file-count argument.
-    """
-    return [p.swapped() for p in scheme_points(2, num_users)]
-
-
-class TradeoffCurve(FrozenRecord):
-    """A convex, non-increasing piecewise-linear map memory -> rate."""
-
-    corners: tuple[RatePoint, ...]
-
-    def __init__(self, corners: tuple[RatePoint, ...]) -> None:
-        self._store(corners)
-        if not corners:
-            raise ValueError("curve needs at least one corner")
-        prev_slope = None
-        for a, b in zip(corners, corners[1:]):
-            if b.memory <= a.memory:
-                raise ValueError("corner memories must strictly increase")
-            slope = (b.rate - a.rate) / (b.memory - a.memory)
-            if slope > 0:
-                raise ValueError("curve must be non-increasing")
-            if prev_slope is not None and slope < prev_slope:
-                raise ValueError("curve must be convex")
-            prev_slope = slope
-
-    @property
-    def memory_span(self) -> tuple[Fraction, Fraction]:
-        return self.corners[0].memory, self.corners[-1].memory
-
-    def value_at(self, memory) -> Fraction:
-        m = _frac(memory)
-        lo, hi = self.memory_span
-        if not lo <= m <= hi:
-            raise ValueError(f"memory {m} outside curve span [{lo}, {hi}]")
-        i = bisect_right(self.corners, m, key=lambda c: c.memory) - 1
-        if i == len(self.corners) - 1:
-            return self.corners[-1].rate
-        a, b = self.corners[i], self.corners[i + 1]
-        return a.rate + (m - a.memory) * (b.rate - a.rate) / (b.memory - a.memory)
-
-
 def _lower_hull(pairs: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
-    """The corners of `lower_convex_envelope` of integer (memory, rate) pairs."""
+    """Lower boundary of the convex hull of integer (memory, rate) pairs, as
+    its corners by increasing memory.  Collinear and dominated pairs are
+    discarded; corners past the minimum-rate vertex are memory-dominated
+    and dropped as well."""
     hull: list[tuple[int, int]] = []
     for p in sorted(set(pairs)):
         while len(hull) >= 2:
@@ -166,20 +59,14 @@ def _lower_hull(pairs: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
     return hull[: best + 1]
 
 
-def lower_convex_envelope(points) -> TradeoffCurve:
-    """Lower boundary of the convex hull of the given points.  Collinear and
-    dominated points are discarded; corners past the minimum-rate vertex
-    are memory-dominated and dropped as well."""
-    ratios = [(p.memory.as_integer_ratio(), p.rate.as_integer_ratio()) for p in points]
-    if not ratios:
-        raise ValueError("no points given")
-    den = math.lcm(*(d for ratio in ratios for _, d in ratio))
-    pairs = [(m * (den // dm), r * (den // dr)) for (m, dm), (r, dr) in ratios]
-    return TradeoffCurve(tuple(RatePoint(Fraction(m, den), Fraction(r, den)) for m, r in _lower_hull(pairs)))
-
-
 def _converse_coefficients(num_users: int) -> list[tuple[int, int, int, str]]:
-    """(alpha, beta, gamma, label) of each line of `converse_bounds`."""
+    """The two-file converse region for K users, as the (alpha, beta, gamma,
+    label) of each half-plane alpha*M + beta*R >= gamma.
+
+    Two entropy-derived lines per k in [2, K],
+    (k+1)(k+2) M + 2k(k+1) R >= 2k(k+3) and its coefficient mirror,
+    plus the two cut-set lines 2M + R >= 2 and M + 2R >= 2.
+    """
     if num_users < 2:
         raise ValueError(f"need at least 2 users, got {num_users}")
     lines = []
@@ -189,19 +76,14 @@ def _converse_coefficients(num_users: int) -> list[tuple[int, int, int, str]]:
     return lines + [(2, 1, 2, "cutset-s1"), (1, 2, 2, "cutset-s2")]
 
 
-def converse_bounds(num_users: int) -> list[LinearBound]:
-    """The two-file converse region for K users as explicit half-planes.
-
-    Two entropy-derived lines per k in [2, K],
-    (k+1)(k+2) M + 2k(k+1) R >= 2k(k+3) and its coefficient mirror,
-    plus the two cut-set lines 2M + R >= 2 and M + 2R >= 2.
-    """
-    return [LinearBound(*line) for line in _converse_coefficients(num_users)]
-
-
 def _upper_hull(lines: list[tuple]) -> list[tuple]:
-    """`upper_envelope` of integer (alpha, beta, gamma, tag) lines, beta > 0: its
-    pieces as (start numerator, start denominator, alpha, beta, gamma, tag)."""
+    """Pointwise largest of integer (alpha, beta, gamma, tag) lines, beta > 0,
+    on [0, 2], as pieces (start numerator, start denominator, alpha, beta,
+    gamma, tag): a piece's line is the largest from its start up to the
+    next piece's (or 2), and the first piece starts at 0.  Lines are taken
+    by increasing slope (the larger intercept wins among parallel ones); a
+    hull stack drops each line the next one overtakes no later than that
+    line's own start; pieces outside [0, 2] are clipped."""
     hull: list[tuple] = []
     # by slope -alpha/beta, then by intercept gamma/beta
     for a, b, g, tag in sorted(lines, key=cmp_to_key(
@@ -225,74 +107,26 @@ def _upper_hull(lines: list[tuple]) -> list[tuple]:
     ]
 
 
-def upper_envelope(bounds: Sequence[LinearBound]) -> tuple[tuple[Fraction, LinearBound], ...]:
-    """Pointwise largest of the given bounds on [0, 2], as (start memory,
-    bound) pieces: pieces[i][1] is the largest bound from pieces[i][0] up to
-    the next start (or 2).  The first piece starts at 0.  Lines are taken
-    by increasing slope (the larger intercept wins among parallel ones); a
-    hull stack drops each line the next one overtakes no later than that
-    line's own start; pieces outside [0, 2] are clipped."""
-    if not bounds or any(b.beta == 0 for b in bounds):
-        raise ValueError("upper envelope needs at least one bound, none vertical")
-    lines = []
-    for b in bounds:  # each scaled to integer coefficients
-        scale = math.lcm(b.alpha.denominator, b.beta.denominator, b.gamma.denominator)
-        lines.append((*(c.numerator * scale // c.denominator for c in (b.alpha, b.beta, b.gamma)), b))
-    return tuple((Fraction(num, den), bound) for num, den, *_, bound in _upper_hull(lines))
-
-
-def converse_eval(num_users: int, memory) -> Fraction:
-    """Best (largest) converse rate bound at the given cache size.
-
-    Takes the max over every line; the reference the envelope walk in
-    tightness_report and tight_intervals is tested against."""
-    m = _frac(memory)
-    if not 0 <= m <= 2:
-        raise ValueError(f"memory {m} outside [0, 2]")
-    return max(b.rate_at(m) for b in _converse_lines(num_users))
-
-
-@lru_cache(maxsize=128)
-def _converse_lines(num_users: int) -> tuple[LinearBound, ...]:
-    # frozen bounds, so one tuple per K is shared by every converse_eval call
-    return tuple(converse_bounds(num_users))
-
-
-class TightnessRow(FrozenRecord):
-    memory: Fraction
-    achievable: Fraction
-    converse: Fraction
-    tight: bool
-
-    def __init__(self, memory: Fraction, achievable: Fraction, converse: Fraction, tight: bool) -> None:
-        self._store(memory, achievable, converse, tight)
-
-
 def _two_file_curves(num_users: int) -> tuple:
     """(den, corners, pieces) for K users: the achievable envelope's corners
     from 0 to 2 as integer (memory, rate) pairs over den (`_lower_hull`),
     and the converse `_upper_hull`.  At N = 2, K' = K + 1 and the scheme
-    corner of split r (`scheme_point`) is M = (K+1-r)(2K-r) / (K(K+1)),
-    R = 2r/(K+1), so every corner is put straight over den = K(K+1), with
-    no binomial, gcd or `Fraction`."""
+    corner of split r, M = (C(K',r+1) - C(K'-2,r+1)) / C(K',r) and
+    R = 2r/K', is M = (K+1-r)(2K-r) / (K(K+1)), R = 2r/(K+1), so every
+    corner is put straight over den = K(K+1), with no binomial, gcd or
+    `Fraction`."""
     k = num_users
     pieces = _upper_hull(_converse_coefficients(k))
     pairs = [((k + 1 - r) * (2 * k - r), 2 * r * k) for r in range(k + 2)]
-    # the companion scheme's corners (`companion_points`) swap M and R
+    # the companion scheme achieves each scheme corner with M and R swapped
     return k * (k + 1), _lower_hull(pairs + [(r, m) for m, r in pairs]), pieces
-
-
-def _reduced(num: int, den: int) -> tuple[int, int]:
-    """num/den (den > 0) in lowest terms: the pair `Fraction(num, den)` holds."""
-    g = math.gcd(num, den)
-    return num // g, den // g
 
 
 def _compare(curves: tuple, q: int, memories: Sequence[int], value) -> list[tuple]:
     """The walk by cells: a row (memory, achievable, converse, tight) per
     memory a/q, for a in `memories` (ascending ints in [0, 2q]), each value
     made by value(numerator, denominator) from its unreduced integer pair:
-    `ratio_text`, a `_reduced` pair or a `Fraction`.
+    `ratio_text`, a reduced pair or a `Fraction`.
 
     A cell is one achievable segment paired with one converse piece.  It
     holds the memories from the later of their starts to the earlier of
@@ -370,11 +204,12 @@ def _step_text(step: Fraction) -> str:
 
 
 def tightness_rows(num_users: int, grid_step, value) -> list[tuple]:
-    """The rows (memory, achievable, converse, tight) of a grid on [0, 2]:
-    i * grid_step for i = 0, 1, ..., and 2 if the step does not divide it,
-    each value made by value(numerator, denominator) from its unreduced
-    integer pair (`_compare`).  The user count, the step and the row count
-    are checked before any curve is built."""
+    """Achievable-vs-converse comparison over a rational grid on [0, 2]:
+    the rows (memory, achievable, converse, tight) at i * grid_step for
+    i = 0, 1, ..., and 2 if the step does not divide it, each value made
+    by value(numerator, denominator) from its unreduced integer pair
+    (`_compare`); `Fraction` gives exact rationals.  The user count, the
+    step and the row count are checked before any curve is built."""
     _check_user_count(num_users)
     step = grid_step_fraction(grid_step)
     if step <= 0:
@@ -384,17 +219,6 @@ def tightness_rows(num_users: int, grid_step, value) -> list[tuple]:
     curves = _two_file_curves(num_users)
     p, q = step.numerator, step.denominator
     return _compare(curves, q, [*range(0, 2 * q + 1, p)] + [2 * q] * (2 * q % p != 0), value)
-
-
-def tightness_pairs(num_users: int, grid_step) -> list[tuple]:
-    """`tightness_report`'s rows as (memory, achievable, converse, tight),
-    each value a reduced (numerator, denominator) pair with denominator > 0."""
-    return tightness_rows(num_users, grid_step, _reduced)
-
-
-def tightness_report(num_users: int, grid_step) -> list[TightnessRow]:
-    """Achievable-vs-converse comparison over a rational grid on [0, 2]."""
-    return [TightnessRow(*row) for row in tightness_rows(num_users, grid_step, Fraction)]
 
 
 def tight_intervals(num_users: int) -> list[tuple[Fraction, Fraction]]:

@@ -14,10 +14,10 @@ import math
 import random
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from privcache.bitvec import Bits
-from privcache.combinat import binomial
+from privcache.combinat import binomial, position_count, scheme_counts
 from privcache.reference import SubsetIndex, subset_rank
 from privcache.scheme import (
     CacheContent,
@@ -306,8 +306,32 @@ def payload_entry(payload, index) -> Bits:
     return Bits(value, payload.params.subfile_bits)
 
 
-def hull_corners_by_pairs(points) -> list[tuple[Fraction, Fraction]]:
-    """Brute-force corners of `lower_convex_envelope`, as (memory, rate).
+class RatePoint(NamedTuple):
+    """An exact (memory, rate) pair, both in units of files."""
+
+    memory: Fraction
+    rate: Fraction
+
+
+def scheme_point(num_files: int, num_users: int, r: int) -> RatePoint:
+    """Exact (M, R) of the virtual-user scheme with split parameter r.
+
+    With K' = N*K-K+1:  M = (C(K',r+1) - C(K'-N,r+1)) / C(K',r), the
+    signals per cache over the subfiles per file (`scheme_counts`), and
+    R = N*C(K'-1,r-1) / C(K',r) = N*r / K'.
+    """
+    subfiles, stored, _, _ = scheme_counts(num_files, num_users, r)
+    return RatePoint(Fraction(stored, subfiles), Fraction(num_files * r, position_count(num_files, num_users)))
+
+
+def reduced(num: int, den: int) -> tuple[int, int]:
+    """num/den (den > 0) in lowest terms: the pair `Fraction(num, den)` holds."""
+    g = math.gcd(num, den)
+    return num // g, den // g
+
+
+def hull_corners_by_pairs(points) -> list[tuple[int, int]]:
+    """Brute-force corners of `tradeoff._lower_hull` of (memory, rate) pairs.
 
     Of the distinct points up to the minimum-rate vertex (least rate, then
     least memory), a point is a corner exactly when no pair of other points
@@ -315,28 +339,30 @@ def hull_corners_by_pairs(points) -> list[tuple[Fraction, Fraction]]:
     segment, or for a == b at p's memory whose own rate, is at most p's
     rate at p's memory.
     """
-    pts = {(p.memory, p.rate) for p in points}
+    pts = set(points)
     vertex = min(pts, key=lambda p: (p[1], p[0]))
 
     def covered(m, r):
         for (am, ar), (bm, br) in itertools.product(pts - {(m, r)}, repeat=2):
             if am == bm == m and ar == br <= r:
                 return True
-            if am <= m <= bm and am < bm and ar + (m - am) * (br - ar) / (bm - am) <= r:
+            # the segment's rate at m, ar + (m - am)(br - ar)/(bm - am), is at most r
+            if am <= m <= bm and am < bm and (ar - r) * (bm - am) + (m - am) * (br - ar) <= 0:
                 return True
         return False
 
     return sorted(p for p in pts if p[0] <= vertex[0] and not covered(*p))
 
 
-def envelope_by_pairwise_max(bounds) -> list[tuple[Fraction, Fraction, Fraction]]:
-    """Brute-force pieces of `upper_envelope`, as (start, slope, intercept).
+def envelope_by_pairwise_max(lines) -> list[tuple[Fraction, Fraction, Fraction]]:
+    """Brute-force pieces of `tradeoff._upper_hull` of (alpha, beta, gamma, tag)
+    lines, as (start, slope, intercept).
 
     Between consecutive points of {0, 2} and the pairwise intersections
     inside (0, 2), one line is the pointwise max: take it at each interval's
     midpoint, and merge neighbouring intervals on the same line.
     """
-    lines = {(-b.alpha / b.beta, b.gamma / b.beta) for b in bounds}
+    lines = {(Fraction(-a, b), Fraction(g, b)) for a, b, g, *_ in lines}
     cuts = {Fraction(0), Fraction(2)}
     for (s1, c1), (s2, c2) in itertools.combinations(lines, 2):
         if s1 != s2 and 0 < (c2 - c1) / (s1 - s2) < 2:
@@ -349,6 +375,23 @@ def envelope_by_pairwise_max(bounds) -> list[tuple[Fraction, Fraction, Fraction]
         if not pieces or pieces[-1][1:] != top:
             pieces.append((lo, *top))
     return pieces
+
+
+def envelope_value(curves: tuple, memory: Fraction) -> Fraction:
+    """The achievable rate at `memory` in [0, 2], interpolated pointwise
+    between the corners of `tradeoff._two_file_curves`."""
+    den, corners, _ = curves
+    points = [(Fraction(m, den), Fraction(r, den)) for m, r in corners]
+    for (m0, r0), (m1, r1) in zip(points, points[1:]):
+        if m0 <= memory <= m1:
+            return r0 + (memory - m0) * (r1 - r0) / (m1 - m0)
+    raise ValueError(f"memory {memory} outside [0, 2]")
+
+
+def converse_value(num_users: int, memory: Fraction) -> Fraction:
+    """The best converse rate bound at `memory`: the max over every line
+    alpha*M + beta*R >= gamma of `tradeoff._converse_coefficients`."""
+    return max(Fraction(g - a * memory, b) for a, b, g, _ in tradeoff._converse_coefficients(num_users))
 
 
 def compare_by_rows(curves: tuple, memories, value):
@@ -387,7 +430,7 @@ def tight_intervals_by_rows(num_users: int) -> list[tuple[Fraction, Fraction]]:
     """`tradeoff.tight_intervals` by `compare_by_rows`, each breakpoint in
     lowest terms over its own denominator."""
     den, corners, pieces = curves = tradeoff._two_file_curves(num_users)
-    breaks = {tradeoff._reduced(m, den) for m, _ in corners} | {tradeoff._reduced(n, d) for n, d, *_ in pieces}
+    breaks = {reduced(m, den) for m, _ in corners} | {reduced(n, d) for n, d, *_ in pieces}
     intervals: list[list[tuple[int, int]]] = []
     previous_tight = False
     for memory, _, _, tight in compare_by_rows(curves, sorted(breaks, key=lambda m: Fraction(*m)), lambda n, d: (n, d)):
@@ -404,7 +447,7 @@ class RowsBuilt(Exception):
 
 
 def refuse_tradeoff_rows(monkeypatch) -> None:
-    """Make `tightness_pairs`, `tightness_report` and `tight_intervals` raise
+    """Make `tightness_rows` and `tight_intervals` raise
     RowsBuilt once past their user-count and step checks, before any curve
     is built."""
 

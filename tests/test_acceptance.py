@@ -12,7 +12,16 @@ import sys
 import time
 from fractions import Fraction
 
-from helpers import basis_library, payload_entry, seeded_library, xor_symbols
+from helpers import (
+    basis_library,
+    converse_value,
+    envelope_value,
+    payload_entry,
+    scheme_point,
+    seeded_library,
+    xor_symbols,
+)
+from privcache import tradeoff
 from privcache.reference import SubsetIndex, enumerate_r_subsets, x_segment
 from privcache.scheme import (
     AuxDemand,
@@ -22,15 +31,7 @@ from privcache.scheme import (
     build_v,
     place,
 )
-from privcache.tradeoff import (
-    companion_points,
-    converse_bounds,
-    converse_eval,
-    lower_convex_envelope,
-    scheme_point,
-    scheme_points,
-    tight_intervals,
-)
+from privcache.tradeoff import tight_intervals, tightness_rows
 from privcache.verify import (
     CONDITIONAL,
     FULL_MARGINAL,
@@ -189,8 +190,8 @@ def test_criterion_6_reconstruction_oracles():
 def test_criterion_7_three_user_exact_tradeoff():
     start = time.perf_counter()
     problems = []
-    envelope = lower_convex_envelope(scheme_points(2, 3) + companion_points(3))
-    corners = [(c.memory, c.rate) for c in envelope.corners]
+    den, corners, _ = tradeoff._two_file_curves(3)
+    corners = [(F(m, den), F(r, den)) for m, r in corners]
     expected = [(F(0), F(2)), (F(1, 4), F(3, 2)), (F(2, 3), F(1)), (F(1), F(2, 3)), (F(3, 2), F(1, 4)), (F(2), F(0))]
     if corners != expected:
         problems.append(("corners", corners))
@@ -198,10 +199,11 @@ def test_criterion_7_three_user_exact_tradeoff():
     def closed_form(m):
         return max(2 - 2 * m, F(9 - 6 * m, 5), F(5 - 3 * m, 3), F(9 - 5 * m, 6), F(2 - m, 2))
 
-    for i in range(201):
-        m = F(i, 100)
-        ach = envelope.value_at(m)
-        if ach != closed_form(m) or ach != converse_eval(3, m):
+    rows = tightness_rows(3, F(1, 100), F)
+    if len(rows) != 201:
+        problems.append(("rows", len(rows)))
+    for m, ach, conv, _ in rows:
+        if ach != closed_form(m) or ach != conv:
             problems.append(("mismatch at", m))
     _criterion(7, "three-user exact tradeoff curve", problems, time.perf_counter() - start, 1.0)
 
@@ -210,13 +212,11 @@ def test_criterion_8_two_file_tight_ranges():
     start = time.perf_counter()
     problems = []
     for k in (2, 3, 4, 5, 6):
-        envelope = lower_convex_envelope(scheme_points(2, k) + companion_points(k))
-        bounds = converse_bounds(k)
+        curves = tradeoff._two_file_curves(k)
         low, high = F(2, k), F(2 * (k - 1), k + 1)
         grid = sorted({F(i, 100) for i in range(201)} | {low, high})
         for m in grid:
-            ach = envelope.value_at(m)
-            conv = max(b.rate_at(m) for b in bounds)
+            ach, conv = envelope_value(curves, m), converse_value(k, m)
             if ach < conv:
                 problems.append(("achievable below converse", k, m))
             if (m <= low or m >= high) and ach != conv:

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import oracle_cli_parser, refuse_tradeoff_rows
+from helpers import oracle_cli_parser, reduced, refuse_tradeoff_rows
 from privcache import bitvec, cli, tradeoff
 from privcache.cli import main
 from privcache.reference import delivered_segment_indices, stored_signal_indices
@@ -30,7 +30,7 @@ from privcache.scheme import (
     build_v,
     place,
 )
-from privcache.tradeoff import _reduced, ratio_text, tightness_report
+from privcache.tradeoff import ratio_text, tightness_rows
 
 
 def run_cli(capsys, *argv):
@@ -316,6 +316,23 @@ def test_simulate_is_refused_by_the_plan_before_the_library_is_drawn(monkeypatch
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("simulate",), ("verify", "--suite", "reconstruction")],
+    ids=["simulate", "verify-reconstruction"],
+)
+def test_a_plan_whose_expansion_tables_pass_the_cap_is_refused(monkeypatch, capsys, argv):
+    # (2,400,401) has one subfile per file, but its delivery and expansion columns hold
+    # K' = 401 entries for each of the C(401, 400) + C(401, 399) subsets below it
+    monkeypatch.setattr(bitvec.Bits, "random", lambda *args: pytest.fail("library bits drawn"))
+    run_cli_expect_usage_error(*argv, "--n", "2", "--k", "400", "--r", "401")
+    captured = capsys.readouterr()
+    assert captured.err.endswith(
+        "error: the plan of N=2 K=400 r=401 costs ~32321001 table entries, which exceeds the cap of 2000000\n"
+    )
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("suite", ["correctness", "all"])
 def test_verify_prices_correctness_before_the_library_is_drawn(monkeypatch, capsys, suite):
     # the 16-bit library would be about 22 MiB; correctness is refused by its price first
@@ -515,9 +532,9 @@ def test_tradeoff_output_bytes_are_pinned(capsys, flags, digest):
     code, out = run_cli(capsys, "tradeoff", *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
-    for row in tightness_report(int(argv[1]), Fraction(argv[3])):
-        assert all(type(x) is Fraction for x in (row.memory, row.achievable, row.converse)), row
-        assert type(row.tight) is bool
+    for *values, tight in tightness_rows(int(argv[1]), Fraction(argv[3]), Fraction):
+        assert all(type(x) is Fraction for x in values), values
+        assert type(tight) is bool
 
 
 @settings(max_examples=500, deadline=None)
@@ -533,10 +550,10 @@ def test_tradeoff_output_bytes_are_pinned(capsys, flags, digest):
 def test_tradeoff_pair_text_and_float_match_fraction(num, den, common):
     # the rows reach the CLI as unreduced pairs, printed by `ratio_text` as `n`
     # or `n/d` with the unreduced `n / d` as the JSON float: the same bytes `str`
-    # and `float` of a Fraction give, and `_reduced` holds the Fraction's pair
+    # and `float` of a Fraction give, and `reduced` holds the Fraction's pair
     n, d = num * common, den * common
     exact = Fraction(n, d)
-    assert _reduced(n, d) == (exact.numerator, exact.denominator)
+    assert reduced(n, d) == (exact.numerator, exact.denominator)
     assert ratio_text(n, d) == str(exact)
     assert n / d == float(exact)
 

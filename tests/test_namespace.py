@@ -41,11 +41,7 @@ HOMES = {
         "SessionRandomness", "VVector", "assemble_delivery", "aux_demand", "build_delivery",
         "build_v", "decode", "g_map", "place",
     ),
-    "tradeoff": (
-        "LinearBound", "RatePoint", "TradeoffCurve", "companion_points", "converse_bounds",
-        "converse_eval", "lower_convex_envelope", "scheme_points", "tight_intervals",
-        "tightness_report", "upper_envelope",
-    ),
+    "tradeoff": ("tight_intervals", "tightness_rows"),
     "verify": (
         "VerificationReport", "oracle_demand_identity", "oracle_y_reconstruction",
         "verify_correctness_exhaustive", "verify_distribution_lemma", "verify_privacy",
@@ -78,8 +74,8 @@ def test_session_names_leave_the_verifiers_and_the_tradeoff_layer_unloaded():
 
 def test_sessions_and_the_cli_leave_the_class_generator_unloaded():
     # the record classes write their own constructors, so neither a session's
-    # names nor a `verify` and a `tradeoff` command (which between them load
-    # every record class) import `dataclasses` and the `inspect` it pulls in
+    # names nor a `verify` command (which loads every record class) nor a
+    # `tradeoff` command import `dataclasses` and the `inspect` it pulls in
     loaded = fresh(
         "import contextlib, io, json, sys\n"
         "import privcache\n"
@@ -108,6 +104,7 @@ CLI_PATHS = {
     ),
     ("tradeoff", "--k", "5", "--grid", "1/10", "--format", "csv"): (
         "privcache.scheme", "privcache.verify", "privcache.bitvec", "privcache.yma", "json",
+        "privcache._record",
     ),
     ("verify", "--suite", "privacy", "--n", "2", "--k", "3", "--r", "2"): (
         "privcache.tradeoff", "fractions", "privcache.plan", "privcache.reference",
@@ -165,7 +162,7 @@ def test_bare_import_loads_no_submodule():
 
 
 def test_exported_names_are_pinned():
-    assert len(EXPORTED) == 45
+    assert len(EXPORTED) == 36
     assert sorted(privcache.__all__) == EXPORTED
 
 

@@ -16,7 +16,7 @@ import pytest
 
 import privcache.plan as plan_module
 from privcache import verify
-from privcache.combinat import ScaleLimitError, admit_plan, scheme_counts
+from privcache.combinat import ScaleLimitError, admit_plan, binomial, position_count, scheme_counts
 from privcache.reference import compute_y, enumerate_r_subsets, stored_signal_indices, x_segment
 from privcache.scheme import (
     AuxDemand,
@@ -137,6 +137,8 @@ def test_scheme_counts_are_the_plan_table_lengths(n, k, r):
     assert [len(column.indices) for column in plan.stored_columns] == [stored] * (r + 1)
     assert [len(column.indices) for column in plan.delivered] == [per_file] * len(plan.delivered)
     assert [len(rows) for rows in plan.reconstruction] == [rebuilt] * k
+    positions = position_count(n, k)
+    assert [len(column.indices) for column in plan.base_columns] == [binomial(positions, r - 2)] * positions
 
 
 def test_a_plan_near_the_top_level_builds_without_the_middle_levels():
@@ -164,6 +166,25 @@ def test_plan_cost_counts_the_reconstruction_rows():
     for price in (admit_plan, plan_module.scheme_plan):
         with pytest.raises(ScaleLimitError, match=r"N=2 K=30 r=4 costs ~114980215 table entries"):
             price(2, 30, 4)
+
+
+@pytest.mark.parametrize(
+    "n, k, r, cost",
+    # K' = 401 times C(401, 400) + C(401, 399) = 80,601 delivery and expansion rows
+    [(2, 400, 401, 32_321_001), (2, 200, 201, 4_080_501)],
+)
+def test_plan_cost_counts_the_expansion_tables(monkeypatch, n, k, r, cost):
+    # near r = K' a plan has almost no subfiles or rebuilt signals, but K' entries
+    # for every subset one and two levels down
+    monkeypatch.setattr(plan_module, "colex_subsets", lambda *args: pytest.fail("table built"))
+    for price in (admit_plan, plan_module.scheme_plan):
+        with pytest.raises(ScaleLimitError, match=rf"N={n} K={k} r={r} costs ~{cost} table entries"):
+            price(n, k, r)
+
+
+def test_a_top_level_plan_under_the_cap_is_admitted():
+    # (2,150,151): 151 * (151 + 11,325) = 1,732,876 entries
+    assert admit_plan(2, 150, 151) == 151
 
 
 @pytest.mark.parametrize("n,k,r", [(16, 2, 6), (2, 30, 4)])

@@ -1,4 +1,4 @@
-"""Value semantics of the package's 13 record classes, pinned.
+"""Value semantics of the package's 9 record classes, pinned.
 
 The expected reprs, equalities, hashes and errors were recorded on the
 frozen-dataclass implementation these classes replaced, so every class
@@ -22,7 +22,6 @@ from privcache.scheme import (
     SchemeParams,
     VVector,
 )
-from privcache.tradeoff import LinearBound, RatePoint, TightnessRow, TradeoffCurve
 from privcache.verify import VerificationReport
 from privcache.yma import UVector
 
@@ -40,10 +39,6 @@ def build():
         VVector: VVector((1, 1, 1)),
         CacheContent: CacheContent(0, 1, (0, 2, 2), params),
         DeliverySignal: DeliverySignal(d, 2, (1, 2), params),
-        RatePoint: RatePoint(Fraction(2, 3), 1),
-        LinearBound: LinearBound(1, 2, Fraction(3, 2)),
-        TradeoffCurve: TradeoffCurve((RatePoint(0, 2), RatePoint(2, 0))),
-        TightnessRow: TightnessRow(Fraction(1, 2), Fraction(3, 2), Fraction(3, 2), True),
         VerificationReport: VerificationReport("demo", 3, [((0,), "1", "0")], 0.25),
     }
 
@@ -61,15 +56,6 @@ REPRS = {
         "DeliverySignal(aux=AuxDemand(digits=(1, 0), num_files=2), t_d=2, segments=(1, 2), "
         f"params={_PARAMS})"
     ),
-    RatePoint: "RatePoint(memory=Fraction(2, 3), rate=Fraction(1, 1))",
-    LinearBound: "LinearBound(alpha=Fraction(1, 1), beta=Fraction(2, 1), gamma=Fraction(3, 2), label='')",
-    TradeoffCurve: (
-        "TradeoffCurve(corners=(RatePoint(memory=Fraction(0, 1), rate=Fraction(2, 1)), "
-        "RatePoint(memory=Fraction(2, 1), rate=Fraction(0, 1))))"
-    ),
-    TightnessRow: (
-        "TightnessRow(memory=Fraction(1, 2), achievable=Fraction(3, 2), converse=Fraction(3, 2), tight=True)"
-    ),
     VerificationReport: "VerificationReport(scope='demo', cases_run=3, failures=[((0,), '1', '0')], elapsed=0.25)",
 }
 FIELDS = {
@@ -81,10 +67,6 @@ FIELDS = {
     VVector: ("bits",),
     CacheContent: ("user", "key", "signals", "params"),
     DeliverySignal: ("aux", "t_d", "segments", "params"),
-    RatePoint: ("memory", "rate"),
-    LinearBound: ("alpha", "beta", "gamma", "label"),
-    TradeoffCurve: ("corners",),
-    TightnessRow: ("memory", "achievable", "converse", "tight"),
     VerificationReport: ("scope", "cases_run", "failures", "elapsed"),
 }
 CLASSES = list(FIELDS)
@@ -105,7 +87,7 @@ def fields_of(obj):
 
 
 def test_every_class_is_pinned():
-    assert len(CLASSES) == 13 and len(FROZEN) == 12
+    assert len(CLASSES) == 9 and len(FROZEN) == 8
     assert list(build()) == CLASSES == list(REPRS)
 
 
@@ -122,20 +104,6 @@ def test_keyword_construction_equals_positional(cls):
     assert fields_of(by_name) == fields_of(obj)
 
 
-def test_linear_bound_label_defaults_to_empty():
-    bound = LinearBound(alpha=1, beta=2, gamma=Fraction(3, 2))
-    assert bound.label == ""
-    assert bound == LinearBound(1, 2, Fraction(3, 2), "")
-    assert bound != LinearBound(1, 2, Fraction(3, 2), "cut-set")
-
-
-def test_numbers_are_stored_as_fractions():
-    point = RatePoint(memory=1, rate=0.5)
-    assert type(point.memory) is Fraction and point.rate == Fraction(1, 2)
-    bound = LinearBound(1, 2, 3)
-    assert all(type(v) is Fraction for v in (bound.alpha, bound.beta, bound.gamma))
-
-
 @pytest.mark.parametrize("cls", FROZEN, ids=lambda c: c.__name__)
 def test_equal_instances_are_equal_and_hash_alike(cls):
     a, b = build()[cls], build()[cls]
@@ -149,7 +117,7 @@ def test_equal_instances_are_equal_and_hash_alike(cls):
 @pytest.mark.parametrize("values", [(Fraction(1),), (Fraction(1), Fraction(2), Fraction(3))])
 def test_a_store_of_the_wrong_length_raises(values):
     with pytest.raises(ValueError):
-        object.__new__(RatePoint)._store(*values)
+        object.__new__(UVector)._store(*values)
 
 
 def _differing():
@@ -164,10 +132,6 @@ def _differing():
         VVector: VVector((1, 0, 1)),
         CacheContent: CacheContent(0, 0, (0, 2, 2), params),
         DeliverySignal: DeliverySignal(d, 2, (1, 3), params),
-        RatePoint: RatePoint(Fraction(2, 3), 2),
-        LinearBound: LinearBound(1, 2, 2),
-        TradeoffCurve: TradeoffCurve((RatePoint(0, 2), RatePoint(1, 0))),
-        TightnessRow: TightnessRow(Fraction(1, 2), Fraction(3, 2), Fraction(3, 2), False),
     }
 
 

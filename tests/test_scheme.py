@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import basis_library, payload_entry, seeded_library, symbol, xor_symbols
+from helpers import basis_library, payload_entry, scheme_point, seeded_library, symbol, xor_symbols
 from privcache import scheme
 from privcache.bitvec import Bits
 from privcache.combinat import ScaleLimitError, binomial, position_count
@@ -36,7 +36,6 @@ from privcache.scheme import (
     g_map,
     place,
 )
-from privcache.tradeoff import scheme_point
 from privcache.yma import build_u_vector, yma_delivery
 
 # Transmission table for two files and three users at r=2: auxiliary demand
@@ -563,9 +562,7 @@ def test_place_is_refused_by_the_plan_before_any_user_is_placed(monkeypatch):
 
 
 def test_memory_rate_worked_values():
-    from privcache.tradeoff import RatePoint
-
-    assert scheme_point(2, 3, 2) == RatePoint(Fraction(2, 3), Fraction(1))
+    assert scheme_point(2, 3, 2) == (Fraction(2, 3), Fraction(1))
     p = scheme_point(2, 3, 3)
     assert (p.memory, p.rate) == (Fraction(1, 4), Fraction(3, 2))
     for n, k in [(2, 3), (3, 2), (4, 4)]:

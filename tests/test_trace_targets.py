@@ -31,6 +31,8 @@ ABSENT = {
     "privcache.scheme.FileLibrary.subfile",
     "privcache.scheme.recover_segment",
     "privcache.verify.OutcomeHistogram.from_weights",
+    "privcache.tradeoff.tightness_report",  # the Fraction view of the curves, which no command called
+    "privcache.tradeoff.lower_convex_envelope",
 }
 
 

@@ -8,6 +8,7 @@ from helpers import (
     build_u_vector_blockwise,
     leader_set,
     payload_entry,
+    scheme_point,
     seeded_library,
     xor_symbols,
 )
@@ -20,7 +21,6 @@ from privcache.scheme import (
     SchemeParams,
     g_map,
 )
-from privcache.tradeoff import scheme_point
 from privcache.yma import (
     UVector,
     build_u_vector,
