@@ -141,6 +141,26 @@ def test_instances_differing_in_one_field_are_unequal(cls):
     assert obj != other and not obj == other
 
 
+def _with_field(obj, name, value):
+    """A copy of `obj` with one field set to `value`, past any validation."""
+    values = dict(zip(FIELDS[type(obj)], fields_of(obj)), **{name: value})
+    if isinstance(obj, VerificationReport):
+        return VerificationReport(**values)
+    copy = object.__new__(type(obj))
+    copy._store(*(values[field] for field in type(obj)._fields))
+    return copy
+
+
+@pytest.mark.parametrize(
+    "cls, name", [(cls, name) for cls in CLASSES for name in FIELDS[cls]], ids=lambda v: getattr(v, "__name__", v)
+)
+def test_equality_reads_every_field(cls, name):
+    obj = build()[cls]
+    assert _with_field(obj, name, getattr(obj, name)) == obj
+    other = _with_field(obj, name, object())
+    assert obj != other and other != obj and not obj == other
+
+
 def test_classes_with_equal_fields_are_unequal():
     assert AuxDemand((0, 1), 2) != UVector((0, 1), 2)
     assert not AuxDemand((0, 1), 2) == UVector((0, 1), 2)

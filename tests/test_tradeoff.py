@@ -59,6 +59,38 @@ def test_companion_point_general_form():
         assert (2 * k * k, k) in corners
 
 
+CORNER_USERS = [2, 3, 4, 5, 6, 7, 8, 16, 32, 64]
+
+
+@pytest.mark.parametrize("k", CORNER_USERS + [1000])
+def test_the_corners_are_closed_under_the_companion_swap(k):
+    # the companion scheme mirrors every scheme corner, so the envelope is its own mirror in M = R
+    den, corners, _ = tradeoff._two_file_curves(k)
+    assert set(corners) == {(r, m) for m, r in corners}
+    assert corners[0] == (0, 2 * den) and corners[-1] == (2 * den, 0)
+
+
+@pytest.mark.parametrize("k", CORNER_USERS)
+def test_every_corner_meets_every_converse_line(k):
+    # an achievable point lies in the converse region: alpha*M + beta*R >= gamma, over den
+    den, corners, _ = tradeoff._two_file_curves(k)
+    lines = tradeoff._converse_coefficients(k)
+    assert all(a * m + b * r >= g * den for m, r in corners for a, b, g, _ in lines)
+
+
+@pytest.mark.parametrize("k", CORNER_USERS)
+def test_the_tight_end_segments_lie_on_converse_lines(k):
+    # on [0, 2/K] and [2(K-1)/(K+1), 2] every achievable segment meets one converse line at both ends
+    den, corners, _ = tradeoff._two_file_curves(k)
+    lines = tradeoff._converse_coefficients(k)
+    low = [p for p in corners if p[0] <= 2 * (k + 1)]  # 2/K over den = K(K+1)
+    high = [p for p in corners if p[0] >= 2 * k * (k - 1)]  # 2(K-1)/(K+1) over den
+    assert len(low) >= 2 and len(high) >= 2
+    for part in (low, high):
+        for (m0, r0), (m1, r1) in zip(part, part[1:]):
+            assert any(a * m0 + b * r0 == g * den == a * m1 + b * r1 for a, b, g, _ in lines), (m0, r0)
+
+
 def test_envelope_six_corners():
     # (0, 2), (1/4, 3/2), (2/3, 1) and their companions (1, 2/3), (3/2, 1/4), (2, 0)
     den, corners, _ = tradeoff._two_file_curves(3)
